@@ -10,18 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FormulaDisagreement, NonConvergentSequence
+from .errors import DomainError, FormulaDisagreement, NonConvergentSequence, SpecMismatch
 from .measures import (
     BackwardKernel,
     ConditionedFamily,
     ForwardKernel,
     InfoValue,
     JointMeasure,
+    _mass_log_ratio,
     _require_same_spec,
+    _sum_axis,
+    _y_marginal_weights,
     build_joint,
     condition_on_path,
     kl_divergence,
@@ -38,43 +41,54 @@ TV_LIMIT_TOL = 1e-6
 _TV_MONOTONE_SLACK = 1e-12
 
 
-def per_step_information(p: BackwardKernel, q: ForwardKernel) -> tuple[InfoValue, ...]:
-    """Conditional mutual information between the input prefix and the
-    current output given past outputs, one term per step."""
+def _joint_of(p: BackwardKernel, q: ForwardKernel, joint: Optional[JointMeasure]) -> JointMeasure:
+    """The caller's joint of ``(p, q)``, checked for its spec, or a new one."""
     spec = _require_same_spec(p, q)
-    w = build_joint(p, q).weights
-    ndim = w.ndim
+    if joint is None:
+        return build_joint(p, q)
+    if joint.spec != spec:
+        raise SpecMismatch(f"joint is on {joint.spec}, kernels are on {spec}")
+    return joint
+
+
+def per_step_information(
+    p: BackwardKernel, q: ForwardKernel, *, joint: Optional[JointMeasure] = None
+) -> tuple[InfoValue, ...]:
+    """Conditional mutual information between the input prefix and the
+    current output given past outputs, one term per step.
+
+    ``joint`` is ``build_joint(p, q)`` when the caller already holds it.
+    The terms come from successive marginals, last step first: each drops
+    one trailing axis of the one before, so all steps together cost a few
+    passes over the cells.  Step ``i`` is
+    ``E log P(y_i | x^i, y^{i-1}) - E log P(y_i | y^{i-1})``, taken on
+    these conditionals rather than as a difference of joint entropies, so
+    a term that should vanish does so to rounding in the conditionals.
+    """
+    joint = _joint_of(p, q, joint)
+    spec = joint.spec
+    j = joint.weights                                   # law of (x^i, y^i), i = n first
+    c = _y_marginal_weights(joint)                      # law of y^i
     terms = []
-    for i in range(spec.steps):
-        j = w.sum(axis=tuple(range(2 * i + 2, ndim)))  # prefix law on (x^i, y^i)
-        b = j.sum(axis=2 * i + 1, keepdims=True)       # (x^i, y^{i-1})
-        c = j.sum(axis=tuple(range(0, 2 * i + 2, 2)), keepdims=True)  # (y^i)
-        d = c.sum(axis=2 * i + 1, keepdims=True)       # (y^{i-1})
-        mask = j > 0
-        num = j[mask]
+    for i in reversed(range(spec.steps)):
+        b = _sum_axis(j, -1)                            # law of (x^i, y^{i-1})
+        d = _sum_axis(c, -1)                            # law of y^{i-1}
         terms.append(
-            InfoValue(
-                float(
-                    np.sum(
-                        num
-                        * (
-                            np.log(num)
-                            - np.log(np.broadcast_to(b, j.shape)[mask])
-                            - np.log(np.broadcast_to(c, j.shape)[mask])
-                            + np.log(np.broadcast_to(d, j.shape)[mask])
-                        )
-                    )
-                )
-            )
+            InfoValue(_mass_log_ratio(j, b[..., None]) - _mass_log_ratio(c, d[..., None]))
         )
-    return tuple(terms)
+        j, c = _sum_axis(b, -1), d
+    return tuple(reversed(terms))
 
 
-def directed_information_divergence(p: BackwardKernel, q: ForwardKernel) -> InfoValue:
+def directed_information_divergence(
+    p: BackwardKernel, q: ForwardKernel, *, joint: Optional[JointMeasure] = None
+) -> InfoValue:
     """Directed information as one relative entropy: the joint against the
-    product of the input kernel with the joint's own output marginal."""
-    _require_same_spec(p, q)
-    joint = build_joint(p, q)
+    product of the input kernel with the joint's own output marginal.
+
+    ``joint`` is ``build_joint(p, q)`` when the caller already holds it.
+    """
+    joint = _joint_of(p, q, joint)
     return kl_divergence(joint, product_pi_forward(p, marginal_y(joint)))
 
 
@@ -105,9 +119,10 @@ class DirectedInfoReport:
 def directed_information_sum(p: BackwardKernel, q: ForwardKernel) -> DirectedInfoReport:
     """Directed information with both routes evaluated and cross-checked."""
     spec = _require_same_spec(p, q)
-    terms = per_step_information(p, q)
+    joint = build_joint(p, q)
+    terms = per_step_information(p, q, joint=joint)
     total = InfoValue(float(sum(t.value for t in terms)))
-    div = directed_information_divergence(p, q)
+    div = directed_information_divergence(p, q, joint=joint)
     return DirectedInfoReport(total, div, terms, total.value / spec.steps)
 
 

@@ -148,19 +148,40 @@ def _require_same_spec(*objs) -> AlphabetSpec:
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a read-only float array that no other reference can write.
+
+    A float array that is already read-only and owns its memory (see
+    :func:`_frozen`) is taken as it is; anything else is copied.
+    """
+    if (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == np.float64
+        and not arr.flags.writeable
+        and arr.base is None
+    ):
+        return arr
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
     return out
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark an array the package has just built, and holds no other
+    reference to, as read-only, so that value types adopt it uncopied."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _validate_rows(rows: np.ndarray, what: str) -> np.ndarray:
     """Check that the trailing axis of ``rows`` holds probability vectors."""
     rows = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(rows)):
+    gap = float(np.abs(_sum_axis(rows, -1) - 1.0).max())
+    # A finite gap rules out NaN and infinite entries, so the entry-wise
+    # test runs only when the gap is not finite.
+    if not math.isfinite(gap) and not np.all(np.isfinite(rows)):
         raise DomainError(f"{what} contains non-finite entries")
-    if np.any(rows < 0):
+    if rows.min() < 0:
         raise DomainError(f"{what} contains negative entries")
-    gap = float(np.abs(rows.sum(axis=-1) - 1.0).max())
     if gap > PMF_TOL:
         raise DomainError(f"{what} rows must sum to 1 within {PMF_TOL:g}; worst gap {gap:.3e}")
     return _as_readonly(rows)
@@ -406,11 +427,12 @@ class JointMeasure:
             raise SpecMismatch(
                 f"joint weights have shape {w.shape}, expected {self.spec.interleaved_shape}"
             )
-        if not np.all(np.isfinite(w)):
-            raise DomainError("joint weights contain non-finite entries")
-        if np.any(w < 0):
-            raise DomainError("joint weights contain negative entries")
+        # As in _validate_rows, a finite total rules out non-finite entries.
         total = float(w.sum())
+        if not math.isfinite(total) and not np.all(np.isfinite(w)):
+            raise DomainError("joint weights contain non-finite entries")
+        if w.min() < 0:
+            raise DomainError("joint weights contain negative entries")
         if abs(total - 1.0) > PMF_TOL:
             raise DomainError(f"joint mass is {total!r}, not 1 within {PMF_TOL:g}")
         object.__setattr__(self, "weights", _as_readonly(w))
@@ -454,6 +476,34 @@ def _x_axes(ndim: int) -> tuple[int, ...]:
 
 def _y_axes(ndim: int) -> tuple[int, ...]:
     return tuple(range(1, ndim, 2))
+
+
+def _sum_axis(w: np.ndarray, axis: int) -> np.ndarray:
+    """Sum a C-ordered array over one axis in a single pass over its cells.
+
+    A trailing axis is reduced by a matrix-vector product with ones; any
+    other by adding the contiguous blocks that lie along it.  Summing
+    several axes one at a time this way beats a multi-axis ``sum``, which
+    walks the array with short strides.
+    """
+    shape = w.shape
+    k = shape[axis]
+    if axis in (-1, len(shape) - 1):
+        return (w.reshape(-1, k) @ np.ones(k)).reshape(shape[:-1])
+    block = w.reshape(math.prod(shape[:axis]), k, -1).sum(axis=1)
+    return block.reshape(shape[:axis] + shape[axis + 1:])
+
+
+def _mass_log_ratio(mass: np.ndarray, den: np.ndarray) -> float:
+    """``sum m log(m / d)`` over the cells of ``mass``, with ``den``
+    broadcast against it and ``0 log(0 / d) = 0``.
+
+    Cells without mass get the quotient 1, so no masked copy is made.  A
+    cell with mass over a zero ``den`` gives ``+inf`` (and a numpy
+    warning, which callers that expect it silence).
+    """
+    ratio = np.divide(mass, den, out=np.ones_like(mass), where=mass > 0)
+    return float(np.vdot(mass, np.log(ratio, out=ratio)))
 
 
 def _input_path_weights(spec: AlphabetSpec, tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -507,23 +557,39 @@ def joint_path_matrix(joint: JointMeasure) -> np.ndarray:
 def build_joint(p: BackwardKernel, q: ForwardKernel) -> JointMeasure:
     """Joint path law induced by interleaving input and output steps.
 
-    Cell ``(x^n, y^n)`` carries ``prod_i p_i(x_i|...) q_i(y_i|...)``.
+    Cell ``(x^n, y^n)`` carries ``prod_i p_i(x_i|...) q_i(y_i|...)``.  The
+    law is built prefix by prefix: a step table's row index is the code of
+    the prefix it extends, so each step multiplies the prefix law by one
+    table, and the whole build costs about two passes over the cells.
     """
     spec = _require_same_spec(p, q)
-    w = _input_path_weights(spec, p.tables) * _output_path_weights(spec, q.tables)
-    return JointMeasure(spec, w)
+    shape = spec.interleaved_shape
+    w = np.ones(())
+    for i, (pt, qt) in enumerate(zip(p.tables, q.tables)):
+        w = w[..., None] * pt.reshape(shape[: 2 * i + 1])
+        w = w[..., None] * qt.reshape(shape[: 2 * i + 2])
+    return JointMeasure(spec, _frozen(w))
 
 
 def marginal_x(joint: JointMeasure) -> Pmf:
     """Input-path marginal, indexed by the row-major code of ``x^n``."""
-    w = joint.weights.sum(axis=_y_axes(joint.weights.ndim))
+    w = joint.weights
+    for i in range(joint.spec.steps):
+        w = _sum_axis(w, i + 1)  # y_i, once y_0..y_{i-1} are gone
     return Pmf(w.reshape(-1))
 
 
 def marginal_y(joint: JointMeasure) -> Pmf:
     """Output-path marginal, indexed by the row-major code of ``y^n``."""
-    w = joint.weights.sum(axis=_x_axes(joint.weights.ndim))
-    return Pmf(w.reshape(-1))
+    return Pmf(_y_marginal_weights(joint).reshape(-1))
+
+
+def _y_marginal_weights(joint: JointMeasure) -> np.ndarray:
+    """Output-path marginal as an array with one axis per ``y_i``."""
+    w = joint.weights
+    for i in range(joint.spec.steps):
+        w = _sum_axis(w, i)  # x_i, once x_0..x_{i-1} are gone
+    return w
 
 
 def product_pi_forward(p: BackwardKernel, nu: Pmf) -> JointMeasure:
@@ -538,7 +604,7 @@ def product_pi_forward(p: BackwardKernel, nu: Pmf) -> JointMeasure:
         spec.y_sizes[a // 2] if a % 2 else 1 for a in range(ndim)
     )
     w = _input_path_weights(spec, p.tables) * nu.weights.reshape(nu_shape)
-    return JointMeasure(spec, w)
+    return JointMeasure(spec, _frozen(w))
 
 
 def product_pi_backward(mu: Pmf, q: ForwardKernel) -> JointMeasure:
@@ -553,7 +619,7 @@ def product_pi_backward(mu: Pmf, q: ForwardKernel) -> JointMeasure:
         spec.x_sizes[a // 2] if a % 2 == 0 else 1 for a in range(ndim)
     )
     w = mu.weights.reshape(mu_shape) * _output_path_weights(spec, q.tables)
-    return JointMeasure(spec, w)
+    return JointMeasure(spec, _frozen(w))
 
 
 DenseLike = Union[Pmf, JointMeasure, np.ndarray]
@@ -577,12 +643,18 @@ def kl_divergence(a: DenseLike, b: DenseLike) -> InfoValue:
     wb = _dense_weights(b)
     if wa.shape != wb.shape:
         raise SpecMismatch(f"operands index different spaces: {wa.shape} vs {wb.shape}")
-    mask = wa > 0
-    num = wa[mask]
-    den = wb[mask]
-    if np.any(den <= 0):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        total = _mass_log_ratio(wa, wb)
+    if math.isfinite(total):
+        return InfoValue(total)
+    pos = wa > 0
+    if np.any(pos & (wb <= 0)):
         return InfoValue(math.inf)
-    return InfoValue(float(np.sum(num * (np.log(num) - np.log(den)))))
+    # Some quotient left the float range (b subnormal against a, or the
+    # reverse); the difference of logarithms stays finite.
+    logs = np.log(wa, out=np.zeros_like(wa), where=pos)
+    logs -= np.log(wb, out=np.zeros_like(wb), where=pos)
+    return InfoValue(float(wa @ logs))
 
 
 # ---------------------------------------------------------------------------

@@ -561,14 +561,14 @@ def rd_curve(
     budgets: Sequence[float],
     cfg: Optional[SolverConfig] = None,
 ) -> list[tuple[float, float]]:
-    """Solve across an ascending budget grid; returns (budget, value-in-nats)
-    pairs.  Solver errors at any point propagate."""
+    """Solve across a strictly ascending budget grid; returns
+    (budget, value-in-nats) pairs.  Solver errors at any point propagate."""
     points = [float(b) for b in budgets]
     if not points:
         raise DomainError("budget grid must not be empty")
     for earlier, later in zip(points, points[1:]):
-        if later < earlier:
-            raise DomainError("budget grid must be ascending")
+        if later <= earlier:
+            raise DomainError("budget grid must be strictly ascending")
     out = []
     for b in points:
         result = solve_nrdf(src, d, budget=b, cfg=cfg)

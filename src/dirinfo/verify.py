@@ -126,8 +126,9 @@ def _lsc_sequence(q_limit: ForwardKernel) -> list[ForwardKernel]:
 
 
 def _dual_formula_gap(p: BackwardKernel, q: ForwardKernel) -> float:
-    total = float(sum(per_step_information(p, q)))
-    div = float(directed_information_divergence(p, q))
+    joint = build_joint(p, q)
+    total = float(sum(per_step_information(p, q, joint=joint)))
+    div = float(directed_information_divergence(p, q, joint=joint))
     return abs(total - div)
 
 

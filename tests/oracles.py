@@ -28,9 +28,9 @@ def oracle_joint(x_sizes, y_sizes, p_fn, q_fn):
     return joint
 
 
-def oracle_directed_information(joint, steps):
-    """Sum over steps of I(X^i; Y_i | Y^{i-1}) from the joint dict (nats)."""
-    total = 0.0
+def oracle_per_step_information(joint, steps):
+    """I(X^i; Y_i | Y^{i-1}) for each step i, from the joint dict (nats)."""
+    terms = []
     for i in range(steps):
         m = defaultdict(float)
         for (xs, ys), w in joint.items():
@@ -42,12 +42,19 @@ def oracle_directed_information(joint, steps):
             hist[(xp, yp[:i])] += w
             outp[yp] += w
             past[yp[:i]] += w
+        term = 0.0
         for (xp, yp), w in m.items():
             if w > 0:
-                total += w * math.log(
+                term += w * math.log(
                     w * past[yp[:i]] / (hist[(xp, yp[:i])] * outp[yp])
                 )
-    return total
+        terms.append(term)
+    return terms
+
+
+def oracle_directed_information(joint, steps):
+    """Sum over steps of I(X^i; Y_i | Y^{i-1}) from the joint dict (nats)."""
+    return sum(oracle_per_step_information(joint, steps))
 
 
 def oracle_divergence_route(joint, x_sizes, y_sizes, p_fn):

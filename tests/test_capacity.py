@@ -336,3 +336,35 @@ def test_argmax_is_input_distribution_over_same_spec():
     res = solve_capacity(bsc(0.1))
     assert res.argmax.spec == SPEC1
     assert isinstance(res.argmax, di.BackwardKernel)
+
+
+# ---------------------------------------------------------------------------
+# known solver faults: the solver stops on a merit plateau and still reports
+# converged=True.  The expected values are Blahut-Arimoto optima, each
+# confirmed to 1e-8 by a dual (inf-over-output-law) bound.  These tests are
+# strict xfails, so they fail once the solver reaches the certified values.
+# ---------------------------------------------------------------------------
+
+
+def _seed1_channel(n: int, size: int) -> di.ForwardKernel:
+    spec = di.AlphabetSpec(n, (size,) * (n + 1), (size,) * (n + 1))
+    return random_forward_kernel(rng_from_seed(1), spec, min_mass=0.01)
+
+
+@pytest.mark.xfail(strict=True, reason="returns 0.664864 with converged=True")
+def test_quaternary_seed1_channel_reaches_certified_capacity():
+    result = solve_capacity(_seed1_channel(1, 4))
+    assert result.converged
+    assert float(result.value) == pytest.approx(0.686679, abs=1e-5)
+
+
+@pytest.mark.xfail(strict=True, reason="returns 0.414523 with converged=True")
+def test_constrained_no_feedback_reaches_certified_capacity():
+    q = _seed1_channel(2, 2)
+    spec = q.spec
+    cost = np.zeros((spec.num_x_paths, spec.num_y_histories))
+    cost[:, :] = (np.arange(spec.num_x_paths) % 2)[:, None]  # the final input symbol
+    result = solve_capacity(q, PowerConstraint(cost, 0.2), no_feedback=True)
+    assert result.converged
+    assert result.constraint_slack >= -1e-9
+    assert float(result.value) == pytest.approx(0.464418, abs=1e-5)

@@ -310,6 +310,14 @@ def test_nrdf_curve_json_mode(tmp_path, capsys):
     assert [parse_real(pt["budget"]) for pt in report["points"]] == [0.1, 0.25]
 
 
+def test_nrdf_repeated_grid_budget_exits_2(tmp_path, capsys):
+    doc = nrdf_problem()
+    doc["distortion_constraint"]["budget_grid"] = ["0.1", "0.1"]
+    path = write_problem(tmp_path / "p.json", doc)
+    code, _ = run(["nrdf", "-i", path], capsys)
+    assert code == 2
+
+
 def test_nrdf_infeasible_exits_4(tmp_path, capsys):
     doc = nrdf_problem()
     doc["distortion_constraint"]["distortion_table"] = [["1", "1"], ["1", "1"]]

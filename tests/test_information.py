@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dirinfo as di
+import dirinfo.information
 from dirinfo.information import DUAL_FORMULA_TOL, DirectedInfoReport
 from dirinfo.measures import condition_on_path
 from dirinfo.sampling import (
@@ -27,6 +28,7 @@ from oracles import (
     oracle_divergence_route,
     oracle_joint,
     oracle_mutual_information,
+    oracle_per_step_information,
 )
 
 
@@ -99,6 +101,129 @@ def test_both_routes_match_pure_python_oracle(seed):
     assert float(report.divergence_form) == pytest.approx(want_div, abs=1e-11)
     mi = float(di.mutual_information(di.build_joint(p, q)))
     assert mi == pytest.approx(oracle_mutual_information(joint), abs=1e-11)
+
+
+def deterministic_kernel_fn(rnd, width):
+    """Like ``random_kernel_fn``, but every row puts all its mass on one
+    symbol."""
+    cache = {}
+
+    def fn(i, xs, ys):
+        key = (i, xs, ys)
+        if key not in cache:
+            row = [0.0] * width[i]
+            row[rnd.randrange(width[i])] = 1.0
+            cache[key] = row
+        return cache[key]
+
+    return fn
+
+
+def ignoring(fn, side):
+    """A kernel callable that ignores the ``side`` ("x" or "y") history."""
+    if side == "x":
+        return lambda i, xs, ys: fn(i, (), ys)
+    return lambda i, xs, ys: fn(i, xs, ())
+
+
+def _edge_case(kind, rnd):
+    if kind == "unequal-alphabets":
+        spec = di.AlphabetSpec(1, (2, 3), (3, 2))
+    else:
+        spec = random_small_shape(rnd)
+    p_fn = random_kernel_fn(rnd, spec.x_sizes, sparse=kind == "zero-mass-rows")
+    q_fn = random_kernel_fn(rnd, spec.y_sizes, sparse=kind == "zero-mass-rows")
+    if kind == "deterministic-channel":
+        q_fn = deterministic_kernel_fn(rnd, spec.y_sizes)
+    elif kind == "input-free-channel":
+        q_fn = ignoring(q_fn, "x")
+    elif kind == "feedback-free-input":
+        p_fn = ignoring(p_fn, "y")
+    return spec, p_fn, q_fn
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "zero-mass-rows",
+        "deterministic-channel",
+        "input-free-channel",
+        "feedback-free-input",
+        "unequal-alphabets",
+    ],
+)
+def test_routes_and_terms_match_oracle_on_edge_cases(kind, seed):
+    rnd = random.Random(1000 + seed)
+    spec, p_fn, q_fn = _edge_case(kind, rnd)
+    p = backward_kernel_from_fn(spec, p_fn)
+    q = forward_kernel_from_fn(spec, q_fn)
+    joint = oracle_joint(spec.x_sizes, spec.y_sizes, p_fn, q_fn)
+    want_terms = oracle_per_step_information(joint, spec.steps)
+    report = di.directed_information_sum(p, q)
+    assert len(report.per_step_terms) == spec.steps
+    for got, want in zip(report.per_step_terms, want_terms):
+        assert float(got) == pytest.approx(want, abs=1e-11)
+    assert float(report.sum_form) == pytest.approx(sum(want_terms), abs=1e-11)
+    want_div = oracle_divergence_route(joint, spec.x_sizes, spec.y_sizes, p_fn)
+    assert float(report.divergence_form) == pytest.approx(want_div, abs=1e-11)
+
+
+def test_routes_given_the_joint_match_routes_that_build_it():
+    rng = rng_from_seed(55)
+    for _ in range(10):
+        spec = random_spec(rng)
+        p = random_backward_kernel(rng, spec)
+        q = random_forward_kernel(rng, spec)
+        joint = di.build_joint(p, q)
+        given = di.per_step_information(p, q, joint=joint)
+        built = di.per_step_information(p, q)
+        for a, b in zip(given, built):
+            assert float(a) == pytest.approx(float(b), abs=1e-15)
+        assert float(di.directed_information_divergence(p, q, joint=joint)) == pytest.approx(
+            float(di.directed_information_divergence(p, q)), abs=1e-15
+        )
+
+
+def test_routes_reject_a_joint_on_another_spec():
+    rng = rng_from_seed(56)
+    spec = di.AlphabetSpec(0, (2,), (2,))
+    other = di.AlphabetSpec(0, (2,), (3,))
+    p = random_backward_kernel(rng, spec)
+    q = random_forward_kernel(rng, spec)
+    joint = di.build_joint(random_backward_kernel(rng, other), random_forward_kernel(rng, other))
+    with pytest.raises(di.SpecMismatch):
+        di.per_step_information(p, q, joint=joint)
+    with pytest.raises(di.SpecMismatch):
+        di.directed_information_divergence(p, q, joint=joint)
+
+
+def test_directed_information_sum_builds_one_joint(monkeypatch):
+    calls = []
+    real = dirinfo.information.build_joint
+
+    def counting(p, q):
+        calls.append(1)
+        return real(p, q)
+
+    monkeypatch.setattr(dirinfo.information, "build_joint", counting)
+    rng = rng_from_seed(57)
+    spec = di.AlphabetSpec(2, (2, 3, 2), (3, 2, 2))
+    di.directed_information_sum(random_backward_kernel(rng, spec), random_forward_kernel(rng, spec))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n, size", [(7, 2), (3, 4), (5, 3)])
+def test_input_free_terms_stay_at_zero_on_large_joints(n, size):
+    # at least 2^16 cells; InfoValue raises on a term below -1e-12
+    spec = di.AlphabetSpec(n, (size,) * (n + 1), (size,) * (n + 1))
+    assert spec.total_cells >= 2**16
+    rng = rng_from_seed(58)
+    for _ in range(3):
+        p = random_backward_kernel(rng, spec)
+        q = random_input_free_kernel(rng, spec)
+        terms = di.per_step_information(p, q)
+        assert sum(float(t) for t in terms) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_dual_formula_tolerance_is_tight():

@@ -234,6 +234,14 @@ def test_kl_divergence_absolute_continuity():
     assert float(di.kl_divergence(b, a)) == pytest.approx(math.log(2), abs=1e-15)
 
 
+def test_kl_divergence_stays_finite_when_a_quotient_overflows():
+    # 0.5 / 1e-320 is past the float range; the divergence is about 368 nats
+    a = np.array([0.5, 0.5])
+    b = np.array([1.0, 1e-320])
+    want = 0.5 * math.log(0.5) + 0.5 * (math.log(0.5) - math.log(1e-320))
+    assert float(di.kl_divergence(a, b)) == pytest.approx(want, rel=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 6))
 def test_gibbs_inequality(seed, size):

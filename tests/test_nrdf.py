@@ -347,6 +347,13 @@ def test_rd_curve_rejects_bad_grids():
         rd_curve(src, d, [0.2, 0.1])
 
 
+def test_rd_curve_rejects_a_repeated_budget():
+    src = uniform_binary_source(SPEC1)
+    d = DistortionConstraint(hamming_paths(SPEC1), budget=0.0)
+    with pytest.raises(di.DomainError):
+        rd_curve(src, d, [0.1, 0.1])
+
+
 # ---------------------------------------------------------------------------
 # result plumbing
 # ---------------------------------------------------------------------------
