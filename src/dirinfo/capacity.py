@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, GridTooLarge, InfeasibleConstraint, SpecMismatch
+from .errors import DomainError, InfeasibleConstraint, SpecMismatch
 from .information import directed_information
 from .measures import (
     AlphabetSpec,
@@ -25,15 +25,17 @@ from .measures import (
     _input_path_weights,
     _output_path_weights,
     _require_same_spec,
-    _x_axes,
     build_joint,
 )
 from .solver import (
     DEFAULT_CONFIG,
     SolverConfig,
+    grid_batches,
+    joint_terms,
+    log_where_positive,
     marginalize_to_input_tables,
     monotone_improve,
-    simplex_grid,
+    weight_table,
 )
 
 # Constraint feasibility slack on returned optimizers.
@@ -101,22 +103,12 @@ def _cost_interleaved(spec: AlphabetSpec, constraint: PowerConstraint) -> np.nda
     return arr.transpose(perm)[..., None]
 
 
-def _masked_expectation(weights: np.ndarray, table: np.ndarray) -> float:
-    """Expectation of ``table`` under ``weights`` with the 0 * inf = 0 rule."""
-    tb = np.broadcast_to(table, weights.shape)
-    mask = weights > 0
-    vals = tb[mask]
-    if np.any(np.isinf(vals)):
-        return math.inf
-    return float(np.sum(weights[mask] * vals))
-
-
 def expected_cost(p: BackwardKernel, q: ForwardKernel, c: PowerConstraint) -> float:
     """Expected cost of the joint induced by ``(p, q)``; ``+inf`` when mass
     sits on a forbidden cell."""
     spec = _require_same_spec(p, q)
     g = _cost_interleaved(spec, c)
-    return _masked_expectation(build_joint(p, q).weights, g)
+    return float(weight_table(build_joint(p, q).weights, g).sum())
 
 
 def min_expected_cost(q: ForwardKernel, c: PowerConstraint) -> float:
@@ -133,9 +125,7 @@ def min_expected_cost(q: ForwardKernel, c: PowerConstraint) -> float:
     v = rows.min(axis=-1)
     for i in range(n - 1, -1, -1):
         vr = v.reshape(spec.output_history_count(i), spec.y_sizes[i])
-        t = q.tables[i]
-        with np.errstate(invalid="ignore"):
-            ev = np.where(t > 0, t * vr, 0.0).sum(axis=-1)
+        ev = weight_table(q.tables[i], vr).sum(axis=-1)
         v = ev.reshape(spec.input_history_count(i), spec.x_sizes[i]).min(axis=-1)
     return float(v[0])
 
@@ -151,9 +141,7 @@ def _min_cost_without_feedback(q: ForwardKernel, c: PowerConstraint) -> float:
     ndim = qp.ndim
     perm = tuple(range(0, ndim, 2)) + tuple(range(1, ndim, 2))
     mat = qp.transpose(perm).reshape(spec.num_x_paths, spec.num_y_histories)
-    with np.errstate(invalid="ignore"):
-        contrib = np.where(mat > 0, mat * c.cost_table, 0.0)
-    return float(contrib.sum(axis=-1).min())
+    return float(weight_table(mat, c.cost_table).sum(axis=-1).min())
 
 
 class _CapacityProblem:
@@ -172,10 +160,7 @@ class _CapacityProblem:
         self.no_feedback = no_feedback
         self.constraint = constraint
         self.qp = _output_path_weights(spec, q.tables)
-        with np.errstate(divide="ignore"):
-            self.log_qp = np.where(self.qp > 0, np.log(np.where(self.qp > 0, self.qp, 1.0)), 0.0)
-        self.ndim = 2 * spec.steps
-        self.x_axes = _x_axes(self.ndim)
+        self.log_qp = log_where_positive(self.qp)
         self.g = _cost_interleaved(spec, constraint) if constraint is not None else None
         self.masks = self._entry_masks()
 
@@ -228,13 +213,8 @@ class _CapacityProblem:
         return _input_path_weights(self.spec, self.expand(tables)) * self.qp
 
     def stats(self, tables: list[np.ndarray]) -> tuple[float, float]:
-        w = self._joint(tables)
-        nu = w.sum(axis=self.x_axes, keepdims=True)
-        mask = w > 0
-        lr = self.log_qp[mask] - np.log(np.broadcast_to(nu, w.shape)[mask])
-        di = float(np.sum(w[mask] * lr))
-        cost = _masked_expectation(w, self.g) if self.g is not None else 0.0
-        return di, cost
+        _, di, cost = joint_terms(self._joint(tables), self.log_qp, self.g)
+        return float(di), float(cost)
 
     def merit_fn(self, lam: float):
         def merit(tables):
@@ -247,17 +227,11 @@ class _CapacityProblem:
         spec = self.spec
 
         def gradient(tables):
-            full = self.expand(tables)
-            w = _input_path_weights(spec, full) * self.qp
-            nu = w.sum(axis=self.x_axes, keepdims=True)
-            mask = w > 0
-            lr = np.zeros_like(w)
-            lr[mask] = self.log_qp[mask] - np.log(np.broadcast_to(nu, w.shape)[mask])
+            w = self._joint(tables)
+            lr, _, _ = joint_terms(w, self.log_qp)
             t_arr = w * (lr - 1.0)
             if self.g is not None and lam != 0.0:
-                gb = np.broadcast_to(self.g, w.shape)
-                with np.errstate(invalid="ignore"):
-                    t_arr = t_arr - lam * np.where(mask, w * gb, 0.0)
+                t_arr = t_arr - lam * weight_table(w, self.g)
             margs = marginalize_to_input_tables(t_arr, spec)
             grads = []
             for i, m in enumerate(margs):
@@ -396,7 +370,7 @@ def solve_capacity(
 def brute_force_capacity(
     q: ForwardKernel,
     c: Optional[PowerConstraint] = None,
-    grid_resolution: Optional[int] = None,
+    grid_resolution: int = 100,
     *,
     no_feedback: bool = False,
     max_grid_points: int = 2_000_000,
@@ -410,47 +384,22 @@ def brute_force_capacity(
     combination count exceeds ``max_grid_points``.
     """
     spec = q.spec
-    res = DEFAULT_CONFIG.grid_resolution if grid_resolution is None else int(grid_resolution)
-    if res < 1:
-        raise DomainError("grid_resolution must be at least 1")
     prob = _CapacityProblem(q, c, no_feedback)
-
-    grids = {}
-    slots: list[tuple[int, int]] = []  # (step, radix) per free row
-    for i in range(spec.steps):
-        dim = spec.x_sizes[i]
-        if dim not in grids:
-            grids[dim] = simplex_grid(res, dim)
-        slots.extend([(i, len(grids[dim]))] * prob.row_count(i))
-    total = math.prod(radix for _, radix in slots)
-    if total > max_grid_points:
-        raise GridTooLarge(
-            f"{total} grid combinations exceed the cap of {max_grid_points}"
-        )
-
+    batches = grid_batches(
+        [prob.row_count(i) for i in range(spec.steps)],
+        spec.x_sizes,
+        grid_resolution,
+        max_grid_points,
+        chunk_cells,
+        spec.total_cells,
+    )
     ndim = 2 * spec.steps
-    batch = max(1, chunk_cells // max(1, spec.total_cells))
     best = -math.inf
     feasible_seen = c is None
-    budget = c.budget if c is not None else 0.0
-
-    for start in range(0, total, batch):
-        idx = np.arange(start, min(start + batch, total))
-        nb = idx.size
-        rem = idx
-        digits_rev = []
-        for _, radix in reversed(slots):
-            rem, d = np.divmod(rem, radix)
-            digits_rev.append(d)
-        digits = digits_rev[::-1]
-
+    for tabs in batches:
+        nb = len(tabs[0])
         w = np.ones((nb,) + (1,) * ndim)
-        pos = 0
-        for i in range(spec.steps):
-            rows = prob.row_count(i)
-            dmat = np.stack(digits[pos: pos + rows], axis=1)  # (nb, rows)
-            pos += rows
-            tab = grids[spec.x_sizes[i]][dmat]  # (nb, rows, x_i)
+        for i, tab in enumerate(tabs):  # tab: (nb, rows, x_i)
             if no_feedback:
                 prefix = tuple(
                     spec.x_sizes[a // 2] if a % 2 == 0 else 1 for a in range(2 * i)
@@ -459,18 +408,10 @@ def brute_force_capacity(
                 prefix = spec.interleaved_shape[: 2 * i]
             fshape = (nb,) + prefix + (spec.x_sizes[i],) + (1,) * (ndim - 2 * i - 1)
             w = w * tab.reshape(fshape)
-        w = w * prob.qp[None]
-
-        nu = w.sum(axis=tuple(a + 1 for a in prob.x_axes), keepdims=True)
-        log_nu = np.log(np.where(nu > 0, nu, 1.0))
-        contrib = np.where(w > 0, w * (prob.log_qp[None] - log_nu), 0.0)
-        di = contrib.sum(axis=tuple(range(1, w.ndim)))
-
+        w = w * prob.qp
+        _, di, cost = joint_terms(w, prob.log_qp, prob.g, batch=True)
         if c is not None:
-            gb = np.broadcast_to(prob.g[None], w.shape)
-            with np.errstate(invalid="ignore"):
-                cost = np.where(w > 0, w * gb, 0.0).sum(axis=tuple(range(1, w.ndim)))
-            ok = cost <= budget + FEASIBILITY_SLACK
+            ok = cost <= c.budget + FEASIBILITY_SLACK
             if np.any(ok):
                 feasible_seen = True
                 best = max(best, float(di[ok].max()))

@@ -187,9 +187,9 @@ def load_problem_file(path: str) -> ProblemFile:
     return pf
 
 
-def build_config(pf: Optional[ProblemFile], args: argparse.Namespace) -> SolverConfig:
+def build_config(pf: ProblemFile, args: argparse.Namespace) -> SolverConfig:
     cfg = SolverConfig()
-    if pf is not None and pf.solver:
+    if pf.solver:
         block = pf.solver
         tol = value_or_none(block, "tol", "solver")
         mtol = value_or_none(block, "multiplier_tol", "solver")
@@ -198,31 +198,24 @@ def build_config(pf: Optional[ProblemFile], args: argparse.Namespace) -> SolverC
             tol=cfg.tol if tol is None else tol,
             max_iters=positive_int(block, "max_iters", "solver", cfg.max_iters),
             multiplier_tol=cfg.multiplier_tol if mtol is None else mtol,
-            grid_resolution=positive_int(block, "grid_resolution", "solver", cfg.grid_resolution),
-            seed=nonneg_int(block, "seed", "solver", cfg.seed),
         )
+        # format "1" keys that no solver reads: still type-checked, ignored
+        positive_int(block, "grid_resolution", "solver")
+        nonneg_int(block, "seed", "solver")
     overrides = {}
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         overrides["tol"] = args.tol
-    if getattr(args, "max_iters", None) is not None:
+    if args.max_iters is not None:
         overrides["max_iters"] = args.max_iters
-    if getattr(args, "grid", None) is not None:
-        overrides["grid_resolution"] = args.grid
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _resolve_units(pf: Optional[ProblemFile], args) -> str:
-    if getattr(args, "units", None) is not None:
-        return args.units
-    return pf.units if pf is not None else "nats"
+def _resolve_units(pf: ProblemFile, args) -> str:
+    return args.units if args.units is not None else pf.units
 
 
-def _resolve_format(pf: Optional[ProblemFile], args) -> str:
-    if getattr(args, "format", None) is not None:
-        return args.format
-    return pf.format if pf is not None else "json"
+def _resolve_format(pf: ProblemFile, args) -> str:
+    return args.format if args.format is not None else pf.format
 
 
 def _in_units(nats: float, units: str) -> float:
@@ -449,13 +442,19 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, input_required: bool = True):
+def _add_io(sub: argparse.ArgumentParser, input_required: bool = True):
     sub.add_argument("--input", "-i", required=input_required, help="problem file (JSON)")
     sub.add_argument("--output", "-o", default=None, help="write the report here instead of stdout")
-    sub.add_argument("--units", choices=("nats", "bits"), default=None)
     sub.add_argument("--format", choices=("json", "csv"), default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--grid", type=int, default=None, help="simplex grid resolution")
+
+
+def _add_report(sub: argparse.ArgumentParser):
+    _add_io(sub)
+    sub.add_argument("--units", choices=("nats", "bits"), default=None)
+
+
+def _add_solver(sub: argparse.ArgumentParser):
+    _add_report(sub)
     sub.add_argument("--tol", type=float, default=None)
     sub.add_argument("--max-iters", type=int, default=None)
 
@@ -469,11 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     compute = subs.add_parser("compute", help="evaluate directed information both ways")
-    _add_common(compute)
+    _add_report(compute)
     compute.set_defaults(func=cmd_compute)
 
     capacity = subs.add_parser("capacity", help="maximize over input kernels")
-    _add_common(capacity)
+    _add_solver(capacity)
     capacity.add_argument(
         "--no-feedback",
         action="store_true",
@@ -482,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     capacity.set_defaults(func=cmd_capacity)
 
     nrdf = subs.add_parser("nrdf", help="minimize over reconstruction kernels")
-    _add_common(nrdf)
+    _add_solver(nrdf)
     nrdf.set_defaults(func=cmd_nrdf)
 
     verify = subs.add_parser("verify", help="run randomized property suites")
@@ -493,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="built-in suite id (default: all)",
     )
-    _add_common(verify, input_required=False)
+    _add_io(verify, input_required=False)
+    verify.add_argument("--seed", type=int, default=None)
     verify.set_defaults(func=cmd_verify)
     return parser
 

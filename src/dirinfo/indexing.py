@@ -18,22 +18,9 @@ def product_size(sizes: Sequence[int]) -> int:
     return math.prod(sizes)
 
 
-def encode(digits: Sequence[int], sizes: Sequence[int]) -> int:
-    """Row-major rank of ``digits`` in the product space described by ``sizes``."""
-    if len(digits) != len(sizes):
-        raise DomainError(
-            f"digit count {len(digits)} does not match radix count {len(sizes)}"
-        )
-    code = 0
-    for d, s in zip(digits, sizes):
-        if not 0 <= d < s:
-            raise DomainError(f"digit {d} out of range for alphabet of size {s}")
-        code = code * s + d
-    return code
-
-
 def decode(code: int, sizes: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`encode`."""
+    """Digits of ``code``, the row-major rank of a tuple in the product
+    space described by ``sizes``."""
     total = product_size(sizes)
     if not 0 <= code < total:
         raise DomainError(f"code {code} out of range for a space of {total} tuples")
@@ -42,19 +29,3 @@ def decode(code: int, sizes: Sequence[int]) -> tuple[int, ...]:
         digits.append(code % s)
         code //= s
     return tuple(reversed(digits))
-
-
-def interleave(x_part: Sequence[int], y_part: Sequence[int]) -> tuple[int, ...]:
-    """Merge per-time coordinates into the canonical interleaved order.
-
-    ``y_part`` may be one element shorter than ``x_part``, which is the shape
-    of a channel-step history ``(x^i, y^{i-1})``.
-    """
-    if len(y_part) not in (len(x_part), len(x_part) - 1):
-        raise DomainError("y coordinates must number len(x) or len(x) - 1")
-    out: list[int] = []
-    for i, x in enumerate(x_part):
-        out.append(x)
-        if i < len(y_part):
-            out.append(y_part[i])
-    return tuple(out)

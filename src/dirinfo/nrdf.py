@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GridTooLarge, InfeasibleConstraint, SpecMismatch
+from .errors import DomainError, InfeasibleConstraint, SpecMismatch
 from .indexing import decode
 from .information import directed_information
 from .measures import (
@@ -34,7 +34,6 @@ from .measures import (
     _output_path_weights,
     _x_axes,
     ignores_output_history,
-    joint_path_matrix,
     product_pi_backward,
     refactor_to_kernel,
 )
@@ -42,9 +41,12 @@ from .solver import (
     DEFAULT_CONFIG,
     MERIT_SLACK,
     SolverConfig,
+    grid_batches,
+    joint_terms,
+    log_where_positive,
     marginalize_to_output_tables,
     monotone_improve,
-    simplex_grid,
+    weight_table,
 )
 
 FEASIBILITY_SLACK = 1e-9
@@ -144,18 +146,25 @@ def _check_table_shape(spec: AlphabetSpec, d: DistortionConstraint):
         )
 
 
+def _resolve_budget(d: DistortionConstraint, budget: Optional[float]) -> float:
+    """The budget a solve or oracle runs at: ``d.budget`` unless one is
+    given, which must then be a finite nonnegative real."""
+    if budget is None:
+        return d.budget
+    b = float(budget)
+    if not math.isfinite(b) or b < 0:
+        raise DomainError(f"distortion budget must be a finite nonnegative real, got {b!r}")
+    return b
+
+
 def expected_distortion(src: SourceSpec, q: ForwardKernel, d: DistortionConstraint) -> float:
     """Expected distortion of the source-reconstruction joint; ``+inf``
     when mass reaches a forbidden cell."""
     if src.spec != q.spec:
         raise SpecMismatch("source and kernel specs differ")
     _check_table_shape(q.spec, d)
-    mat = joint_path_matrix(product_pi_backward(src.marginal(), q))
-    mask = mat > 0
-    vals = d.distortion_table[mask]
-    if np.any(np.isinf(vals)):
-        return math.inf
-    return float(np.sum(mat[mask] * vals))
+    w = product_pi_backward(src.marginal(), q).weights
+    return float(weight_table(w, _from_xy_matrix(q.spec, d.distortion_table)).sum())
 
 
 def _distortion_dp(src: SourceSpec, d: DistortionConstraint):
@@ -175,9 +184,7 @@ def _distortion_dp(src: SourceSpec, d: DistortionConstraint):
         onehot[np.arange(rows.shape[0]), pick] = 1.0
         choices[i] = onehot
         u = rows.min(axis=-1).reshape(spec.input_history_count(i), spec.x_sizes[i])
-        p = src.kernel.tables[i]
-        with np.errstate(invalid="ignore"):
-            v = np.where(p > 0, p * u, 0.0).sum(axis=-1)
+        v = weight_table(src.kernel.tables[i], u).sum(axis=-1)
     return float(np.asarray(v).reshape(-1)[0]), choices
 
 
@@ -191,9 +198,7 @@ def _input_free_floor(src: SourceSpec, d: DistortionConstraint) -> tuple[float, 
     """Least expected distortion over reconstructions that ignore the
     input, attained by a fixed output path; returns (value, path code)."""
     mu = src.marginal().weights
-    with np.errstate(invalid="ignore"):
-        contrib = np.where(mu[:, None] > 0, mu[:, None] * d.distortion_table, 0.0)
-    per_path = contrib.sum(axis=0)
+    per_path = weight_table(mu[:, None], d.distortion_table).sum(axis=0)
     k = int(per_path.argmin())
     return float(per_path[k]), k
 
@@ -258,22 +263,15 @@ class _NrdfProblem:
         self.d_flat = d.distortion_table
         self.d_int = _from_xy_matrix(spec, d.distortion_table)
         self.letters = _per_letter_terms(spec, d.distortion_table)
-        self.ndim = 2 * spec.steps
-        self.x_axes = _x_axes(self.ndim)
+        self.x_axes = _x_axes(2 * spec.steps)
+
+    def _joint(self, tables: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        qp = _output_path_weights(self.spec, tables)
+        return self.mu_pp * qp, log_where_positive(qp)
 
     def stats(self, tables: list[np.ndarray]) -> tuple[float, float]:
-        qp = _output_path_weights(self.spec, tables)
-        w = self.mu_pp * qp
-        nu = w.sum(axis=self.x_axes, keepdims=True)
-        mask = w > 0
-        lr = np.log(np.broadcast_to(qp, w.shape)[mask]) - np.log(
-            np.broadcast_to(nu, w.shape)[mask]
-        )
-        di = float(np.sum(w[mask] * lr))
-        db = np.broadcast_to(self.d_int, w.shape)
-        dvals = db[mask]
-        dist = math.inf if np.any(np.isinf(dvals)) else float(np.sum(w[mask] * dvals))
-        return di, dist
+        _, di, dist = joint_terms(*self._joint(tables), self.d_int)
+        return float(di), float(dist)
 
     def merit_fn(self, s: float):
         def merit(tables):
@@ -286,19 +284,11 @@ class _NrdfProblem:
         spec = self.spec
 
         def gradient(tables):
-            qp = _output_path_weights(spec, tables)
-            w = self.mu_pp * qp
-            nu = w.sum(axis=self.x_axes, keepdims=True)
-            mask = w > 0
-            lr = np.zeros_like(w)
-            lr[mask] = np.log(np.broadcast_to(qp, w.shape)[mask]) - np.log(
-                np.broadcast_to(nu, w.shape)[mask]
-            )
+            w, log_q = self._joint(tables)
+            lr, _, _ = joint_terms(w, log_q)
             t_arr = w * lr
             if s != 0.0:
-                db = np.broadcast_to(self.d_int, w.shape)
-                with np.errstate(invalid="ignore"):
-                    t_arr = t_arr + s * np.where(mask, w * db, 0.0)
+                t_arr = t_arr + s * weight_table(w, self.d_int)
             margs = marginalize_to_output_tables(t_arr, spec)
             return [
                 np.where(t > 0, m / np.where(t > 0, t, 1.0), 0.0)
@@ -399,9 +389,7 @@ def solve_nrdf(
     """
     cfg = cfg or DEFAULT_CONFIG
     spec = src.spec
-    target = d.budget if budget is None else float(budget)
-    if math.isnan(target) or target < 0:
-        raise DomainError(f"distortion budget must be >= 0, got {target!r}")
+    target = _resolve_budget(d, budget)
     floor, greedy_tables = _distortion_dp(src, d)
     if floor > target + FEASIBILITY_SLACK:
         raise InfeasibleConstraint(
@@ -472,7 +460,7 @@ def brute_force_nrdf(
     src: SourceSpec,
     d: DistortionConstraint,
     budget: Optional[float] = None,
-    grid_resolution: Optional[int] = None,
+    grid_resolution: int = 100,
     *,
     max_grid_points: int = 2_000_000,
     chunk_cells: int = 2_000_000,
@@ -482,51 +470,24 @@ def brute_force_nrdf(
     meet the budget."""
     spec = src.spec
     _check_table_shape(spec, d)
-    target = d.budget if budget is None else float(budget)
-    if math.isnan(target) or target < 0:
-        raise DomainError(f"distortion budget must be >= 0, got {target!r}")
-    res = DEFAULT_CONFIG.grid_resolution if grid_resolution is None else int(grid_resolution)
-    if res < 1:
-        raise DomainError("grid_resolution must be at least 1")
-
-    grids = {}
-    slots: list[tuple[int, int]] = []
-    for i in range(spec.steps):
-        dim = spec.y_sizes[i]
-        if dim not in grids:
-            grids[dim] = simplex_grid(res, dim)
-        slots.extend([(i, len(grids[dim]))] * spec.output_history_count(i))
-    total = math.prod(radix for _, radix in slots)
-    if total > max_grid_points:
-        raise GridTooLarge(
-            f"{total} grid combinations exceed the cap of {max_grid_points}"
-        )
-
+    target = _resolve_budget(d, budget)
+    batches = grid_batches(
+        [spec.output_history_count(i) for i in range(spec.steps)],
+        spec.y_sizes,
+        grid_resolution,
+        max_grid_points,
+        chunk_cells,
+        spec.total_cells,
+    )
     mu_pp = _input_path_weights(spec, src.kernel.tables)
     d_int = _from_xy_matrix(spec, d.distortion_table)
     ndim = 2 * spec.steps
-    x_axes = _x_axes(ndim)
-    batch = max(1, chunk_cells // max(1, spec.total_cells))
     best = math.inf
     feasible_seen = False
-
-    for start in range(0, total, batch):
-        idx = np.arange(start, min(start + batch, total))
-        nb = idx.size
-        rem = idx
-        digits_rev = []
-        for _, radix in reversed(slots):
-            rem, dg = np.divmod(rem, radix)
-            digits_rev.append(dg)
-        digits = digits_rev[::-1]
-
+    for tabs in batches:
+        nb = len(tabs[0])
         qp = np.ones((nb,) + (1,) * ndim)
-        pos = 0
-        for i in range(spec.steps):
-            rows = spec.output_history_count(i)
-            dmat = np.stack(digits[pos: pos + rows], axis=1)
-            pos += rows
-            tab = grids[spec.y_sizes[i]][dmat]  # (nb, rows, y_i)
+        for i, tab in enumerate(tabs):  # tab: (nb, rows, y_i)
             fshape = (
                 (nb,)
                 + spec.interleaved_shape[: 2 * i + 1]
@@ -534,17 +495,8 @@ def brute_force_nrdf(
                 + (1,) * (ndim - 2 * i - 2)
             )
             qp = qp * tab.reshape(fshape)
-        w = mu_pp[None] * qp
-
-        nu = w.sum(axis=tuple(a + 1 for a in x_axes), keepdims=True)
-        log_nu = np.log(np.where(nu > 0, nu, 1.0))
-        log_qp = np.log(np.where(qp > 0, qp, 1.0))
-        di = np.where(w > 0, w * (log_qp - log_nu), 0.0).sum(
-            axis=tuple(range(1, w.ndim))
-        )
-        db = np.broadcast_to(d_int[None], w.shape)
-        with np.errstate(invalid="ignore"):
-            dist = np.where(w > 0, w * db, 0.0).sum(axis=tuple(range(1, w.ndim)))
+        w = mu_pp * qp
+        _, di, dist = joint_terms(w, log_where_positive(qp), d_int, batch=True)
         ok = dist <= target + FEASIBILITY_SLACK
         if np.any(ok):
             feasible_seen = True
@@ -563,7 +515,7 @@ def rd_curve(
 ) -> list[tuple[float, float]]:
     """Solve across a strictly ascending budget grid; returns
     (budget, value-in-nats) pairs.  Solver errors at any point propagate."""
-    points = [float(b) for b in budgets]
+    points = [_resolve_budget(d, b) for b in budgets]
     if not points:
         raise DomainError("budget grid must not be empty")
     for earlier, later in zip(points, points[1:]):

@@ -1,19 +1,23 @@
 """Shared optimizer plumbing for the extremum solvers.
 
 Both solvers walk products of probability simplices with multiplicative
-(entropic) updates, monitor a scalar merit value for monotonicity, and
-bracket a scalar multiplier by bisection.  The pieces they share live here.
+(entropic) updates and monitor a scalar merit value for monotonicity.  Both
+evaluate one functional, the directed information of the joint of an input
+and a channel kernel plus an expected cost or distortion: capacity varies
+the input kernel, NRDF the channel kernel.  The evaluation kernel and the
+simplex-grid enumerator that the solvers and the grid oracles share live
+here.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, GridTooLarge
 
 # Acceptance slack for the monotone-merit check; a candidate step may not
 # worsen the merit by more than this.
@@ -27,17 +31,13 @@ class SolverConfig:
     """Knobs shared by the iterative solvers.
 
     ``tol`` is the relative improvement below which an inner ascent/descent
-    is considered settled, ``multiplier_tol`` the budget gap at which the
-    outer bisection stops, ``grid_resolution`` the denominator of the
-    brute-force simplex grids, and ``seed`` feeds any randomized restarts
-    or sampling done on top.
+    is considered settled, and ``multiplier_tol`` the budget gap at which
+    the outer bisection stops.
     """
 
     tol: float = 1e-9
     max_iters: int = 100_000
     multiplier_tol: float = 1e-6
-    grid_resolution: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -46,8 +46,6 @@ class SolverConfig:
             raise DomainError("max_iters must be at least 1")
         if not self.multiplier_tol > 0:
             raise DomainError("multiplier_tol must be positive")
-        if self.grid_resolution < 1:
-            raise DomainError("grid_resolution must be at least 1")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -150,18 +148,57 @@ def monotone_improve(
 
 
 # ---------------------------------------------------------------------------
+# the evaluation kernel
+# ---------------------------------------------------------------------------
+
+
+def log_where_positive(a: np.ndarray) -> np.ndarray:
+    """``log a`` on the positive cells of ``a`` and 0 elsewhere."""
+    return np.log(np.where(a > 0, a, 1.0))
+
+
+def weight_table(w: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``w * table`` on the support of ``w`` and 0 elsewhere, so that
+    ``0 * inf = 0`` while mass on an infinite cell gives ``+inf``."""
+    with np.errstate(invalid="ignore"):
+        return np.where(w > 0, w * table, 0.0)
+
+
+def joint_terms(
+    w: np.ndarray,
+    log_q: np.ndarray,
+    table: Optional[np.ndarray] = None,
+    *,
+    batch: bool = False,
+):
+    """Directed information and an expected table of one interleaved joint.
+
+    ``w = a * Q`` holds input-path weights times channel-path weights and
+    ``log_q`` is ``log Q`` on the support of ``Q``; ``table`` (a cost or
+    distortion, possibly ``+inf``) broadcasts against ``w``.  Returns
+    ``(log_ratio, info, expectation)``: ``log(Q / nu)`` on the support of
+    ``w`` and 0 elsewhere, with ``nu`` the output marginal of ``w``;
+    ``sum w log(Q / nu)``; and ``sum w * table`` under :func:`weight_table`
+    (0 without a table).  Sums run over every axis, or with ``batch`` over
+    every axis but a leading one that indexes separate joints.
+    """
+    lead = 1 if batch else 0
+    nu = w.sum(axis=tuple(range(lead, w.ndim, 2)), keepdims=True)
+    log_ratio = np.where(w > 0, log_q - log_where_positive(nu), 0.0)
+    axes = tuple(range(1, w.ndim)) if batch else None
+    info = (w * log_ratio).sum(axis=axes)
+    expectation = 0.0 if table is None else weight_table(w, table).sum(axis=axes)
+    return log_ratio, info, expectation
+
+
+# ---------------------------------------------------------------------------
 # simplex grids for the brute-force oracles
 # ---------------------------------------------------------------------------
 
 
-def composition_count(resolution: int, dim: int) -> int:
-    """Number of grid points on a ``dim``-simplex at the given resolution."""
-    return math.comb(resolution + dim - 1, dim - 1)
-
-
 def simplex_grid(resolution: int, dim: int) -> np.ndarray:
     """All probability vectors with entries that are multiples of
-    ``1/resolution``, shape ``(composition_count, dim)``."""
+    ``1/resolution``, shape ``(comb(resolution + dim - 1, dim - 1), dim)``."""
     if dim < 1 or resolution < 1:
         raise DomainError("simplex grid needs dim >= 1 and resolution >= 1")
     if dim == 1:
@@ -176,6 +213,55 @@ def simplex_grid(resolution: int, dim: int) -> np.ndarray:
         parts.append(resolution + dim - 2 - prev)
         points.append(parts)
     return np.asarray(points, dtype=float) / resolution
+
+
+def grid_batches(
+    rows: Sequence[int],
+    sizes: Sequence[int],
+    resolution: int,
+    max_grid_points: int,
+    chunk_cells: int,
+    point_cells: int,
+) -> Iterator[list[np.ndarray]]:
+    """Every combination of simplex-grid rows, in batches.
+
+    Step ``i`` has ``rows[i]`` free rows, each ranging over
+    ``simplex_grid(resolution, sizes[i])``.  Each batch is one table per
+    step, of shape ``(batch, rows[i], sizes[i])``, and holds
+    ``chunk_cells // point_cells`` combinations (at least one), where
+    ``point_cells`` is the size of the array one combination expands to.
+    Raises :class:`DomainError` or :class:`GridTooLarge` (more than
+    ``max_grid_points`` combinations) before any batch is made.
+    """
+    resolution = int(resolution)
+    if resolution < 1:
+        raise DomainError("grid_resolution must be at least 1")
+    grids = {dim: simplex_grid(resolution, dim) for dim in set(sizes)}
+    radices = [len(grids[dim]) for r, dim in zip(rows, sizes) for _ in range(r)]
+    total = math.prod(radices)
+    if total > max_grid_points:
+        raise GridTooLarge(
+            f"{total} grid combinations exceed the cap of {max_grid_points}"
+        )
+    batch = max(1, chunk_cells // max(1, point_cells))
+
+    def batches():
+        for start in range(0, total, batch):
+            rem = np.arange(start, min(start + batch, total))
+            digits = []
+            for radix in reversed(radices):
+                rem, d = np.divmod(rem, radix)
+                digits.append(d)
+            digits.reverse()
+            tables = []
+            pos = 0
+            for r, dim in zip(rows, sizes):
+                tables.append(grids[dim][np.stack(digits[pos: pos + r], axis=1)])
+                pos += r
+            yield tables
+
+    # a generator of its own, so the checks above run at the call
+    return batches()
 
 
 def marginalize_to_input_tables(arr: np.ndarray, spec) -> list[np.ndarray]:
@@ -198,23 +284,3 @@ def marginalize_to_output_tables(arr: np.ndarray, spec) -> list[np.ndarray]:
         m = arr.sum(axis=tuple(range(2 * i + 2, ndim)))
         out.append(m.reshape(spec.output_history_count(i), spec.y_sizes[i]))
     return out
-
-
-def bracket_multiplier(
-    budget_gap: Callable[[float], float],
-    lo: float = 0.0,
-    hi: float = 1.0,
-    growth: float = 4.0,
-    cap: float = 1e12,
-) -> tuple[float, float]:
-    """Grow ``hi`` geometrically until ``budget_gap(hi) <= 0``.
-
-    ``budget_gap`` must be (weakly) decreasing in the multiplier; a positive
-    value means the budget is still violated.
-    """
-    while budget_gap(hi) > 0:
-        lo = hi
-        hi *= growth
-        if hi > cap:
-            raise DomainError(f"multiplier bracket exceeded {cap:g} without meeting the budget")
-    return lo, hi

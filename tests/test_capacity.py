@@ -358,13 +358,45 @@ def test_quaternary_seed1_channel_reaches_certified_capacity():
     assert float(result.value) == pytest.approx(0.686679, abs=1e-5)
 
 
+def _final_symbol_budget(spec: di.AlphabetSpec) -> PowerConstraint:
+    cost = np.zeros((spec.num_x_paths, spec.num_y_histories))
+    cost[:, :] = (np.arange(spec.num_x_paths) % 2)[:, None]  # the final input symbol
+    return PowerConstraint(cost, 0.2)
+
+
+def _mixture_witness(spec: di.AlphabetSpec) -> di.BackwardKernel:
+    """Path-level mixture, at weight 0.4, of the uniform input (cost 0.5)
+    and the input uniform on x_0, x_1 with x_2 = 0 (cost 0)."""
+    uniform = di.BackwardKernel.uniform(spec)
+    free = uniform.tables[:2] + (np.tile([1.0, 0.0], (spec.input_history_count(2), 1)),)
+    mixed = di.mix_conditioned(
+        di.condition_on_path(uniform),
+        di.condition_on_path(di.BackwardKernel(spec, free)),
+        0.4,
+    )
+    return di.refactor_to_kernel(mixed)
+
+
+def test_constrained_feedback_witness_meets_the_budget():
+    q = _seed1_channel(2, 2)
+    witness = _mixture_witness(q.spec)
+    assert expected_cost(witness, q, _final_symbol_budget(q.spec)) == pytest.approx(0.2, abs=1e-12)
+    assert di.directed_information(witness, q) == pytest.approx(0.431512, abs=1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="returns 0.097019 with converged=True")
+def test_constrained_feedback_reaches_the_witness():
+    q = _seed1_channel(2, 2)
+    result = solve_capacity(q, _final_symbol_budget(q.spec))
+    assert result.converged
+    witness = di.directed_information(_mixture_witness(q.spec), q)
+    assert float(result.value) >= witness - 1e-6
+
+
 @pytest.mark.xfail(strict=True, reason="returns 0.414523 with converged=True")
 def test_constrained_no_feedback_reaches_certified_capacity():
     q = _seed1_channel(2, 2)
-    spec = q.spec
-    cost = np.zeros((spec.num_x_paths, spec.num_y_histories))
-    cost[:, :] = (np.arange(spec.num_x_paths) % 2)[:, None]  # the final input symbol
-    result = solve_capacity(q, PowerConstraint(cost, 0.2), no_feedback=True)
+    result = solve_capacity(q, _final_symbol_budget(q.spec), no_feedback=True)
     assert result.converged
     assert result.constraint_slack >= -1e-9
     assert float(result.value) == pytest.approx(0.464418, abs=1e-5)

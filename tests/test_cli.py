@@ -266,6 +266,40 @@ def test_solver_block_validation(tmp_path, capsys):
     assert code == 2
 
 
+def test_ignored_solver_keys_leave_the_report_unchanged(tmp_path, capsys):
+    plain = write_problem(tmp_path / "p.json", bsc_capacity_problem())
+    keyed = write_problem(
+        tmp_path / "k.json",
+        bsc_capacity_problem(solver={"grid_resolution": 7, "seed": 3}),
+    )
+    code_plain, out_plain = run(["capacity", "-i", plain], capsys)
+    code_keyed, out_keyed = run(["capacity", "-i", keyed], capsys)
+    assert code_plain == code_keyed == 0
+    assert out_keyed == out_plain
+    # still type-checked
+    for bad in ({"seed": -1}, {"grid_resolution": 0}, {"seed": "3"}):
+        path = write_problem(tmp_path / "bad.json", bsc_capacity_problem(solver=bad))
+        code, _ = run(["capacity", "-i", path], capsys)
+        assert code == 2
+
+
+def test_flags_a_subcommand_never_reads_are_rejected(tmp_path, capsys):
+    path = write_problem(tmp_path / "p.json", bsc_capacity_problem())
+    unread = {
+        "compute": ["--seed", "--grid", "--tol", "--max-iters"],
+        "capacity": ["--seed", "--grid"],
+        "nrdf": ["--seed", "--grid"],
+        "verify": ["--grid", "--tol", "--max-iters", "--units"],
+    }
+    for command, flags in unread.items():
+        for flag in flags:
+            value = "bits" if flag == "--units" else "1"
+            with pytest.raises(SystemExit) as exc:
+                main([command, "-i", path, flag, value])
+            assert exc.value.code == 2
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # nrdf
 # ---------------------------------------------------------------------------

@@ -2,7 +2,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dirinfo.errors import DomainError
-from dirinfo.indexing import decode, encode, interleave, product_size
+from dirinfo.indexing import decode, product_size
+
+
+def encode(digits, sizes):
+    """Reference inverse of ``decode``: the row-major rank of ``digits``."""
+    if len(digits) != len(sizes):
+        raise DomainError(
+            f"digit count {len(digits)} does not match radix count {len(sizes)}"
+        )
+    code = 0
+    for d, s in zip(digits, sizes):
+        if not 0 <= d < s:
+            raise DomainError(f"digit {d} out of range for alphabet of size {s}")
+        code = code * s + d
+    return code
 
 
 @st.composite
@@ -42,13 +56,6 @@ def test_encode_rejects_out_of_range():
         encode([-1], [2])
     with pytest.raises(DomainError):
         encode([0, 0], [2])
-
-
-def test_interleave():
-    assert interleave([1, 2], [3, 4]) == (1, 3, 2, 4)
-    assert interleave([1, 2], [3]) == (1, 3, 2)
-    with pytest.raises(DomainError):
-        interleave([1], [2, 3])
 
 
 def test_product_size_empty():

@@ -276,10 +276,11 @@ def test_budget_override_argument():
     res = solve_nrdf(src, d, budget=0.1)
     want = math.log(2) - hb(0.1)
     assert float(res.value) == pytest.approx(want, abs=5e-6)
-    with pytest.raises(di.DomainError):
-        solve_nrdf(src, d, budget=-0.1)
-    with pytest.raises(di.DomainError):
-        solve_nrdf(src, d, budget=math.nan)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(di.DomainError):
+            solve_nrdf(src, d, budget=bad)
+        with pytest.raises(di.DomainError):
+            brute_force_nrdf(src, d, budget=bad, grid_resolution=4)
 
 
 def test_infeasible_when_floor_exceeds_budget():
@@ -345,6 +346,19 @@ def test_rd_curve_rejects_bad_grids():
         rd_curve(src, d, [])
     with pytest.raises(di.DomainError):
         rd_curve(src, d, [0.2, 0.1])
+
+
+def test_rd_curve_checks_every_budget_before_solving(monkeypatch):
+    import dirinfo.nrdf
+
+    solved = []
+    monkeypatch.setattr(dirinfo.nrdf, "solve_nrdf", lambda *a, **k: solved.append(a))
+    src = uniform_binary_source(SPEC1)
+    d = DistortionConstraint(hamming_paths(SPEC1), budget=0.0)
+    for bad in (math.inf, -0.1, math.nan):
+        with pytest.raises(di.DomainError):
+            rd_curve(src, d, [0.1, 0.2, bad])
+    assert solved == []
 
 
 def test_rd_curve_rejects_a_repeated_budget():

@@ -10,9 +10,9 @@ from dirinfo.solver import (
     MERIT_SLACK,
     SolverConfig,
     StepSchedule,
-    bracket_multiplier,
-    composition_count,
     exp_update_rows,
+    grid_batches,
+    joint_terms,
     marginalize_to_input_tables,
     marginalize_to_output_tables,
     monotone_improve,
@@ -28,13 +28,11 @@ from dirinfo.solver import (
 def test_config_defaults_and_validation():
     cfg = SolverConfig()
     assert cfg.tol == 1e-9 and cfg.multiplier_tol == 1e-6
-    assert cfg.grid_resolution == 100
     for bad in (
         dict(tol=0.0),
         dict(tol=-1e-9),
         dict(max_iters=0),
         dict(multiplier_tol=0.0),
-        dict(grid_resolution=0),
     ):
         with pytest.raises(di.DomainError):
             SolverConfig(**bad)
@@ -166,7 +164,7 @@ def test_monotone_improve_descends_with_negative_sign():
 @settings(max_examples=40, deadline=None)
 def test_simplex_grid_counts_and_sums(res, dim):
     g = simplex_grid(res, dim)
-    assert g.shape == (composition_count(res, dim), dim)
+    assert g.shape == (math.comb(res + dim - 1, dim - 1), dim)
     assert np.allclose(g.sum(axis=1), 1.0)
     assert np.all(g >= 0)
     # all points distinct
@@ -174,7 +172,6 @@ def test_simplex_grid_counts_and_sums(res, dim):
 
 
 def test_simplex_grid_small_cases():
-    assert composition_count(2, 2) == 3
     g = simplex_grid(2, 2)
     assert sorted(map(tuple, g)) == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
     assert simplex_grid(7, 1).tolist() == [[1.0]]
@@ -182,6 +179,55 @@ def test_simplex_grid_small_cases():
         simplex_grid(0, 2)
     with pytest.raises(di.DomainError):
         simplex_grid(3, 0)
+
+
+def test_grid_batches_enumerate_every_combination_once():
+    # one row on the 2-simplex, then two rows on the 3-simplex; batches of 3
+    seen = []
+    for tabs in grid_batches((1, 2), (2, 3), 2, 10**6, chunk_cells=7, point_cells=2):
+        assert [t.shape[1:] for t in tabs] == [(1, 2), (2, 3)]
+        assert len(tabs[0]) <= 3
+        for k in range(len(tabs[0])):
+            seen.append(tuple(np.concatenate([t[k].ravel() for t in tabs])))
+    assert len(seen) == 3 * 6 * 6
+    assert len(set(seen)) == len(seen)
+
+
+def test_grid_batches_raise_before_enumerating():
+    with pytest.raises(di.GridTooLarge):
+        grid_batches((1, 2), (2, 3), 2, 107, 100, 1)
+    with pytest.raises(di.DomainError):
+        grid_batches((1,), (2,), 0, 10, 100, 1)
+
+
+# ---------------------------------------------------------------------------
+# the evaluation kernel
+# ---------------------------------------------------------------------------
+
+
+def test_joint_terms_match_the_evaluator_batched_or_not():
+    from dirinfo.measures import _output_path_weights, build_joint
+    from dirinfo.sampling import random_backward_kernel, random_forward_kernel, rng_from_seed
+
+    rng = rng_from_seed(5)
+    spec = di.AlphabetSpec(1, (2, 3), (3, 2))
+    q = random_forward_kernel(rng, spec)
+    p_free = random_backward_kernel(rng, spec)
+    p_zero = di.BackwardKernel(spec, (np.array([[1.0, 0.0]]), p_free.tables[1]))
+    log_q = np.log(_output_path_weights(spec, q.tables))
+    cost = np.ones(spec.interleaved_shape)
+    cost[1] = np.inf  # reached only when x_0 = 1 has mass
+    kernels = (p_zero, p_free)
+    ws = [build_joint(p, q).weights for p in kernels]
+    _, info, spent = joint_terms(np.stack(ws), log_q, cost, batch=True)
+    for k, (p, w) in enumerate(zip(kernels, ws)):
+        log_ratio, one_info, one_spent = joint_terms(w, log_q, cost)
+        assert float(one_info) == pytest.approx(di.directed_information(p, q), abs=1e-12)
+        assert info[k] == pytest.approx(float(one_info), abs=1e-15)
+        assert spent[k] == one_spent
+        assert np.all(log_ratio[w == 0] == 0.0)
+    assert spent[0] == pytest.approx(1.0, abs=1e-15) and spent[1] == np.inf
+    assert joint_terms(ws[0], log_q)[2] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +259,3 @@ def test_marginalizers_recover_kernel_tables():
         assert np.allclose(in_tabs[0], p.tables[0])
         assert in_tabs[-1].sum() == pytest.approx(1.0)
         assert out_tabs[-1].sum() == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
-# multiplier bracketing
-# ---------------------------------------------------------------------------
-
-
-def test_bracket_multiplier_finds_sign_change():
-    lo, hi = bracket_multiplier(lambda lam: 10.0 - lam)
-    assert lo < hi
-    assert 10.0 - lo > 0 >= 10.0 - hi
-
-
-def test_bracket_multiplier_immediate_when_feasible():
-    lo, hi = bracket_multiplier(lambda lam: -1.0)
-    assert (lo, hi) == (0.0, 1.0)
-
-
-def test_bracket_multiplier_caps_out():
-    with pytest.raises(di.DomainError):
-        bracket_multiplier(lambda lam: 1.0, cap=1e6)

@@ -113,3 +113,21 @@ def test_failure_payloads_would_replay(monkeypatch):
         from dirinfo.serialization import parse_real
 
         assert got == pytest.approx(parse_real(payload["slack"]), abs=1e-15)
+
+
+def test_no_feedback_suite_builds_one_joint_per_case(monkeypatch):
+    import dirinfo.information
+    import dirinfo.verify
+
+    calls = []
+    real = dirinfo.verify.build_joint
+
+    def counting(p, q):
+        calls.append(1)
+        return real(p, q)
+
+    for module in (dirinfo.verify, dirinfo.information):
+        monkeypatch.setattr(module, "build_joint", counting)
+    report = run_suite("no-feedback", seed=0)
+    assert report.cases == 100
+    assert len(calls) == 100
