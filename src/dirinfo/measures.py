@@ -593,18 +593,26 @@ def _y_marginal_weights(joint: JointMeasure) -> np.ndarray:
 
 
 def product_pi_forward(p: BackwardKernel, nu: Pmf) -> JointMeasure:
-    """Product of an input kernel with an output-path law: ``p (x|y) * nu(y)``."""
+    """Product of an input kernel with an output-path law: ``p (x|y) * nu(y)``.
+
+    ``nu`` is copied across the input axes in whole contiguous blocks, then
+    scaled one ``y_n`` column at a time by the input-path weights; a single
+    broadcast over all axes would loop over only ``|Y_n|`` cells at a time.
+    """
     spec = p.spec
     if nu.size != spec.num_y_paths:
         raise SpecMismatch(
             f"nu has {nu.size} outcomes, expected {spec.num_y_paths} output paths"
         )
-    ndim = 2 * spec.steps
-    nu_shape = tuple(
-        spec.y_sizes[a // 2] if a % 2 else 1 for a in range(ndim)
-    )
-    w = _input_path_weights(spec, p.tables) * nu.weights.reshape(nu_shape)
-    return JointMeasure(spec, _frozen(w))
+    w = nu.weights
+    for i in reversed(range(spec.steps)):
+        # (y^{i-1}, 1, y_i, x_{i+1}, ...) -> (y^{i-1}, x_i, y_i, x_{i+1}, ...)
+        w = np.repeat(w.reshape(spec.y_prefix_count(i), 1, -1), spec.x_sizes[i], axis=1)
+    w = w.reshape(-1, spec.y_sizes[-1])
+    a = _input_path_weights(spec, p.tables).reshape(-1)
+    for j in range(spec.y_sizes[-1]):
+        w[:, j] *= a
+    return JointMeasure(spec, _frozen(w.reshape(spec.interleaved_shape)))
 
 
 def product_pi_backward(mu: Pmf, q: ForwardKernel) -> JointMeasure:

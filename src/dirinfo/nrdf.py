@@ -1,19 +1,20 @@
 """Finite-horizon reconstruction optimization: minimize directed information
 over forward kernels subject to an expected-distortion budget.
 
-The objective is convex in the path-level reconstruction measure.  The
-workhorse is an alternating scheme: recompute the output-marginal step
-conditionals, then exponentially tilt each reconstruction row against the
-distortion increment (per-letter when the table decomposes additively,
-whole-path otherwise), falling back to entropic mirror descent whenever a
-tilt step fails to decrease the Lagrangian.  A bisection on the multiplier
-meets the budget; a simplex-grid oracle validates results.
+At a fixed slope ``s`` the Lagrangian ``I + s E d`` is minimized by
+alternating minimization (Csiszar-Tusnady): with the output law ``nu``
+fixed, one soft backward induction gives the exact minimizing causal
+kernel, for additive and path-level distortions alike; then ``nu`` becomes
+the output law of the new joint.  Each update also certifies a lower bound
+on the least Lagrangian, since its value is convex in ``nu``.  Bisection on
+the slope meets the budget and stops on a certified gap; a simplex-grid
+oracle validates results.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -23,29 +24,22 @@ from .information import directed_information
 from .measures import (
     AlphabetSpec,
     BackwardKernel,
-    ConditionedFamily,
     ForwardKernel,
     InfoValue,
     Pmf,
-    _expand_y_keyed_table,
     _from_xy_matrix,
     _input_path_weights,
     _normalize_rows,
-    _output_path_weights,
-    _x_axes,
+    _sum_axis,
     ignores_output_history,
     product_pi_backward,
-    refactor_to_kernel,
 )
 from .solver import (
     DEFAULT_CONFIG,
-    MERIT_SLACK,
     SolverConfig,
     grid_batches,
     joint_terms,
     log_where_positive,
-    marginalize_to_output_tables,
-    monotone_improve,
     weight_table,
 )
 
@@ -54,7 +48,6 @@ FEASIBILITY_SLACK = 1e-9
 _BRACKET_GROWTH = 2.0
 _BRACKET_CAP = 1e12
 _MAX_OUTER_ROUNDS = 200
-_ADDITIVITY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,161 +206,134 @@ def _constant_path_kernel(spec: AlphabetSpec, path_code: int) -> ForwardKernel:
     return ForwardKernel.from_input_free_tables(spec, tables)
 
 
-def _per_letter_terms(spec: AlphabetSpec, table: np.ndarray) -> Optional[list[np.ndarray]]:
-    """Additive decomposition d = sum_i g_i(x_i, y_i) if one exists.
+class _Update(NamedTuple):
+    """One alternating update at a fixed slope ``s``."""
 
-    Returns per-step (x_i, y_i) increments (unique up to additive
-    constants, which cancel in exponential tilts) or None.
-    """
-    if not np.all(np.isfinite(table)):
-        return None
-    d = table.reshape(spec.x_sizes + spec.y_sizes)
-    steps = spec.steps
-    terms = []
-    for i in range(steps):
-        axes = tuple(a for a in range(d.ndim) if a not in (i, steps + i))
-        terms.append(d.mean(axis=axes))
-    recon = np.zeros(d.shape)
-    for i, g in enumerate(terms):
-        fshape = tuple(
-            d.shape[a] if a in (i, steps + i) else 1 for a in range(d.ndim)
-        )
-        recon = recon + g.reshape(fshape)
-    recon = recon - spec.horizon_n * d.mean()
-    scale = max(1.0, float(np.abs(d).max()))
-    if float(np.abs(recon - d).max()) > _ADDITIVITY_TOL * scale:
-        return None
-    return terms
+    log_nu: np.ndarray  # output-path law of the new joint
+    log_q: list  # the new kernel's step tables, log domain
+    di: float
+    dist: float
+    lagrangian: float  # di + s * dist
+    bound: float  # certified lower bound on the least Lagrangian at s
 
 
-def _step_conditionals(spec: AlphabetSpec, nu_flat: np.ndarray) -> list[np.ndarray]:
-    """Per-step conditionals of an output-path law, uniform on null rows."""
-    arr = nu_flat.reshape(spec.y_sizes)
-    out = []
-    for i in range(spec.steps):
-        m = arr.sum(axis=tuple(range(i + 1, spec.steps)))
-        rows = m.reshape(spec.y_prefix_count(i), spec.y_sizes[i])
-        out.append(_normalize_rows(rows, spec.y_sizes[i]))
-    return out
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``log sum exp`` over the last axis, shifted by the largest entry so
+    that nothing underflows; ``-inf`` where every entry is ``-inf``."""
+    top = a.max(axis=-1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    return np.log(np.exp(a - top[..., None]).sum(axis=-1)) + top
 
 
 class _NrdfProblem:
-    """Dense evaluation pipeline for a fixed source and distortion table."""
+    """A source and a distortion table laid out for the backward induction.
+
+    Step ``i`` works on the interleaved prefix ``(x_0, y_0, ..., x_i,
+    y_i)``; source steps carry size-1 ``y`` axes and output-law steps
+    size-1 ``x`` axes, so both broadcast against it.
+    """
 
     def __init__(self, src: SourceSpec, d: DistortionConstraint):
         spec = src.spec
         _check_table_shape(spec, d)
         self.spec = spec
-        self.src = src
-        self.mu_pp = _input_path_weights(spec, src.kernel.tables)
-        self.d_flat = d.distortion_table
-        self.d_int = _from_xy_matrix(spec, d.distortion_table)
-        self.letters = _per_letter_terms(spec, d.distortion_table)
-        self.x_axes = _x_axes(2 * spec.steps)
-
-    def _joint(self, tables: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        qp = _output_path_weights(self.spec, tables)
-        return self.mu_pp * qp, log_where_positive(qp)
-
-    def stats(self, tables: list[np.ndarray]) -> tuple[float, float]:
-        _, di, dist = joint_terms(*self._joint(tables), self.d_int)
-        return float(di), float(dist)
-
-    def merit_fn(self, s: float):
-        def merit(tables):
-            di, dist = self.stats(tables)
-            return di + s * dist
-
-        return merit
-
-    def gradient_fn(self, s: float):
-        spec = self.spec
-
-        def gradient(tables):
-            w, log_q = self._joint(tables)
-            lr, _, _ = joint_terms(w, log_q)
-            t_arr = w * lr
-            if s != 0.0:
-                t_arr = t_arr + s * weight_table(w, self.d_int)
-            margs = marginalize_to_output_tables(t_arr, spec)
-            return [
-                np.where(t > 0, m / np.where(t > 0, t, 1.0), 0.0)
-                for m, t in zip(margs, tables)
-            ]
-
-        return gradient
-
-    def tilt(self, tables: list[np.ndarray], s: float) -> list[np.ndarray]:
-        """One alternating update: refresh the output law, then tilt rows
-        by the exponentiated distortion increment."""
-        spec = self.spec
-        w = self.mu_pp * _output_path_weights(spec, tables)
-        nu_flat = w.sum(axis=self.x_axes).reshape(-1)
-        if self.letters is None:
-            return self._tilt_path(nu_flat, s)
-        conds = _step_conditionals(spec, nu_flat)
-        out = []
-        for i in range(spec.steps):
-            base = _expand_y_keyed_table(spec, i, conds[i])
-            fac = np.exp(-s * self.letters[i])  # finite by construction
-            rows = (
-                base.reshape(-1, spec.x_sizes[i], spec.y_sizes[i]) * fac[None]
-            ).reshape(spec.output_history_count(i), spec.y_sizes[i])
-            out.append(_normalize_rows(rows, spec.y_sizes[i]))
-        return out
-
-    def _tilt_path(self, nu_flat: np.ndarray, s: float) -> list[np.ndarray]:
-        with np.errstate(invalid="ignore"):
-            z = -s * self.d_flat
-        z = np.where(np.isnan(z), 0.0, z)  # 0 * inf exponent treated as 0
-        rows = nu_flat[None, :] * np.exp(z)
-        den = rows.sum(axis=-1, keepdims=True)
-        if np.any(den == 0):
-            # greedy fallback: concentrate on the least-distortion cells
-            low = self.d_flat.min(axis=-1, keepdims=True)
-            greedy = (self.d_flat == low).astype(float)
-            greedy = greedy / greedy.sum(axis=-1, keepdims=True)
-            rows = np.where(den > 0, rows / np.where(den > 0, den, 1.0), greedy)
-        else:
-            rows = rows / den
-        fam = ConditionedFamily(self.spec, "x", rows)
-        return list(refactor_to_kernel(fam).tables)
-
-    def uniform_tables(self) -> list[np.ndarray]:
-        spec = self.spec
-        return [
-            np.full((spec.output_history_count(i), spec.y_sizes[i]), 1.0 / spec.y_sizes[i])
-            for i in range(spec.steps)
+        self.d = np.ascontiguousarray(_from_xy_matrix(spec, d.distortion_table))
+        self.mu = [
+            t.reshape(tuple(v for k in spec.x_sizes[:i] for v in (k, 1)) + (spec.x_sizes[i],))
+            for i, t in enumerate(src.step_tables)
         ]
+        with np.errstate(divide="ignore"):
+            self.log_mu = [np.log(t) for t in self.mu]
+        self.y_shape = tuple(v for k in spec.y_sizes for v in (1, k))
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def tilt(self, log_nu: np.ndarray, s: float) -> _Update:
+        """The exact minimizing kernel at slope ``s`` against the output law
+        ``nu``, its certificate, and the output law of the new joint.
+
+        A soft backward induction from ``U_n = s d`` gives the causal kernel
+        that minimizes ``E log(Q / nu) + s E d``: ``log Q_i = log nu_i - U_i
+        - log Z_i`` with ``Z_i = sum_{y_i} nu_i exp(-U_i)``, and ``U_{i-1}``
+        is the source's mean of ``V_i = -log Z_i``.  The minimum ``V`` is
+        convex in ``nu`` with gradient ``-c``, where ``c(y) = sum_x mu(x)
+        prod_i exp(-U_i - log Z_i)``; so no law does better than ``V + 1 -
+        max c``.  The new joint's output law is ``nu c``.  Everything stays
+        in logs, because probabilities underflow at large ``s``.  ``log_nu``
+        need not be normalized.
+        """
+        spec = self.spec
+        steps = spec.steps
+        # log nu(y_i | y^{i-1}), uniform after a null prefix
+        conds = []
+        m = log_nu
+        for i in reversed(range(steps)):
+            prev = _logsumexp(m)
+            cond = np.where(
+                (prev == -np.inf)[..., None], -math.log(spec.y_sizes[i]), m - prev[..., None]
+            )
+            conds.append(cond.reshape(self.y_shape[: 2 * i + 2]))
+            m = prev
+        conds.reverse()
+        log_nu = log_nu - m  # normalized
+
+        u = s * self.d
+        log_q, gain = [None] * steps, [None] * steps
+        for i in reversed(range(steps)):
+            a = conds[i] - u
+            log_z = _logsumexp(a)
+            log_q[i] = a - log_z[..., None]
+            gain[i] = -u - log_z[..., None]  # log(Q_i / nu_i)
+            u = weight_table(self.mu[i], -log_z).sum(axis=-1)
+        v = float(u)
+
+        # log mu(x) Q(y||x) / nu(y), prefix by prefix; a cell that is
+        # -inf on one step and +inf on a later one is never reached
+        acc = np.zeros(())
+        for i in range(steps):
+            acc = acc[..., None] + self.log_mu[i]
+            acc = acc[..., None] + gain[i]
+        acc = np.where(np.isnan(acc), -np.inf, acc)
+        top = acc
+        for i in range(steps):
+            top = top.max(axis=i)  # over x_i, once x_0..x_{i-1} are gone
+        top = np.where(np.isfinite(top), top, 0.0)
+        e = np.exp(acc - top.reshape(self.y_shape))
+        total = e
+        for i in range(steps):
+            total = _sum_axis(total, i)
+        log_c = np.log(total) + top
+
+        new_log_nu = log_nu + log_c
+        nu = np.exp(new_log_nu)
+        w = e * np.exp(top + log_nu).reshape(self.y_shape)
+        dist = float(weight_table(w, self.d).sum())
+        lagrangian = v - float(np.vdot(nu, np.where(nu > 0, log_c, 0.0)))
+        bound = v - math.expm1(float(log_c.max()))
+        return _Update(new_log_nu, log_q, lagrangian - s * dist, dist, lagrangian, bound)
+
+    def kernel(self, log_q: list) -> ForwardKernel:
+        """The kernel of log step tables; a row with ``Z_i = 0`` is never
+        reached and is made uniform."""
+        spec = self.spec
+        tables = []
+        for i, lq in enumerate(log_q):
+            rows = np.exp(lq).reshape(spec.output_history_count(i), spec.y_sizes[i])
+            tables.append(_normalize_rows(np.nan_to_num(rows), spec.y_sizes[i]))
+        return ForwardKernel(spec, tuple(tables))
 
 
-def _solve_fixed_s(prob: _NrdfProblem, s: float, cfg: SolverConfig, tables):
-    """Tilt iterations while they decrease the Lagrangian, then a mirror
-    descent polish that certifies the descent property."""
-    merit = prob.merit_fn(s)
-    value = merit(tables)
-    iters = 0
-    quiet = 0
-    while iters < cfg.max_iters:
-        cand = prob.tilt(tables, s)
-        iters += 1
-        cand_value = merit(cand)
-        if not cand_value <= value + MERIT_SLACK:
+def _solve_fixed_s(prob: _NrdfProblem, s: float, cfg: SolverConfig, log_nu: np.ndarray):
+    """Alternate updates at slope ``s`` from the output law ``log_nu`` until
+    the Lagrangian is within ``cfg.tol`` of the best certified bound.
+    Returns the last update, that bound and the number of updates."""
+    bound = -math.inf
+    for iters in range(1, cfg.max_iters + 1):
+        step = prob.tilt(log_nu, s)
+        log_nu = step.log_nu
+        bound = max(bound, step.bound)
+        if step.lagrangian - bound <= cfg.tol:
             break
-        delta = value - cand_value
-        tables, value = cand, cand_value
-        if abs(delta) <= cfg.tol * max(1.0, abs(value)):
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    polish_budget = max(25, cfg.max_iters - iters)
-    tables, _, polish_iters, converged = monotone_improve(
-        merit, prob.gradient_fn(s), tables, -1.0, cfg.tol, polish_budget
-    )
-    di, dist = prob.stats(tables)
-    return tables, di, dist, iters + polish_iters, converged
+    return step, bound, iters
 
 
 def solve_nrdf(
@@ -382,10 +348,12 @@ def solve_nrdf(
     Feasibility is certified against the greedy minimum-distortion kernel.
     When the best input-ignoring reconstruction already meets the budget
     the value is exactly zero and that kernel is returned.  Otherwise the
-    multiplier is bisected until the best feasible iterate sits within
-    ``cfg.multiplier_tol`` of the budget (or the bracket's value gap
-    closes).  The returned kernel always satisfies the budget to within
-    ``1e-9``.
+    slope ``s`` is bracketed by doubling and then bisected.  Each slope
+    certifies a lower bound ``bound(s)`` on the least Lagrangian, so the
+    value is at least ``bound(s) - s * budget``; ``converged`` means the
+    best iterate within budget is within ``cfg.multiplier_tol`` of the
+    best such bound.  The returned kernel always satisfies the budget to
+    within ``1e-9``.
     """
     cfg = cfg or DEFAULT_CONFIG
     spec = src.spec
@@ -401,53 +369,41 @@ def solve_nrdf(
         return NrdfResult(InfoValue(0.0), kernel, 0, target - free_floor, True)
 
     prob = _NrdfProblem(src, d)
+    log_nu = np.zeros(spec.y_sizes)  # uniform
     total = 0
-    lo, lo_di = 0.0, 0.0  # relaxed side; its value lower-bounds the optimum
-    hi = 1.0
-    warm = prob.uniform_tables()
-    feasible = None  # (di, dist, tables, converged)
-    while feasible is None:
-        warm, di, dist, iters, conv = _solve_fixed_s(prob, hi, cfg, warm)
-        total += iters
-        if dist <= target + FEASIBILITY_SLACK:
-            feasible = (di, dist, [t.copy() for t in warm], conv)
-            break
-        lo, lo_di = hi, di
-        hi *= _BRACKET_GROWTH
+    lower = 0.0  # the best certified lower bound on the value
+    feasible = None  # (di, dist, log_q) of the best update within budget
+
+    def visit(s: float) -> bool:
+        nonlocal log_nu, total, lower, feasible
+        step, bound, iters = _solve_fixed_s(prob, s, cfg, log_nu)
+        log_nu, total = step.log_nu, total + iters
+        lower = max(lower, bound - s * target)
+        if step.dist > target + FEASIBILITY_SLACK:
+            return False
+        if feasible is None or step.di <= feasible[0]:
+            feasible = (step.di, step.dist, step.log_q)
+        return True
+
+    lo, hi = 0.0, 1.0
+    while not visit(hi):
+        lo, hi = hi, hi * _BRACKET_GROWTH
         if hi > _BRACKET_CAP:
             # give the guaranteed-feasible greedy kernel rather than an
             # iterate that violates the budget
             kernel = ForwardKernel(spec, tuple(greedy_tables))
             value = directed_information(src.kernel, kernel)
-            return NrdfResult(
-                InfoValue(value), kernel, total, target - floor, False
-            )
-
-    def value_gap_closed() -> bool:
-        return feasible[0] - lo_di <= max(1e-10, cfg.tol * max(1.0, abs(feasible[0])))
-
-    met = (target - feasible[1]) <= cfg.multiplier_tol or value_gap_closed()
-    rounds = 0
-    while not met and rounds < _MAX_OUTER_ROUNDS:
-        if hi - lo <= 1e-12 * max(1.0, hi):
+            return NrdfResult(InfoValue(value), kernel, total, target - floor, False)
+    for _ in range(_MAX_OUTER_ROUNDS):
+        if feasible[0] - lower <= cfg.multiplier_tol or hi - lo <= 1e-12 * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
-        warm, di, dist, iters, conv = _solve_fixed_s(prob, mid, cfg, warm)
-        total += iters
-        rounds += 1
-        if dist <= target + FEASIBILITY_SLACK:
-            hi = mid
-            if di <= feasible[0]:
-                feasible = (di, dist, [t.copy() for t in warm], conv)
-            met = (target - feasible[1]) <= cfg.multiplier_tol or value_gap_closed()
-        else:
-            lo, lo_di = mid, di
-            met = value_gap_closed()
-    _, dist_sel, tables_sel, conv_sel = feasible
-    kernel = ForwardKernel(spec, tuple(tables_sel))
+        lo, hi = (lo, mid) if visit(mid) else (mid, hi)
+    di, dist, log_q = feasible
+    kernel = prob.kernel(log_q)
     value = directed_information(src.kernel, kernel)
     return NrdfResult(
-        InfoValue(value), kernel, total, target - dist_sel, conv_sel and met
+        InfoValue(value), kernel, total, target - dist, di - lower <= cfg.multiplier_tol
     )
 
 

@@ -1,12 +1,11 @@
 """Shared optimizer plumbing for the extremum solvers.
 
-Both solvers walk products of probability simplices with multiplicative
-(entropic) updates and monitor a scalar merit value for monotonicity.  Both
-evaluate one functional, the directed information of the joint of an input
-and a channel kernel plus an expected cost or distortion: capacity varies
-the input kernel, NRDF the channel kernel.  The evaluation kernel and the
-simplex-grid enumerator that the solvers and the grid oracles share live
-here.
+Both solvers evaluate one functional, the directed information of the
+joint of an input and a channel kernel plus an expected cost or
+distortion: capacity varies the input kernel, NRDF the channel kernel.
+The evaluation kernel and the simplex-grid enumerator that the solvers
+and the grid oracles share live here, with the configuration and the
+entropic mirror ascent that the capacity solver runs.
 """
 from __future__ import annotations
 
@@ -30,9 +29,10 @@ _EXP_CLIP = 700.0
 class SolverConfig:
     """Knobs shared by the iterative solvers.
 
-    ``tol`` is the relative improvement below which an inner ascent/descent
-    is considered settled, and ``multiplier_tol`` the budget gap at which
-    the outer bisection stops.
+    For capacity, ``tol`` is the relative improvement at which an inner
+    ascent is settled and ``multiplier_tol`` the budget gap at which the
+    bisection stops; for NRDF both are certified gaps in nats, on the
+    Lagrangian at one slope and on the returned value.
     """
 
     tol: float = 1e-9
@@ -274,13 +274,3 @@ def marginalize_to_input_tables(arr: np.ndarray, spec) -> list[np.ndarray]:
         out.append(m.reshape(spec.input_history_count(i), spec.x_sizes[i]))
     return out
 
-
-def marginalize_to_output_tables(arr: np.ndarray, spec) -> list[np.ndarray]:
-    """Collapse an interleaved array onto each step's output-table layout
-    ``(x^i, y^{i-1}, y_i)`` by summing out later coordinates."""
-    ndim = arr.ndim
-    out = []
-    for i in range(spec.steps):
-        m = arr.sum(axis=tuple(range(2 * i + 2, ndim)))
-        out.append(m.reshape(spec.output_history_count(i), spec.y_sizes[i]))
-    return out

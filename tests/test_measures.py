@@ -203,6 +203,22 @@ def test_marginals_and_product_measures():
     assert np.allclose(di.marginal_x(pi_b).weights, mu.weights, atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_product_pi_forward_matches_a_broadcast_over_all_axes(seed):
+    from dirinfo.measures import _input_path_weights
+
+    rng = rng_from_seed(seed)
+    spec = random_spec(rng)
+    p = random_backward_kernel(rng, spec)
+    nu = random_pmf(rng, spec.num_y_paths)
+    ndim = 2 * spec.steps
+    nu_shape = tuple(spec.y_sizes[a // 2] if a % 2 else 1 for a in range(ndim))
+    want = _input_path_weights(spec, p.tables) * nu.weights.reshape(nu_shape)
+    got = di.product_pi_forward(p, nu).weights
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
 def test_product_pi_backward_of_input_free_channel_is_product():
     spec = di.AlphabetSpec(0, (2,), (3,))
     mu = di.Pmf(np.array([0.3, 0.7]))

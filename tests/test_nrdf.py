@@ -9,6 +9,7 @@ from dirinfo.nrdf import (
     DistortionConstraint,
     NrdfResult,
     SourceSpec,
+    _NrdfProblem,
     brute_force_nrdf,
     expected_distortion,
     min_expected_distortion,
@@ -308,6 +309,113 @@ def test_grid_guard():
     d = DistortionConstraint(hamming_paths(SPEC2), budget=0.2)
     with pytest.raises(di.GridTooLarge):
         brute_force_nrdf(src, d, grid_resolution=300)
+
+
+def test_markov_source_is_certified():
+    # a seed-3 Markov source at n=1: the value is certified within the
+    # default multiplier_tol of 1e-6
+    src = SourceSpec(random_feedback_free_kernel(rng_from_seed(3), SPEC2, min_mass=0.05))
+    res = solve_nrdf(src, DistortionConstraint(hamming_paths(SPEC2), budget=0.2))
+    assert res.converged
+    assert float(res.value) == pytest.approx(0.5969247, abs=2e-6)
+    assert res.distortion_slack >= -1e-9
+
+
+@pytest.mark.parametrize("seed", [8, 78, 105, 143])
+def test_biased_coin_is_certified_at_its_closed_form(seed):
+    rng = rng_from_seed(seed)
+    p = float(rng.uniform(0.15, 0.5))
+    budget = float(rng.uniform(0.02, 0.8 * p))
+    res = solve_nrdf(biased_source(p), DistortionConstraint(hamming_paths(SPEC1), budget))
+    assert res.converged
+    assert float(res.value) == pytest.approx(hb(p) - hb(budget), abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the certified lower bound
+# ---------------------------------------------------------------------------
+
+
+def certified_bounds(src, d, slopes, updates=30):
+    """(slope, bound) after each of the first updates at each slope, from a
+    lopsided output law carried from one slope to the next."""
+    prob = _NrdfProblem(src, d)
+    log_nu = 3.0 * rng_from_seed(0).standard_normal(src.spec.y_sizes)
+    for s in slopes:
+        for _ in range(updates):
+            step = prob.tilt(log_nu, s)
+            log_nu = step.log_nu
+            yield s, step.bound
+
+
+SLOPES = (0.25, 1.0, 2.5, 6.0, 20.0)
+
+
+def iid_rate(steps: int, budget: float) -> float:
+    # (n+1)(ln 2 - H_b(D)) for a uniform binary source under summed Hamming
+    letter = budget / steps
+    return 0.0 if letter >= 0.5 else steps * (math.log(2) - hb(letter))
+
+
+def assert_below_rate(bounds, rates):
+    # each bound lower-bounds min_D R(D) + s D, for every budget D
+    for s, bound in bounds:
+        for budget, rate in rates:
+            assert bound - s * budget <= rate + 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_bound_never_exceeds_the_iid_closed_form(n):
+    spec = di.AlphabetSpec(n, (2,) * (n + 1), (2,) * (n + 1))
+    d = DistortionConstraint(hamming_paths(spec), budget=0.0)
+    rates = [(b, iid_rate(spec.steps, b)) for b in np.linspace(0.01, 0.6, 25) * spec.steps]
+    assert_below_rate(certified_bounds(uniform_binary_source(spec), d, SLOPES), rates)
+
+
+def test_bound_never_exceeds_the_grid_oracle_on_a_path_distortion():
+    src = uniform_binary_source(SPEC2)
+    table = np.where(np.eye(4) > 0, 0.0, 1.0)
+    rates = [
+        (b, float(brute_force_nrdf(src, DistortionConstraint(table, b), grid_resolution=3)))
+        for b in (0.2, 0.5)
+    ]
+    d = DistortionConstraint(table, budget=0.0)
+    assert_below_rate(certified_bounds(src, d, SLOPES), rates)
+
+
+def zero_mass_source():
+    # x_0 = 2 never occurs, so its step-1 row, [1, 0], sits under zero mass;
+    # the letters that occur are uniform and independent
+    spec = di.AlphabetSpec(1, (3, 2), (3, 2))
+    tables = [np.array([[0.5, 0.5, 0.0]]), np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]])]
+    return SourceSpec.from_step_tables(spec, tables)
+
+
+@pytest.mark.parametrize("forbidden", [False, True], ids=["finite", "inf-rows"])
+def test_zero_mass_rows_are_certified(forbidden):
+    src = zero_mass_source()
+    table = hamming_paths(src.spec)
+    if forbidden:
+        table[4:] = np.inf  # every reconstruction of x_0 = 2
+    # the third reconstruction letter never helps: two uniform binary letters
+    rates = [(b, iid_rate(2, b)) for b in np.linspace(0.02, 1.0, 20)]
+    assert_below_rate(certified_bounds(src, DistortionConstraint(table, 0.0), SLOPES), rates)
+    res = solve_nrdf(src, DistortionConstraint(table, budget=0.3))
+    assert res.converged
+    assert float(res.value) == pytest.approx(iid_rate(2, 0.3), abs=1e-6)
+    assert res.distortion_slack >= -1e-9
+
+
+def test_budget_binding_at_a_nonzero_floor_is_certified():
+    # the floor 0.75 is met only by the deterministic reproduction, whose
+    # rate is the full source entropy
+    src = uniform_binary_source(SPEC1)
+    d = DistortionConstraint(np.array([[1.0, 2.0], [3.0, 0.5]]), budget=0.75)
+    assert_below_rate(certified_bounds(src, d, SLOPES + (60.0,)), [(0.75, math.log(2))])
+    res = solve_nrdf(src, d)
+    assert res.converged
+    assert float(res.value) == pytest.approx(math.log(2), abs=1e-6)
+    assert res.distortion_slack >= -1e-9
 
 
 # ---------------------------------------------------------------------------

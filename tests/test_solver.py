@@ -14,7 +14,6 @@ from dirinfo.solver import (
     grid_batches,
     joint_terms,
     marginalize_to_input_tables,
-    marginalize_to_output_tables,
     monotone_improve,
     simplex_grid,
 )
@@ -231,7 +230,7 @@ def test_joint_terms_match_the_evaluator_batched_or_not():
 
 
 # ---------------------------------------------------------------------------
-# interleaved-array marginalizers
+# interleaved-array marginalizer
 # ---------------------------------------------------------------------------
 
 
@@ -251,11 +250,8 @@ def test_marginalizers_recover_kernel_tables():
         q = random_forward_kernel(rng, spec)
         arr = build_joint(p, q).weights
         in_tabs = marginalize_to_input_tables(arr, spec)
-        out_tabs = marginalize_to_output_tables(arr, spec)
         for i in range(spec.steps):
             assert in_tabs[i].shape == (spec.input_history_count(i), spec.x_sizes[i])
-            assert out_tabs[i].shape == (spec.output_history_count(i), spec.y_sizes[i])
         # step-0 input marginal equals the kernel's first table scaled by 1
         assert np.allclose(in_tabs[0], p.tables[0])
         assert in_tabs[-1].sum() == pytest.approx(1.0)
-        assert out_tabs[-1].sum() == pytest.approx(1.0)
