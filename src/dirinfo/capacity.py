@@ -1,10 +1,11 @@
 """Finite-horizon input optimization: maximize directed information over
 backward kernels, optionally under an expected-cost budget.
 
-The objective is concave in the path-level input measure, so entropic
-mirror ascent with a monotonicity certificate finds the maximum; the
-budgeted case wraps the ascent in a bisection on the Lagrange multiplier.
-A simplex-grid oracle provides independent validation of solver output.
+The solver is Blahut-Arimoto for directed information (Naiss & Permuter),
+in logs: each update is one soft backward induction from the posterior of
+the current joint, with the cost multiplier matched to the budget.  A dual
+bound from the output law certifies the gap it stops on.  A simplex-grid
+oracle provides independent validation of solver output.
 """
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ from .measures import (
     ForwardKernel,
     InfoValue,
     _expand_x_keyed_table,
-    _input_path_weights,
     _output_path_weights,
     _require_same_spec,
+    _xy_matrix,
     build_joint,
 )
 from .solver import (
@@ -33,21 +34,18 @@ from .solver import (
     grid_batches,
     joint_terms,
     log_where_positive,
-    marginalize_to_input_tables,
-    monotone_improve,
+    logsumexp,
     weight_table,
 )
 
-# Constraint feasibility slack on returned optimizers.
+# Budget slack of the feasibility floor check and of the grid oracle.
 FEASIBILITY_SLACK = 1e-9
 
-_BRACKET_GROWTH = 4.0
 _BRACKET_CAP = 1e12
-_MAX_OUTER_ROUNDS = 200
-# final refinement at the resolved multiplier: tighter plateau detection,
-# bounded iteration count
-_POLISH_TOL_FACTOR = 1e-4
-_POLISH_ITERS = 4000
+# updates between evaluations of the certificate
+_CERT_EVERY = 10
+# false-position steps allowed per budget match
+_MATCH_ROUNDS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,28 +109,32 @@ def expected_cost(p: BackwardKernel, q: ForwardKernel, c: PowerConstraint) -> fl
     return float(weight_table(build_joint(p, q).weights, g).sum())
 
 
-def min_expected_cost(q: ForwardKernel, c: PowerConstraint) -> float:
-    """Least expected cost over all input kernels, by backward induction.
-
-    The inner minimization is over the current input symbol given the full
-    interleaved history, so the value is attained by a deterministic
-    feedback strategy.
-    """
+def _best_strategy(q: ForwardKernel, terminal: np.ndarray, log_q=None) -> float:
+    """``max`` over deterministic feedback strategies of ``E[terminal]``
+    (an interleaved array), plus ``E log Q(y^n || x^n)`` given the step
+    tables' logs: the mean over ``y_i`` (``0 * inf = 0``), then the max over
+    ``x_i``."""
     spec = q.spec
-    g = _cost_interleaved(spec, c)
-    n = spec.horizon_n
-    rows = g[..., 0].reshape(spec.input_history_count(n), spec.x_sizes[n])
-    v = rows.min(axis=-1)
-    for i in range(n - 1, -1, -1):
-        vr = v.reshape(spec.output_history_count(i), spec.y_sizes[i])
-        ev = weight_table(q.tables[i], vr).sum(axis=-1)
-        v = ev.reshape(spec.input_history_count(i), spec.x_sizes[i]).min(axis=-1)
+    v = terminal
+    for i in reversed(range(spec.steps)):
+        qi = q.tables[i]
+        vr = v.reshape(qi.shape)
+        if log_q is not None:
+            vr = vr + log_q[i]
+        ev = weight_table(qi, vr).sum(axis=-1)
+        v = ev.reshape(spec.input_history_count(i), spec.x_sizes[i]).max(axis=-1)
     return float(v[0])
 
 
-def _min_cost_without_feedback(q: ForwardKernel, c: PowerConstraint) -> float:
-    """Least expected cost over input strategies that ignore outputs,
-    i.e. the best fixed input path."""
+def min_expected_cost(q: ForwardKernel, c: PowerConstraint) -> float:
+    """Least expected cost over all input kernels, by backward induction;
+    a deterministic feedback strategy attains it."""
+    g = _cost_interleaved(q.spec, c)
+    return -_best_strategy(q, -np.broadcast_to(g, q.spec.interleaved_shape))
+
+
+def _path_costs(q: ForwardKernel, c: PowerConstraint) -> np.ndarray:
+    """Expected cost of each fixed input path."""
     spec = q.spec
     want = (spec.num_x_paths, spec.num_y_histories)
     if c.cost_table.shape != want:
@@ -141,16 +143,60 @@ def _min_cost_without_feedback(q: ForwardKernel, c: PowerConstraint) -> float:
     ndim = qp.ndim
     perm = tuple(range(0, ndim, 2)) + tuple(range(1, ndim, 2))
     mat = qp.transpose(perm).reshape(spec.num_x_paths, spec.num_y_histories)
-    return float(weight_table(mat, c.cost_table).sum(axis=-1).min())
+    return weight_table(mat, c.cost_table).sum(axis=-1)
+
+
+def _min_cost_without_feedback(q: ForwardKernel, c: PowerConstraint) -> float:
+    """Least expected cost over input strategies that ignore outputs,
+    i.e. the best fixed input path."""
+    return float(_path_costs(q, c).min())
+
+
+def _match_budget(update, budget: float, lam: float, tol: float):
+    """``(state, cost, lam)`` of the update ``update(lam) -> (state,
+    cost)`` at ``lam = 0`` if that is feasible, else at the root of ``cost =
+    budget`` (cost falls continuously in ``lam``), found by false position
+    (Illinois) from a bracket grown out of the last ``lam``, on its feasible
+    side, to an unspent budget times ``lam`` of ``tol / 100``."""
+    def at(x):
+        state, cost = update(x)
+        return x, cost - budget, state, cost
+
+    def done(p):
+        return p[1] <= 0 and -p[1] * p[0] <= 0.01 * tol
+
+    lo, hi = None, at(lam)  # (lam, cost - budget, state, cost): infeasible, feasible
+    if done(hi):
+        return hi[2:] + (lam,)
+    if hi[1] <= 0:  # feasible with budget to spare, so try lam = 0
+        lo = at(0.0)
+        if lo[1] <= 0:
+            return lo[2:] + (0.0,)
+    else:
+        lo, hi = hi, None
+    while hi is None:
+        x = 2.0 * lo[0] if lo[0] > 0 else 1.0
+        if x > _BRACKET_CAP:
+            raise InfeasibleConstraint("multiplier bracket exhausted without reaching the budget")
+        p = at(x)
+        lo, hi = (p, None) if p[1] > 0 else (lo, p)
+    f_lo, f_hi, side = lo[1], hi[1], 0
+    for _ in range(_MATCH_ROUNDS):
+        if done(hi) or hi[0] - lo[0] <= 1e-15 * hi[0]:
+            break
+        p = at(hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo))
+        if p[1] > 0:  # Illinois: halve the end kept twice in a row
+            lo, f_lo, f_hi, side = p, p[1], f_hi * (0.5 if side > 0 else 1.0), 1
+        else:
+            hi, f_hi, f_lo, side = p, p[1], f_lo * (0.5 if side < 0 else 1.0), -1
+    return hi[2:] + (hi[0],)
 
 
 class _CapacityProblem:
-    """Dense evaluation pipeline for a fixed forward kernel.
-
-    Holds the channel path weights and the cost layout; exposes merit and
-    gradient closures over the free input tables (tied across output
-    histories in no-feedback mode).
-    """
+    """A channel and an optional budget laid out for the updates.  The
+    state is the list of log step tables, or without feedback the log law
+    of the input path.  A cost of ``+inf`` forbids an input: it starts at
+    log-probability ``-inf`` and every update keeps it there."""
 
     def __init__(self, q: ForwardKernel, constraint: Optional[PowerConstraint],
                  no_feedback: bool):
@@ -162,107 +208,109 @@ class _CapacityProblem:
         self.qp = _output_path_weights(spec, q.tables)
         self.log_qp = log_where_positive(self.qp)
         self.g = _cost_interleaved(spec, constraint) if constraint is not None else None
-        self.masks = self._entry_masks()
-
-    def _entry_masks(self):
-        """Per-step allowed-entry masks; only the final step can collide
-        with an infinite cost cell directly, and those inputs are zeroed."""
-        spec = self.spec
-        masks: list = [None] * spec.steps
-        if self.g is None or not np.any(np.isinf(self.g)):
-            return masks
         n = spec.horizon_n
-        allowed = np.isfinite(self.g[..., 0]).reshape(
-            spec.input_history_count(n), spec.x_sizes[n]
-        )
-        if self.no_feedback:
-            prefix = spec.interleaved_shape[: 2 * n] + (spec.x_sizes[n],)
-            y_ax = tuple(range(1, 2 * n, 2))
-            af = allowed.reshape(prefix)
-            tied = af.all(axis=y_ax) if y_ax else af
-            allowed = tied.reshape(spec.x_prefix_count(n), spec.x_sizes[n])
-        if np.any(~allowed.any(axis=-1)):
+        if no_feedback:
+            self.qm = np.ascontiguousarray(_xy_matrix(spec, self.qp))  # Q(y^n | x^n)
+            self.neg_entropy = (self.qm * log_where_positive(self.qm)).sum(axis=-1)
+            cost = np.zeros(spec.num_x_paths) if constraint is None else _path_costs(q, constraint)
+            rows = (spec.x_prefix_count(n), spec.x_sizes[n])
+        else:
+            rows = (spec.input_history_count(n), spec.x_sizes[n])
+            cost = np.zeros(rows) if self.g is None else self.g
+        if not np.isfinite(cost).reshape(rows).any(axis=-1).all():
             raise InfeasibleConstraint(
                 "an input history has no finite-cost symbol at the final step"
             )
-        masks[n] = allowed.astype(float)
-        return masks
+        # laid out like the state: the input path, or the final step's table
+        self.allowed = np.isfinite(cost).reshape(-1 if no_feedback else rows)
+        self.cost = np.where(self.allowed, cost.reshape(self.allowed.shape), 0.0)
+        self.budget = 0.0 if constraint is None else constraint.budget
+        with np.errstate(divide="ignore"):
+            self.log_q = np.log(self.qm if no_feedback else self.qp)  # -inf off the support
+        self.log_tables = [log_where_positive(t) for t in q.tables]
+        self.rows = [(spec.input_history_count(i), spec.x_sizes[i]) for i in range(spec.steps)]
 
     def row_count(self, i: int) -> int:
         if self.no_feedback:
             return self.spec.x_prefix_count(i)
         return self.spec.input_history_count(i)
 
-    def initial_tables(self) -> list[np.ndarray]:
-        out = []
-        for i in range(self.spec.steps):
-            t = np.ones((self.row_count(i), self.spec.x_sizes[i]))
-            if self.masks[i] is not None:
-                t = t * self.masks[i]
-            out.append(t / t.sum(axis=-1, keepdims=True))
-        return out
+    def start(self):
+        """Uniform input over what is not forbidden."""
+        with np.errstate(divide="ignore"):
+            last = np.log(self.allowed / self.allowed.sum(axis=-1, keepdims=True))
+        if self.no_feedback:
+            return last
+        return [np.full(r, -math.log(r[1])) for r in self.rows[:-1]] + [last]
 
-    def expand(self, tables: list[np.ndarray]) -> list[np.ndarray]:
-        if not self.no_feedback:
-            return list(tables)
-        return [
-            _expand_x_keyed_table(self.spec, i, t) for i, t in enumerate(tables)
-        ]
-
-    def _joint(self, tables: list[np.ndarray]) -> np.ndarray:
-        return _input_path_weights(self.spec, self.expand(tables)) * self.qp
-
-    def stats(self, tables: list[np.ndarray]) -> tuple[float, float]:
-        _, di, cost = joint_terms(self._joint(tables), self.log_qp, self.g)
-        return float(di), float(cost)
-
-    def merit_fn(self, lam: float):
-        def merit(tables):
-            di, cost = self.stats(tables)
-            return di - lam * cost
-
-        return merit
-
-    def gradient_fn(self, lam: float):
+    @np.errstate(divide="ignore", invalid="ignore")
+    def posterior(self, state):
+        """The current input's log output law (0 where it has no mass), its
+        directed information, and the next update's reward: the mean of
+        ``log P(x^n | y^n)`` over ``y_n``, or over ``y^n`` without feedback."""
         spec = self.spec
+        if self.no_feedback:
+            log_nu = logsumexp(state[:, None] + self.log_q, axis=0)
+            log_nu = np.where(np.isfinite(log_nu), log_nu, 0.0)
+            d = self.neg_entropy - self.qm @ log_nu  # D(Q(.|x^n) || nu)
+            return log_nu, float(np.exp(state) @ d), state + d
+        shape = spec.interleaved_shape
+        ndim = len(shape)
+        lp = np.zeros((1,) * ndim)
+        for i, t in enumerate(state):
+            lp = lp + t.reshape(shape[: 2 * i] + (spec.x_sizes[i],) + (1,) * (ndim - 2 * i - 1))
+        log_joint = lp + self.log_q
+        log_nu = logsumexp(log_joint, axis=tuple(range(0, ndim, 2)), keepdims=True)
+        log_nu = np.where(np.isfinite(log_nu), log_nu, 0.0)
+        ratio = self.log_qp - log_nu
+        di = float(np.vdot(np.exp(log_joint), ratio))
+        post = np.where(self.qp > 0, lp + ratio, 0.0)
+        qn = self.q.tables[-1]
+        a = (qn * post.reshape(qn.shape)).sum(axis=-1)
+        return log_nu, di, a.reshape(self.allowed.shape)
 
-        def gradient(tables):
-            w = self._joint(tables)
-            lr, _, _ = joint_terms(w, self.log_qp)
-            t_arr = w * (lr - 1.0)
-            if self.g is not None and lam != 0.0:
-                t_arr = t_arr - lam * weight_table(w, self.g)
-            margs = marginalize_to_input_tables(t_arr, spec)
-            grads = []
-            for i, m in enumerate(margs):
-                if self.no_feedback:
-                    prefix = spec.interleaved_shape[: 2 * i] + (spec.x_sizes[i],)
-                    y_ax = tuple(range(1, 2 * i, 2))
-                    m = m.reshape(prefix)
-                    if y_ax:
-                        m = m.sum(axis=y_ax)
-                    m = m.reshape(spec.x_prefix_count(i), spec.x_sizes[i])
-                base = tables[i]
-                grads.append(np.where(base > 0, m / np.where(base > 0, base, 1.0), 0.0))
-            return grads
+    def update(self, a: np.ndarray, lam: float):
+        """The input that maximizes ``E log P(x^n | y^n) - lam E c`` plus its
+        own entropy, and its expected cost."""
+        w = a - lam * self.cost if lam else a
+        if self.no_feedback:
+            new = w - logsumexp(w)
+            return new, float(np.exp(new) @ self.cost)
+        # soft backward induction, with the new input's cost-to-go ``k``
+        log_p = [None] * self.spec.steps
+        e = None if self.constraint is None else self.cost
+        for i in reversed(range(self.spec.steps)):
+            if i < self.spec.horizon_n:
+                qi = self.q.tables[i]
+                w = (qi * v.reshape(qi.shape)).sum(axis=-1).reshape(self.rows[i])
+                if e is not None:
+                    e = (qi * k.reshape(qi.shape)).sum(axis=-1).reshape(self.rows[i])
+            v = logsumexp(w)
+            log_p[i] = w - v[:, None]
+            if e is not None:
+                k = (np.exp(log_p[i]) * e).sum(axis=-1)
+        return log_p, 0.0 if e is None else float(k[0])
 
-        return gradient
+    def bound(self, log_nu: np.ndarray, lam: float) -> float:
+        """``max`` over deterministic strategies of ``E[log Q - log nu - lam
+        (c - budget)]``, an upper bound on the capacity."""
+        barrier = np.where(self.allowed, -lam * self.cost, -np.inf)
+        if self.no_feedback:
+            d = self.neg_entropy - self.qm @ log_nu
+            return float((barrier + d).max()) + lam * self.budget
+        spec = self.spec
+        terminal = barrier.reshape(spec.interleaved_shape[:-1] + (1,)) - log_nu
+        return _best_strategy(self.q, terminal, self.log_tables) + lam * self.budget
 
-
-def _ascend(prob: _CapacityProblem, lam: float, tables, cfg: SolverConfig):
-    tables, _, iters, conv = monotone_improve(
-        prob.merit_fn(lam), prob.gradient_fn(lam), tables, 1.0, cfg.tol, cfg.max_iters
-    )
-    di, cost = prob.stats(tables)
-    return tables, di, cost, iters, conv
-
-
-def _finish(prob: _CapacityProblem, tables, iterations: int, converged: bool,
-            cost: Optional[float]) -> CapacityResult:
-    kernel = BackwardKernel(prob.spec, tuple(prob.expand(tables)))
-    value = directed_information(kernel, prob.q)
-    slack = None if prob.constraint is None else prob.constraint.budget - cost
-    return CapacityResult(InfoValue(value), kernel, iterations, slack, converged)
+    def kernel(self, state) -> BackwardKernel:
+        spec = self.spec
+        if self.no_feedback:  # log P(x^i) - log P(x^{i-1}), tied across y^{i-1}
+            m, state = state.reshape(spec.x_sizes), [None] * spec.steps
+            for i in reversed(range(spec.steps)):
+                prev = logsumexp(m, keepdims=True)
+                tied = (m - prev).reshape(spec.x_prefix_count(i), spec.x_sizes[i])
+                state[i], m = _expand_x_keyed_table(spec, i, tied), prev[..., 0]
+        return BackwardKernel(spec, tuple(np.exp(t) for t in state))
 
 
 def solve_capacity(
@@ -275,11 +323,9 @@ def solve_capacity(
     """Maximize directed information over input kernels for the channel ``q``.
 
     With a constraint, feasibility is certified first via the minimum-cost
-    strategy, then a Lagrangian ascent is bisected on the multiplier until
-    the budget gap of the best feasible iterate falls within
-    ``cfg.multiplier_tol`` (or the value gap between the bisection bracket
-    sides closes).  ``no_feedback=True`` ties each step's table across
-    output histories, restricting the search to feedback-free inputs.
+    strategy.  ``converged`` means a certified upper bound, checked every
+    ``10`` updates and at the last, is within ``cfg.tol`` nats of the value.
+    ``no_feedback=True`` ties each step's table across output histories.
     Histories whose every final-step symbol has infinite cost are rejected
     as infeasible rather than searched around.
     """
@@ -291,75 +337,20 @@ def solve_capacity(
             raise InfeasibleConstraint(
                 f"minimum achievable cost {floor:.9g} exceeds budget {c.budget:.9g}"
             )
-    tables, di, cost, iters, conv = _ascend(prob, 0.0, prob.initial_tables(), cfg)
-    total = iters
-    if c is None:
-        return _finish(prob, tables, total, conv, None)
-    if cost <= c.budget + FEASIBILITY_SLACK:
-        return _finish(prob, tables, total, conv, cost)
-
-    budget = c.budget
-    lo, lo_di = 0.0, di  # infeasible side; its value upper-bounds the optimum
-    hi = 1.0
-    warm = tables
-    feasible = None  # (di, cost, tables, converged)
-    while feasible is None:
-        warm, di, cost, iters, conv = _ascend(prob, hi, warm, cfg)
-        total += iters
-        if cost <= budget + FEASIBILITY_SLACK:
-            feasible = (di, cost, [t.copy() for t in warm], conv)
-            break
-        lo, lo_di = hi, di
-        hi *= _BRACKET_GROWTH
-        if hi > _BRACKET_CAP:
-            raise InfeasibleConstraint(
-                "multiplier bracket exhausted without reaching the budget"
-            )
-
-    def stop_met() -> bool:
-        # any of: budget met to tolerance, multiplier resolved to
-        # tolerance, or the primal values on the two bracket sides agree
-        if (budget - feasible[1]) <= cfg.multiplier_tol:
-            return True
-        if hi - lo <= cfg.multiplier_tol * max(1.0, hi):
-            return True
-        return lo_di - feasible[0] <= max(1e-10, cfg.tol * max(1.0, abs(feasible[0])))
-
-    met = stop_met()
-    rounds = 0
-    while not met and rounds < _MAX_OUTER_ROUNDS:
-        mid = 0.5 * (lo + hi)
-        warm, di, cost, iters, conv = _ascend(prob, mid, warm, cfg)
-        total += iters
-        rounds += 1
-        if cost <= budget + FEASIBILITY_SLACK:
-            hi = mid
-            if di >= feasible[0]:
-                feasible = (di, cost, [t.copy() for t in warm], conv)
-        else:
-            lo, lo_di = mid, di
-        met = stop_met()
-
-    # a warm-started ascent can stall on a merit plateau well before the
-    # budget is pinned down; one tight pass at the resolved multiplier
-    # recovers the remaining accuracy
-    lam_sel = 0.5 * (lo + hi)
-    di_sel, cost_sel, tables_sel, conv_sel = feasible
-    tabs, _, iters, conv_p = monotone_improve(
-        prob.merit_fn(lam_sel),
-        prob.gradient_fn(lam_sel),
-        [t.copy() for t in tables_sel],
-        1.0,
-        cfg.tol * _POLISH_TOL_FACTOR,
-        min(_POLISH_ITERS, cfg.max_iters),
-    )
-    total += iters
-    di_p, cost_p = prob.stats(tabs)
-    if cost_p <= budget + FEASIBILITY_SLACK and di_p >= di_sel:
-        feasible = (di_p, cost_p, tabs, conv_p)
-        met = stop_met()
-    _, cost_sel, tables_sel, conv_sel = feasible
-    return _finish(prob, tables_sel, total, conv_sel and met, cost_sel)
+    state, lam, iters, gap = prob.start(), 0.0, 0, math.inf
+    while True:
+        log_nu, di, a = prob.posterior(state)
+        if iters and (iters % _CERT_EVERY == 0 or iters == cfg.max_iters):
+            gap = prob.bound(log_nu, lam) - di
+            if gap <= cfg.tol or iters == cfg.max_iters:
+                break
+        # without a budget every update costs 0 against a budget of 0
+        state, cost, lam = _match_budget(lambda x: prob.update(a, x), prob.budget, lam, cfg.tol)
+        iters += 1
+    kernel = prob.kernel(state)
+    value = directed_information(kernel, q)
+    slack = None if c is None else c.budget - cost
+    return CapacityResult(InfoValue(value), kernel, iters, slack, gap <= cfg.tol)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Both solvers evaluate one functional, the directed information of the
 joint of an input and a channel kernel plus an expected cost or
 distortion: capacity varies the input kernel, NRDF the channel kernel.
-The evaluation kernel and the simplex-grid enumerator that the solvers
-and the grid oracles share live here, with the configuration and the
-entropic mirror ascent that the capacity solver runs.
+The configuration, the log-sum-exp, the evaluation kernel and the
+simplex-grid enumerator that the solvers and the grid oracles share live
+here.
 """
 from __future__ import annotations
 
@@ -18,6 +18,11 @@ import numpy as np
 
 from .errors import DomainError, GridTooLarge
 
+# Entropic mirror ascent: ``exp_update_rows``, ``StepSchedule``,
+# ``monotone_improve`` and ``MERIT_SLACK`` are no longer called by either
+# solver.  They stay because the traced benchmark (``perfbench/spans.py``)
+# looks up ``monotone_improve`` and ``MERIT_SLACK`` when it installs.
+
 # Acceptance slack for the monotone-merit check; a candidate step may not
 # worsen the merit by more than this.
 MERIT_SLACK = 1e-12
@@ -29,10 +34,10 @@ _EXP_CLIP = 700.0
 class SolverConfig:
     """Knobs shared by the iterative solvers.
 
-    For capacity, ``tol`` is the relative improvement at which an inner
-    ascent is settled and ``multiplier_tol`` the budget gap at which the
-    bisection stops; for NRDF both are certified gaps in nats, on the
-    Lagrangian at one slope and on the returned value.
+    For capacity, ``tol`` is the certified gap in nats on the returned
+    value and ``multiplier_tol`` is not read; for NRDF both are certified
+    gaps in nats, on the Lagrangian at one slope and on the returned value.
+    ``max_iters`` caps the updates of one solve (of one slope for NRDF).
     """
 
     tol: float = 1e-9
@@ -157,6 +162,16 @@ def log_where_positive(a: np.ndarray) -> np.ndarray:
     return np.log(np.where(a > 0, a, 1.0))
 
 
+def logsumexp(a: np.ndarray, axis=-1, keepdims: bool = False) -> np.ndarray:
+    """``log sum exp`` over ``axis``, shifted by the largest entry so that
+    nothing underflows; ``-inf`` where every entry is ``-inf``."""
+    top = a.max(axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(a - top).sum(axis=axis, keepdims=True)) + top
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
 def weight_table(w: np.ndarray, table: np.ndarray) -> np.ndarray:
     """``w * table`` on the support of ``w`` and 0 elsewhere, so that
     ``0 * inf = 0`` while mass on an infinite cell gives ``+inf``."""
@@ -262,15 +277,3 @@ def grid_batches(
 
     # a generator of its own, so the checks above run at the call
     return batches()
-
-
-def marginalize_to_input_tables(arr: np.ndarray, spec) -> list[np.ndarray]:
-    """Collapse an interleaved array onto each step's input-table layout
-    ``(x^{i-1}, y^{i-1}, x_i)`` by summing out later coordinates."""
-    ndim = arr.ndim
-    out = []
-    for i in range(spec.steps):
-        m = arr.sum(axis=tuple(range(2 * i + 1, ndim)))
-        out.append(m.reshape(spec.input_history_count(i), spec.x_sizes[i]))
-    return out
-

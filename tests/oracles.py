@@ -7,7 +7,7 @@ shared code with the package beyond the test-side table builders.
 """
 import math
 from collections import defaultdict
-from itertools import product
+from itertools import combinations, product
 
 
 def all_paths(sizes):
@@ -118,3 +118,52 @@ def oracle_expected_distortion(joint, dist_fn):
                 return math.inf
             total += w * d
     return total
+
+
+def oracle_strategy_terms(x_sizes, y_sizes, q_fn, nu, cost_fn=None):
+    """``(E[log Q(y^n||x^n) - log nu(y^n)], E[cost])`` for every deterministic
+    feedback strategy, one pair per strategy.
+
+    A strategy picks ``x_i`` from ``y^{i-1}`` (the inputs before it are its
+    own choices); ``nu`` maps output paths to probabilities, and a strategy
+    that reaches a path ``nu`` misses gets ``+inf``.  ``cost_fn(x_path,
+    y_history)`` may return ``inf``; the expected cost is 0 without it.
+    """
+    steps = len(x_sizes)
+    histories = [list(all_paths(y_sizes[:i])) for i in range(steps)]
+    choices = [list(product(range(x_sizes[i]), repeat=len(histories[i]))) for i in range(steps)]
+    terms = []
+    for choice in product(*choices):
+        picks = [dict(zip(histories[i], choice[i])) for i in range(steps)]
+        info = cost = 0.0
+        for ys in all_paths(y_sizes):
+            xs = tuple(picks[i][ys[:i]] for i in range(steps))
+            w = 1.0
+            for i in range(steps):
+                w *= q_fn(i, xs[: i + 1], ys[:i])[ys[i]]
+            if w > 0:
+                info += w * (math.log(w) - math.log(nu[ys])) if nu[ys] > 0 else math.inf
+                if cost_fn is not None:
+                    cost += w * cost_fn(xs, ys[:-1])
+        terms.append((info, cost))
+    return terms
+
+
+def oracle_lagrangian_bound(terms, lam, budget=0.0):
+    """``max`` over strategies of ``E[log Q - log nu] - lam (E[cost] -
+    budget)``, leaving out strategies of infinite expected cost."""
+    return max(info - lam * (cost - budget) for info, cost in terms if not math.isinf(cost))
+
+
+def oracle_dual_bound(terms, budget):
+    """Least Lagrangian bound over ``lam >= 0``.  The bound is the upper
+    envelope of finitely many lines in ``lam``, so its least value sits at
+    ``lam = 0`` or where two lines cross."""
+    finite = [t for t in terms if not math.isinf(t[1])]
+    candidates = {0.0}
+    for (a1, c1), (a2, c2) in combinations(finite, 2):
+        if c1 != c2:
+            lam = (a1 - a2) / (c1 - c2)
+            if lam > 0:
+                candidates.add(lam)
+    return min(oracle_lagrangian_bound(finite, lam, budget) for lam in candidates)

@@ -36,5 +36,5 @@ def test_tracer_wraps_every_layer_and_puts_it_back():
         tracer.uninstall()
     assert di.solve_capacity is original
     names = {s[0] for s in tracer.spans}
-    assert {"capacity.solve", "solver.improve", "capacity.oracle", "nrdf.tilt"} <= names
+    assert {"capacity.solve", "capacity.oracle", "nrdf.tilt"} <= names
     assert tracer.counts["capacity.oracle.points"] == 5

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import dirinfo as di
 from dirinfo.capacity import (
     CapacityResult,
+    _CapacityProblem,
     PowerConstraint,
     brute_force_capacity,
     expected_cost,
@@ -21,7 +23,14 @@ from dirinfo.sampling import (
 from dirinfo.solver import SolverConfig
 
 from helpers import backward_kernel_from_fn, forward_kernel_from_fn, random_kernel_fn
-from oracles import oracle_expected_cost, oracle_joint
+from oracles import (
+    all_paths,
+    oracle_dual_bound,
+    oracle_expected_cost,
+    oracle_joint,
+    oracle_lagrangian_bound,
+    oracle_strategy_terms,
+)
 
 
 def hb(t: float) -> float:
@@ -339,10 +348,10 @@ def test_argmax_is_input_distribution_over_same_spec():
 
 
 # ---------------------------------------------------------------------------
-# known solver faults: the solver stops on a merit plateau and still reports
-# converged=True.  The expected values are Blahut-Arimoto optima, each
-# confirmed to 1e-8 by a dual (inf-over-output-law) bound.  These tests are
-# strict xfails, so they fail once the solver reaches the certified values.
+# certified optima on the seed-1 family.  The expected values are
+# Blahut-Arimoto optima, each confirmed to 1e-8 by a dual
+# (inf-over-output-law) bound; mirror ascent stopped on a merit plateau
+# short of them and still reported converged=True.
 # ---------------------------------------------------------------------------
 
 
@@ -351,7 +360,6 @@ def _seed1_channel(n: int, size: int) -> di.ForwardKernel:
     return random_forward_kernel(rng_from_seed(1), spec, min_mass=0.01)
 
 
-@pytest.mark.xfail(strict=True, reason="returns 0.664864 with converged=True")
 def test_quaternary_seed1_channel_reaches_certified_capacity():
     result = solve_capacity(_seed1_channel(1, 4))
     assert result.converged
@@ -384,7 +392,6 @@ def test_constrained_feedback_witness_meets_the_budget():
     assert di.directed_information(witness, q) == pytest.approx(0.431512, abs=1e-6)
 
 
-@pytest.mark.xfail(strict=True, reason="returns 0.097019 with converged=True")
 def test_constrained_feedback_reaches_the_witness():
     q = _seed1_channel(2, 2)
     result = solve_capacity(q, _final_symbol_budget(q.spec))
@@ -393,10 +400,195 @@ def test_constrained_feedback_reaches_the_witness():
     assert float(result.value) >= witness - 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason="returns 0.414523 with converged=True")
 def test_constrained_no_feedback_reaches_certified_capacity():
     q = _seed1_channel(2, 2)
     result = solve_capacity(q, _final_symbol_budget(q.spec), no_feedback=True)
     assert result.converged
     assert result.constraint_slack >= -1e-9
     assert float(result.value) == pytest.approx(0.464418, abs=1e-5)
+
+
+@pytest.mark.parametrize("n, want", [(2, 0.535823), (3, 0.745857)])
+def test_binary_seed1_channel_reaches_certified_capacity(n, want):
+    result = solve_capacity(_seed1_channel(n, 2))
+    assert result.converged
+    assert float(result.value) == pytest.approx(want, abs=1e-6)
+
+
+def test_constrained_feedback_reaches_certified_capacity():
+    q = _seed1_channel(2, 2)
+    budget = _final_symbol_budget(q.spec)
+    result = solve_capacity(q, budget)
+    assert result.converged
+    assert float(result.value) == pytest.approx(0.502357, abs=1e-6)
+    assert expected_cost(result.argmax, q, budget) <= 0.2 + 1e-9
+
+
+def test_iteration_cap_is_honoured_and_iterates_stay_feasible():
+    q = _seed1_channel(2, 2)
+    budget = _final_symbol_budget(q.spec)
+    result = solve_capacity(q, budget, SolverConfig(max_iters=3))
+    assert 1 <= result.iterations <= 3
+    assert not result.converged  # three updates do not certify 1e-9
+    assert expected_cost(result.argmax, q, budget) <= 0.2 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the certificate: the solver's dual bound against plain loops over every
+# deterministic feedback strategy (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+
+def _fn_of(spec, tables):
+    """A kernel's tables as a callable keyed by history tuples."""
+
+    def fn(i, xs, ys):
+        row = 0
+        for j, x in enumerate(xs):
+            row = row * spec.x_sizes[j] + x
+            if j < len(ys):
+                row = row * spec.y_sizes[j] + ys[j]
+        return list(tables[i][row])
+
+    return fn
+
+
+def _output_law(spec, p, q):
+    joint = oracle_joint(spec.x_sizes, spec.y_sizes, _fn_of(spec, p.tables), _fn_of(spec, q.tables))
+    nu = defaultdict(float)
+    for (_, ys), w in joint.items():
+        nu[ys] += w
+    return nu
+
+
+def _src_bound(q, c, nu, lam):
+    spec = q.spec
+    law = np.array([nu[ys] for ys in all_paths(spec.y_sizes)])
+    log_nu = np.log(law).reshape(tuple(v for k in spec.y_sizes for v in (1, k)))
+    return _CapacityProblem(q, c, no_feedback=False).bound(log_nu, lam)
+
+
+def _random_case(seed):
+    """A binary channel at n = seed % 2, zero-mass rows on every third seed,
+    and on odd seeds a cost with one ``+inf`` final symbol per history."""
+    rnd = random.Random(seed)
+    n = seed % 2
+    spec = di.AlphabetSpec(n, (2,) * (n + 1), (2,) * (n + 1))
+    q_fn = random_kernel_fn(rnd, spec.y_sizes, sparse=seed % 3 == 0)
+    q = forward_kernel_from_fn(spec, q_fn)
+    table = np.array(
+        [[rnd.uniform(0.0, 2.0) for _ in range(spec.num_y_histories)] for _ in range(spec.num_x_paths)]
+    )
+    if seed % 2:
+        forbid = [rnd.randrange(2) for _ in range(spec.num_y_histories * spec.num_x_paths // 2)]
+        for k, x_last in enumerate(forbid):
+            prefix, col = divmod(k, spec.num_y_histories)
+            table[2 * prefix + x_last, col] = np.inf
+
+    def cost_fn(xs, y_hist):
+        row = col = 0
+        for i, v in enumerate(xs):
+            row = row * spec.x_sizes[i] + v
+        for i, v in enumerate(y_hist):
+            col = col * spec.y_sizes[i] + v
+        return float(table[row, col])
+
+    # a budget a quarter of the way from the cheapest strategy to the dearest
+    flat = {ys: 1.0 for ys in all_paths(spec.y_sizes)}
+    costs = [e for _, e in oracle_strategy_terms(spec.x_sizes, spec.y_sizes, q_fn, flat, cost_fn)]
+    finite = [e for e in costs if not math.isinf(e)]
+    c = PowerConstraint(table, budget=min(finite) + 0.25 * (max(finite) - min(finite)))
+    return spec, q_fn, q, c, cost_fn
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_certificate_equals_the_strategy_oracle(seed):
+    spec, q_fn, q, c, cost_fn = _random_case(seed)
+    rnd = random.Random(100 + seed)
+    raw = {ys: rnd.uniform(0.2, 1.0) for ys in all_paths(spec.y_sizes)}
+    total = sum(raw.values())
+    nu = {ys: v / total for ys, v in raw.items()}
+    terms = oracle_strategy_terms(spec.x_sizes, spec.y_sizes, q_fn, nu, cost_fn)
+    for lam in (0.0, 0.3, 2.5):
+        want = oracle_lagrangian_bound(terms, lam, c.budget)
+        assert _src_bound(q, c, nu, lam) == pytest.approx(want, abs=1e-12)
+    free = oracle_strategy_terms(spec.x_sizes, spec.y_sizes, q_fn, nu)
+    assert _src_bound(q, None, nu, 0.0) == pytest.approx(oracle_lagrangian_bound(free, 0.0), abs=1e-12)
+    # every bound is at least every grid kernel's value
+    assert oracle_dual_bound(terms, c.budget) >= float(brute_force_capacity(q, c, grid_resolution=6)) - 1e-12
+    assert oracle_lagrangian_bound(free, 0.0) >= float(brute_force_capacity(q, grid_resolution=6)) - 1e-12
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("constrained", [False, True])
+def test_converged_means_a_certified_gap(seed, constrained):
+    spec, q_fn, q, c, cost_fn = _random_case(seed)
+    c = c if constrained else None
+    cfg = SolverConfig(tol=1e-8)
+    result = solve_capacity(q, c, cfg)
+    assert result.converged
+    value = float(result.value)
+    nu = _output_law(spec, result.argmax, q)
+    terms = oracle_strategy_terms(spec.x_sizes, spec.y_sizes, q_fn, nu, cost_fn if c else None)
+    bound = oracle_dual_bound(terms, c.budget if c else 0.0)
+    assert -1e-12 <= bound - value <= cfg.tol
+    assert value >= float(brute_force_capacity(q, c, grid_resolution=6)) - 1e-12
+    if c is not None:
+        assert result.constraint_slack >= 0.0
+        assert expected_cost(result.argmax, q, c) <= c.budget + 1e-9
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_zero_mass_channel_rows_solve_with_and_without_feedback(seed):
+    rnd = random.Random(seed)
+    spec = di.AlphabetSpec(1, (2, 3), (3, 2))
+    q = forward_kernel_from_fn(spec, random_kernel_fn(rnd, spec.y_sizes, sparse=True))
+    assert any(np.any(t == 0) for t in q.tables)
+    fb = solve_capacity(q)
+    nofb = solve_capacity(q, no_feedback=True)
+    assert fb.converged and nofb.converged
+    assert float(fb.value) >= float(brute_force_capacity(q, grid_resolution=2)) - 1e-12
+    assert float(nofb.value) >= float(brute_force_capacity(q, grid_resolution=6, no_feedback=True)) - 1e-12
+    assert float(fb.value) >= float(nofb.value) - 1e-9
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_identity_channel_carries_one_bit_per_use(n):
+    spec = di.AlphabetSpec(n, (2,) * (n + 1), (2,) * (n + 1))
+    q = forward_kernel_from_fn(spec, lambda i, xs, ys: [1.0 - xs[-1], float(xs[-1])])
+    for no_feedback in (False, True):
+        result = solve_capacity(q, no_feedback=no_feedback)
+        assert result.converged
+        assert float(result.value) == pytest.approx((n + 1) * math.log(2), abs=1e-9)
+
+
+def test_infinite_cost_cell_is_never_used_under_a_binding_budget():
+    # x_1 = 1 is forbidden after y_0 = 0; the budget binds on the rest
+    spec = di.AlphabetSpec(1, (2, 2), (2, 2))
+    q = _seed1_channel(1, 2)
+    table = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [np.inf, 1.0]])
+    c = PowerConstraint(table, budget=0.1)
+    for no_feedback in (False, True):
+        result = solve_capacity(q, c, no_feedback=no_feedback)
+        assert result.converged
+        spent = expected_cost(result.argmax, q, c)
+        assert spent <= 0.1 + 1e-9
+        grid = float(brute_force_capacity(q, c, grid_resolution=8, no_feedback=no_feedback))
+        assert float(result.value) >= grid - 1e-12
+    assert spec == q.spec
+
+
+def test_budget_exactly_at_the_floor():
+    # two uses of a BSC, paying for the final input: at budget 0 the second
+    # use must send 0, so only the first carries information
+    eps = 0.1
+    spec = di.AlphabetSpec(1, (2, 2), (2, 2))
+    q = forward_kernel_from_fn(spec, lambda i, xs, ys: [1 - eps, eps] if xs[-1] == 0 else [eps, 1 - eps])
+    cost = np.tile((np.arange(spec.num_x_paths) % 2)[:, None], (1, spec.num_y_histories)).astype(float)
+    c = PowerConstraint(cost, budget=0.0)
+    assert min_expected_cost(q, c) == 0.0
+    for no_feedback in (False, True):
+        result = solve_capacity(q, c, no_feedback=no_feedback)
+        assert result.converged
+        assert float(result.value) == pytest.approx(math.log(2) - hb(eps), abs=1e-9)
+        assert expected_cost(result.argmax, q, c) <= 1e-9

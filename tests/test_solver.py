@@ -13,7 +13,7 @@ from dirinfo.solver import (
     exp_update_rows,
     grid_batches,
     joint_terms,
-    marginalize_to_input_tables,
+    logsumexp,
     monotone_improve,
     simplex_grid,
 )
@@ -229,29 +229,13 @@ def test_joint_terms_match_the_evaluator_batched_or_not():
     assert joint_terms(ws[0], log_q)[2] == 0.0
 
 
-# ---------------------------------------------------------------------------
-# interleaved-array marginalizer
-# ---------------------------------------------------------------------------
-
-
-def test_marginalizers_recover_kernel_tables():
-    from dirinfo.sampling import (
-        random_backward_kernel,
-        random_forward_kernel,
-        random_spec,
-        rng_from_seed,
-    )
-    from dirinfo.measures import build_joint
-
-    rng = rng_from_seed(7)
-    for _ in range(5):
-        spec = random_spec(rng)
-        p = random_backward_kernel(rng, spec)
-        q = random_forward_kernel(rng, spec)
-        arr = build_joint(p, q).weights
-        in_tabs = marginalize_to_input_tables(arr, spec)
-        for i in range(spec.steps):
-            assert in_tabs[i].shape == (spec.input_history_count(i), spec.x_sizes[i])
-        # step-0 input marginal equals the kernel's first table scaled by 1
-        assert np.allclose(in_tabs[0], p.tables[0])
-        assert in_tabs[-1].sum() == pytest.approx(1.0)
+def test_logsumexp_is_shifted_and_keeps_empty_rows():
+    a = np.array([[0.0, -1.0, -np.inf], [-np.inf, -np.inf, -np.inf], [-1000.0, -1001.0, -1002.0]])
+    got = logsumexp(a)
+    assert got[0] == pytest.approx(math.log(1.0 + math.exp(-1.0)), abs=1e-15)
+    assert got[1] == -np.inf
+    assert got[2] == pytest.approx(-1000.0 + math.log(1.0 + math.exp(-1.0) + math.exp(-2.0)), abs=1e-12)
+    cube = np.log(np.arange(1.0, 25.0)).reshape(2, 3, 4)
+    both = logsumexp(cube, axis=(0, 2), keepdims=True)
+    assert both.shape == (1, 3, 1)
+    assert np.allclose(np.exp(both).ravel(), np.exp(cube).sum(axis=(0, 2)), rtol=1e-14)
