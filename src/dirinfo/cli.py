@@ -383,6 +383,7 @@ def _suite_doc(report: SuiteReport) -> dict:
         "cases": report.cases,
         "passed": report.passed,
         "worst_slack": real_to_str(report.worst_slack),
+        "worst_case": report.worst_case,
         "tolerance": real_to_str(report.tolerance),
         "failures": list(report.failures),
     }
@@ -422,13 +423,14 @@ def cmd_verify(args) -> int:
     if fmt == "json":
         _emit_json(doc, args.output)
     else:
-        header = ["suite", "cases", "passed", "worst_slack", "tolerance"]
+        header = ["suite", "cases", "passed", "worst_slack", "worst_case", "tolerance"]
         rows = [
             [
                 r.suite,
                 str(r.cases),
                 str(r.passed).lower(),
                 real_to_str(r.worst_slack),
+                str(r.worst_case),
                 real_to_str(r.tolerance),
             ]
             for r in reports

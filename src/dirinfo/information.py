@@ -16,23 +16,28 @@ import numpy as np
 
 from .errors import DomainError, FormulaDisagreement, NonConvergentSequence, SpecMismatch
 from .measures import (
+    AlphabetSpec,
     BackwardKernel,
     ConditionedFamily,
     ForwardKernel,
     InfoValue,
     JointMeasure,
+    _check_joint_mass,
+    _check_rows,
+    _joint_weights,
     _mass_log_ratio,
+    _mixture_tables,
+    _output_path_weights,
     _require_same_spec,
     _sum_axis,
+    _xy_matrix,
     _y_marginal_weights,
     build_joint,
     condition_on_path,
     kl_divergence,
     marginal_x,
     marginal_y,
-    mix_conditioned,
     product_pi_forward,
-    refactor_to_kernel,
 )
 
 DUAL_FORMULA_TOL = 1e-9
@@ -66,18 +71,40 @@ def per_step_information(
     a term that should vanish does so to rounding in the conditionals.
     """
     joint = _joint_of(p, q, joint)
-    spec = joint.spec
-    j = joint.weights                                   # law of (x^i, y^i), i = n first
-    c = _y_marginal_weights(joint)                      # law of y^i
+    return tuple(InfoValue(t) for t in _per_step_terms(joint.weights, joint.spec.steps))
+
+
+def _per_step_terms(w: np.ndarray, steps: int) -> list:
+    """The terms of :func:`per_step_information`, first step first, for
+    interleaved joint weights ``w``.  Joints stacked on leading axes of
+    ``w`` give one array of terms per step over those axes.  Every term
+    passes :class:`InfoValue`'s rule: NaN, or a negative value beyond
+    rounding, raises; a rounding-sized negative becomes 0."""
+    lead = w.ndim - 2 * steps
+    j = w                                               # law of (x^i, y^i), i = n first
+    c = _y_marginal_weights(w, steps)                   # law of y^i
     terms = []
-    for i in reversed(range(spec.steps)):
+    for _ in range(steps):
         b = _sum_axis(j, -1)                            # law of (x^i, y^{i-1})
         d = _sum_axis(c, -1)                            # law of y^{i-1}
-        terms.append(
-            InfoValue(_mass_log_ratio(j, b[..., None]) - _mass_log_ratio(c, d[..., None]))
-        )
+        t = _mass_log_ratio(j, b[..., None], lead) - _mass_log_ratio(c, d[..., None], lead)
+        if not np.all(t >= 0):
+            t = np.vectorize(lambda v: InfoValue(v).value, otypes=[float])(t)
+        terms.append(t)
         j, c = _sum_axis(b, -1), d
-    return tuple(reversed(terms))
+    return terms[::-1]
+
+
+def _directed_information_stack(
+    spec: AlphabetSpec, p_tables: Sequence[np.ndarray], q_tables: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Sum-route directed information of kernel pairs whose step tables
+    are stacked on one leading axis (either side may be one kernel's
+    plain tables), from one stacked joint.  The terms are added in step
+    order, as :func:`directed_information` adds them."""
+    w = _joint_weights(spec, p_tables, q_tables)
+    _check_joint_mass(w, w.ndim - 2 * spec.steps)
+    return sum(_per_step_terms(w, spec.steps))
 
 
 def directed_information_divergence(
@@ -182,6 +209,32 @@ def _check_lambda_grid(lambda_grid: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
+def _mixture_audit(
+    direction: str, grid: tuple[float, ...], values: np.ndarray
+) -> MixtureAudit:
+    """Audit from the values at the two endpoints (first) and at each
+    mixture of the grid (after them)."""
+    v1, v2 = float(values[0]), float(values[1])
+    mix = values[2:]
+    lam = np.array(grid)
+    chord = lam * v1 + (1.0 - lam) * v2
+    violations = (mix - chord if direction == "convex-in-output" else chord - mix).tolist()
+    return MixtureAudit(
+        direction=direction,
+        lambdas=grid,
+        endpoint_a=v1,
+        endpoint_b=v2,
+        mixture_values=tuple(mix.tolist()),
+        violations=tuple(violations),
+        max_violation=max(violations),
+    )
+
+
+def _with_endpoints(a: Sequence[np.ndarray], b: Sequence[np.ndarray], mixes):
+    """Step tables of kernels ``a`` and ``b`` stacked ahead of ``mixes``."""
+    return tuple(np.concatenate([ta[None], tb[None], tm]) for ta, tb, tm in zip(a, b, mixes))
+
+
 def check_convexity_in_q(
     p: BackwardKernel,
     q1: ForwardKernel,
@@ -192,29 +245,16 @@ def check_convexity_in_q(
 
     Mixtures are taken between whole-path conditional families, then
     refactored into per-step kernels; mixing the step tables directly would
-    test a different (and false) statement.
+    test a different (and false) statement.  The segment, endpoints
+    included, is refactored, built and evaluated as one stack; each value
+    equals the per-kernel ``directed_information`` to rounding.
     """
-    _require_same_spec(p, q1, q2)
+    spec = _require_same_spec(p, q1, q2)
     grid = _check_lambda_grid(lambda_grid)
-    c1 = condition_on_path(q1)
-    c2 = condition_on_path(q2)
-    v1 = directed_information(p, q1)
-    v2 = directed_information(p, q2)
-    values = []
-    violations = []
-    for lam in grid:
-        q_mix = refactor_to_kernel(mix_conditioned(c1, c2, lam))
-        v_mix = directed_information(p, q_mix)
-        values.append(v_mix)
-        violations.append(v_mix - (lam * v1 + (1.0 - lam) * v2))
-    return MixtureAudit(
-        direction="convex-in-output",
-        lambdas=grid,
-        endpoint_a=v1,
-        endpoint_b=v2,
-        mixture_values=tuple(values),
-        violations=tuple(violations),
-        max_violation=max(violations),
+    mixes = _mixture_tables(condition_on_path(q1), condition_on_path(q2), grid)
+    q_stack = _with_endpoints(q1.tables, q2.tables, mixes)
+    return _mixture_audit(
+        "convex-in-output", grid, _directed_information_stack(spec, p.tables, q_stack)
     )
 
 
@@ -227,29 +267,16 @@ def check_concavity_in_p(
     """Audit concavity in the input argument along one mixture segment.
 
     As with the convex direction, the mixture is taken at the whole-path
-    conditional level and refactored back into step tables.
+    conditional level and refactored back into step tables, and the
+    segment is evaluated as one stack that equals per-kernel evaluation to
+    rounding.
     """
-    _require_same_spec(q, p1, p2)
+    spec = _require_same_spec(q, p1, p2)
     grid = _check_lambda_grid(lambda_grid)
-    c1 = condition_on_path(p1)
-    c2 = condition_on_path(p2)
-    v1 = directed_information(p1, q)
-    v2 = directed_information(p2, q)
-    values = []
-    violations = []
-    for lam in grid:
-        p_mix = refactor_to_kernel(mix_conditioned(c1, c2, lam))
-        v_mix = directed_information(p_mix, q)
-        values.append(v_mix)
-        violations.append((lam * v1 + (1.0 - lam) * v2) - v_mix)
-    return MixtureAudit(
-        direction="concave-in-input",
-        lambdas=grid,
-        endpoint_a=v1,
-        endpoint_b=v2,
-        mixture_values=tuple(values),
-        violations=tuple(violations),
-        max_violation=max(violations),
+    mixes = _mixture_tables(condition_on_path(p1), condition_on_path(p2), grid)
+    p_stack = _with_endpoints(p1.tables, p2.tables, mixes)
+    return _mixture_audit(
+        "concave-in-input", grid, _directed_information_stack(spec, p_stack, q.tables)
     )
 
 
@@ -263,7 +290,14 @@ def tv_distance(a: ConditionedFamily, b: ConditionedFamily) -> float:
     _require_same_spec(a, b)
     if a.given != b.given:
         raise DomainError(f"families condition on {a.given!r} and {b.given!r}")
-    return float(0.5 * np.abs(a.table - b.table).sum(axis=-1).max())
+    return float(_worst_row_tv(a.table, b.table))
+
+
+def _worst_row_tv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Worst-row total variation between conditioned tables, over any
+    leading axes they have."""
+    d = a - b
+    return 0.5 * np.abs(d, out=d).sum(axis=-1).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -302,8 +336,28 @@ def check_lower_semicontinuity(
     _require_same_spec(p, q_limit, *q_sequence)
     if not q_sequence:
         raise DomainError("need at least one sequence element")
-    c_limit = condition_on_path(q_limit)
-    tvs = [tv_distance(condition_on_path(qk), c_limit) for qk in q_sequence]
+    q_stack = tuple(np.stack(t) for t in zip(*(q.tables for q in q_sequence)))
+    return _lsc_audit(p, q_limit, q_stack)
+
+
+def _tv_distances_to(c_limit: ConditionedFamily, q_stack: Sequence[np.ndarray]) -> list:
+    """:func:`tv_distance` from each stacked forward kernel's path
+    conditional to ``c_limit``.  Returning frees the path tables before
+    the audit builds its joints, which keeps the audit's peak memory down."""
+    spec = c_limit.spec
+    paths = _xy_matrix(spec, _output_path_weights(spec, q_stack))
+    _check_rows(paths, "conditioned family")
+    return _worst_row_tv(paths, c_limit.table).tolist()
+
+
+def _lsc_audit(
+    p: BackwardKernel, q_limit: ForwardKernel, q_stack: Sequence[np.ndarray]
+) -> LscAudit:
+    """:func:`check_lower_semicontinuity` on a sequence given as step
+    tables stacked on a leading axis.  Distances and values come from one
+    stack each and equal per-kernel evaluation to rounding."""
+    spec = _require_same_spec(p, q_limit)
+    tvs = _tv_distances_to(condition_on_path(q_limit), q_stack)
     for earlier, later in zip(tvs, tvs[1:]):
         if later > earlier + _TV_MONOTONE_SLACK:
             raise NonConvergentSequence(
@@ -313,8 +367,12 @@ def check_lower_semicontinuity(
         raise NonConvergentSequence(
             f"sequence stops {tvs[-1]:.3e} away from the limit, above {TV_LIMIT_TOL:g}"
         )
-    values = [directed_information(p, qk) for qk in q_sequence]
-    limit_value = directed_information(p, q_limit)
+    values = _directed_information_stack(spec, p.tables, q_stack).tolist()
+    # the limit as a stack of one, rather than a copy of the whole
+    # sequence with the limit appended
+    limit_value = float(
+        _directed_information_stack(spec, p.tables, tuple(t[None] for t in q_limit.tables))[0]
+    )
     tail = values[-max(1, len(values) // 4):]
     tail_inf = min(tail)
     return LscAudit(

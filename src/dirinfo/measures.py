@@ -173,8 +173,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _validate_rows(rows: np.ndarray, what: str) -> np.ndarray:
-    """Check that the trailing axis of ``rows`` holds probability vectors."""
+    """Check that the trailing axis of ``rows`` holds probability vectors,
+    and return them read-only."""
     rows = np.asarray(rows, dtype=float)
+    _check_rows(rows, what)
+    return _as_readonly(rows)
+
+
+def _check_rows(rows: np.ndarray, what: str) -> None:
+    """The checks of :func:`_validate_rows` on a float array."""
     gap = float(np.abs(_sum_axis(rows, -1) - 1.0).max())
     # A finite gap rules out NaN and infinite entries, so the entry-wise
     # test runs only when the gap is not finite.
@@ -184,7 +191,6 @@ def _validate_rows(rows: np.ndarray, what: str) -> np.ndarray:
         raise DomainError(f"{what} contains negative entries")
     if gap > PMF_TOL:
         raise DomainError(f"{what} rows must sum to 1 within {PMF_TOL:g}; worst gap {gap:.3e}")
-    return _as_readonly(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,13 +265,16 @@ def _check_tables(
     row_count,
     sym_sizes: tuple[int, ...],
     what: str,
+    lead: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, ...]:
+    """Validate step tables; with ``lead``, each table stacks that many
+    kernels' tables on its leading axes."""
     if len(tables) != spec.steps:
         raise SpecMismatch(f"{what} needs {spec.steps} step tables, got {len(tables)}")
     out = []
     for i, t in enumerate(tables):
         t = np.asarray(t, dtype=float)
-        want = (row_count(i), sym_sizes[i])
+        want = tuple(lead) + (row_count(i), sym_sizes[i])
         if t.shape != want:
             raise SpecMismatch(f"{what} table {i} has shape {t.shape}, expected {want}")
         out.append(_validate_rows(t, f"{what} table {i}"))
@@ -427,15 +436,23 @@ class JointMeasure:
             raise SpecMismatch(
                 f"joint weights have shape {w.shape}, expected {self.spec.interleaved_shape}"
             )
-        # As in _validate_rows, a finite total rules out non-finite entries.
-        total = float(w.sum())
-        if not math.isfinite(total) and not np.all(np.isfinite(w)):
-            raise DomainError("joint weights contain non-finite entries")
-        if w.min() < 0:
-            raise DomainError("joint weights contain negative entries")
-        if abs(total - 1.0) > PMF_TOL:
-            raise DomainError(f"joint mass is {total!r}, not 1 within {PMF_TOL:g}")
+        _check_joint_mass(w)
         object.__setattr__(self, "weights", _as_readonly(w))
+
+
+def _check_joint_mass(w: np.ndarray, lead: int = 0) -> None:
+    """Check that each joint stacked on the first ``lead`` axes of ``w`` is
+    a probability law: finite, nonnegative, of mass 1 within ``PMF_TOL``."""
+    totals = w.reshape(w.shape[:lead] + (-1,)).sum(axis=-1)
+    # As in _validate_rows, finite totals rule out non-finite entries.
+    if not np.all(np.isfinite(totals)) and not np.all(np.isfinite(w)):
+        raise DomainError("joint weights contain non-finite entries")
+    if w.min() < 0:
+        raise DomainError("joint weights contain negative entries")
+    gap = np.abs(totals - 1.0)
+    worst = int(gap.argmax())
+    if gap.flat[worst] > PMF_TOL:
+        raise DomainError(f"joint mass is {float(totals.flat[worst])!r}, not 1 within {PMF_TOL:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,45 +511,60 @@ def _sum_axis(w: np.ndarray, axis: int) -> np.ndarray:
     return block.reshape(shape[:axis] + shape[axis + 1:])
 
 
-def _mass_log_ratio(mass: np.ndarray, den: np.ndarray) -> float:
-    """``sum m log(m / d)`` over the cells of ``mass``, with ``den``
-    broadcast against it and ``0 log(0 / d) = 0``.
+def _mass_log_ratio(mass: np.ndarray, den: np.ndarray, lead: int = 0):
+    """``sum m log(m / d)`` over all but the first ``lead`` axes of
+    ``mass``, with ``den`` broadcast against it and ``0 log(0 / d) = 0``;
+    a float, or an array over the leading axes.
 
     Cells without mass get the quotient 1, so no masked copy is made.  A
     cell with mass over a zero ``den`` gives ``+inf`` (and a numpy
-    warning, which callers that expect it silence).
+    warning, which callers that expect it silence).  Each sum is one
+    row-by-column product, as fast as ``vdot`` on a single array.
     """
     ratio = np.divide(mass, den, out=np.ones_like(mass), where=mass > 0)
-    return float(np.vdot(mass, np.log(ratio, out=ratio)))
+    np.log(ratio, out=ratio)
+    lead_shape = mass.shape[:lead]
+    return (mass.reshape(lead_shape + (1, -1)) @ ratio.reshape(lead_shape + (-1, 1)))[..., 0, 0]
 
 
 def _input_path_weights(spec: AlphabetSpec, tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Product of input tables as an interleaved array; the ``y_n`` axis stays 1."""
+    """Product of input tables as an interleaved array; the ``y_n`` axis
+    stays 1.  Tables stacked on leading axes give a stack of products."""
     shape = spec.interleaved_shape
     ndim = len(shape)
     arr = np.ones((1,) * ndim)
     for i, t in enumerate(tables):
         fshape = shape[: 2 * i] + (spec.x_sizes[i],) + (1,) * (ndim - 2 * i - 1)
-        arr = arr * t.reshape(fshape)
+        arr = arr * t.reshape(t.shape[:-2] + fshape)
     return arr
 
 
 def _output_path_weights(spec: AlphabetSpec, tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Product of output tables as a full interleaved array."""
+    """Product of output tables as a full interleaved array.  Tables
+    stacked on leading axes give a stack of products."""
     shape = spec.interleaved_shape
     ndim = len(shape)
     arr = np.ones((1,) * ndim)
     for i, t in enumerate(tables):
         fshape = shape[: 2 * i + 1] + (spec.y_sizes[i],) + (1,) * (ndim - 2 * i - 2)
-        arr = arr * t.reshape(fshape)
+        arr = arr * t.reshape(t.shape[:-2] + fshape)
     return arr
 
 
+def _lead_axes(lead: int, axes) -> tuple[int, ...]:
+    """``lead`` leading axes, then ``axes`` shifted past them."""
+    return tuple(range(lead)) + tuple(lead + a for a in axes)
+
+
 def _xy_matrix(spec: AlphabetSpec, weights: np.ndarray) -> np.ndarray:
-    """Reorder an interleaved array into an (X-paths, Y-paths) matrix."""
+    """Reorder an interleaved array into an (X-paths, Y-paths) matrix, or
+    a stack of them when ``weights`` has leading axes."""
     ndim = 2 * spec.steps
-    perm = _x_axes(ndim) + _y_axes(ndim)
-    return weights.transpose(perm).reshape(spec.num_x_paths, spec.num_y_paths)
+    lead = weights.ndim - ndim
+    perm = _lead_axes(lead, _x_axes(ndim) + _y_axes(ndim))
+    return weights.transpose(perm).reshape(
+        weights.shape[:lead] + (spec.num_x_paths, spec.num_y_paths)
+    )
 
 
 def _from_xy_matrix(spec: AlphabetSpec, matrix: np.ndarray) -> np.ndarray:
@@ -563,12 +595,21 @@ def build_joint(p: BackwardKernel, q: ForwardKernel) -> JointMeasure:
     table, and the whole build costs about two passes over the cells.
     """
     spec = _require_same_spec(p, q)
+    return JointMeasure(spec, _frozen(_joint_weights(spec, p.tables, q.tables)))
+
+
+def _joint_weights(
+    spec: AlphabetSpec, p_tables: Sequence[np.ndarray], q_tables: Sequence[np.ndarray]
+) -> np.ndarray:
+    """The prefix-by-prefix product of :func:`build_joint`.  Either side's
+    tables may stack kernels on one shared leading shape; the result then
+    stacks the joints on it."""
     shape = spec.interleaved_shape
     w = np.ones(())
-    for i, (pt, qt) in enumerate(zip(p.tables, q.tables)):
-        w = w[..., None] * pt.reshape(shape[: 2 * i + 1])
-        w = w[..., None] * qt.reshape(shape[: 2 * i + 2])
-    return JointMeasure(spec, _frozen(w))
+    for i, (pt, qt) in enumerate(zip(p_tables, q_tables)):
+        w = w[..., None] * pt.reshape(pt.shape[:-2] + shape[: 2 * i + 1])
+        w = w[..., None] * qt.reshape(qt.shape[:-2] + shape[: 2 * i + 2])
+    return w
 
 
 def marginal_x(joint: JointMeasure) -> Pmf:
@@ -581,14 +622,15 @@ def marginal_x(joint: JointMeasure) -> Pmf:
 
 def marginal_y(joint: JointMeasure) -> Pmf:
     """Output-path marginal, indexed by the row-major code of ``y^n``."""
-    return Pmf(_y_marginal_weights(joint).reshape(-1))
+    return Pmf(_y_marginal_weights(joint.weights, joint.spec.steps).reshape(-1))
 
 
-def _y_marginal_weights(joint: JointMeasure) -> np.ndarray:
-    """Output-path marginal as an array with one axis per ``y_i``."""
-    w = joint.weights
-    for i in range(joint.spec.steps):
-        w = _sum_axis(w, i)  # x_i, once x_0..x_{i-1} are gone
+def _y_marginal_weights(w: np.ndarray, steps: int) -> np.ndarray:
+    """Output-path marginal of the interleaved weights ``w`` as an array
+    with one axis per ``y_i``, after any leading axes ``w`` has."""
+    lead = w.ndim - 2 * steps
+    for i in range(steps):
+        w = _sum_axis(w, lead + i)  # x_i, once x_0..x_{i-1} are gone
     return w
 
 
@@ -699,9 +741,10 @@ def extract_forward_family(joint: JointMeasure) -> ForwardKernel:
 
 
 def _normalize_rows(rows: np.ndarray, width: int) -> np.ndarray:
+    """``rows`` scaled to sum to 1 along the trailing axis, as a new array;
+    uniform where a row sums to 0."""
     den = rows.sum(axis=-1, keepdims=True)
-    safe = np.where(den > 0, den, 1.0)
-    return np.where(den > 0, rows / safe, 1.0 / width)
+    return np.divide(rows, den, out=np.full_like(rows, 1.0 / width), where=den > 0)
 
 
 def condition_on_path(kernel: Union[BackwardKernel, ForwardKernel]) -> ConditionedFamily:
@@ -728,13 +771,35 @@ def mix_conditioned(
     a: ConditionedFamily, b: ConditionedFamily, lam: float
 ) -> ConditionedFamily:
     """Convex combination ``lam * a + (1 - lam) * b`` at the path level."""
-    spec = _require_same_spec(a, b)
+    return ConditionedFamily(a.spec, a.given, _mix_tables(a, b, lam))
+
+
+def _mix_tables(a: ConditionedFamily, b: ConditionedFamily, lams) -> np.ndarray:
+    """``lam * a + (1 - lam) * b`` for a weight or an array of weights,
+    stacked on the weights' shape."""
+    _require_same_spec(a, b)
     if a.given != b.given:
         raise SpecMismatch(f"cannot mix families conditioned on {a.given!r} and {b.given!r}")
-    lam = float(lam)
-    if math.isnan(lam) or not 0.0 <= lam <= 1.0:
-        raise DomainError(f"mixture weight must lie in [0, 1], got {lam!r}")
-    return ConditionedFamily(spec, a.given, lam * a.table + (1.0 - lam) * b.table)
+    lam = np.asarray(lams, dtype=float)
+    bad = lam[~((lam >= 0.0) & (lam <= 1.0))]
+    if bad.size:
+        raise DomainError(f"mixture weight must lie in [0, 1], got {float(bad[0])!r}")
+    lam = lam[..., None, None]
+    mixed = lam * a.table
+    mixed += (1.0 - lam) * b.table
+    return mixed
+
+
+def _mixture_tables(
+    a: ConditionedFamily, b: ConditionedFamily, lams: Sequence[float]
+) -> tuple[np.ndarray, ...]:
+    """Step tables of ``refactor_to_kernel(mix_conditioned(a, b, lam))``
+    for every ``lam``, stacked on a leading axis in one pass.  The mixed
+    rows and the step tables are validated like the families and kernels
+    they stand for."""
+    mixed = _mix_tables(a, b, lams)
+    _check_rows(mixed, "conditioned family")
+    return _refactor_tables(a.spec, a.given, mixed)
 
 
 def refactor_to_kernel(family: ConditionedFamily) -> Union[BackwardKernel, ForwardKernel]:
@@ -746,31 +811,41 @@ def refactor_to_kernel(family: ConditionedFamily) -> Union[BackwardKernel, Forwa
     conditioning coordinates beyond the step's own history; rows whose
     denominator vanishes fall back to uniform.
     """
-    spec = family.spec
-    n = spec.horizon_n
-    if family.given == "x":
-        arr = family.table.reshape(spec.x_sizes + spec.y_sizes)
-        perm = [a for i in range(spec.steps) for a in (i, spec.steps + i)]
-        cond = arr.transpose(perm)  # interleaved layout of Q(y^n | x^n)
-        tables = []
-        for i in range(spec.steps):
-            y_later = tuple(2 * j + 1 for j in range(i + 1, spec.steps))
-            x_later = tuple(2 * j for j in range(i + 1, spec.steps))
-            m = cond.sum(axis=y_later, keepdims=True)
-            m = m.mean(axis=x_later, keepdims=True)
-            rows = m.reshape(spec.output_history_count(i), spec.y_sizes[i])
-            tables.append(_normalize_rows(rows, spec.y_sizes[i]))
-        return ForwardKernel(spec, tuple(tables))
-    # given == "y": rows are P(x^n | y^{n-1})
-    arr = family.table.reshape(spec.y_sizes[:n] + spec.x_sizes)
-    perm = [a for i in range(n) for a in (n + i, i)] + [2 * n]
-    cond = arr.transpose(perm)  # (x_0, y_0, ..., x_{n-1}, y_{n-1}, x_n)
+    kernel = ForwardKernel if family.given == "x" else BackwardKernel
+    return kernel(family.spec, _refactor_tables(family.spec, family.given, family.table))
+
+
+def _refactor_tables(
+    spec: AlphabetSpec, given: str, table: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The step tables of :func:`refactor_to_kernel` for a conditioned
+    table of shape ``(..., rows, cols)``, with the same leading axes,
+    validated like a kernel's."""
+    lead_shape = table.shape[:-2]
+    lead = len(lead_shape)
+    n, steps = spec.horizon_n, spec.steps
+    if given == "x":
+        # interleaved layout of Q(y^n | x^n); later y's are summed out and
+        # later x's averaged
+        arr = table.reshape(lead_shape + spec.x_sizes + spec.y_sizes)
+        perm = [a for i in range(steps) for a in (i, steps + i)]
+        summed = [tuple(lead + 2 * j + 1 for j in range(i + 1, steps)) for i in range(steps)]
+        averaged = [tuple(lead + 2 * j for j in range(i + 1, steps)) for i in range(steps)]
+        row_count, sizes, what = spec.output_history_count, spec.y_sizes, "forward kernel"
+    else:
+        # rows are P(x^n | y^{n-1}), laid out (x_0, y_0, ..., y_{n-1}, x_n);
+        # later x's are summed out and later y's averaged
+        arr = table.reshape(lead_shape + spec.y_sizes[:n] + spec.x_sizes)
+        perm = [a for i in range(n) for a in (n + i, i)] + [2 * n]
+        summed = [tuple(lead + 2 * j for j in range(i + 1, steps)) for i in range(steps)]
+        averaged = [tuple(lead + 2 * j + 1 for j in range(i, n)) for i in range(steps)]
+        row_count, sizes, what = spec.input_history_count, spec.x_sizes, "backward kernel"
+    cond = arr.transpose(_lead_axes(lead, perm))
     tables = []
-    for i in range(spec.steps):
-        x_later = tuple(2 * j for j in range(i + 1, spec.steps))
-        y_later = tuple(2 * j + 1 for j in range(i, n))
-        m = cond.sum(axis=x_later, keepdims=True)
-        m = m.mean(axis=y_later, keepdims=True)
-        rows = m.reshape(spec.input_history_count(i), spec.x_sizes[i])
-        tables.append(_normalize_rows(rows, spec.x_sizes[i]))
-    return BackwardKernel(spec, tuple(tables))
+    for i in range(steps):
+        m = cond
+        if i < n:
+            m = m.sum(axis=summed[i], keepdims=True).mean(axis=averaged[i], keepdims=True)
+        rows = m.reshape(lead_shape + (row_count(i), sizes[i]))
+        tables.append(_frozen(_normalize_rows(rows, sizes[i])))
+    return _check_tables(spec, tables, row_count, sizes, what, lead_shape)

@@ -40,6 +40,7 @@ from .solver import (
     grid_batches,
     joint_terms,
     log_where_positive,
+    logsumexp,
     weight_table,
 )
 
@@ -217,14 +218,6 @@ class _Update(NamedTuple):
     bound: float  # certified lower bound on the least Lagrangian at s
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """``log sum exp`` over the last axis, shifted by the largest entry so
-    that nothing underflows; ``-inf`` where every entry is ``-inf``."""
-    top = a.max(axis=-1)
-    top = np.where(np.isfinite(top), top, 0.0)
-    return np.log(np.exp(a - top[..., None]).sum(axis=-1)) + top
-
-
 class _NrdfProblem:
     """A source and a distortion table laid out for the backward induction.
 
@@ -267,7 +260,7 @@ class _NrdfProblem:
         conds = []
         m = log_nu
         for i in reversed(range(steps)):
-            prev = _logsumexp(m)
+            prev = logsumexp(m)
             cond = np.where(
                 (prev == -np.inf)[..., None], -math.log(spec.y_sizes[i]), m - prev[..., None]
             )
@@ -280,7 +273,7 @@ class _NrdfProblem:
         log_q, gain = [None] * steps, [None] * steps
         for i in reversed(range(steps)):
             a = conds[i] - u
-            log_z = _logsumexp(a)
+            log_z = logsumexp(a)
             log_q[i] = a - log_z[..., None]
             gain[i] = -u - log_z[..., None]  # log(Q_i / nu_i)
             u = weight_table(self.mu[i], -log_z).sum(axis=-1)

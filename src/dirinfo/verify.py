@@ -18,9 +18,9 @@ from .errors import DomainError, ProblemFileError
 from .information import (
     DUAL_FORMULA_TOL,
     MIXTURE_TOL,
+    _lsc_audit,
     check_concavity_in_p,
     check_convexity_in_q,
-    check_lower_semicontinuity,
     directed_information_divergence,
     mutual_information,
     per_step_information,
@@ -29,10 +29,9 @@ from .measures import (
     AlphabetSpec,
     BackwardKernel,
     ForwardKernel,
+    _mixture_tables,
     build_joint,
     condition_on_path,
-    mix_conditioned,
-    refactor_to_kernel,
 )
 from .sampling import (
     random_backward_kernel,
@@ -74,13 +73,15 @@ class SuiteReport:
     """Summary of one property suite run.
 
     ``worst_slack`` is the largest adverse margin over all cases, oriented
-    so the suite passes exactly when it stays within ``tolerance``.
+    so the suite passes exactly when it stays within ``tolerance``;
+    ``worst_case`` is the index of the first case that reaches it.
     """
 
     suite: str
     cases: int
     passed: bool
     worst_slack: float
+    worst_case: int
     tolerance: float
     failures: tuple[dict, ...]
 
@@ -113,15 +114,12 @@ def _deterministic_forward(rng: np.random.Generator, spec: AlphabetSpec) -> Forw
     return ForwardKernel(spec, tuple(tables))
 
 
-def _lsc_sequence(q_limit: ForwardKernel) -> list[ForwardKernel]:
-    """Kernels whose path conditionals walk geometrically into the limit."""
-    spec = q_limit.spec
-    c_limit = condition_on_path(q_limit)
-    c_start = condition_on_path(ForwardKernel.uniform(spec))
-    return [
-        refactor_to_kernel(mix_conditioned(c_start, c_limit, eps))
-        for eps in _LSC_EPSILONS
-    ]
+def _lsc_sequence(q_limit: ForwardKernel) -> tuple[np.ndarray, ...]:
+    """Step tables, stacked on a leading axis, of kernels whose path
+    conditionals walk geometrically into the limit: one refactor of every
+    ``eps * uniform + (1 - eps) * limit``."""
+    c_start = condition_on_path(ForwardKernel.uniform(q_limit.spec))
+    return _mixture_tables(c_start, condition_on_path(q_limit), _LSC_EPSILONS)
 
 
 def _dual_formula_gap(p: BackwardKernel, q: ForwardKernel) -> float:
@@ -170,7 +168,7 @@ def run_suite(suite: str, seed: int = 0, cases: Optional[int] = None) -> SuiteRe
 
 def _run_dual_formula(rng: np.random.Generator, n_cases: int) -> SuiteReport:
     tol = DUAL_FORMULA_TOL
-    worst = 0.0
+    worst, worst_case = 0.0, 0
     failures = []
     for k in range(n_cases):
         spec = random_spec(rng, max_horizon=2, max_size=3)
@@ -179,18 +177,21 @@ def _run_dual_formula(rng: np.random.Generator, n_cases: int) -> SuiteReport:
         if k % 4 == 3:  # stress the zero-mass code paths too
             p, q = _sparse_backward(p), _sparse_forward(q)
         gap = _dual_formula_gap(p, q)
-        worst = max(worst, gap)
+        if gap > worst:
+            worst, worst_case = gap, k
         if gap > tol:
             payload = _base_payload("dual-formula", k, spec, gap, tol)
             payload["backward_kernel"] = backward_kernel_to_jsonable(p)
             payload["forward_kernel"] = forward_kernel_to_jsonable(q)
             failures.append(payload)
-    return SuiteReport("dual-formula", n_cases, not failures, worst, tol, tuple(failures))
+    return SuiteReport(
+        "dual-formula", n_cases, not failures, worst, worst_case, tol, tuple(failures)
+    )
 
 
 def _run_convexity(rng: np.random.Generator, n_cases: int) -> SuiteReport:
     tol = MIXTURE_TOL
-    worst = -math.inf
+    worst, worst_case = -math.inf, 0
     failures = []
     for k in range(n_cases):
         spec = _MIXTURE_SPEC
@@ -198,7 +199,8 @@ def _run_convexity(rng: np.random.Generator, n_cases: int) -> SuiteReport:
         q1 = random_forward_kernel(rng, spec)
         q2 = random_forward_kernel(rng, spec)
         audit = check_convexity_in_q(p, q1, q2, _LAMBDA_GRID)
-        worst = max(worst, audit.max_violation)
+        if audit.max_violation > worst:
+            worst, worst_case = audit.max_violation, k
         if not audit.passed:
             payload = _base_payload("convexity", k, spec, audit.max_violation, tol)
             payload["backward_kernel"] = backward_kernel_to_jsonable(p)
@@ -206,12 +208,14 @@ def _run_convexity(rng: np.random.Generator, n_cases: int) -> SuiteReport:
             payload["forward_kernel_b"] = forward_kernel_to_jsonable(q2)
             payload["lambdas"] = [real_to_str(v) for v in _LAMBDA_GRID]
             failures.append(payload)
-    return SuiteReport("convexity", n_cases, not failures, worst, tol, tuple(failures))
+    return SuiteReport(
+        "convexity", n_cases, not failures, worst, worst_case, tol, tuple(failures)
+    )
 
 
 def _run_concavity(rng: np.random.Generator, n_cases: int) -> SuiteReport:
     tol = MIXTURE_TOL
-    worst = -math.inf
+    worst, worst_case = -math.inf, 0
     failures = []
     for k in range(n_cases):
         spec = _MIXTURE_SPEC
@@ -219,7 +223,8 @@ def _run_concavity(rng: np.random.Generator, n_cases: int) -> SuiteReport:
         p1 = random_backward_kernel(rng, spec)
         p2 = random_backward_kernel(rng, spec)
         audit = check_concavity_in_p(q, p1, p2, _LAMBDA_GRID)
-        worst = max(worst, audit.max_violation)
+        if audit.max_violation > worst:
+            worst, worst_case = audit.max_violation, k
         if not audit.passed:
             payload = _base_payload("concavity", k, spec, audit.max_violation, tol)
             payload["forward_kernel"] = forward_kernel_to_jsonable(q)
@@ -227,12 +232,14 @@ def _run_concavity(rng: np.random.Generator, n_cases: int) -> SuiteReport:
             payload["backward_kernel_b"] = backward_kernel_to_jsonable(p2)
             payload["lambdas"] = [real_to_str(v) for v in _LAMBDA_GRID]
             failures.append(payload)
-    return SuiteReport("concavity", n_cases, not failures, worst, tol, tuple(failures))
+    return SuiteReport(
+        "concavity", n_cases, not failures, worst, worst_case, tol, tuple(failures)
+    )
 
 
 def _run_lsc(rng: np.random.Generator, n_cases: int) -> SuiteReport:
     tol = MIXTURE_TOL
-    worst = -math.inf
+    worst, worst_case = -math.inf, 0
     failures = []
     for k in range(n_cases):
         spec = random_spec(rng, max_horizon=2, max_size=3)
@@ -243,8 +250,9 @@ def _run_lsc(rng: np.random.Generator, n_cases: int) -> SuiteReport:
             if shrinking
             else random_forward_kernel(rng, spec)
         )
-        audit = check_lower_semicontinuity(p, q_limit, _lsc_sequence(q_limit))
-        worst = max(worst, audit.violation)
+        audit = _lsc_audit(p, q_limit, _lsc_sequence(q_limit))
+        if audit.violation > worst:
+            worst, worst_case = audit.violation, k
         if not audit.passed:
             payload = _base_payload("lsc", k, spec, audit.violation, tol)
             payload["backward_kernel"] = backward_kernel_to_jsonable(p)
@@ -252,12 +260,14 @@ def _run_lsc(rng: np.random.Generator, n_cases: int) -> SuiteReport:
             payload["mode"] = "shrinking-support" if shrinking else "full-support"
             payload["start"] = "uniform"
             failures.append(payload)
-    return SuiteReport("lsc", n_cases, not failures, worst, tol, tuple(failures))
+    return SuiteReport(
+        "lsc", n_cases, not failures, worst, worst_case, tol, tuple(failures)
+    )
 
 
 def _run_no_feedback(rng: np.random.Generator, n_cases: int) -> SuiteReport:
     tol = DUAL_FORMULA_TOL
-    worst = -math.inf
+    worst, worst_case = -math.inf, 0
     failures = []
     half = (n_cases + 1) // 2
     for k in range(n_cases):
@@ -269,14 +279,17 @@ def _run_no_feedback(rng: np.random.Generator, n_cases: int) -> SuiteReport:
             p = random_backward_kernel(rng, spec)
         q = random_forward_kernel(rng, spec)
         slack = _no_feedback_slack(p, q, collapse)
-        worst = max(worst, slack)
+        if slack > worst:
+            worst, worst_case = slack, k
         if slack > tol:
             payload = _base_payload("no-feedback", k, spec, slack, tol)
             payload["backward_kernel"] = backward_kernel_to_jsonable(p)
             payload["forward_kernel"] = forward_kernel_to_jsonable(q)
             payload["mode"] = "collapse" if collapse else "ordering"
             failures.append(payload)
-    return SuiteReport("no-feedback", n_cases, not failures, worst, tol, tuple(failures))
+    return SuiteReport(
+        "no-feedback", n_cases, not failures, worst, worst_case, tol, tuple(failures)
+    )
 
 
 def replay(payload: dict) -> float:
@@ -306,7 +319,7 @@ def replay(payload: dict) -> float:
     if suite == "lsc":
         p = backward_kernel_from_jsonable(spec, payload["backward_kernel"])
         q_limit = forward_kernel_from_jsonable(spec, payload["forward_kernel"])
-        return check_lower_semicontinuity(p, q_limit, _lsc_sequence(q_limit)).violation
+        return _lsc_audit(p, q_limit, _lsc_sequence(q_limit)).violation
     p = backward_kernel_from_jsonable(spec, payload["backward_kernel"])
     q = forward_kernel_from_jsonable(spec, payload["forward_kernel"])
     return _no_feedback_slack(p, q, payload.get("mode") == "collapse")

@@ -38,3 +38,25 @@ def test_tracer_wraps_every_layer_and_puts_it_back():
     names = {s[0] for s in tracer.spans}
     assert {"capacity.solve", "capacity.oracle", "nrdf.tilt"} <= names
     assert tracer.counts["capacity.oracle.points"] == 5
+
+
+def test_traced_verify_and_evaluation_keep_their_hooks():
+    # the hooks read per_step_information's ``p``, the joint's ``weights``,
+    # run_suite's ``suite`` and the report's ``cases``
+    import dirinfo.verify as verify
+
+    tracer = _load_spans().Tracer()
+    spec = di.AlphabetSpec(1, (2, 2), (2, 2))
+    tracer.install()
+    try:
+        for suite in verify.SUITE_IDS:
+            verify.run_suite(suite, seed=0, cases=2)
+        di.directed_information_sum(di.BackwardKernel.uniform(spec), di.ForwardKernel.uniform(spec))
+    finally:
+        tracer.uninstall()
+    names = {s[0] for s in tracer.spans}
+    assert {"verify." + suite for suite in verify.SUITE_IDS} <= names
+    assert {"information.per_step", "measures.build_joint", "information.audit"} <= names
+    assert tracer.counts["verify.cases"] == 10
+    assert tracer.counts["information.per_step.cells"] > 0
+    assert tracer.counts["measures.joint_bytes_computed"] > 0

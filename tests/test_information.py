@@ -299,6 +299,76 @@ def test_concavity_audit_passes():
     assert audit.direction == "concave-in-input"
 
 
+# The audits evaluate a whole segment as one stack; each value must match
+# the per-kernel route to rounding, also on sparse kernels whose rows and
+# histories carry zero mass.
+
+
+def _audit_spec(rng, n):
+    sizes = lambda: tuple(int(v) for v in rng.integers(2, 4, size=n + 1))  # noqa: E731
+    return di.AlphabetSpec(n, sizes(), sizes())
+
+
+def _close(got, want):
+    assert abs(got - want) <= 1e-14, (got, want)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_stacked_mixture_audits_equal_the_per_kernel_route(n, sparse):
+    from dirinfo.verify import _sparse_backward, _sparse_forward
+
+    rng = rng_from_seed(60 + 2 * n + sparse)
+    spec = _audit_spec(rng, n)
+    p1, p2 = random_backward_kernel(rng, spec), random_backward_kernel(rng, spec)
+    q1, q2 = random_forward_kernel(rng, spec), random_forward_kernel(rng, spec)
+    if sparse:
+        p1, q2 = _sparse_backward(p1), _sparse_forward(q2)
+    for audit, a, b, value in (
+        (di.check_convexity_in_q(p1, q1, q2, GRID), q1, q2,
+         lambda k: di.directed_information(p1, k)),
+        (di.check_concavity_in_p(q1, p1, p2, GRID), p1, p2,
+         lambda k: di.directed_information(k, q1)),
+    ):
+        _close(audit.endpoint_a, value(a))
+        _close(audit.endpoint_b, value(b))
+        ca, cb = condition_on_path(a), condition_on_path(b)
+        assert len(audit.mixture_values) == len(GRID)
+        for lam, got in zip(GRID, audit.mixture_values):
+            _close(got, value(di.refactor_to_kernel(di.mix_conditioned(ca, cb, lam))))
+
+
+@pytest.mark.parametrize("shrinking", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_stacked_lsc_audit_equals_the_per_kernel_route(n, shrinking):
+    from dirinfo.information import _lsc_audit
+    from dirinfo.verify import (
+        _LSC_EPSILONS,
+        _deterministic_forward,
+        _lsc_sequence,
+        _sparse_backward,
+    )
+
+    rng = rng_from_seed(70 + 2 * n + shrinking)
+    spec = _audit_spec(rng, n)
+    p = _sparse_backward(random_backward_kernel(rng, spec))
+    q_limit = _deterministic_forward(rng, spec) if shrinking else random_forward_kernel(rng, spec)
+    stack = _lsc_sequence(q_limit)
+    audit = _lsc_audit(p, q_limit, stack)
+    c_start = condition_on_path(di.ForwardKernel.uniform(spec))
+    c_limit = condition_on_path(q_limit)
+    assert len(audit.sequence_values) == len(audit.tv_distances) == len(_LSC_EPSILONS)
+    for eps, got, tv in zip(_LSC_EPSILONS, audit.sequence_values, audit.tv_distances):
+        qk = di.refactor_to_kernel(di.mix_conditioned(c_start, c_limit, eps))
+        _close(got, di.directed_information(p, qk))
+        _close(tv, di.tv_distance(condition_on_path(qk), c_limit))
+    _close(audit.limit_value, di.directed_information(p, q_limit))
+    kernels = [
+        di.ForwardKernel(spec, tuple(t[k] for t in stack)) for k in range(len(_LSC_EPSILONS))
+    ]
+    assert di.check_lower_semicontinuity(p, q_limit, kernels) == audit
+
+
 def test_audit_rejects_bad_lambda_grid():
     rng = rng_from_seed(33)
     spec = di.AlphabetSpec(1, (2, 2), (2, 2))

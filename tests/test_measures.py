@@ -325,6 +325,31 @@ def test_mix_rejects_bad_weight():
         mix_conditioned(c, c, math.nan)
 
 
+def test_stacked_mixtures_and_joints_are_validated_per_element():
+    from dirinfo.measures import _check_joint_mass, _mixture_tables
+
+    rng = rng_from_seed(3)
+    spec = random_spec(rng)
+    c = condition_on_path(random_forward_kernel(rng, spec))
+    assert _mixture_tables(c, c, [0.0, 0.5, 1.0])[0].shape[0] == 3
+    with pytest.raises(di.DomainError, match="got 1.5"):
+        _mixture_tables(c, c, [0.5, 1.5])
+    with pytest.raises(di.DomainError):
+        _mixture_tables(c, c, [math.nan])
+    # two joints of mass 0.9 and 1.1: the stack's total is 2, each is wrong
+    w = np.full((2,) + spec.interleaved_shape, 1.0 / spec.total_cells)
+    _check_joint_mass(w, 1)
+    w[0] *= 0.9
+    w[1] *= 1.1
+    with pytest.raises(di.DomainError, match="joint mass"):
+        _check_joint_mass(w, 1)
+    with pytest.raises(di.DomainError, match="joint mass"):
+        di.JointMeasure(spec, w[1])
+    w[1] = -w[1]
+    with pytest.raises(di.DomainError, match="negative"):
+        _check_joint_mass(w, 1)
+
+
 def test_mixed_given_rejected():
     rng = rng_from_seed(2)
     spec = random_spec(rng)

@@ -35,6 +35,17 @@ def test_suites_are_deterministic_per_seed():
     assert a.worst_slack != c.worst_slack
 
 
+@pytest.mark.parametrize("suite", ["dual-formula", "convexity", "concavity", "lsc"])
+def test_worst_case_is_the_first_case_at_the_worst_slack(suite):
+    # these suites draw each case alike whatever the case count, so a
+    # shorter run is a prefix of the longer one
+    report = run_suite(suite, seed=2, cases=8)
+    upto = run_suite(suite, seed=2, cases=report.worst_case + 1)
+    assert (upto.worst_slack, upto.worst_case) == (report.worst_slack, report.worst_case)
+    if report.worst_case > 0:
+        assert run_suite(suite, seed=2, cases=report.worst_case).worst_slack < report.worst_slack
+
+
 def test_unknown_suite_and_bad_cases_raise():
     with pytest.raises(di.DomainError):
         run_suite("no-such-suite")
