@@ -166,10 +166,10 @@ def logsumexp(a: np.ndarray, axis=-1, keepdims: bool = False) -> np.ndarray:
     """``log sum exp`` over ``axis``, shifted by the largest entry so that
     nothing underflows; ``-inf`` where every entry is ``-inf``."""
     top = a.max(axis=axis, keepdims=True)
-    top = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(a - top).sum(axis=axis, keepdims=True)) + top
-    return out if keepdims else np.squeeze(out, axis=axis)
+    s = np.exp(a - np.where(np.isfinite(top), top, 0.0)).sum(axis=axis, keepdims=keepdims)
+    # the top entry adds exp(0) = 1, so only a row that is all -inf sums
+    # below 1: it sums to 0, and log 1 + top makes it -inf without log(0)
+    return np.log(np.maximum(s, 1.0)) + (top if keepdims else top.reshape(s.shape))
 
 
 def weight_table(w: np.ndarray, table: np.ndarray) -> np.ndarray:

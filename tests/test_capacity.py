@@ -20,7 +20,7 @@ from dirinfo.sampling import (
     random_forward_kernel,
     rng_from_seed,
 )
-from dirinfo.solver import SolverConfig
+from dirinfo.solver import SolverConfig, logsumexp
 
 from helpers import backward_kernel_from_fn, forward_kernel_from_fn, random_kernel_fn
 from oracles import (
@@ -341,6 +341,19 @@ def test_result_fields_are_coherent():
     assert expected_cost(res.argmax, bsc(0.25), cost_x()) <= 0.3 + 1e-9
 
 
+def test_returned_kernel_rows_sum_to_one_after_large_log_rewards():
+    # long horizons drive the log-probabilities of rarely used inputs near
+    # -3e4 (seed-1 binary n=5 does); a row normalized in logs there sums to
+    # 1 only within 1.8e-12 once exponentiated, past the kernel check's 1e-12
+    w = np.array([-30000.0, -30001.88])
+    log_row = w - logsumexp(w)
+    assert abs(np.exp(log_row).sum() - 1.0) > 1e-12
+    for no_feedback in (False, True):
+        prob = _CapacityProblem(bsc(0.1), None, no_feedback)
+        kernel = prob.kernel(log_row if no_feedback else [log_row[None, :]])
+        assert abs(kernel.tables[0].sum() - 1.0) <= 1e-15
+
+
 def test_argmax_is_input_distribution_over_same_spec():
     res = solve_capacity(bsc(0.1))
     assert res.argmax.spec == SPEC1
@@ -422,6 +435,38 @@ def test_constrained_feedback_reaches_certified_capacity():
     assert result.converged
     assert float(result.value) == pytest.approx(0.502357, abs=1e-6)
     assert expected_cost(result.argmax, q, budget) <= 0.2 + 1e-9
+
+
+@pytest.mark.parametrize("budget", [None, 0.2, 1.0])
+def test_value_never_falls_and_slack_is_the_returned_kernels(budget):
+    # a budget of 0.2 binds; one of 1.0 never does, so the cost moves
+    # from step to step and an undone step's cost would show in the slack
+    q = _seed1_channel(2, 2)
+    c = None if budget is None else PowerConstraint(_final_symbol_budget(q.spec).cost_table, budget)
+    runs = [solve_capacity(q, c, SolverConfig(max_iters=k)) for k in range(1, 61)]
+    values = [float(r.value) for r in runs]
+    assert all(b >= a for a, b in zip(values, values[1:]))
+    # a run whose last step was undone returns the kernel of the run before it
+    undone = [
+        k for k, (a, b) in enumerate(zip(runs, runs[1:]), start=2)
+        if all(np.array_equal(s, t) for s, t in zip(a.argmax.tables, b.argmax.tables))
+    ]
+    assert undone
+    # an undone step counts toward max_iters and iterations
+    assert [r.iterations for r in runs] == list(range(1, 61))
+    for r in runs if c is not None else ():
+        spent = expected_cost(r.argmax, q, c)
+        assert r.constraint_slack == pytest.approx(c.budget - spent, abs=1e-12)
+
+
+def test_boundary_optimum_is_certified():
+    # the optimal first input puts no mass on one symbol; plain
+    # Blahut-Arimoto is still uncertified after 100,000 updates here
+    spec = di.AlphabetSpec(1, (4, 4), (4, 4))
+    q = random_forward_kernel(rng_from_seed(12), spec, min_mass=0.01)
+    result = solve_capacity(q, cfg=SolverConfig(max_iters=40_000))
+    assert result.converged
+    assert float(result.value) == pytest.approx(0.724931, abs=1e-6)
 
 
 def test_iteration_cap_is_honoured_and_iterates_stay_feasible():
@@ -536,6 +581,30 @@ def test_converged_means_a_certified_gap(seed, constrained):
     if c is not None:
         assert result.constraint_slack >= 0.0
         assert expected_cost(result.argmax, q, c) <= c.budget + 1e-9
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_relaxed_steps_certify_at_the_multiplier_over_mu(seed, monkeypatch):
+    # each budget here pins the optimal input, which the first update meets;
+    # from the third update on the multiplier is read at the optimum, so the
+    # certificate must be tight whatever mu made the iterate, which holds
+    # only at the multiplier over mu
+    spec, q_fn, q, c, cost_fn = _random_case(seed)
+    steps = []
+    posterior = _CapacityProblem.posterior
+
+    def spy(self, state, mu):
+        steps.append(mu)
+        return posterior(self, state, mu)
+
+    monkeypatch.setattr(_CapacityProblem, "posterior", spy)
+    for k in range(3, 21):
+        result = solve_capacity(q, c, SolverConfig(tol=1e-8, max_iters=k))
+        assert result.converged
+        nu = _output_law(spec, result.argmax, q)
+        terms = oracle_strategy_terms(spec.x_sizes, spec.y_sizes, q_fn, nu, cost_fn)
+        assert -1e-12 <= oracle_dual_bound(terms, c.budget) - float(result.value) <= 1e-8
+    assert max(steps) > 1.0
 
 
 @pytest.mark.parametrize("seed", range(4))
