@@ -26,6 +26,7 @@ from .measures import (
     ForwardKernel,
     InfoValue,
     _expand_x_keyed_table,
+    _input_path_weights,
     _output_path_weights,
     _require_same_spec,
     _xy_matrix,
@@ -33,25 +34,21 @@ from .measures import (
 )
 from .solver import (
     DEFAULT_CONFIG,
+    FEASIBILITY_SLACK,
     SolverConfig,
     grid_batches,
     joint_terms,
     log_where_positive,
     logsumexp,
+    match_budget,
     weight_table,
 )
 
-# Budget slack of the feasibility floor check and of the grid oracle.
-FEASIBILITY_SLACK = 1e-9
-
-_BRACKET_CAP = 1e12
 # updates between evaluations of the certificate
 _CERT_EVERY = 10
 # over-relaxation: the step mu grows by this factor per update, up to the cap
 _MU_GROWTH = 1.1
 _MU_CAP = 4.0
-# false-position steps allowed per budget match
-_MATCH_ROUNDS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,46 +153,6 @@ def _min_cost_without_feedback(q: ForwardKernel, c: PowerConstraint) -> float:
     """Least expected cost over input strategies that ignore outputs,
     i.e. the best fixed input path."""
     return float(_path_costs(q, c).min())
-
-
-def _match_budget(update, budget: float, lam: float, tol: float):
-    """``(state, cost, lam)`` of the update ``update(lam) -> (state,
-    cost)`` at ``lam = 0`` if that is feasible, else at the root of ``cost =
-    budget`` (cost falls continuously in ``lam``), found by false position
-    (Illinois) from a bracket grown out of the last ``lam``, on its feasible
-    side, to an unspent budget times ``lam`` of ``tol / 100``."""
-    def at(x):
-        state, cost = update(x)
-        return x, cost - budget, state, cost
-
-    def done(p):
-        return p[1] <= 0 and -p[1] * p[0] <= 0.01 * tol
-
-    lo, hi = None, at(lam)  # (lam, cost - budget, state, cost): infeasible, feasible
-    if done(hi):
-        return hi[2:] + (lam,)
-    if hi[1] <= 0:  # feasible with budget to spare, so try lam = 0
-        lo = at(0.0)
-        if lo[1] <= 0:
-            return lo[2:] + (0.0,)
-    else:
-        lo, hi = hi, None
-    while hi is None:
-        x = 2.0 * lo[0] if lo[0] > 0 else 1.0
-        if x > _BRACKET_CAP:
-            raise InfeasibleConstraint("multiplier bracket exhausted without reaching the budget")
-        p = at(x)
-        lo, hi = (p, None) if p[1] > 0 else (lo, p)
-    f_lo, f_hi, side = lo[1], hi[1], 0
-    for _ in range(_MATCH_ROUNDS):
-        if done(hi) or hi[0] - lo[0] <= 1e-15 * hi[0]:
-            break
-        p = at(hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo))
-        if p[1] > 0:  # Illinois: halve the end kept twice in a row
-            lo, f_lo, f_hi, side = p, p[1], f_hi * (0.5 if side > 0 else 1.0), 1
-        else:
-            hi, f_hi, f_lo, side = p, p[1], f_lo * (0.5 if side < 0 else 1.0), -1
-    return hi[2:] + (hi[0],)
 
 
 class _CapacityProblem:
@@ -367,7 +324,9 @@ def solve_capacity(
                 break
         kept = (state, di, cost, lam)
         # without a budget every update costs 0 against a budget of 0
-        state, cost, lam = _match_budget(lambda x: prob.update(a, x), prob.budget, lam * mu, cfg.tol)
+        state, cost, lam = match_budget(
+            lambda x: prob.update(a, x), prob.budget, lam * mu, 0.01 * cfg.tol
+        )
         lam, step = lam / mu, mu
         iters += 1
     kernel = prob.kernel(state)
@@ -411,17 +370,17 @@ def brute_force_capacity(
     best = -math.inf
     feasible_seen = c is None
     for tabs in batches:
-        nb = len(tabs[0])
-        w = np.ones((nb,) + (1,) * ndim)
-        for i, tab in enumerate(tabs):  # tab: (nb, rows, x_i)
-            if no_feedback:
+        if no_feedback:  # each step's table is tied across output histories
+            nb = len(tabs[0])
+            w = np.ones((nb,) + (1,) * ndim)
+            for i, tab in enumerate(tabs):  # tab: (nb, rows, x_i)
                 prefix = tuple(
                     spec.x_sizes[a // 2] if a % 2 == 0 else 1 for a in range(2 * i)
                 )
-            else:
-                prefix = spec.interleaved_shape[: 2 * i]
-            fshape = (nb,) + prefix + (spec.x_sizes[i],) + (1,) * (ndim - 2 * i - 1)
-            w = w * tab.reshape(fshape)
+                fshape = (nb,) + prefix + (spec.x_sizes[i],) + (1,) * (ndim - 2 * i - 1)
+                w = w * tab.reshape(fshape)
+        else:
+            w = _input_path_weights(spec, tabs)
         w = w * prob.qp
         _, di, cost = joint_terms(w, prob.log_qp, prob.g, batch=True)
         if c is not None:

@@ -6,9 +6,9 @@ alternating minimization (Csiszar-Tusnady): with the output law ``nu``
 fixed, one soft backward induction gives the exact minimizing causal
 kernel, for additive and path-level distortions alike; then ``nu`` becomes
 the output law of the new joint.  Each update also certifies a lower bound
-on the least Lagrangian, since its value is convex in ``nu``.  Bisection on
-the slope meets the budget and stops on a certified gap; a simplex-grid
-oracle validates results.
+on the least Lagrangian, since its value is convex in ``nu``.  The shared
+multiplier search matches the slope to the budget and stops on a certified
+gap; a simplex-grid oracle validates results.
 """
 from __future__ import annotations
 
@@ -30,25 +30,22 @@ from .measures import (
     _from_xy_matrix,
     _input_path_weights,
     _normalize_rows,
+    _output_path_weights,
     _sum_axis,
     ignores_output_history,
     product_pi_backward,
 )
 from .solver import (
     DEFAULT_CONFIG,
+    FEASIBILITY_SLACK,
     SolverConfig,
     grid_batches,
     joint_terms,
     log_where_positive,
     logsumexp,
+    match_budget,
     weight_table,
 )
-
-FEASIBILITY_SLACK = 1e-9
-
-_BRACKET_GROWTH = 2.0
-_BRACKET_CAP = 1e12
-_MAX_OUTER_ROUNDS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,12 +338,14 @@ def solve_nrdf(
     Feasibility is certified against the greedy minimum-distortion kernel.
     When the best input-ignoring reconstruction already meets the budget
     the value is exactly zero and that kernel is returned.  Otherwise the
-    slope ``s`` is bracketed by doubling and then bisected.  Each slope
-    certifies a lower bound ``bound(s)`` on the least Lagrangian, so the
-    value is at least ``bound(s) - s * budget``; ``converged`` means the
-    best iterate within budget is within ``cfg.multiplier_tol`` of the
-    best such bound.  The returned kernel always satisfies the budget to
-    within ``1e-9``.
+    slope ``s`` is matched to the budget by false position, a whole solve
+    per slope.  Each slope certifies a lower bound ``bound(s)`` on the least
+    Lagrangian, so the value is at least ``bound(s) - s * budget``.  Within
+    budget, an iterate is within ``cfg.tol`` plus ``s`` times the unspent
+    budget of that bound, so the search stops once that product is at most
+    ``cfg.multiplier_tol - cfg.tol``.  ``converged`` means the best iterate
+    within budget is within ``cfg.multiplier_tol`` of the best such bound.
+    The returned kernel always satisfies the budget to within ``1e-9``.
     """
     cfg = cfg or DEFAULT_CONFIG
     spec = src.spec
@@ -367,31 +366,25 @@ def solve_nrdf(
     lower = 0.0  # the best certified lower bound on the value
     feasible = None  # (di, dist, log_q) of the best update within budget
 
-    def visit(s: float) -> bool:
+    def visit(s: float):
         nonlocal log_nu, total, lower, feasible
+        if s == 0.0:  # exact, as zero-rate kernels ignore the input; a tilt meets 0 * inf
+            return None, free_floor
         step, bound, iters = _solve_fixed_s(prob, s, cfg, log_nu)
         log_nu, total = step.log_nu, total + iters
         lower = max(lower, bound - s * target)
-        if step.dist > target + FEASIBILITY_SLACK:
-            return False
-        if feasible is None or step.di <= feasible[0]:
+        if step.dist <= target + FEASIBILITY_SLACK and (feasible is None or step.di <= feasible[0]):
             feasible = (step.di, step.dist, step.log_q)
-        return True
+        return None, step.dist
 
-    lo, hi = 0.0, 1.0
-    while not visit(hi):
-        lo, hi = hi, hi * _BRACKET_GROWTH
-        if hi > _BRACKET_CAP:
-            # give the guaranteed-feasible greedy kernel rather than an
-            # iterate that violates the budget
-            kernel = ForwardKernel(spec, tuple(greedy_tables))
-            value = directed_information(src.kernel, kernel)
-            return NrdfResult(InfoValue(value), kernel, total, target - floor, False)
-    for _ in range(_MAX_OUTER_ROUNDS):
-        if feasible[0] - lower <= cfg.multiplier_tol or hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if visit(mid) else (mid, hi)
+    try:
+        match_budget(visit, target + FEASIBILITY_SLACK, 1.0, cfg.multiplier_tol - cfg.tol)
+    except InfeasibleConstraint:
+        # give the guaranteed-feasible greedy kernel rather than an
+        # iterate that violates the budget
+        kernel = ForwardKernel(spec, tuple(greedy_tables))
+        value = directed_information(src.kernel, kernel)
+        return NrdfResult(InfoValue(value), kernel, total, target - floor, False)
     di, dist, log_q = feasible
     kernel = prob.kernel(log_q)
     value = directed_information(src.kernel, kernel)
@@ -430,20 +423,10 @@ def brute_force_nrdf(
     )
     mu_pp = _input_path_weights(spec, src.kernel.tables)
     d_int = _from_xy_matrix(spec, d.distortion_table)
-    ndim = 2 * spec.steps
     best = math.inf
     feasible_seen = False
     for tabs in batches:
-        nb = len(tabs[0])
-        qp = np.ones((nb,) + (1,) * ndim)
-        for i, tab in enumerate(tabs):  # tab: (nb, rows, y_i)
-            fshape = (
-                (nb,)
-                + spec.interleaved_shape[: 2 * i + 1]
-                + (spec.y_sizes[i],)
-                + (1,) * (ndim - 2 * i - 2)
-            )
-            qp = qp * tab.reshape(fshape)
+        qp = _output_path_weights(spec, tabs)
         w = mu_pp * qp
         _, di, dist = joint_terms(w, log_where_positive(qp), d_int, batch=True)
         ok = dist <= target + FEASIBILITY_SLACK

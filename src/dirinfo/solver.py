@@ -3,9 +3,9 @@
 Both solvers evaluate one functional, the directed information of the
 joint of an input and a channel kernel plus an expected cost or
 distortion: capacity varies the input kernel, NRDF the channel kernel.
-The configuration, the log-sum-exp, the evaluation kernel and the
-simplex-grid enumerator that the solvers and the grid oracles share live
-here.
+The configuration, the multiplier search that prices a cost or distortion
+budget, the log-sum-exp, the evaluation kernel and the simplex-grid
+enumerator that the solvers and the grid oracles share live here.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GridTooLarge
+from .errors import DomainError, GridTooLarge, InfeasibleConstraint
 
 # Entropic mirror ascent: ``exp_update_rows``, ``StepSchedule``,
 # ``monotone_improve`` and ``MERIT_SLACK`` are no longer called by either
@@ -28,6 +28,14 @@ from .errors import DomainError, GridTooLarge
 MERIT_SLACK = 1e-12
 
 _EXP_CLIP = 700.0
+
+# Budget slack of the feasibility checks and of the grid oracles.
+FEASIBILITY_SLACK = 1e-9
+
+# the multiplier search gives up past this multiplier
+_BRACKET_CAP = 1e12
+# false-position steps allowed per budget match
+_MATCH_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,52 @@ def monotone_improve(
                 converged = True
                 break
     return tables, sign * merit, iters, converged
+
+
+# ---------------------------------------------------------------------------
+# the multiplier search
+# ---------------------------------------------------------------------------
+
+
+def match_budget(update, budget: float, lam: float, slack: float):
+    """``(state, cost, lam)`` of the update ``update(lam) -> (state,
+    cost)`` at ``lam = 0`` if that is feasible, else at the root of ``cost =
+    budget`` (cost falls continuously in ``lam``), found by false position
+    (Illinois) from a bracket grown out of the last ``lam``, on its feasible
+    side, to an unspent budget times ``lam`` of at most ``slack``.  Raises
+    :class:`InfeasibleConstraint` if no ``lam`` up to ``1e12`` is feasible."""
+    def at(x):
+        state, cost = update(x)
+        return x, cost - budget, state, cost
+
+    def done(p):
+        return p[1] <= 0 and -p[1] * p[0] <= slack
+
+    lo, hi = None, at(lam)  # (lam, cost - budget, state, cost): infeasible, feasible
+    if done(hi):
+        return hi[2:] + (lam,)
+    if hi[1] <= 0:  # feasible with budget to spare, so try lam = 0
+        lo = at(0.0)
+        if lo[1] <= 0:
+            return lo[2:] + (0.0,)
+    else:
+        lo, hi = hi, None
+    while hi is None:
+        x = 2.0 * lo[0] if lo[0] > 0 else 1.0
+        if x > _BRACKET_CAP:
+            raise InfeasibleConstraint("multiplier bracket exhausted without reaching the budget")
+        p = at(x)
+        lo, hi = (p, None) if p[1] > 0 else (lo, p)
+    f_lo, f_hi, side = lo[1], hi[1], 0
+    for _ in range(_MATCH_ROUNDS):
+        if done(hi) or hi[0] - lo[0] <= 1e-15 * hi[0]:
+            break
+        p = at(hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo))
+        if p[1] > 0:  # Illinois: halve the end kept twice in a row
+            lo, f_lo, f_hi, side = p, p[1], f_hi * (0.5 if side > 0 else 1.0), 1
+        else:
+            hi, f_hi, f_lo, side = p, p[1], f_lo * (0.5 if side < 0 else 1.0), -1
+    return hi[2:] + (hi[0],)
 
 
 # ---------------------------------------------------------------------------

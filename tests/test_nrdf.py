@@ -304,6 +304,37 @@ def test_forbidden_cells_are_respected():
     assert res.argmin.tables[0][0, 1] <= 1e-12
 
 
+@pytest.mark.parametrize("budget", [0.3, 0.45])
+def test_forbidden_cell_is_certified_at_the_grid_optimum(budget):
+    # every input-ignoring reconstruction has distortion at least 0.5, and
+    # a tilt at slope 0 would meet 0 * inf; the grid gives 0.03597376 at 0.45
+    src = uniform_binary_source(SPEC1)
+    d = DistortionConstraint(np.array([[0.0, 1.0], [np.inf, 0.0]]), budget)
+    res = solve_nrdf(src, d)
+    assert res.converged
+    assert float(res.value) == pytest.approx(
+        float(brute_force_nrdf(src, d, grid_resolution=400)), abs=1e-6
+    )
+    assert res.distortion_slack >= -1e-9
+
+
+def test_no_solve_tilts_at_slope_zero(monkeypatch):
+    slopes = []
+    tilt = _NrdfProblem.tilt
+
+    def spy(self, log_nu, s):
+        slopes.append(s)
+        return tilt(self, log_nu, s)
+
+    monkeypatch.setattr(_NrdfProblem, "tilt", spy)
+    inf_table = np.array([[0.0, 1.0], [np.inf, 0.0]])
+    rd_curve(uniform_binary_source(SPEC1), DistortionConstraint(inf_table, 0.0), [0.3, 0.45])
+    rd_curve(biased_source(0.3), DistortionConstraint(hamming_paths(SPEC1), 0.0), [0.05, 0.2])
+    src = SourceSpec(random_feedback_free_kernel(rng_from_seed(3), SPEC2, min_mass=0.05))
+    solve_nrdf(src, DistortionConstraint(hamming_paths(SPEC2), budget=0.2))
+    assert slopes and min(slopes) > 0.0
+
+
 def test_grid_guard():
     src = uniform_binary_source(SPEC2)
     d = DistortionConstraint(hamming_paths(SPEC2), budget=0.2)

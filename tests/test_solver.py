@@ -14,6 +14,7 @@ from dirinfo.solver import (
     grid_batches,
     joint_terms,
     logsumexp,
+    match_budget,
     monotone_improve,
     simplex_grid,
 )
@@ -82,6 +83,51 @@ def test_step_schedule_halves_on_reject_and_grows_slowly():
     for _ in range(60):
         s.reject()
     assert s.exhausted
+
+
+# ---------------------------------------------------------------------------
+# the multiplier search
+# ---------------------------------------------------------------------------
+
+
+def falling_cost(probes):
+    """A continuous decreasing cost ``1 / (1 + lam)``; the state names the
+    multiplier it was made at, and every probe is recorded."""
+    def update(lam):
+        probes.append(lam)
+        return ("state", lam), 1.0 / (1.0 + lam)
+
+    return update
+
+
+@pytest.mark.parametrize("start", [0.0, 0.5, 1.0, 30.0])
+def test_match_budget_returns_zero_when_zero_is_feasible(start):
+    probes = []
+    state, cost, lam = match_budget(falling_cost(probes), 1.5, start, 1e-12)
+    assert lam == 0.0 and cost == 1.0 and state == ("state", 0.0)
+    assert probes[-1] == 0.0 and len(probes) <= 2
+
+
+@pytest.mark.parametrize("slack", [1e-3, 1e-8, 1e-11])
+@pytest.mark.parametrize("start", [0.0, 0.5, 1.0, 9.0, 1e4])
+def test_match_budget_stops_on_the_feasible_side_within_the_slack(start, slack):
+    # cost = budget at lam = 9
+    probes = []
+    state, cost, lam = match_budget(falling_cost(probes), 0.1, start, slack)
+    assert state == ("state", lam) and cost == 1.0 / (1.0 + lam)
+    assert cost <= 0.1
+    assert lam * (0.1 - cost) <= slack
+    assert min(probes) >= 0.0 and len(probes) < 60
+
+
+def test_match_budget_raises_when_the_budget_is_out_of_reach():
+    # the cost meets the budget only at lam = 1e13, past the cap of 1e12
+    probes = []
+    with pytest.raises(di.InfeasibleConstraint):
+        match_budget(falling_cost(probes), 1e-13, 1.0, 1e-9)
+    assert max(probes) <= 1e12 and 2.0 * max(probes) > 1e12
+    with pytest.raises(di.InfeasibleConstraint):
+        match_budget(lambda lam: (None, 2.0), 1.0, 1.0, 1e-9)
 
 
 # ---------------------------------------------------------------------------
