@@ -368,7 +368,6 @@ def brute_force_capacity(
     )
     ndim = 2 * spec.steps
     best = -math.inf
-    feasible_seen = c is None
     for tabs in batches:
         if no_feedback:  # each step's table is tied across output histories
             nb = len(tabs[0])
@@ -386,11 +385,10 @@ def brute_force_capacity(
         if c is not None:
             ok = cost <= c.budget + FEASIBILITY_SLACK
             if np.any(ok):
-                feasible_seen = True
                 best = max(best, float(di[ok].max()))
         else:
             best = max(best, float(di.max()))
 
-    if not feasible_seen:
+    if best == -math.inf:
         raise InfeasibleConstraint("no grid kernel meets the budget")
     return InfoValue(best)

@@ -170,10 +170,7 @@ def _distortion_dp(src: SourceSpec, d: DistortionConstraint):
     choices: list[np.ndarray] = [None] * spec.steps  # type: ignore[list-item]
     for i in range(spec.horizon_n, -1, -1):
         rows = v.reshape(spec.output_history_count(i), spec.y_sizes[i])
-        pick = rows.argmin(axis=-1)
-        onehot = np.zeros_like(rows, dtype=float)
-        onehot[np.arange(rows.shape[0]), pick] = 1.0
-        choices[i] = onehot
+        choices[i] = np.eye(spec.y_sizes[i])[rows.argmin(axis=-1)]  # one-hot rows
         u = rows.min(axis=-1).reshape(spec.input_history_count(i), spec.x_sizes[i])
         v = weight_table(src.kernel.tables[i], u).sum(axis=-1)
     return float(np.asarray(v).reshape(-1)[0]), choices
@@ -196,11 +193,7 @@ def _input_free_floor(src: SourceSpec, d: DistortionConstraint) -> tuple[float, 
 
 def _constant_path_kernel(spec: AlphabetSpec, path_code: int) -> ForwardKernel:
     digits = decode(path_code, spec.y_sizes)
-    tables = []
-    for i in range(spec.steps):
-        t = np.zeros((spec.y_prefix_count(i), spec.y_sizes[i]))
-        t[:, digits[i]] = 1.0
-        tables.append(t)
+    tables = [np.eye(spec.y_sizes[i])[[y] * spec.y_prefix_count(i)] for i, y in enumerate(digits)]
     return ForwardKernel.from_input_free_tables(spec, tables)
 
 
@@ -326,6 +319,10 @@ def _solve_fixed_s(prob: _NrdfProblem, s: float, cfg: SolverConfig, log_nu: np.n
     return step, bound, iters
 
 
+class _Certified(Exception):
+    """Ends the slope search once the value is certified."""
+
+
 def solve_nrdf(
     src: SourceSpec,
     d: DistortionConstraint,
@@ -336,16 +333,17 @@ def solve_nrdf(
     expected distortion at most ``budget`` (default: ``d.budget``).
 
     Feasibility is certified against the greedy minimum-distortion kernel.
-    When the best input-ignoring reconstruction already meets the budget
-    the value is exactly zero and that kernel is returned.  Otherwise the
+    When an input-ignoring reconstruction meets the budget to within
+    ``1e-9`` the value is zero and that kernel is returned.  Otherwise the
     slope ``s`` is matched to the budget by false position, a whole solve
     per slope.  Each slope certifies a lower bound ``bound(s)`` on the least
     Lagrangian, so the value is at least ``bound(s) - s * budget``.  Within
     budget, an iterate is within ``cfg.tol`` plus ``s`` times the unspent
-    budget of that bound, so the search stops once that product is at most
-    ``cfg.multiplier_tol - cfg.tol``.  ``converged`` means the best iterate
-    within budget is within ``cfg.multiplier_tol`` of the best such bound.
-    The returned kernel always satisfies the budget to within ``1e-9``.
+    budget of that bound; the search stops once that product is at most
+    ``cfg.multiplier_tol - cfg.tol``, or once the best iterate within budget
+    is within ``cfg.multiplier_tol`` of the best such bound, which is what
+    ``converged`` means.  The returned kernel meets the budget to within
+    ``1e-9``.
     """
     cfg = cfg or DEFAULT_CONFIG
     spec = src.spec
@@ -356,7 +354,7 @@ def solve_nrdf(
             f"minimum achievable distortion {floor:.9g} exceeds budget {target:.9g}"
         )
     free_floor, best_path = _input_free_floor(src, d)
-    if free_floor <= target:
+    if free_floor <= target + FEASIBILITY_SLACK:
         kernel = _constant_path_kernel(spec, best_path)
         return NrdfResult(InfoValue(0.0), kernel, 0, target - free_floor, True)
 
@@ -369,16 +367,20 @@ def solve_nrdf(
     def visit(s: float):
         nonlocal log_nu, total, lower, feasible
         if s == 0.0:  # exact, as zero-rate kernels ignore the input; a tilt meets 0 * inf
-            return None, free_floor
+            return None, free_floor  # over budget, or the shortcut above would have returned
         step, bound, iters = _solve_fixed_s(prob, s, cfg, log_nu)
         log_nu, total = step.log_nu, total + iters
         lower = max(lower, bound - s * target)
         if step.dist <= target + FEASIBILITY_SLACK and (feasible is None or step.di <= feasible[0]):
             feasible = (step.di, step.dist, step.log_q)
+        if feasible is not None and feasible[0] - lower <= cfg.multiplier_tol:
+            raise _Certified
         return None, step.dist
 
     try:
         match_budget(visit, target + FEASIBILITY_SLACK, 1.0, cfg.multiplier_tol - cfg.tol)
+    except _Certified:
+        pass
     except InfeasibleConstraint:
         # give the guaranteed-feasible greedy kernel rather than an
         # iterate that violates the budget
@@ -424,17 +426,15 @@ def brute_force_nrdf(
     mu_pp = _input_path_weights(spec, src.kernel.tables)
     d_int = _from_xy_matrix(spec, d.distortion_table)
     best = math.inf
-    feasible_seen = False
     for tabs in batches:
         qp = _output_path_weights(spec, tabs)
         w = mu_pp * qp
         _, di, dist = joint_terms(w, log_where_positive(qp), d_int, batch=True)
         ok = dist <= target + FEASIBILITY_SLACK
         if np.any(ok):
-            feasible_seen = True
             best = min(best, float(di[ok].min()))
 
-    if not feasible_seen:
+    if best == math.inf:
         raise InfeasibleConstraint("no grid kernel meets the budget")
     return InfoValue(best)
 

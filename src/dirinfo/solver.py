@@ -170,8 +170,10 @@ def match_budget(update, budget: float, lam: float, slack: float):
     cost)`` at ``lam = 0`` if that is feasible, else at the root of ``cost =
     budget`` (cost falls continuously in ``lam``), found by false position
     (Illinois) from a bracket grown out of the last ``lam``, on its feasible
-    side, to an unspent budget times ``lam`` of at most ``slack``.  Raises
-    :class:`InfeasibleConstraint` if no ``lam`` up to ``1e12`` is feasible."""
+    side, to an unspent budget times ``lam`` of at most ``slack``; a step
+    that would not land strictly inside the bracket (as against an infinite
+    cost) bisects it.  Raises :class:`InfeasibleConstraint` if no ``lam`` up
+    to ``1e12`` is feasible."""
     def at(x):
         state, cost = update(x)
         return x, cost - budget, state, cost
@@ -198,7 +200,10 @@ def match_budget(update, budget: float, lam: float, slack: float):
     for _ in range(_MATCH_ROUNDS):
         if done(hi) or hi[0] - lo[0] <= 1e-15 * hi[0]:
             break
-        p = at(hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo))
+        x = hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo)
+        if not lo[0] < x < hi[0]:  # rounded onto an end, or an infinite cost
+            x = 0.5 * (lo[0] + hi[0])
+        p = at(x)
         if p[1] > 0:  # Illinois: halve the end kept twice in a row
             lo, f_lo, f_hi, side = p, p[1], f_hi * (0.5 if side > 0 else 1.0), 1
         else:
@@ -274,13 +279,8 @@ def simplex_grid(resolution: int, dim: int) -> np.ndarray:
         return np.ones((1, 1))
     points = []
     for cuts in combinations(range(resolution + dim - 1), dim - 1):
-        prev = -1
-        parts = []
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(resolution + dim - 2 - prev)
-        points.append(parts)
+        edges = (-1,) + cuts + (resolution + dim - 1,)  # stars between bars
+        points.append([b - a - 1 for a, b in zip(edges, edges[1:])])
     return np.asarray(points, dtype=float) / resolution
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dirinfo as di
+import dirinfo.nrdf as nrdf
 from dirinfo.nrdf import (
     DistortionConstraint,
     NrdfResult,
@@ -333,6 +334,50 @@ def test_no_solve_tilts_at_slope_zero(monkeypatch):
     src = SourceSpec(random_feedback_free_kernel(rng_from_seed(3), SPEC2, min_mass=0.05))
     solve_nrdf(src, DistortionConstraint(hamming_paths(SPEC2), budget=0.2))
     assert slopes and min(slopes) > 0.0
+
+
+def test_every_finite_reconstruction_is_faithful():
+    # only y = x has finite distortion, so every kernel within budget costs
+    # ln 2; no input-free path is finite, so the search must bisect toward
+    # slope 0 rather than false-position against an infinite cost
+    src = uniform_binary_source(SPEC1)
+    d = DistortionConstraint(np.array([[0.0, np.inf], [np.inf, 0.0]]), budget=0.3)
+    res = solve_nrdf(src, d)
+    assert res.converged
+    assert float(res.value) == pytest.approx(math.log(2), abs=1e-6)
+    assert res.distortion_slack >= -1e-9
+
+
+def test_budget_just_under_the_input_free_floor():
+    # within the 1e-9 budget slack of the zero-rate floor 0.5
+    src = uniform_binary_source(SPEC1)
+    d = DistortionConstraint(hamming_paths(SPEC1), budget=0.5 - 5e-10)
+    res = solve_nrdf(src, d)
+    assert res.converged
+    assert float(res.value) == pytest.approx(0.0, abs=1e-6)
+    assert res.distortion_slack >= -1e-9
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-5])
+def test_search_stops_on_the_certified_gap_when_tol_is_not_below_multiplier_tol(
+    tol, monkeypatch
+):
+    # the slope search's slack multiplier_tol - tol is not positive here, so
+    # only the certified gap itself can end it
+    slopes = []
+    solve_fixed_s = nrdf._solve_fixed_s
+
+    def spy(prob, s, cfg, log_nu):
+        slopes.append(s)
+        return solve_fixed_s(prob, s, cfg, log_nu)
+
+    monkeypatch.setattr(nrdf, "_solve_fixed_s", spy)
+    cfg = SolverConfig(tol=tol, multiplier_tol=1e-6)
+    src = SourceSpec(random_feedback_free_kernel(rng_from_seed(3), SPEC2, min_mass=0.05))
+    res = solve_nrdf(src, DistortionConstraint(hamming_paths(SPEC2), budget=0.2), cfg=cfg)
+    assert res.converged
+    assert float(res.value) == pytest.approx(0.5969247, abs=2e-6)
+    assert len(slopes) <= 15
 
 
 def test_grid_guard():

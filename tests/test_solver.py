@@ -130,6 +130,20 @@ def test_match_budget_raises_when_the_budget_is_out_of_reach():
         match_budget(lambda lam: (None, 2.0), 1.0, 1.0, 1e-9)
 
 
+def test_match_budget_bisects_away_from_an_infinite_cost():
+    # infeasible only at lam = 0, where the cost is infinite: false position
+    # against it would probe the feasible end again and again
+    probes = []
+
+    def update(lam):
+        probes.append(lam)
+        return None, math.inf if lam == 0.0 else 0.0
+
+    _, cost, lam = match_budget(update, 0.3, 1.0, 1e-6)
+    assert cost == 0.0 and 0.0 < lam and lam * 0.3 <= 1e-6
+    assert len(probes) < 30 and len(set(probes)) == len(probes)
+
+
 # ---------------------------------------------------------------------------
 # the monotone inner loop on a problem with a known answer
 # ---------------------------------------------------------------------------
