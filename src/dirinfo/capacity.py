@@ -26,7 +26,6 @@ from .measures import (
     ForwardKernel,
     InfoValue,
     _expand_x_keyed_table,
-    _input_path_weights,
     _output_path_weights,
     _require_same_spec,
     _xy_matrix,
@@ -36,11 +35,13 @@ from .solver import (
     DEFAULT_CONFIG,
     FEASIBILITY_SLACK,
     SolverConfig,
+    entropy_route,
     grid_batches,
-    joint_terms,
     log_where_positive,
     logsumexp,
     match_budget,
+    simplex_grid,
+    split_infinite,
     weight_table,
 )
 
@@ -340,6 +341,49 @@ def solve_capacity(
 # ---------------------------------------------------------------------------
 
 
+def _batch_terms(prob: _CapacityProblem, pools):
+    """``evaluate(idx)``: the directed information and expected cost of a
+    batch of input kernels, whose step-``i`` rows (in the state's order)
+    ``idx[i]``, of shape ``(batch, rows)``, picks from ``pools[i]``.
+
+    The batch's law of ``x^n`` is laid out per output history ``y^{n-1}``
+    (one without feedback), so one product per history with the channel
+    gives the output law, and one with ``sum_{y_n} Q log Q`` and
+    :func:`split_infinite` of ``sum_{y_n} Q c`` gives the two means.
+    """
+    spec = prob.spec
+    n = spec.horizon_n
+    if prob.no_feedback:
+        channel = prob.qm[None]
+        cost = np.where(prob.allowed, prob.cost, np.inf)
+        means = np.concatenate([prob.neg_entropy[:, None], split_infinite(cost)], axis=-1)
+    else:  # (y^{n-1}, x^n, .) from the interleaved (x_0, y_0, ..., x_n, .)
+        perm = tuple(range(1, 2 * n, 2)) + tuple(range(0, 2 * n + 1, 2)) + (2 * n + 1,)
+        g = 0.0 if prob.g is None else prob.g
+        means = np.concatenate([
+            (prob.qp * prob.log_qp).sum(axis=-1, keepdims=True),
+            split_infinite(weight_table(prob.qp, g).sum(axis=-1)),
+        ], axis=-1).transpose(perm).reshape(-1, 3)
+        channel = prob.qp.transpose(perm).reshape(spec.num_y_histories, spec.num_x_paths, -1)
+
+    def evaluate(idx):
+        law = 1.0
+        for i, j in enumerate(idx):
+            nb = len(j)
+            if prob.no_feedback:  # (batch, x^i)
+                t = np.take(pools[i], j.reshape((nb,) + spec.x_sizes[:i]), axis=0)
+            else:  # (batch, y^{i-1}, x^i): the rows' output histories first
+                j = j.reshape((nb,) + spec.interleaved_shape[: 2 * i])
+                j = j.transpose((0,) + tuple(range(2, 2 * i + 1, 2)) + tuple(range(1, 2 * i, 2)))
+                t = np.take(pools[i], j, axis=0)[(slice(None),) * (i + 1) + (None,) * (n - i)]
+            law = law * t[(...,) + (None,) * (n - i)]
+        law = law.reshape(nb, len(channel), -1)
+        tail = law.reshape(nb, -1) @ means
+        return entropy_route(tail[:, 0], law.transpose(1, 0, 2) @ channel, tail[:, 1:])
+
+    return evaluate
+
+
 def brute_force_capacity(
     q: ForwardKernel,
     c: Optional[PowerConstraint] = None,
@@ -352,9 +396,13 @@ def brute_force_capacity(
     """Exhaustive maximum of directed information over input kernels whose
     simplex rows have entries in multiples of ``1/grid_resolution``.
 
-    Enumerates every combination of grid rows (all steps, all histories),
-    evaluating in vectorized chunks.  Raises :class:`GridTooLarge` when the
-    combination count exceeds ``max_grid_points``.
+    Enumerates every combination of grid rows (all steps, all histories)
+    in vectorized chunks.  Each kernel's value is ``E log Q(y^n || x^n) -
+    sum_y nu log nu`` (``H(Y^n) - H(Y^n || X^n)``), so only its output law
+    ``nu`` is formed, by a product of its input-path law with the channel,
+    per output history ``y^{n-1}``.  Raises :class:`GridTooLarge` when the
+    combination count exceeds ``max_grid_points``, and
+    :class:`InfeasibleConstraint` when no grid kernel meets the budget.
     """
     spec = q.spec
     prob = _CapacityProblem(q, c, no_feedback)
@@ -366,27 +414,14 @@ def brute_force_capacity(
         chunk_cells,
         spec.total_cells,
     )
-    ndim = 2 * spec.steps
+    grids = {k: simplex_grid(grid_resolution, k) for k in set(spec.x_sizes)}
+    evaluate = _batch_terms(prob, [grids[k] for k in spec.x_sizes])
     best = -math.inf
-    for tabs in batches:
-        if no_feedback:  # each step's table is tied across output histories
-            nb = len(tabs[0])
-            w = np.ones((nb,) + (1,) * ndim)
-            for i, tab in enumerate(tabs):  # tab: (nb, rows, x_i)
-                prefix = tuple(
-                    spec.x_sizes[a // 2] if a % 2 == 0 else 1 for a in range(2 * i)
-                )
-                fshape = (nb,) + prefix + (spec.x_sizes[i],) + (1,) * (ndim - 2 * i - 1)
-                w = w * tab.reshape(fshape)
-        else:
-            w = _input_path_weights(spec, tabs)
-        w = w * prob.qp
-        _, di, cost = joint_terms(w, prob.log_qp, prob.g, batch=True)
+    for idx in batches:
+        di, cost = evaluate(idx)
         if c is not None:
-            ok = cost <= c.budget + FEASIBILITY_SLACK
-            if np.any(ok):
-                best = max(best, float(di[ok].max()))
-        else:
+            di = di[cost <= c.budget + FEASIBILITY_SLACK]
+        if len(di):
             best = max(best, float(di.max()))
 
     if best == -math.inf:

@@ -28,9 +28,7 @@ from .measures import (
     InfoValue,
     Pmf,
     _from_xy_matrix,
-    _input_path_weights,
     _normalize_rows,
-    _output_path_weights,
     _sum_axis,
     ignores_output_history,
     product_pi_backward,
@@ -39,11 +37,13 @@ from .solver import (
     DEFAULT_CONFIG,
     FEASIBILITY_SLACK,
     SolverConfig,
+    entropy_route,
     grid_batches,
-    joint_terms,
     log_where_positive,
     logsumexp,
     match_budget,
+    simplex_grid,
+    split_infinite,
     weight_table,
 )
 
@@ -400,6 +400,41 @@ def solve_nrdf(
 # ---------------------------------------------------------------------------
 
 
+def _batch_terms(src: SourceSpec, d: DistortionConstraint, pools):
+    """``evaluate(idx)``: the directed information and expected distortion
+    of a batch of reconstruction kernels, whose step-``i`` rows ``idx[i]``,
+    of shape ``(batch, rows)``, picks from ``pools[i]``.
+
+    ``sum_{y_i} q log q`` is taken once per pool row; the prefix-by-prefix
+    joint build weights it by the law of ``(x^i, y^{i-1})``.  The joint
+    times the one-hot matrix of each cell's output path gives the output
+    law, and times :func:`split_infinite` of the distortion the expected
+    distortion.
+    """
+    spec = src.spec
+    shape = spec.interleaved_shape
+    mu = [t.reshape(shape[: 2 * i + 1]) for i, t in enumerate(src.kernel.tables)]
+    neg_entropy = [(p * log_where_positive(p)).sum(axis=-1) for p in pools]
+    paths = np.broadcast_to(np.eye(spec.num_y_paths), (spec.num_x_paths,) + (spec.num_y_paths,) * 2)
+    perm = tuple(a for i in range(spec.steps) for a in (i, spec.steps + i)) + (2 * spec.steps,)
+    paths, split = (
+        m.reshape(spec.x_sizes + spec.y_sizes + (-1,)).transpose(perm).reshape(spec.total_cells, -1)
+        for m in (paths, split_infinite(d.distortion_table))
+    )
+
+    def evaluate(idx):
+        w, mean_log_q = np.ones(()), 0.0
+        for i, j in enumerate(idx):
+            w = w[..., None] * mu[i]  # the law of (x^i, y^{i-1})
+            prefix = w.reshape(w.shape[: w.ndim - 2 * i - 1] + (-1,))
+            mean_log_q = mean_log_q + np.einsum("...r,...r->...", np.take(neg_entropy[i], j), prefix)
+            w = w[..., None] * np.take(pools[i], j, axis=0).reshape((len(j),) + shape[: 2 * i + 2])
+        w = w.reshape(len(w), -1)
+        return entropy_route(mean_log_q, (w @ paths)[None], w @ split)
+
+    return evaluate
+
+
 def brute_force_nrdf(
     src: SourceSpec,
     d: DistortionConstraint,
@@ -411,7 +446,15 @@ def brute_force_nrdf(
 ) -> InfoValue:
     """Exhaustive minimum of directed information over reconstruction
     kernels with simplex rows in multiples of ``1/grid_resolution`` that
-    meet the budget."""
+    meet the budget.
+
+    Each kernel's value is ``E log Q(y^n || x^n) - sum_y nu log nu``
+    (``H(Y^n) - H(Y^n || X^n)``): ``sum_{y_i} q log q`` is taken once per
+    simplex-grid point and looked up by each row's grid index.  Raises
+    :class:`GridTooLarge` when the combination count exceeds
+    ``max_grid_points``, and :class:`InfeasibleConstraint` when no grid
+    kernel meets the budget.
+    """
     spec = src.spec
     _check_table_shape(spec, d)
     target = _resolve_budget(d, budget)
@@ -423,16 +466,14 @@ def brute_force_nrdf(
         chunk_cells,
         spec.total_cells,
     )
-    mu_pp = _input_path_weights(spec, src.kernel.tables)
-    d_int = _from_xy_matrix(spec, d.distortion_table)
+    grids = {k: simplex_grid(grid_resolution, k) for k in set(spec.y_sizes)}
+    evaluate = _batch_terms(src, d, [grids[k] for k in spec.y_sizes])
     best = math.inf
-    for tabs in batches:
-        qp = _output_path_weights(spec, tabs)
-        w = mu_pp * qp
-        _, di, dist = joint_terms(w, log_where_positive(qp), d_int, batch=True)
-        ok = dist <= target + FEASIBILITY_SLACK
-        if np.any(ok):
-            best = min(best, float(di[ok].min()))
+    for idx in batches:
+        di, dist = evaluate(idx)
+        di = di[dist <= target + FEASIBILITY_SLACK]
+        if len(di):
+            best = min(best, float(di.min()))
 
     if best == math.inf:
         raise InfeasibleConstraint("no grid kernel meets the budget")

@@ -1,18 +1,20 @@
-"""Shared optimizer plumbing for the extremum solvers.
+"""Shared optimizer plumbing for the extremum solvers and the grid oracles.
 
-Both solvers evaluate one functional, the directed information of the
+Both problems optimize one functional, the directed information of the
 joint of an input and a channel kernel plus an expected cost or
 distortion: capacity varies the input kernel, NRDF the channel kernel.
-The configuration, the multiplier search that prices a cost or distortion
-budget, the log-sum-exp, the evaluation kernel and the simplex-grid
-enumerator that the solvers and the grid oracles share live here.
+The solvers share the configuration, the multiplier search that prices a
+cost or distortion budget, and the log-sum-exp.  The grid oracles share
+the simplex-grid enumerator and the evaluation kernel, which reads each
+batch of joints as ``H(Y^n) - H(Y^n || X^n)``, i.e. ``E log Q(y^n ||
+x^n) - sum_y nu log nu``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -238,31 +240,29 @@ def weight_table(w: np.ndarray, table: np.ndarray) -> np.ndarray:
         return np.where(w > 0, w * table, 0.0)
 
 
-def joint_terms(
-    w: np.ndarray,
-    log_q: np.ndarray,
-    table: Optional[np.ndarray] = None,
-    *,
-    batch: bool = False,
-):
-    """Directed information and an expected table of one interleaved joint.
+def split_infinite(table: np.ndarray) -> np.ndarray:
+    """``table`` with its ``+inf`` cells read as 0, stacked on a new last
+    axis with the indicator of those cells.  Nonnegative weights times it,
+    summed, give the finite part of an expectation and the mass that
+    reaches an infinite cell, which :func:`entropy_route` reads back."""
+    infinite = np.isinf(table)
+    return np.stack([np.where(infinite, 0.0, table), infinite.astype(float)], axis=-1)
 
-    ``w = a * Q`` holds input-path weights times channel-path weights and
-    ``log_q`` is ``log Q`` on the support of ``Q``; ``table`` (a cost or
-    distortion, possibly ``+inf``) broadcasts against ``w``.  Returns
-    ``(log_ratio, info, expectation)``: ``log(Q / nu)`` on the support of
-    ``w`` and 0 elsewhere, with ``nu`` the output marginal of ``w``;
-    ``sum w log(Q / nu)``; and ``sum w * table`` under :func:`weight_table`
-    (0 without a table).  Sums run over every axis, or with ``batch`` over
-    every axis but a leading one that indexes separate joints.
+
+def entropy_route(mean_log_q: np.ndarray, nu: np.ndarray, sums: np.ndarray):
+    """Directed information and an expected table of a batch of joints by
+    ``I(X^n -> Y^n) = E log Q(y^n || x^n) - sum_y nu log nu``.
+
+    ``mean_log_q`` holds each joint's ``E log Q``; ``nu`` its output law,
+    of shape ``(blocks, batch, paths)`` for a law split into blocks of
+    output paths; and ``sums`` a product of its weights with
+    :func:`split_infinite` of the table, so that the expectation is
+    ``+inf`` exactly when mass reaches an infinite cell, as under
+    :func:`weight_table`.
     """
-    lead = 1 if batch else 0
-    nu = w.sum(axis=tuple(range(lead, w.ndim, 2)), keepdims=True)
-    log_ratio = np.where(w > 0, log_q - log_where_positive(nu), 0.0)
-    axes = tuple(range(1, w.ndim)) if batch else None
-    info = (w * log_ratio).sum(axis=axes)
-    expectation = 0.0 if table is None else weight_table(w, table).sum(axis=axes)
-    return log_ratio, info, expectation
+    log_nu = np.log(nu, out=np.zeros_like(nu), where=nu > 0)
+    info = mean_log_q - np.einsum("hbk,hbk->b", nu, log_nu)
+    return info, np.where(sums[..., 1] > 0, np.inf, sums[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -292,42 +292,36 @@ def grid_batches(
     chunk_cells: int,
     point_cells: int,
 ) -> Iterator[list[np.ndarray]]:
-    """Every combination of simplex-grid rows, in batches.
+    """Every combination of simplex-grid rows, in batches of indices.
 
-    Step ``i`` has ``rows[i]`` free rows, each ranging over
-    ``simplex_grid(resolution, sizes[i])``.  Each batch is one table per
-    step, of shape ``(batch, rows[i], sizes[i])``, and holds
-    ``chunk_cells // point_cells`` combinations (at least one), where
-    ``point_cells`` is the size of the array one combination expands to.
-    Raises :class:`DomainError` or :class:`GridTooLarge` (more than
-    ``max_grid_points`` combinations) before any batch is made.
+    Step ``i`` has ``rows[i]`` free rows, each ranging over the points of
+    ``simplex_grid(resolution, sizes[i])``.  Each batch is one integer
+    array per step, of shape ``(batch, rows[i])``, whose entries index that
+    grid, and holds ``chunk_cells // point_cells`` combinations (at least
+    one), where ``point_cells`` is the size of the array one combination
+    expands to.  Raises :class:`DomainError` (``resolution`` not a positive
+    integer) or :class:`GridTooLarge` (more than ``max_grid_points``
+    combinations) before any batch is made.
     """
-    resolution = int(resolution)
-    if resolution < 1:
-        raise DomainError("grid_resolution must be at least 1")
-    grids = {dim: simplex_grid(resolution, dim) for dim in set(sizes)}
-    radices = [len(grids[dim]) for r, dim in zip(rows, sizes) for _ in range(r)]
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)) or resolution < 1:
+        raise DomainError(f"grid_resolution must be a positive integer, got {resolution!r}")
+    radices = [math.comb(resolution + dim - 1, dim - 1) for r, dim in zip(rows, sizes) for _ in range(r)]
     total = math.prod(radices)
     if total > max_grid_points:
         raise GridTooLarge(
             f"{total} grid combinations exceed the cap of {max_grid_points}"
         )
     batch = max(1, chunk_cells // max(1, point_cells))
+    starts = np.cumsum((0,) + tuple(rows))
+    live = [k for k, radix in enumerate(radices) if radix > 1]  # one-point grids stay at 0
 
     def batches():
         for start in range(0, total, batch):
-            rem = np.arange(start, min(start + batch, total))
-            digits = []
-            for radix in reversed(radices):
-                rem, d = np.divmod(rem, radix)
-                digits.append(d)
-            digits.reverse()
-            tables = []
-            pos = 0
-            for r, dim in zip(rows, sizes):
-                tables.append(grids[dim][np.stack(digits[pos: pos + r], axis=1)])
-                pos += r
-            yield tables
+            codes = np.arange(start, min(start + batch, total))
+            digits = np.zeros((len(codes), len(radices)), dtype=np.intp)
+            if live:
+                digits[:, live] = np.stack(np.unravel_index(codes, [radices[k] for k in live]), axis=-1)
+            yield [digits[:, a:b] for a, b in zip(starts, starts[1:])]
 
     # a generator of its own, so the checks above run at the call
     return batches()

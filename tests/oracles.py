@@ -167,3 +167,74 @@ def oracle_dual_bound(terms, budget):
             if lam > 0:
                 candidates.add(lam)
     return min(oracle_lagrangian_bound(finite, lam, budget) for lam in candidates)
+
+
+def simplex_points(resolution, dim):
+    """Probability rows of width ``dim`` with entries in multiples of
+    ``1/resolution``, from the compositions of ``resolution``."""
+    return [
+        tuple(k / resolution for k in parts)
+        for parts in product(range(resolution + 1), repeat=dim)
+        if sum(parts) == resolution
+    ]
+
+
+def capacity_grid_rows(x_sizes, y_sizes, no_feedback=False):
+    """``(key, width)`` of every free input row: keyed by ``(i, x^{i-1},
+    y^{i-1})``, with ``y^{i-1}`` left as ``None`` without feedback."""
+    rows = []
+    for i, width in enumerate(x_sizes):
+        for xs in all_paths(x_sizes[:i]):
+            for ys in [None] if no_feedback else all_paths(y_sizes[:i]):
+                rows.append(((i, xs, ys), width))
+    return rows
+
+
+def nrdf_grid_rows(x_sizes, y_sizes):
+    """``(key, width)`` of every free reconstruction row, keyed by ``(i,
+    x^i, y^{i-1})``."""
+    return [
+        ((i, xs, ys), width)
+        for i, width in enumerate(y_sizes)
+        for xs in all_paths(x_sizes[: i + 1])
+        for ys in all_paths(y_sizes[:i])
+    ]
+
+
+def oracle_grid_size(rows, resolution):
+    return math.prod(len(simplex_points(resolution, width)) for _, width in rows)
+
+
+def _grid_tables(rows, resolution):
+    for choice in product(*[simplex_points(resolution, width) for _, width in rows]):
+        yield dict(zip([key for key, _ in rows], choice))
+
+
+def oracle_grid_capacity(x_sizes, y_sizes, q_fn, resolution, cost_fn=None, budget=0.0, no_feedback=False):
+    """Largest directed information over input kernels with grid rows whose
+    expected cost is within ``budget + 1e-9``; ``None`` if none is."""
+    best = None
+    for table in _grid_tables(capacity_grid_rows(x_sizes, y_sizes, no_feedback), resolution):
+        def p_fn(i, xs, ys, table=table):
+            return table[(i, xs, None if no_feedback else ys)]
+
+        joint = oracle_joint(x_sizes, y_sizes, p_fn, q_fn)
+        if cost_fn is not None and oracle_expected_cost(joint, cost_fn) > budget + 1e-9:
+            continue
+        value = oracle_directed_information(joint, len(x_sizes))
+        best = value if best is None else max(best, value)
+    return best
+
+
+def oracle_grid_nrdf(x_sizes, y_sizes, p_fn, dist_fn, budget, resolution):
+    """Least directed information over reconstruction kernels with grid
+    rows whose expected distortion is within ``budget + 1e-9``; ``None`` if
+    none is."""
+    best = None
+    for table in _grid_tables(nrdf_grid_rows(x_sizes, y_sizes), resolution):
+        joint = oracle_joint(x_sizes, y_sizes, p_fn, lambda i, xs, ys, table=table: table[(i, xs, ys)])
+        if oracle_expected_distortion(joint, dist_fn) > budget + 1e-9:
+            continue
+        value = oracle_directed_information(joint, len(x_sizes))
+        best = value if best is None else min(best, value)
+    return best

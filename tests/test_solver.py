@@ -12,7 +12,6 @@ from dirinfo.solver import (
     StepSchedule,
     exp_update_rows,
     grid_batches,
-    joint_terms,
     logsumexp,
     match_budget,
     monotone_improve,
@@ -241,15 +240,28 @@ def test_simplex_grid_small_cases():
 
 
 def test_grid_batches_enumerate_every_combination_once():
-    # one row on the 2-simplex, then two rows on the 3-simplex; batches of 3
+    # one row on the 2-simplex (3 points), then two rows on the 3-simplex
+    # (6 points); batches of 3 index arrays, one per step
     seen = []
-    for tabs in grid_batches((1, 2), (2, 3), 2, 10**6, chunk_cells=7, point_cells=2):
-        assert [t.shape[1:] for t in tabs] == [(1, 2), (2, 3)]
-        assert len(tabs[0]) <= 3
-        for k in range(len(tabs[0])):
-            seen.append(tuple(np.concatenate([t[k].ravel() for t in tabs])))
+    for idx in grid_batches((1, 2), (2, 3), 2, 10**6, chunk_cells=7, point_cells=2):
+        assert [j.shape[1:] for j in idx] == [(1,), (2,)]
+        assert len(idx[0]) == len(idx[1]) <= 3
+        assert all(np.issubdtype(j.dtype, np.integer) for j in idx)
+        for k in range(len(idx[0])):
+            seen.append(tuple(np.concatenate([j[k] for j in idx])))
     assert len(seen) == 3 * 6 * 6
     assert len(set(seen)) == len(seen)
+    assert {s[0] for s in seen} == set(range(3)) and {v for s in seen for v in s[1:]} == set(range(6))
+
+
+def test_grid_batches_hold_one_point_grids_at_zero():
+    # 70 rows on the 1-simplex (one point each) ride along with two free
+    # rows, more rows than numpy unravels at once
+    seen = []
+    for idx in grid_batches((70, 2), (1, 3), 1, 10**6, chunk_cells=4, point_cells=1):
+        assert not idx[0].any() and idx[0].shape[1:] == (70,)
+        seen.extend(map(tuple, idx[1]))
+    assert sorted(seen) == [(a, b) for a in range(3) for b in range(3)]
 
 
 def test_grid_batches_raise_before_enumerating():
@@ -259,34 +271,101 @@ def test_grid_batches_raise_before_enumerating():
         grid_batches((1,), (2,), 0, 10, 100, 1)
 
 
+@pytest.mark.parametrize("bad", [0, -3, 2.7, 3.0, True, False, "3", None, np.float64(2.0)])
+def test_grid_resolution_must_be_a_positive_int(bad):
+    with pytest.raises(di.DomainError, match="grid_resolution"):
+        grid_batches((1,), (2,), bad, 10**6, 100, 1)
+    spec = di.AlphabetSpec(0, (2,), (2,))
+    q = di.ForwardKernel(spec, (np.array([[0.9, 0.1], [0.2, 0.8]]),))
+    with pytest.raises(di.DomainError, match="grid_resolution"):
+        di.brute_force_capacity(q, grid_resolution=bad)
+    src = di.SourceSpec(di.BackwardKernel.uniform(spec))
+    d = di.DistortionConstraint(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.25)
+    with pytest.raises(di.DomainError, match="grid_resolution"):
+        di.brute_force_nrdf(src, d, grid_resolution=bad)
+
+
+def test_grid_resolution_takes_numpy_integers():
+    spec = di.AlphabetSpec(0, (2,), (2,))
+    q = di.ForwardKernel(spec, (np.array([[0.9, 0.1], [0.2, 0.8]]),))
+    want = float(di.brute_force_capacity(q, grid_resolution=7))
+    assert float(di.brute_force_capacity(q, grid_resolution=np.int64(7))) == want
+
+
 # ---------------------------------------------------------------------------
 # the evaluation kernel
 # ---------------------------------------------------------------------------
 
 
-def test_joint_terms_match_the_evaluator_batched_or_not():
-    from dirinfo.measures import _output_path_weights, build_joint
-    from dirinfo.sampling import random_backward_kernel, random_forward_kernel, rng_from_seed
+def test_entropy_route_matches_the_evaluator_batched_or_not():
+    # both grid oracles' batch evaluators against the package's evaluator,
+    # a batch of two kernels against each kernel alone: one kernel leaves a
+    # row without mass, and an infinite cell counts only when it has mass
+    from dirinfo.capacity import PowerConstraint, _batch_terms, _CapacityProblem, expected_cost
+    from dirinfo.nrdf import _batch_terms as _nrdf_batch_terms
+    from dirinfo.nrdf import expected_distortion
+    from dirinfo.sampling import (
+        random_backward_kernel,
+        random_feedback_free_kernel,
+        random_forward_kernel,
+        rng_from_seed,
+    )
+
+    def batch(evaluator, tables):
+        # the kernels' step tables stacked into pools, each kernel's rows
+        # picked by index
+        pools = [np.concatenate(ts) for ts in zip(*tables)]
+        return evaluator(pools)([np.arange(len(p)).reshape(len(tables), -1) for p in pools])
+
+    def check(evaluator, tables, value, spent):
+        info, cost = batch(evaluator, tables)
+        for k, kernel in enumerate(tables):
+            one_info, one_cost = batch(evaluator, [kernel])
+            assert one_info[0] == pytest.approx(value(kernel), abs=1e-12)
+            assert info[k] == pytest.approx(one_info[0], abs=1e-15)
+            assert cost[k] == pytest.approx(one_cost[0], abs=1e-15)
+            assert one_cost[0] == pytest.approx(spent(kernel), abs=1e-15)
+        assert cost[0] == pytest.approx(1.0, abs=1e-15) and cost[1] == np.inf
 
     rng = rng_from_seed(5)
     spec = di.AlphabetSpec(1, (2, 3), (3, 2))
     q = random_forward_kernel(rng, spec)
-    p_free = random_backward_kernel(rng, spec)
-    p_zero = di.BackwardKernel(spec, (np.array([[1.0, 0.0]]), p_free.tables[1]))
-    log_q = np.log(_output_path_weights(spec, q.tables))
-    cost = np.ones(spec.interleaved_shape)
-    cost[1] = np.inf  # reached only when x_0 = 1 has mass
-    kernels = (p_zero, p_free)
-    ws = [build_joint(p, q).weights for p in kernels]
-    _, info, spent = joint_terms(np.stack(ws), log_q, cost, batch=True)
-    for k, (p, w) in enumerate(zip(kernels, ws)):
-        log_ratio, one_info, one_spent = joint_terms(w, log_q, cost)
-        assert float(one_info) == pytest.approx(di.directed_information(p, q), abs=1e-12)
-        assert info[k] == pytest.approx(float(one_info), abs=1e-15)
-        assert spent[k] == one_spent
-        assert np.all(log_ratio[w == 0] == 0.0)
-    assert spent[0] == pytest.approx(1.0, abs=1e-15) and spent[1] == np.inf
-    assert joint_terms(ws[0], log_q)[2] == 0.0
+    cost = np.ones((spec.num_x_paths, spec.num_y_histories))
+    cost[3] = np.inf  # x^1 = (1, 0), reached only when x_0 = 1 has mass
+    c = PowerConstraint(cost, budget=1.0)
+
+    # with feedback: tables as the kernel holds them
+    free = random_backward_kernel(rng, spec).tables
+    check(
+        lambda pools: _batch_terms(_CapacityProblem(q, c, no_feedback=False), pools),
+        [(np.array([[1.0, 0.0]]), free[1]), free],
+        lambda t: di.directed_information(di.BackwardKernel(spec, t), q),
+        lambda t: expected_cost(di.BackwardKernel(spec, t), q, c),
+    )
+
+    # without feedback: tables keyed by x^{i-1} alone
+    tied = [t[:: spec.y_prefix_count(i)] for i, t in enumerate(random_feedback_free_kernel(rng, spec).tables)]
+    check(
+        lambda pools: _batch_terms(_CapacityProblem(q, c, no_feedback=True), pools),
+        [(np.array([[1.0, 0.0]]), tied[1]), tied],
+        lambda t: di.directed_information(di.BackwardKernel.from_feedback_free_tables(spec, t), q),
+        lambda t: expected_cost(di.BackwardKernel.from_feedback_free_tables(spec, t), q, c),
+    )
+
+    # reconstruction: a source with a zero-mass symbol, and an infinite
+    # distortion that only a kernel with mass on y^1 = (0, 0) reaches
+    src = di.SourceSpec.from_step_tables(spec, [np.array([[0.6, 0.4]]), np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])])
+    table = np.ones((spec.num_x_paths, spec.num_y_paths))
+    table[0, 0] = np.inf  # x^1 = (0, 0), y^1 = (0, 0)
+    table[2, :] = np.inf  # x^1 = (0, 2), which the source never emits
+    d = di.DistortionConstraint(table, 1.0)
+    free = random_forward_kernel(rng, spec).tables
+    check(
+        lambda pools: _nrdf_batch_terms(src, d, pools),
+        [(np.tile([[0.0, 0.3, 0.7]], (2, 1)), free[1]), free],
+        lambda t: di.directed_information(src.kernel, di.ForwardKernel(spec, t)),
+        lambda t: expected_distortion(src, di.ForwardKernel(spec, t), d),
+    )
 
 
 def test_logsumexp_is_shifted_and_keeps_empty_rows():
