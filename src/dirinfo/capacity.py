@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleConstraint, SpecMismatch
+from .errors import InfeasibleConstraint, SpecMismatch
 from .information import directed_information
 from .measures import (
     AlphabetSpec,
@@ -36,6 +36,7 @@ from .solver import (
     FEASIBILITY_SLACK,
     SolverConfig,
     entropy_route,
+    freeze_budget_table,
     grid_batches,
     log_where_positive,
     logsumexp,
@@ -65,18 +66,7 @@ class PowerConstraint:
     budget: float
 
     def __post_init__(self):
-        t = np.asarray(self.cost_table, dtype=float)
-        if t.ndim != 2:
-            raise DomainError(f"cost table must be 2-D, got shape {t.shape}")
-        if np.any(np.isnan(t)) or np.any(t < 0):
-            raise DomainError("cost entries must be >= 0 (NaN not allowed)")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "cost_table", t)
-        b = float(self.budget)
-        if not math.isfinite(b) or b < 0:
-            raise DomainError(f"budget must be a finite nonnegative real, got {b!r}")
-        object.__setattr__(self, "budget", b)
+        freeze_budget_table(self, "cost_table", "cost")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,16 +81,20 @@ class CapacityResult:
     converged: bool
 
 
+def _cost_matrix(spec: AlphabetSpec, c: PowerConstraint) -> np.ndarray:
+    """``c``'s table, checked to have a row per input path of ``spec`` and
+    a column per output history."""
+    want = (spec.num_x_paths, spec.num_y_histories)
+    if c.cost_table.shape != want:
+        raise SpecMismatch(f"cost table has shape {c.cost_table.shape}, expected {want}")
+    return c.cost_table
+
+
 def _cost_interleaved(spec: AlphabetSpec, constraint: PowerConstraint) -> np.ndarray:
     """Cost table rearranged to broadcast against interleaved joint weights
     (trailing ``y_n`` axis kept at size 1)."""
-    want = (spec.num_x_paths, spec.num_y_histories)
-    if constraint.cost_table.shape != want:
-        raise SpecMismatch(
-            f"cost table has shape {constraint.cost_table.shape}, expected {want}"
-        )
     n = spec.horizon_n
-    arr = constraint.cost_table.reshape(spec.x_sizes + spec.y_sizes[:n])
+    arr = _cost_matrix(spec, constraint).reshape(spec.x_sizes + spec.y_sizes[:n])
     perm = [a for i in range(n) for a in (i, spec.steps + i)] + [n]
     return arr.transpose(perm)[..., None]
 
@@ -113,15 +107,14 @@ def expected_cost(p: BackwardKernel, q: ForwardKernel, c: PowerConstraint) -> fl
     return float(weight_table(build_joint(p, q).weights, g).sum())
 
 
-def _best_strategy(q: ForwardKernel, terminal: np.ndarray, log_q=None) -> float:
+def _best_strategy(spec: AlphabetSpec, tables, terminal: np.ndarray, log_q=None) -> float:
     """``max`` over deterministic feedback strategies of ``E[terminal]``
-    (an interleaved array), plus ``E log Q(y^n || x^n)`` given the step
-    tables' logs: the mean over ``y_i`` (``0 * inf = 0``), then the max over
-    ``x_i``."""
-    spec = q.spec
+    (an interleaved array) under the channel step ``tables``, plus ``E log
+    Q(y^n || x^n)`` given their logs: the mean over ``y_i`` (``0 * inf =
+    0``), then the max over ``x_i``."""
     v = terminal
     for i in reversed(range(spec.steps)):
-        qi = q.tables[i]
+        qi = tables[i]
         vr = v.reshape(qi.shape)
         if log_q is not None:
             vr = vr + log_q[i]
@@ -134,20 +127,15 @@ def min_expected_cost(q: ForwardKernel, c: PowerConstraint) -> float:
     """Least expected cost over all input kernels, by backward induction;
     a deterministic feedback strategy attains it."""
     g = _cost_interleaved(q.spec, c)
-    return -_best_strategy(q, -np.broadcast_to(g, q.spec.interleaved_shape))
+    return -_best_strategy(q.spec, q.tables, -np.broadcast_to(g, q.spec.interleaved_shape))
 
 
 def _path_costs(q: ForwardKernel, c: PowerConstraint) -> np.ndarray:
     """Expected cost of each fixed input path."""
     spec = q.spec
-    want = (spec.num_x_paths, spec.num_y_histories)
-    if c.cost_table.shape != want:
-        raise SpecMismatch(f"cost table has shape {c.cost_table.shape}, expected {want}")
-    qp = _output_path_weights(spec, q.tables).sum(axis=-1)  # response law of y^{n-1}
-    ndim = qp.ndim
-    perm = tuple(range(0, ndim, 2)) + tuple(range(1, ndim, 2))
-    mat = qp.transpose(perm).reshape(spec.num_x_paths, spec.num_y_histories)
-    return weight_table(mat, c.cost_table).sum(axis=-1)
+    qm = _xy_matrix(spec, _output_path_weights(spec, q.tables))  # Q(y^n | x^n)
+    response = qm.reshape(spec.num_x_paths, spec.num_y_histories, -1).sum(axis=-1)  # of y^{n-1}
+    return weight_table(response, _cost_matrix(spec, c)).sum(axis=-1)
 
 
 def _min_cost_without_feedback(q: ForwardKernel, c: PowerConstraint) -> float:
@@ -157,101 +145,102 @@ def _min_cost_without_feedback(q: ForwardKernel, c: PowerConstraint) -> float:
 
 
 class _CapacityProblem:
-    """A channel and an optional budget laid out for the updates.  The
-    state is the list of log step tables, or without feedback the log law
-    of the input path.  A cost of ``+inf`` forbids an input: it starts at
-    log-probability ``-inf`` and every update keeps it there."""
+    """A channel and an optional budget laid out for the updates.
+
+    The state is the list of the input's log step tables on ``layout``:
+    the channel's own spec, or without feedback one step whose input is
+    the path ``x^n`` and whose channel is ``Q(y^n | x^n)``.  There directed
+    information is mutual information (Massey), so the same updates solve
+    both problems; only :meth:`kernel` ties the path law back into step
+    tables.  Each update's reward on the final step is ``lp + mu d``, with
+    ``lp`` the input's log-probability of ``x^n`` given ``y^{n-1}`` and ``d
+    = sum_{y_n} q_n log(Q(y^n || x^n) / nu(y^n))`` (see :meth:`posterior`).
+    A cost of ``+inf`` forbids an input: it starts at log-probability
+    ``-inf`` and every update keeps it there.
+    """
 
     def __init__(self, q: ForwardKernel, constraint: Optional[PowerConstraint],
                  no_feedback: bool):
-        spec = q.spec
-        self.spec = spec
-        self.q = q
+        self.spec = q.spec
         self.no_feedback = no_feedback
         self.constraint = constraint
-        self.qp = _output_path_weights(spec, q.tables)
-        self.log_qp = log_where_positive(self.qp)
-        self.g = _cost_interleaved(spec, constraint) if constraint is not None else None
-        n = spec.horizon_n
         if no_feedback:
-            self.qm = np.ascontiguousarray(_xy_matrix(spec, self.qp))  # Q(y^n | x^n)
-            self.neg_entropy = (self.qm * log_where_positive(self.qm)).sum(axis=-1)
-            cost = np.zeros(spec.num_x_paths) if constraint is None else _path_costs(q, constraint)
-            rows = (spec.x_prefix_count(n), spec.x_sizes[n])
+            # one step from x^n to y^n, held as arrays: a row of the product
+            # may miss 1 by (n + 1) PMF_TOL, past a kernel's check
+            layout = AlphabetSpec(0, (q.spec.num_x_paths,), (q.spec.num_y_paths,))
+            tables = (np.ascontiguousarray(_xy_matrix(q.spec, _output_path_weights(q.spec, q.tables))),)
+            g = None if constraint is None else _path_costs(q, constraint)
         else:
-            rows = (spec.input_history_count(n), spec.x_sizes[n])
-            cost = np.zeros(rows) if self.g is None else self.g
-        if not np.isfinite(cost).reshape(rows).any(axis=-1).all():
+            layout, tables = q.spec, q.tables
+            g = None if constraint is None else _cost_interleaved(layout, constraint)
+        self.layout, self.tables = layout, tables
+        self.rows = [(layout.input_history_count(i), layout.x_sizes[i]) for i in range(layout.steps)]
+        cost = np.zeros(self.rows[-1]) if g is None else g.reshape(self.rows[-1])
+        if not np.isfinite(cost).any(axis=-1).all():
             raise InfeasibleConstraint(
                 "an input history has no finite-cost symbol at the final step"
             )
-        # laid out like the state: the input path, or the final step's table
-        self.allowed = np.isfinite(cost).reshape(-1 if no_feedback else rows)
-        self.cost = np.where(self.allowed, cost.reshape(self.allowed.shape), 0.0)
+        # laid out like the final step's table
+        self.allowed = np.isfinite(cost)
+        self.cost = np.where(self.allowed, cost, 0.0)
         self.budget = 0.0 if constraint is None else constraint.budget
+        # the channel on the final step's (x_0, y_0, ..., x_n) axes, then y_n
+        head = layout.interleaved_shape[:-1]
+        self.qp = _output_path_weights(layout, tables)  # Q(y^n || x^n)
         with np.errstate(divide="ignore"):
-            self.log_q = np.log(self.qm if no_feedback else self.qp)  # -inf off the support
-        self.log_tables = [log_where_positive(t) for t in q.tables]
-        self.rows = [(spec.input_history_count(i), spec.x_sizes[i]) for i in range(spec.steps)]
-
-    def row_count(self, i: int) -> int:
-        if self.no_feedback:
-            return self.spec.x_prefix_count(i)
-        return self.spec.input_history_count(i)
+            self.log_q = np.log(self.qp)  # -inf off the support
+        self.q_last = tables[-1].reshape(head + (1, layout.y_sizes[-1]))  # rows for a matmul
+        self.q_prev = _output_path_weights(layout, tables[:-1])[..., 0]  # Q(y^{n-1} || x^{n-1})
+        self.reached = self.q_prev > 0
+        self.mean_log_q = (self.q_last[..., 0, :] * log_where_positive(self.qp)).sum(axis=-1)
+        self.log_tables = [log_where_positive(t) for t in tables]
 
     def start(self):
         """Uniform input over what is not forbidden."""
         with np.errstate(divide="ignore"):
             last = np.log(self.allowed / self.allowed.sum(axis=-1, keepdims=True))
-        if self.no_feedback:
-            return last
         return [np.full(r, -math.log(r[1])) for r in self.rows[:-1]] + [last]
 
-    @np.errstate(divide="ignore", invalid="ignore")
     def posterior(self, state, mu: float):
-        """The current input's log output law (0 where it has no mass), its
-        directed information, and the next update's reward: the mean of
-        ``log P + mu log(Q / nu)`` over ``y_n``, or over ``y^n`` without
-        feedback, which at ``mu = 1`` is ``log P(x^n | y^n)``."""
-        spec = self.spec
-        if self.no_feedback:
-            log_nu = logsumexp(state[:, None] + self.log_q, axis=0)
-            log_nu = np.where(np.isfinite(log_nu), log_nu, 0.0)
-            d = self.neg_entropy - self.qm @ log_nu  # D(Q(.|x^n) || nu)
-            return log_nu, float(np.exp(state) @ d), state + mu * d
+        """The current input's log output law ``log nu`` (0 where it has no
+        mass), its directed information, and the next update's reward.
+
+        With ``lp`` the input's log-probability of ``x^n`` given
+        ``y^{n-1}``, ``m = sum_{y_n} q_n log Q(y^n || x^n)`` and ``d = m -
+        sum_{y_n} q_n log nu``, the reward is ``lp + mu d`` where ``Q(y^{n-1}
+        || x^{n-1}) > 0`` and 0 elsewhere (at ``mu = 1`` the mean of ``log
+        P(x^n | y^n)`` over ``y_n``), and the directed information is ``sum
+        Q(y^{n-1} || x^{n-1}) e^lp d``, i.e. ``H(Y^n) - H(Y^n || X^n)``.
+        """
+        spec = self.layout
         shape = spec.interleaved_shape
         ndim = len(shape)
-        lp = np.zeros((1,) * ndim)
+        lp = 0.0
         for i, t in enumerate(state):
-            lp = lp + t.reshape(shape[: 2 * i] + (spec.x_sizes[i],) + (1,) * (ndim - 2 * i - 1))
-        log_joint = lp + self.log_q
-        log_nu = logsumexp(log_joint, axis=tuple(range(0, ndim, 2)), keepdims=True)
+            lp = lp + t.reshape(shape[: 2 * i] + (spec.x_sizes[i],) + (1,) * (ndim - 2 * i - 2))
+        log_nu = logsumexp(lp[..., None] + self.log_q, axis=tuple(range(0, ndim, 2)), keepdims=True)
         log_nu = np.where(np.isfinite(log_nu), log_nu, 0.0)
-        ratio = self.log_qp - log_nu
-        di = float(np.vdot(np.exp(log_joint), ratio))
-        post = np.where(self.qp > 0, lp + mu * ratio, 0.0)
-        qn = self.q.tables[-1]
-        a = (qn * post.reshape(qn.shape)).sum(axis=-1)
+        d = self.mean_log_q - (self.q_last @ log_nu[..., None])[..., 0, 0]
+        di = float(np.vdot(self.q_prev * np.exp(lp), d))
+        a = np.where(self.reached, lp + mu * d, 0.0)
         return log_nu, di, a.reshape(self.allowed.shape)
 
     def update(self, a: np.ndarray, lam: float):
         """The input that maximizes ``E log P(x^n | y^n) - lam E c`` plus its
         own entropy, and its expected cost."""
         w = a - lam * self.cost if lam else a
-        if self.no_feedback:
-            new = w - logsumexp(w)
-            return new, float(np.exp(new) @ self.cost)
         # soft backward induction, with the new input's cost-to-go ``k``
-        log_p = [None] * self.spec.steps
+        spec = self.layout
+        log_p = [None] * spec.steps
         e = None if self.constraint is None else self.cost
-        for i in reversed(range(self.spec.steps)):
-            if i < self.spec.horizon_n:
-                qi = self.q.tables[i]
+        for i in reversed(range(spec.steps)):
+            if i < spec.horizon_n:
+                qi = self.tables[i]
                 w = (qi * v.reshape(qi.shape)).sum(axis=-1).reshape(self.rows[i])
                 if e is not None:
                     e = (qi * k.reshape(qi.shape)).sum(axis=-1).reshape(self.rows[i])
-            v = logsumexp(w)
-            log_p[i] = w - v[:, None]
+            v = logsumexp(w, keepdims=True)
+            log_p[i] = w - v
             if e is not None:
                 k = (np.exp(log_p[i]) * e).sum(axis=-1)
         return log_p, 0.0 if e is None else float(k[0])
@@ -259,21 +248,20 @@ class _CapacityProblem:
     def bound(self, log_nu: np.ndarray, lam: float) -> float:
         """``max`` over deterministic strategies of ``E[log Q - log nu - lam
         (c - budget)]``, an upper bound on the capacity."""
+        spec = self.layout
         barrier = np.where(self.allowed, -lam * self.cost, -np.inf)
-        if self.no_feedback:
-            d = self.neg_entropy - self.qm @ log_nu
-            return float((barrier + d).max()) + lam * self.budget
-        spec = self.spec
         terminal = barrier.reshape(spec.interleaved_shape[:-1] + (1,)) - log_nu
-        return _best_strategy(self.q, terminal, self.log_tables) + lam * self.budget
+        return _best_strategy(spec, self.tables, terminal, self.log_tables) + lam * self.budget
 
     def kernel(self, state) -> BackwardKernel:
         spec = self.spec
         if self.no_feedback:  # log P(x^i) - log P(x^{i-1}), tied across y^{i-1}
-            m, state = state.reshape(spec.x_sizes), [None] * spec.steps
+            m, state = state[0].reshape(spec.x_sizes), [None] * spec.steps
             for i in reversed(range(spec.steps)):
                 prev = logsumexp(m, keepdims=True)
-                tied = (m - prev).reshape(spec.x_prefix_count(i), spec.x_sizes[i])
+                # a prefix without mass keeps log 1 throughout: uniform below
+                tied = np.subtract(m, prev, out=np.zeros_like(m), where=np.isfinite(prev))
+                tied = tied.reshape(spec.x_prefix_count(i), spec.x_sizes[i])
                 state[i], m = _expand_x_keyed_table(spec, i, tied), prev[..., 0]
         # a log-probability near -3e4, as long horizons give rarely used
         # inputs, leaves exp of its row off 1 by about ulp(3e4) = 4e-12
@@ -296,9 +284,11 @@ def solve_capacity(
     The step ``mu`` starts at 1 and grows by ``1.1`` per update up to ``4``;
     an update with ``mu > 1`` that lowers the value is undone, counted in
     ``iterations``, and retaken from the kept iterate at ``mu = 1``.
-    ``no_feedback=True`` ties each step's table across output histories.
-    Histories whose every final-step symbol has infinite cost are rejected
-    as infeasible rather than searched around.
+    ``no_feedback=True`` ties each step's table across output histories: it
+    solves for the law of the input path on the one-step channel ``Q(y^n |
+    x^n)``.  With feedback, histories whose every final-step symbol has
+    infinite cost are rejected as infeasible rather than searched around;
+    without feedback only a problem that forbids every input path is.
     """
     cfg = cfg or DEFAULT_CONFIG
     prob = _CapacityProblem(q, c, no_feedback)
@@ -347,24 +337,21 @@ def _batch_terms(prob: _CapacityProblem, pools):
     ``idx[i]``, of shape ``(batch, rows)``, picks from ``pools[i]``.
 
     The batch's law of ``x^n`` is laid out per output history ``y^{n-1}``
-    (one without feedback), so one product per history with the channel
-    gives the output law, and one with ``sum_{y_n} Q log Q`` and
-    :func:`split_infinite` of ``sum_{y_n} Q c`` gives the two means.
+    of the problem's layout (one without feedback), so one product per
+    history with the channel gives the output law, and one with ``sum_{y_n}
+    Q log Q`` and :func:`split_infinite` of ``sum_{y_n} Q c`` gives the two
+    means.
     """
-    spec = prob.spec
-    n = spec.horizon_n
-    if prob.no_feedback:
-        channel = prob.qm[None]
-        cost = np.where(prob.allowed, prob.cost, np.inf)
-        means = np.concatenate([prob.neg_entropy[:, None], split_infinite(cost)], axis=-1)
-    else:  # (y^{n-1}, x^n, .) from the interleaved (x_0, y_0, ..., x_n, .)
-        perm = tuple(range(1, 2 * n, 2)) + tuple(range(0, 2 * n + 1, 2)) + (2 * n + 1,)
-        g = 0.0 if prob.g is None else prob.g
-        means = np.concatenate([
-            (prob.qp * prob.log_qp).sum(axis=-1, keepdims=True),
-            split_infinite(weight_table(prob.qp, g).sum(axis=-1)),
-        ], axis=-1).transpose(perm).reshape(-1, 3)
-        channel = prob.qp.transpose(perm).reshape(spec.num_y_histories, spec.num_x_paths, -1)
+    spec, layout = prob.spec, prob.layout
+    n, m = spec.horizon_n, layout.horizon_n
+    # (y^{m-1}, x^m, .) from the layout's interleaved (x_0, y_0, ..., x_m, .)
+    perm = tuple(range(1, 2 * m, 2)) + tuple(range(0, 2 * m + 1, 2)) + (2 * m + 1,)
+    cost = np.where(prob.allowed, prob.cost, np.inf).reshape(layout.interleaved_shape[:-1] + (1,))
+    means = np.concatenate([
+        (prob.q_prev * prob.mean_log_q)[..., None],
+        split_infinite(weight_table(prob.qp, cost).sum(axis=-1)),
+    ], axis=-1).transpose(perm).reshape(-1, 3)
+    channel = prob.qp.transpose(perm).reshape(layout.num_y_histories, layout.num_x_paths, -1)
 
     def evaluate(idx):
         law = 1.0
@@ -407,7 +394,7 @@ def brute_force_capacity(
     spec = q.spec
     prob = _CapacityProblem(q, c, no_feedback)
     batches = grid_batches(
-        [prob.row_count(i) for i in range(spec.steps)],
+        [spec.x_prefix_count(i) * (1 if no_feedback else spec.y_prefix_count(i)) for i in range(spec.steps)],
         spec.x_sizes,
         grid_resolution,
         max_grid_points,

@@ -37,7 +37,9 @@ from .solver import (
     DEFAULT_CONFIG,
     FEASIBILITY_SLACK,
     SolverConfig,
+    checked_budget,
     entropy_route,
+    freeze_budget_table,
     grid_batches,
     log_where_positive,
     logsumexp,
@@ -103,18 +105,7 @@ class DistortionConstraint:
     budget: float
 
     def __post_init__(self):
-        t = np.asarray(self.distortion_table, dtype=float)
-        if t.ndim != 2:
-            raise DomainError(f"distortion table must be 2-D, got shape {t.shape}")
-        if np.any(np.isnan(t)) or np.any(t < 0):
-            raise DomainError("distortion entries must be >= 0 (NaN not allowed)")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "distortion_table", t)
-        b = float(self.budget)
-        if not math.isfinite(b) or b < 0:
-            raise DomainError(f"budget must be a finite nonnegative real, got {b!r}")
-        object.__setattr__(self, "budget", b)
+        freeze_budget_table(self, "distortion_table", "distortion")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +131,7 @@ def _check_table_shape(spec: AlphabetSpec, d: DistortionConstraint):
 def _resolve_budget(d: DistortionConstraint, budget: Optional[float]) -> float:
     """The budget a solve or oracle runs at: ``d.budget`` unless one is
     given, which must then be a finite nonnegative real."""
-    if budget is None:
-        return d.budget
-    b = float(budget)
-    if not math.isfinite(b) or b < 0:
-        raise DomainError(f"distortion budget must be a finite nonnegative real, got {b!r}")
-    return b
+    return d.budget if budget is None else checked_budget(budget, "distortion budget")
 
 
 def expected_distortion(src: SourceSpec, q: ForwardKernel, d: DistortionConstraint) -> float:

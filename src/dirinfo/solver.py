@@ -3,11 +3,11 @@
 Both problems optimize one functional, the directed information of the
 joint of an input and a channel kernel plus an expected cost or
 distortion: capacity varies the input kernel, NRDF the channel kernel.
-The solvers share the configuration, the multiplier search that prices a
-cost or distortion budget, and the log-sum-exp.  The grid oracles share
-the simplex-grid enumerator and the evaluation kernel, which reads each
-batch of joints as ``H(Y^n) - H(Y^n || X^n)``, i.e. ``E log Q(y^n ||
-x^n) - sum_y nu log nu``.
+The solvers share the configuration, the checks of a cost or distortion
+table and its budget, the multiplier search that prices the budget, and
+the log-sum-exp.  The grid oracles share the simplex-grid enumerator and
+the evaluation kernel, which reads each batch of joints as ``H(Y^n) -
+H(Y^n || X^n)``, i.e. ``E log Q(y^n || x^n) - sum_y nu log nu``.
 """
 from __future__ import annotations
 
@@ -163,8 +163,30 @@ def monotone_improve(
 
 
 # ---------------------------------------------------------------------------
-# the multiplier search
+# budgets and the multiplier search
 # ---------------------------------------------------------------------------
+
+
+def freeze_budget_table(obj, field: str, what: str) -> None:
+    """Store on the frozen constraint ``obj`` a read-only float copy of its
+    2-D table ``field`` (entries ``>= 0``, ``+inf`` allowed, no NaN) and its
+    checked ``budget``; ``what`` names the table in the errors."""
+    t = np.array(getattr(obj, field), dtype=float)
+    if t.ndim != 2:
+        raise DomainError(f"{what} table must be 2-D, got shape {t.shape}")
+    if np.any(np.isnan(t)) or np.any(t < 0):
+        raise DomainError(f"{what} entries must be >= 0 (NaN not allowed)")
+    t.setflags(write=False)
+    object.__setattr__(obj, field, t)
+    object.__setattr__(obj, "budget", checked_budget(obj.budget))
+
+
+def checked_budget(value, name: str = "budget") -> float:
+    """``value`` as a float, which must be finite and ``>= 0``."""
+    b = float(value)
+    if not math.isfinite(b) or b < 0:
+        raise DomainError(f"{name} must be a finite nonnegative real, got {b!r}")
+    return b
 
 
 def match_budget(update, budget: float, lam: float, slack: float):

@@ -350,7 +350,7 @@ def test_returned_kernel_rows_sum_to_one_after_large_log_rewards():
     assert abs(np.exp(log_row).sum() - 1.0) > 1e-12
     for no_feedback in (False, True):
         prob = _CapacityProblem(bsc(0.1), None, no_feedback)
-        kernel = prob.kernel(log_row if no_feedback else [log_row[None, :]])
+        kernel = prob.kernel([log_row[None, :]])
         assert abs(kernel.tables[0].sum() - 1.0) <= 1e-15
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dirinfo as di
-from dirinfo.capacity import PowerConstraint, brute_force_capacity
+from dirinfo.capacity import PowerConstraint, brute_force_capacity, expected_cost
 from dirinfo.nrdf import DistortionConstraint, SourceSpec, brute_force_nrdf
 
 from helpers import forward_kernel_from_fn, random_kernel_fn
@@ -62,9 +62,9 @@ def _final_symbol(xs, ys):
     return float(xs[-1])
 
 
-def _forbid_path(path):
+def _forbid_prefix(prefix):
     def cost(xs, ys):
-        return math.inf if xs == path else 0.3 * sum(xs) + 0.1 * sum(ys)
+        return math.inf if xs[: len(prefix)] == prefix else 0.3 * sum(xs) + 0.1 * sum(ys)
     return cost
 
 
@@ -74,8 +74,12 @@ CAPACITY_CASES = {
     "deterministic-no-feedback": ((2, 2), (2, 2), _deterministic, None, 0.0, 3, True),
     "sparse": ((2, 2), (2, 2), "sparse", None, 0.0, 2, False),
     "sparse-no-feedback": ((2, 2), (2, 2), "sparse", None, 0.0, 4, True),
-    "inf-cost-row": ((2, 2), (2, 2), "dense", _forbid_path((1, 1)), 0.37, 2, False),
-    "inf-cost-row-no-feedback": ((2, 2), (2, 2), "sparse", _forbid_path((1, 1)), 0.37, 3, True),
+    "inf-cost-row": ((2, 2), (2, 2), "dense", _forbid_prefix((1, 1)), 0.37, 2, False),
+    "inf-cost-row-no-feedback": ((2, 2), (2, 2), "sparse", _forbid_prefix((1, 1)), 0.37, 3, True),
+    # every path after x_0 = 1 is forbidden, which an input avoids by
+    # putting no mass on x_0 = 1
+    "inf-cost-prefix-no-feedback": ((2, 2), (2, 2), "dense", _forbid_prefix((1,)), 0.37, 3, True),
+    "inf-cost-prefix-no-feedback-sparse": ((2, 2), (2, 2), "sparse", _forbid_prefix((1,)), 0.37, 3, True),
     "budget": ((2, 2), (2, 2), _deterministic, _final_symbol, 0.25, 2, False),
     "ternary": ((3,), (2,), "dense", None, 0.0, 4, False),
     "ternary-budget": ((3,), (3,), "sparse", _final_symbol, 0.6, 4, False),
@@ -83,15 +87,21 @@ CAPACITY_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CAPACITY_CASES))
-@pytest.mark.parametrize("max_grid_points,chunk_cells", [(2_000_000, 2_000_000), (2_000_000, 7), (100, 2_000_000)])
-def test_capacity_oracle_matches_the_pure_python_search(name, max_grid_points, chunk_cells):
-    xs, ys, channel, cost_fn, budget, res, no_feedback = CAPACITY_CASES[name]
+def _capacity_case(name):
+    """The channel function, kernel and constraint of ``CAPACITY_CASES[name]``."""
+    xs, ys, channel, cost_fn, budget = CAPACITY_CASES[name][:5]
     spec = di.AlphabetSpec(len(xs) - 1, xs, ys)
     if isinstance(channel, str):
         channel = random_kernel_fn(random.Random(name), ys, sparse=channel == "sparse")
-    q = forward_kernel_from_fn(spec, channel)
     c = None if cost_fn is None else PowerConstraint(_table(cost_fn, xs, ys[:-1]), budget)
+    return channel, forward_kernel_from_fn(spec, channel), c
+
+
+@pytest.mark.parametrize("name", sorted(CAPACITY_CASES))
+@pytest.mark.parametrize("max_grid_points,chunk_cells", [(2_000_000, 2_000_000), (2_000_000, 7), (100, 2_000_000)])
+def test_capacity_oracle_matches_the_pure_python_search(name, max_grid_points, chunk_cells):
+    xs, ys, _, cost_fn, budget, res, no_feedback = CAPACITY_CASES[name]
+    channel, q, c = _capacity_case(name)
     got = _outcome(lambda: brute_force_capacity(
         q, c, grid_resolution=res, no_feedback=no_feedback,
         max_grid_points=max_grid_points, chunk_cells=chunk_cells,
@@ -101,6 +111,16 @@ def test_capacity_oracle_matches_the_pure_python_search(name, max_grid_points, c
         lambda: oracle_grid_capacity(xs, ys, channel, res, cost_fn, budget, no_feedback),
     )
     _assert_same(got, want)
+
+
+@pytest.mark.parametrize("name", ["inf-cost-prefix-no-feedback", "inf-cost-prefix-no-feedback-sparse"])
+def test_no_feedback_solver_avoids_a_forbidden_prefix(name):
+    _, q, c = _capacity_case(name)
+    result = di.solve_capacity(q, c, no_feedback=True)
+    assert result.converged
+    res = CAPACITY_CASES[name][5]
+    assert float(result.value) >= float(brute_force_capacity(q, c, grid_resolution=res, no_feedback=True)) - 1e-12
+    assert expected_cost(result.argmax, q, c) <= c.budget + 1e-9
 
 
 def _hamming(xs, ys):
