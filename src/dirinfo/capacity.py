@@ -38,6 +38,7 @@ from .solver import (
     entropy_route,
     freeze_budget_table,
     grid_batches,
+    induction,
     log_where_positive,
     logsumexp,
     match_budget,
@@ -107,41 +108,25 @@ def expected_cost(p: BackwardKernel, q: ForwardKernel, c: PowerConstraint) -> fl
     return float(weight_table(build_joint(p, q).weights, g).sum())
 
 
-def _best_strategy(spec: AlphabetSpec, tables, terminal: np.ndarray, log_q=None) -> float:
-    """``max`` over deterministic feedback strategies of ``E[terminal]``
-    (an interleaved array) under the channel step ``tables``, plus ``E log
-    Q(y^n || x^n)`` given their logs: the mean over ``y_i`` (``0 * inf =
-    0``), then the max over ``x_i``."""
-    v = terminal
-    for i in reversed(range(spec.steps)):
-        qi = tables[i]
-        vr = v.reshape(qi.shape)
-        if log_q is not None:
-            vr = vr + log_q[i]
-        ev = weight_table(qi, vr).sum(axis=-1)
-        v = ev.reshape(spec.input_history_count(i), spec.x_sizes[i]).max(axis=-1)
-    return float(v[0])
+def _channel_laws(spec: AlphabetSpec, tables) -> list:
+    """The channel's step tables as nature's laws of the ``y_i`` axes of an
+    interleaved array, with the controller on the ``x_i`` axes."""
+    shape = spec.interleaved_shape
+    return [law for i, t in enumerate(tables) for law in (None, t.reshape(shape[: 2 * i + 2]))]
 
 
 def min_expected_cost(q: ForwardKernel, c: PowerConstraint) -> float:
     """Least expected cost over all input kernels, by backward induction;
     a deterministic feedback strategy attains it."""
-    g = _cost_interleaved(q.spec, c)
-    return -_best_strategy(q.spec, q.tables, -np.broadcast_to(g, q.spec.interleaved_shape))
+    value, _ = induction(-_cost_interleaved(q.spec, c), _channel_laws(q.spec, q.tables))
+    return 0.0 - float(value)  # a floor of 0 as 0.0, not -0.0
 
 
-def _path_costs(q: ForwardKernel, c: PowerConstraint) -> np.ndarray:
-    """Expected cost of each fixed input path."""
-    spec = q.spec
-    qm = _xy_matrix(spec, _output_path_weights(spec, q.tables))  # Q(y^n | x^n)
-    response = qm.reshape(spec.num_x_paths, spec.num_y_histories, -1).sum(axis=-1)  # of y^{n-1}
-    return weight_table(response, _cost_matrix(spec, c)).sum(axis=-1)
-
-
-def _min_cost_without_feedback(q: ForwardKernel, c: PowerConstraint) -> float:
-    """Least expected cost over input strategies that ignore outputs,
-    i.e. the best fixed input path."""
-    return float(_path_costs(q, c).min())
+def _min_cost_without_feedback(prob: _CapacityProblem) -> float:
+    """Least expected cost over input strategies that ignore outputs, i.e.
+    the best fixed input path, read from the costs of the problem's one-step
+    layout."""
+    return float(np.where(prob.allowed, prob.cost, np.inf).min())
 
 
 class _CapacityProblem:
@@ -152,11 +137,12 @@ class _CapacityProblem:
     the path ``x^n`` and whose channel is ``Q(y^n | x^n)``.  There directed
     information is mutual information (Massey), so the same updates solve
     both problems; only :meth:`kernel` ties the path law back into step
-    tables.  Each update's reward on the final step is ``lp + mu d``, with
-    ``lp`` the input's log-probability of ``x^n`` given ``y^{n-1}`` and ``d
-    = sum_{y_n} q_n log(Q(y^n || x^n) / nu(y^n))`` (see :meth:`posterior`).
-    A cost of ``+inf`` forbids an input: it starts at log-probability
-    ``-inf`` and every update keeps it there.
+    tables.  Each update is one soft :func:`induction` from the terminal
+    ``lp + mu d - lam c`` on the final step's axes ``(x_0, y_0, ..., x_n)``,
+    with ``lp`` the input's log-probability of ``x^n`` given ``y^{n-1}``
+    and ``d = sum_{y_n} q_n log(Q(y^n || x^n) / nu(y^n))`` (see
+    :meth:`posterior`).  A cost of ``+inf`` forbids an input: it starts at
+    log-probability ``-inf`` and every update keeps it there.
     """
 
     def __init__(self, q: ForwardKernel, constraint: Optional[PowerConstraint],
@@ -169,37 +155,45 @@ class _CapacityProblem:
             # may miss 1 by (n + 1) PMF_TOL, past a kernel's check
             layout = AlphabetSpec(0, (q.spec.num_x_paths,), (q.spec.num_y_paths,))
             tables = (np.ascontiguousarray(_xy_matrix(q.spec, _output_path_weights(q.spec, q.tables))),)
-            g = None if constraint is None else _path_costs(q, constraint)
+            g = None
+            if constraint is not None:  # the expected cost of each fixed input path
+                response = tables[0].reshape(q.spec.num_x_paths, q.spec.num_y_histories, -1).sum(axis=-1)
+                g = weight_table(response, _cost_matrix(q.spec, constraint)).sum(axis=-1)
         else:
             layout, tables = q.spec, q.tables
             g = None if constraint is None else _cost_interleaved(layout, constraint)
-        self.layout, self.tables = layout, tables
-        self.rows = [(layout.input_history_count(i), layout.x_sizes[i]) for i in range(layout.steps)]
-        cost = np.zeros(self.rows[-1]) if g is None else g.reshape(self.rows[-1])
-        if not np.isfinite(cost).any(axis=-1).all():
-            raise InfeasibleConstraint(
-                "an input history has no finite-cost symbol at the final step"
-            )
-        # laid out like the final step's table
+        self.layout = layout
+        self.laws = _channel_laws(layout, tables)
+        # the final step's (x_0, y_0, ..., x_n) axes, then y_n
+        self.head = layout.interleaved_shape[:-1]
+        cost = np.zeros(self.head) if g is None else g.reshape(self.head)
         self.allowed = np.isfinite(cost)
         self.cost = np.where(self.allowed, cost, 0.0)
         self.budget = 0.0 if constraint is None else constraint.budget
-        # the channel on the final step's (x_0, y_0, ..., x_n) axes, then y_n
-        head = layout.interleaved_shape[:-1]
         self.qp = _output_path_weights(layout, tables)  # Q(y^n || x^n)
         with np.errstate(divide="ignore"):
             self.log_q = np.log(self.qp)  # -inf off the support
-        self.q_last = tables[-1].reshape(head + (1, layout.y_sizes[-1]))  # rows for a matmul
+        self.q_last = tables[-1].reshape(self.head + (1, layout.y_sizes[-1]))  # rows for a matmul
         self.q_prev = _output_path_weights(layout, tables[:-1])[..., 0]  # Q(y^{n-1} || x^{n-1})
         self.reached = self.q_prev > 0
         self.mean_log_q = (self.q_last[..., 0, :] * log_where_positive(self.qp)).sum(axis=-1)
-        self.log_tables = [log_where_positive(t) for t in tables]
 
     def start(self):
         """Uniform input over what is not forbidden."""
+        head = self.head
         with np.errstate(divide="ignore"):
             last = np.log(self.allowed / self.allowed.sum(axis=-1, keepdims=True))
-        return [np.full(r, -math.log(r[1])) for r in self.rows[:-1]] + [last]
+        uniform = [np.full(head[: 2 * i + 1], -math.log(head[2 * i])) for i in range(len(head) // 2)]
+        return uniform + [last]
+
+    def _log_law(self, state) -> np.ndarray:
+        """The input's log-probability of ``x^n`` given ``y^{n-1}``, on the
+        final step's axes."""
+        shape = self.layout.interleaved_shape
+        lp = 0.0
+        for i, t in enumerate(state):
+            lp = lp + t.reshape(shape[: 2 * i + 1] + (1,) * (len(shape) - 2 * i - 2))
+        return lp
 
     def posterior(self, state, mu: float):
         """The current input's log output law ``log nu`` (0 where it has no
@@ -212,60 +206,42 @@ class _CapacityProblem:
         P(x^n | y^n)`` over ``y_n``), and the directed information is ``sum
         Q(y^{n-1} || x^{n-1}) e^lp d``, i.e. ``H(Y^n) - H(Y^n || X^n)``.
         """
-        spec = self.layout
-        shape = spec.interleaved_shape
-        ndim = len(shape)
-        lp = 0.0
-        for i, t in enumerate(state):
-            lp = lp + t.reshape(shape[: 2 * i] + (spec.x_sizes[i],) + (1,) * (ndim - 2 * i - 2))
-        log_nu = logsumexp(lp[..., None] + self.log_q, axis=tuple(range(0, ndim, 2)), keepdims=True)
+        lp = self._log_law(state)
+        log_nu = logsumexp(lp[..., None] + self.log_q, axis=tuple(range(0, lp.ndim, 2)), keepdims=True)
         log_nu = np.where(np.isfinite(log_nu), log_nu, 0.0)
         d = self.mean_log_q - (self.q_last @ log_nu[..., None])[..., 0, 0]
         di = float(np.vdot(self.q_prev * np.exp(lp), d))
-        a = np.where(self.reached, lp + mu * d, 0.0)
-        return log_nu, di, a.reshape(self.allowed.shape)
+        return log_nu, di, np.where(self.reached, lp + mu * d, 0.0)
 
     def update(self, a: np.ndarray, lam: float):
         """The input that maximizes ``E log P(x^n | y^n) - lam E c`` plus its
         own entropy, and its expected cost."""
-        w = a - lam * self.cost if lam else a
-        # soft backward induction, with the new input's cost-to-go ``k``
-        spec = self.layout
-        log_p = [None] * spec.steps
-        e = None if self.constraint is None else self.cost
-        for i in reversed(range(spec.steps)):
-            if i < spec.horizon_n:
-                qi = self.tables[i]
-                w = (qi * v.reshape(qi.shape)).sum(axis=-1).reshape(self.rows[i])
-                if e is not None:
-                    e = (qi * k.reshape(qi.shape)).sum(axis=-1).reshape(self.rows[i])
-            v = logsumexp(w, keepdims=True)
-            log_p[i] = w - v
-            if e is not None:
-                k = (np.exp(log_p[i]) * e).sum(axis=-1)
-        return log_p, 0.0 if e is None else float(k[0])
+        _, log_p = induction(a - lam * self.cost if lam else a, self.laws[:-1], soft=True)
+        if self.constraint is None:
+            return log_p, 0.0
+        return log_p, float(np.vdot(self.q_prev * np.exp(self._log_law(log_p)), self.cost))
 
     def bound(self, log_nu: np.ndarray, lam: float) -> float:
         """``max`` over deterministic strategies of ``E[log Q - log nu - lam
-        (c - budget)]``, an upper bound on the capacity."""
-        spec = self.layout
-        barrier = np.where(self.allowed, -lam * self.cost, -np.inf)
-        terminal = barrier.reshape(spec.interleaved_shape[:-1] + (1,)) - log_nu
-        return _best_strategy(spec, self.tables, terminal, self.log_tables) + lam * self.budget
+        (c - budget)]``, an upper bound on the capacity: a hard
+        :func:`induction` from the terminal ``log Q(y^n || x^n) - log nu -
+        lam c``, which is ``-inf`` off the channel's support and on a
+        forbidden input."""
+        barrier = np.where(self.allowed, -lam * self.cost, -np.inf)[..., None]
+        value, _ = induction(self.log_q + barrier - log_nu, self.laws)
+        return float(value) + lam * self.budget
 
     def kernel(self, state) -> BackwardKernel:
         spec = self.spec
-        if self.no_feedback:  # log P(x^i) - log P(x^{i-1}), tied across y^{i-1}
-            m, state = state[0].reshape(spec.x_sizes), [None] * spec.steps
-            for i in reversed(range(spec.steps)):
-                prev = logsumexp(m, keepdims=True)
-                # a prefix without mass keeps log 1 throughout: uniform below
-                tied = np.subtract(m, prev, out=np.zeros_like(m), where=np.isfinite(prev))
-                tied = tied.reshape(spec.x_prefix_count(i), spec.x_sizes[i])
-                state[i], m = _expand_x_keyed_table(spec, i, tied), prev[..., 0]
+        if self.no_feedback:  # log P(x_i | x^{i-1}), tied across y^{i-1}
+            _, tied = induction(state[0].reshape(spec.x_sizes), [None] * spec.steps, soft=True)
+            state = [
+                _expand_x_keyed_table(spec, i, t.reshape(spec.x_prefix_count(i), spec.x_sizes[i]))
+                for i, t in enumerate(tied)
+            ]
         # a log-probability near -3e4, as long horizons give rarely used
         # inputs, leaves exp of its row off 1 by about ulp(3e4) = 4e-12
-        tables = [np.exp(t) for t in state]
+        tables = [np.exp(t).reshape(spec.input_history_count(i), -1) for i, t in enumerate(state)]
         return BackwardKernel(spec, tuple(t / t.sum(axis=-1, keepdims=True) for t in tables))
 
 
@@ -292,8 +268,10 @@ def solve_capacity(
     """
     cfg = cfg or DEFAULT_CONFIG
     prob = _CapacityProblem(q, c, no_feedback)
+    if not prob.allowed.any(axis=-1).all():
+        raise InfeasibleConstraint("an input history has no finite-cost symbol at the final step")
     if c is not None:
-        floor = _min_cost_without_feedback(q, c) if no_feedback else min_expected_cost(q, c)
+        floor = _min_cost_without_feedback(prob) if no_feedback else min_expected_cost(q, c)
         if floor > c.budget + FEASIBILITY_SLACK:
             raise InfeasibleConstraint(
                 f"minimum achievable cost {floor:.9g} exceeds budget {c.budget:.9g}"
@@ -346,7 +324,7 @@ def _batch_terms(prob: _CapacityProblem, pools):
     n, m = spec.horizon_n, layout.horizon_n
     # (y^{m-1}, x^m, .) from the layout's interleaved (x_0, y_0, ..., x_m, .)
     perm = tuple(range(1, 2 * m, 2)) + tuple(range(0, 2 * m + 1, 2)) + (2 * m + 1,)
-    cost = np.where(prob.allowed, prob.cost, np.inf).reshape(layout.interleaved_shape[:-1] + (1,))
+    cost = np.where(prob.allowed, prob.cost, np.inf)[..., None]
     means = np.concatenate([
         (prob.q_prev * prob.mean_log_q)[..., None],
         split_infinite(weight_table(prob.qp, cost).sum(axis=-1)),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence, Union
 
 import numpy as np
@@ -109,7 +110,7 @@ class AlphabetSpec:
     def total_cells(self) -> int:
         return self.num_x_paths * self.num_y_paths
 
-    @property
+    @cached_property
     def interleaved_shape(self) -> tuple[int, ...]:
         shape = []
         for xs, ys in zip(self.x_sizes, self.y_sizes):

@@ -41,6 +41,7 @@ from .solver import (
     entropy_route,
     freeze_budget_table,
     grid_batches,
+    induction,
     log_where_positive,
     logsumexp,
     match_budget,
@@ -144,27 +145,20 @@ def expected_distortion(src: SourceSpec, q: ForwardKernel, d: DistortionConstrai
     return float(weight_table(w, _from_xy_matrix(q.spec, d.distortion_table)).sum())
 
 
-def _distortion_dp(src: SourceSpec, d: DistortionConstraint):
+def _distortion_dp(prob: _NrdfProblem):
     """Backward induction for the least achievable expected distortion.
 
     Returns the value together with the greedy deterministic reconstruction
     tables (one-hot rows) that attain it.
     """
-    spec = src.spec
-    _check_table_shape(spec, d)
-    v = _from_xy_matrix(spec, d.distortion_table)
-    choices: list[np.ndarray] = [None] * spec.steps  # type: ignore[list-item]
-    for i in range(spec.horizon_n, -1, -1):
-        rows = v.reshape(spec.output_history_count(i), spec.y_sizes[i])
-        choices[i] = np.eye(spec.y_sizes[i])[rows.argmin(axis=-1)]  # one-hot rows
-        u = rows.min(axis=-1).reshape(spec.input_history_count(i), spec.x_sizes[i])
-        v = weight_table(src.kernel.tables[i], u).sum(axis=-1)
-    return float(np.asarray(v).reshape(-1)[0]), choices
+    value, best = induction(-prob.d, prob.laws)
+    choices = [np.eye(k)[y.reshape(-1)] for k, y in zip(prob.spec.y_sizes, best)]  # one-hot rows
+    return 0.0 - float(value), choices  # a floor of 0 as 0.0, not -0.0
 
 
 def min_expected_distortion(src: SourceSpec, d: DistortionConstraint) -> float:
     """Least expected distortion over all reconstruction kernels."""
-    value, _ = _distortion_dp(src, d)
+    value, _ = _distortion_dp(_NrdfProblem(src, d))
     return value
 
 
@@ -207,12 +201,13 @@ class _NrdfProblem:
         _check_table_shape(spec, d)
         self.spec = spec
         self.d = np.ascontiguousarray(_from_xy_matrix(spec, d.distortion_table))
-        self.mu = [
+        mu = [
             t.reshape(tuple(v for k in spec.x_sizes[:i] for v in (k, 1)) + (spec.x_sizes[i],))
             for i, t in enumerate(src.step_tables)
         ]
+        self.laws = [law for t in mu for law in (t, None)]  # the controller picks each y_i
         with np.errstate(divide="ignore"):
-            self.log_mu = [np.log(t) for t in self.mu]
+            self.log_mu = [np.log(t) for t in mu]
         self.y_shape = tuple(v for k in spec.y_sizes for v in (1, k))
 
     @np.errstate(divide="ignore", invalid="ignore")
@@ -220,47 +215,31 @@ class _NrdfProblem:
         """The exact minimizing kernel at slope ``s`` against the output law
         ``nu``, its certificate, and the output law of the new joint.
 
-        A soft backward induction from ``U_n = s d`` gives the causal kernel
-        that minimizes ``E log(Q / nu) + s E d``: ``log Q_i = log nu_i - U_i
-        - log Z_i`` with ``Z_i = sum_{y_i} nu_i exp(-U_i)``, and ``U_{i-1}``
-        is the source's mean of ``V_i = -log Z_i``.  The minimum ``V`` is
-        convex in ``nu`` with gradient ``-c``, where ``c(y) = sum_x mu(x)
-        prod_i exp(-U_i - log Z_i)``; so no law does better than ``V + 1 -
-        max c``.  The new joint's output law is ``nu c``.  Everything stays
-        in logs, because probabilities underflow at large ``s``.  ``log_nu``
+        A soft :func:`induction` from the terminal ``log nu(y^n) - s d``,
+        averaging over ``x_i`` under the source, gives the causal kernel
+        that minimizes ``E log(Q / nu) + s E d`` as its policies: ``log Q_i =
+        log nu_i - U_i - log Z_i`` with ``Z_i = sum_{y_i} nu_i exp(-U_i)``,
+        where ``U_n = s d`` and ``U_{i-1}`` is the source's mean of ``V_i =
+        -log Z_i``, since the induction's value on the axes up to ``y_i`` is
+        ``log nu(y^i) - U_i``; its value at the root is ``-V``.  The minimum
+        ``V`` is convex in ``nu`` with gradient ``-c``, where ``c(y) = sum_x
+        mu(x) Q(y || x) / nu(y)``; so no law does better than ``V + 1 - max
+        c``.  The new joint's output law is ``nu c``.  Everything stays in
+        logs, because probabilities underflow at large ``s``.  ``log_nu``
         need not be normalized.
         """
-        spec = self.spec
-        steps = spec.steps
-        # log nu(y_i | y^{i-1}), uniform after a null prefix
-        conds = []
-        m = log_nu
-        for i in reversed(range(steps)):
-            prev = logsumexp(m)
-            cond = np.where(
-                (prev == -np.inf)[..., None], -math.log(spec.y_sizes[i]), m - prev[..., None]
-            )
-            conds.append(cond.reshape(self.y_shape[: 2 * i + 2]))
-            m = prev
-        conds.reverse()
-        log_nu = log_nu - m  # normalized
-
-        u = s * self.d
-        log_q, gain = [None] * steps, [None] * steps
-        for i in reversed(range(steps)):
-            a = conds[i] - u
-            log_z = logsumexp(a)
-            log_q[i] = a - log_z[..., None]
-            gain[i] = -u - log_z[..., None]  # log(Q_i / nu_i)
-            u = weight_table(self.mu[i], -log_z).sum(axis=-1)
-        v = float(u)
+        steps = self.spec.steps
+        log_nu = log_nu - logsumexp(log_nu.reshape(-1))  # normalized
+        neg_v, log_q = induction(log_nu.reshape(self.y_shape) - s * self.d, self.laws, soft=True)
+        v = -float(neg_v)
 
         # log mu(x) Q(y||x) / nu(y), prefix by prefix; a cell that is
         # -inf on one step and +inf on a later one is never reached
         acc = np.zeros(())
         for i in range(steps):
             acc = acc[..., None] + self.log_mu[i]
-            acc = acc[..., None] + gain[i]
+            acc = acc[..., None] + log_q[i]
+        acc = acc - log_nu.reshape(self.y_shape)
         acc = np.where(np.isnan(acc), -np.inf, acc)
         top = acc
         for i in range(steps):
@@ -281,13 +260,13 @@ class _NrdfProblem:
         return _Update(new_log_nu, log_q, lagrangian - s * dist, dist, lagrangian, bound)
 
     def kernel(self, log_q: list) -> ForwardKernel:
-        """The kernel of log step tables; a row with ``Z_i = 0`` is never
-        reached and is made uniform."""
+        """The kernel of log step tables; a row with ``Z_i = 0``, which is
+        never reached, holds the induction's uniform policy."""
         spec = self.spec
         tables = []
         for i, lq in enumerate(log_q):
             rows = np.exp(lq).reshape(spec.output_history_count(i), spec.y_sizes[i])
-            tables.append(_normalize_rows(np.nan_to_num(rows), spec.y_sizes[i]))
+            tables.append(_normalize_rows(rows, spec.y_sizes[i]))
         return ForwardKernel(spec, tuple(tables))
 
 
@@ -334,7 +313,8 @@ def solve_nrdf(
     cfg = cfg or DEFAULT_CONFIG
     spec = src.spec
     target = _resolve_budget(d, budget)
-    floor, greedy_tables = _distortion_dp(src, d)
+    prob = _NrdfProblem(src, d)
+    floor, greedy_tables = _distortion_dp(prob)
     if floor > target + FEASIBILITY_SLACK:
         raise InfeasibleConstraint(
             f"minimum achievable distortion {floor:.9g} exceeds budget {target:.9g}"
@@ -344,7 +324,6 @@ def solve_nrdf(
         kernel = _constant_path_kernel(spec, best_path)
         return NrdfResult(InfoValue(0.0), kernel, 0, target - free_floor, True)
 
-    prob = _NrdfProblem(src, d)
     log_nu = np.zeros(spec.y_sizes)  # uniform
     total = 0
     lower = 0.0  # the best certified lower bound on the value

@@ -4,17 +4,19 @@ Both problems optimize one functional, the directed information of the
 joint of an input and a channel kernel plus an expected cost or
 distortion: capacity varies the input kernel, NRDF the channel kernel.
 The solvers share the configuration, the checks of a cost or distortion
-table and its budget, the multiplier search that prices the budget, and
-the log-sum-exp.  The grid oracles share the simplex-grid enumerator and
-the evaluation kernel, which reads each batch of joints as ``H(Y^n) -
-H(Y^n || X^n)``, i.e. ``E log Q(y^n || x^n) - sum_y nu log nu``.
+table and its budget, the multiplier search that prices the budget, the
+log-sum-exp, and the one backward induction that both run: capacity's
+update, certificate and least cost, NRDF's tilt and least distortion.
+The grid oracles share the simplex-grid enumerator and the evaluation
+kernel, which reads each batch of joints as ``H(Y^n) - H(Y^n || X^n)``,
+i.e. ``E log Q(y^n || x^n) - sum_y nu log nu``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -253,6 +255,39 @@ def logsumexp(a: np.ndarray, axis=-1, keepdims: bool = False) -> np.ndarray:
     # the top entry adds exp(0) = 1, so only a row that is all -inf sums
     # below 1: it sums to 0, and log 1 + top makes it -inf without log(0)
     return np.log(np.maximum(s, 1.0)) + (top if keepdims else top.reshape(s.shape))
+
+
+def induction(v: np.ndarray, laws: Sequence[Optional[np.ndarray]], soft: bool = False):
+    """Backward induction over the axes of ``v``, from the last to the first.
+
+    ``laws[k]`` is ``None`` where the controller picks axis ``k``, which it
+    reduces by ``max``, or by log-sum-exp when ``soft``; elsewhere it is
+    nature's law of that axis, an array that broadcasts against the axes up
+    to ``k``, and the axis is averaged under it.  Returns the value (a 0-d
+    array) and, for each controller axis in order, the best symbol (hard)
+    or the log policy (soft) on the axes up to it.
+
+    A ``-inf`` cell is met only when the terminal has a non-finite cell,
+    so the two rules for it run only then: a law of 0 on it weighs 0, and
+    a soft row that is all ``-inf`` gets the uniform policy.
+    """
+    finite = bool(np.isfinite(v).all())
+    moves = []
+    for law in reversed(laws):
+        if law is not None:
+            v = (law * v if finite else weight_table(law, v)).sum(axis=-1)
+        elif soft:
+            lse = logsumexp(v, keepdims=True)
+            if finite:
+                moves.append(v - lse)
+            else:
+                uniform = np.full_like(v, -math.log(v.shape[-1]))
+                moves.append(np.subtract(v, lse, out=uniform, where=np.isfinite(lse)))
+            v = lse[..., 0]
+        else:
+            moves.append(v.argmax(axis=-1))
+            v = v.max(axis=-1)
+    return v, moves[::-1]
 
 
 def weight_table(w: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -254,6 +254,19 @@ def test_all_infinite_row_is_infeasible():
         solve_capacity(bsc(0.1), c)
 
 
+def test_oracle_searches_around_an_unreachable_forbidden_history():
+    # y_i = x_i, so (x_0, y_0) = (0, 1) never occurs; both x_1 after it cost
+    # +inf.  The solver refuses such a history, the oracle must not.
+    spec = di.AlphabetSpec(1, (2, 2), (2, 2))
+    q = forward_kernel_from_fn(spec, lambda i, xs, ys: [1.0 - xs[-1], float(xs[-1])])
+    table = np.zeros((spec.num_x_paths, spec.num_y_histories))
+    table[:2, 1] = np.inf  # x^1 = (0, x_1) after y_0 = 1
+    c = PowerConstraint(table, budget=0.5)
+    assert float(brute_force_capacity(q, c, grid_resolution=4)) == pytest.approx(2 * math.log(2), abs=1e-12)
+    with pytest.raises(di.InfeasibleConstraint):
+        solve_capacity(q, c)
+
+
 def test_infinite_cost_cell_is_avoided():
     # x = 0 is forbidden; capacity collapses to 0 since only x = 1 remains
     c = PowerConstraint(np.array([[np.inf], [0.0]]), budget=1.0)
@@ -562,6 +575,14 @@ def test_certificate_equals_the_strategy_oracle(seed):
     # every bound is at least every grid kernel's value
     assert oracle_dual_bound(terms, c.budget) >= float(brute_force_capacity(q, c, grid_resolution=6)) - 1e-12
     assert oracle_lagrangian_bound(free, 0.0) >= float(brute_force_capacity(q, grid_resolution=6)) - 1e-12
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_min_expected_cost_equals_the_strategy_oracle(seed):
+    spec, q_fn, q, c, cost_fn = _random_case(seed)
+    flat = {ys: 1.0 for ys in all_paths(spec.y_sizes)}
+    costs = [e for _, e in oracle_strategy_terms(spec.x_sizes, spec.y_sizes, q_fn, flat, cost_fn)]
+    assert min_expected_cost(q, c) == pytest.approx(min(costs), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))

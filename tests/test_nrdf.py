@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -177,6 +178,7 @@ def test_min_expected_distortion_floor():
     src = uniform_binary_source(SPEC1)
     d = DistortionConstraint(hamming_paths(SPEC1), budget=0.0)
     assert min_expected_distortion(src, d) == 0.0
+    assert math.copysign(1.0, min_expected_distortion(src, d)) == 1.0  # not -0.0
     lopsided = DistortionConstraint(np.array([[1.0, 2.0], [3.0, 0.5]]), budget=0.0)
     # best deterministic reproduction: y=0 when x=0 (cost 1), y=1 when x=1 (0.5)
     assert min_expected_distortion(src, lopsided) == pytest.approx(0.75)
@@ -465,6 +467,43 @@ def zero_mass_source():
     spec = di.AlphabetSpec(1, (3, 2), (3, 2))
     tables = [np.array([[0.5, 0.5, 0.0]]), np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]])]
     return SourceSpec.from_step_tables(spec, tables)
+
+
+def _least_distortion_by_enumeration(src, table):
+    """Least expected distortion over every deterministic reconstruction
+    ``y_i = g_i(x^i)``: the outputs before ``y_i`` are a function of
+    ``x^{i-1}``, so these are all the deterministic kernels."""
+    spec = src.spec
+    mu = src.marginal().weights
+    prefixes = [list(itertools.product(*map(range, spec.x_sizes[: i + 1]))) for i in range(spec.steps)]
+    maps = [itertools.product(range(spec.y_sizes[i]), repeat=len(prefixes[i])) for i in range(spec.steps)]
+    best = math.inf
+    for choice in itertools.product(*maps):
+        g = [dict(zip(prefixes[i], choice[i])) for i in range(spec.steps)]
+        total = 0.0
+        for code, xs in enumerate(itertools.product(*map(range, spec.x_sizes))):
+            if mu[code] > 0:
+                ys = tuple(g[i][xs[: i + 1]] for i in range(spec.steps))
+                total += mu[code] * table[code, np.ravel_multi_index(ys, spec.y_sizes)]
+        best = min(best, total)
+    return best
+
+
+@pytest.mark.parametrize("case", ["zero-mass", "zero-mass-inf-rows", "random"])
+def test_min_expected_distortion_equals_enumeration(case):
+    if case == "random":
+        rng = rng_from_seed(5)
+        src = SourceSpec(random_feedback_free_kernel(rng, SPEC2, min_mass=0.05))
+        table = rng.uniform(0.0, 2.0, size=(SPEC2.num_x_paths, SPEC2.num_y_paths))
+        table[1, :3] = np.inf
+    else:
+        src = zero_mass_source()
+        table = hamming_paths(src.spec) + np.arange(src.spec.num_y_paths) / 7.0
+        if case == "zero-mass-inf-rows":
+            table[4:] = np.inf  # every reconstruction of x_0 = 2, which never occurs
+    want = _least_distortion_by_enumeration(src, table)
+    assert math.isfinite(want)
+    assert min_expected_distortion(src, DistortionConstraint(table, 0.0)) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("forbidden", [False, True], ids=["finite", "inf-rows"])

@@ -12,6 +12,7 @@ from dirinfo.solver import (
     StepSchedule,
     exp_update_rows,
     grid_batches,
+    induction,
     logsumexp,
     match_budget,
     monotone_improve,
@@ -380,3 +381,50 @@ def test_logsumexp_is_shifted_and_keeps_empty_rows():
     assert both.shape == (1, 3, 1)
     assert np.array_equal(logsumexp(cube, axis=(0, 2)), both.ravel())
     assert np.allclose(np.exp(both).ravel(), np.exp(cube).sum(axis=(0, 2)), rtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# backward induction
+# ---------------------------------------------------------------------------
+
+
+def test_induction_weighs_a_minus_inf_cell_zero_only_where_its_law_is_zero():
+    v = np.array([[3.0, -np.inf], [2.0, 1.0]])  # (controller, nature)
+    value, (move,) = induction(v, [None, np.array([1.0, 0.0])])
+    assert float(value) == 3.0 and move == 0
+    value, (move,) = induction(v, [None, np.array([0.5, 0.5])])
+    assert float(value) == 1.5 and move == 1
+    value, _ = induction(v[0], [np.array([0.5, 0.5])])
+    assert float(value) == -np.inf
+
+
+def test_induction_soft_policies_exponentiate_to_rows_of_a_kernel():
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=(2, 3, 4))
+    law = rng.dirichlet(np.ones(3), size=2)
+    for dead in (False, True):
+        if dead:
+            v[1, 2] = -np.inf  # a row with no finite entry
+        value, (first, last) = induction(v, [None, law, None], soft=True)
+        assert first.shape == (2,) and last.shape == (2, 3, 4)
+        assert math.isfinite(float(value))
+        for p in (first, last):
+            assert np.allclose(np.exp(p).sum(axis=-1), 1.0, rtol=0.0, atol=1e-14)
+    assert np.array_equal(last[1, 2], np.full(4, -math.log(4)))
+
+
+def test_induction_soft_value_over_controller_axes_is_the_log_sum_exp():
+    v = 30.0 * np.random.default_rng(1).normal(size=(2, 3, 4))
+    value, moves = induction(v, [None] * 3, soft=True)
+    assert len(moves) == 3
+    assert float(value) == pytest.approx(float(logsumexp(v.reshape(-1))), abs=1e-12)
+
+
+def test_induction_hard_moves_are_argmaxes():
+    rng = np.random.default_rng(2)
+    v = rng.normal(size=(3, 2, 4))
+    law = rng.dirichlet(np.ones(2), size=3)
+    value, (first, last) = induction(v, [None, law, None])
+    assert np.array_equal(last, v.argmax(axis=-1))
+    mean = (law * v.max(axis=-1)).sum(axis=-1)
+    assert first == mean.argmax() and float(value) == mean.max()
