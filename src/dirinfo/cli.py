@@ -392,51 +392,43 @@ def _suite_doc(report: SuiteReport) -> dict:
 def cmd_verify(args) -> int:
     if args.input is not None:
         payload = _load_json(args.input)
-        if isinstance(payload, dict) and "spec" in payload:
-            slack = replay(payload)
-            tol = parse_real(payload.get("tolerance", "1e-9"), "tolerance")
-            doc = {
-                "command": "verify",
-                "mode": "replay",
-                "suite": payload.get("suite"),
-                "slack": real_to_str(slack),
-                "tolerance": real_to_str(tol),
-                "passed": slack <= tol,
-            }
-            _emit_json(doc, args.output)
-            return 0 if slack <= tol else 5
-        raise ProblemFileError(
-            "replay file must be a serialized failure payload (an object with 'spec')"
-        )
-    suite = args.suite or "all"
-    seed = args.seed if args.seed is not None else 0
-    ids = SUITE_IDS if suite == "all" else (suite,)
-    reports = [run_suite(s, seed=seed) for s in ids]
-    all_passed = all(r.passed for r in reports)
-    fmt = args.format or "json"
-    doc = {
-        "command": "verify",
-        "seed": seed,
-        "passed": all_passed,
-        "suites": [_suite_doc(r) for r in reports],
-    }
-    if fmt == "json":
+        if not isinstance(payload, dict) or "spec" not in payload:
+            raise ProblemFileError(
+                "replay file must be a serialized failure payload (an object with 'spec')"
+            )
+        slack = replay(payload)
+        tol = parse_real(payload.get("tolerance", "1e-9"), "tolerance")
+        passed = slack <= tol
+        doc = {
+            "command": "verify",
+            "mode": "replay",
+            "suite": payload["suite"],
+            "slack": real_to_str(slack),
+            "tolerance": real_to_str(tol),
+            "passed": passed,
+        }
+        header, entries = ["suite", "slack", "tolerance", "passed"], [doc]
+    else:
+        seed = args.seed if args.seed is not None else 0
+        ids = SUITE_IDS if args.suite in (None, "all") else (args.suite,)
+        reports = [run_suite(s, seed=seed) for s in ids]
+        passed = all(r.passed for r in reports)
+        doc = {
+            "command": "verify",
+            "seed": seed,
+            "passed": passed,
+            "suites": [_suite_doc(r) for r in reports],
+        }
+        header = ["suite", "cases", "passed", "worst_slack", "worst_case", "tolerance"]
+        entries = doc["suites"]
+    if (args.format or "json") == "json":
         _emit_json(doc, args.output)
     else:
-        header = ["suite", "cases", "passed", "worst_slack", "worst_case", "tolerance"]
-        rows = [
-            [
-                r.suite,
-                str(r.cases),
-                str(r.passed).lower(),
-                real_to_str(r.worst_slack),
-                str(r.worst_case),
-                real_to_str(r.tolerance),
-            ]
-            for r in reports
-        ]
+        # a CSV row is its report entry's columns; booleans as true/false
+        rows = [[str(e[h]).lower() if isinstance(e[h], bool) else str(e[h]) for h in header]
+                for e in entries]
         _emit_csv(header, rows, args.output)
-    return 0 if all_passed else 5
+    return 0 if passed else 5
 
 
 # ---------------------------------------------------------------------------

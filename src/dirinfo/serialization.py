@@ -9,7 +9,7 @@ renormalized to the package's tighter internal tolerance.
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
+from typing import Any, Union
 
 import numpy as np
 
@@ -101,16 +101,8 @@ def spec_from_jsonable(data: Any) -> AlphabetSpec:
     return AlphabetSpec(n, tuple(xs), tuple(ys))
 
 
-def _kernel_tables_to_jsonable(tables: Sequence[np.ndarray]) -> list[list[list[str]]]:
-    return [table_to_jsonable(t) for t in tables]
-
-
-def backward_kernel_to_jsonable(kernel: BackwardKernel) -> dict:
-    return {"tables": _kernel_tables_to_jsonable(kernel.tables)}
-
-
-def forward_kernel_to_jsonable(kernel: ForwardKernel) -> dict:
-    return {"tables": _kernel_tables_to_jsonable(kernel.tables)}
+def kernel_to_jsonable(kernel: Union[BackwardKernel, ForwardKernel]) -> dict:
+    return {"tables": [table_to_jsonable(t) for t in kernel.tables]}
 
 
 def _tables_from_jsonable(data: Any, where: str) -> list[np.ndarray]:

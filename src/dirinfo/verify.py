@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,24 +42,13 @@ from .sampling import (
 )
 from .serialization import (
     backward_kernel_from_jsonable,
-    backward_kernel_to_jsonable,
     forward_kernel_from_jsonable,
-    forward_kernel_to_jsonable,
+    kernel_to_jsonable,
     parse_real,
     real_to_str,
     spec_from_jsonable,
     spec_to_jsonable,
 )
-
-SUITE_IDS = ("dual-formula", "convexity", "concavity", "lsc", "no-feedback")
-
-_DEFAULT_CASES = {
-    "dual-formula": 200,
-    "convexity": 50,
-    "concavity": 50,
-    "lsc": 20,
-    "no-feedback": 100,
-}
 
 _LAMBDA_GRID = tuple(k / 10.0 for k in range(11))
 # deep enough that the reported tail's value gap (which decays like
@@ -86,21 +75,17 @@ class SuiteReport:
     failures: tuple[dict, ...]
 
 
-def _sparsify(rows: np.ndarray, threshold: float = 0.15) -> np.ndarray:
-    """Zero out small entries and renormalize, keeping every row alive."""
-    out = np.where(rows < threshold, 0.0, rows)
-    dead = out.sum(axis=-1) == 0
-    if np.any(dead):
-        out[np.nonzero(dead)[0], rows[dead].argmax(axis=-1)] = 1.0
-    return out / out.sum(axis=-1, keepdims=True)
-
-
-def _sparse_backward(p: BackwardKernel) -> BackwardKernel:
-    return BackwardKernel(p.spec, tuple(_sparsify(t) for t in p.tables))
-
-
-def _sparse_forward(q: ForwardKernel) -> ForwardKernel:
-    return ForwardKernel(q.spec, tuple(_sparsify(t) for t in q.tables))
+def _sparse(kernel, threshold: float = 0.15):
+    """The kernel with small entries zeroed out and its rows renormalized,
+    keeping every row alive."""
+    tables = []
+    for rows in kernel.tables:
+        out = np.where(rows < threshold, 0.0, rows)
+        dead = out.sum(axis=-1) == 0
+        if np.any(dead):
+            out[np.nonzero(dead)[0], rows[dead].argmax(axis=-1)] = 1.0
+        tables.append(out / out.sum(axis=-1, keepdims=True))
+    return type(kernel)(kernel.spec, tuple(tables))
 
 
 def _deterministic_forward(rng: np.random.Generator, spec: AlphabetSpec) -> ForwardKernel:
@@ -122,174 +107,162 @@ def _lsc_sequence(q_limit: ForwardKernel) -> tuple[np.ndarray, ...]:
     return _mixture_tables(c_start, condition_on_path(q_limit), _LSC_EPSILONS)
 
 
-def _dual_formula_gap(p: BackwardKernel, q: ForwardKernel) -> float:
+def _draw_pair(rng: np.random.Generator, k: int, cases: int):
+    spec = random_spec(rng, max_horizon=2, max_size=3)
+    p = random_backward_kernel(rng, spec)
+    q = random_forward_kernel(rng, spec)
+    if k % 4 == 3:  # stress the zero-mass code paths too
+        p, q = _sparse(p), _sparse(q)
+    return spec, {"backward_kernel": p, "forward_kernel": q}
+
+
+def _dual_formula_gap(case: dict) -> float:
+    p, q = case["backward_kernel"], case["forward_kernel"]
     joint = build_joint(p, q)
     total = float(sum(per_step_information(p, q, joint=joint)))
     div = float(directed_information_divergence(p, q, joint=joint))
     return abs(total - div)
 
 
-def _no_feedback_slack(p: BackwardKernel, q: ForwardKernel, collapse: bool) -> float:
+def _draw_convexity(rng: np.random.Generator, k: int, cases: int):
+    p = random_backward_kernel(rng, _MIXTURE_SPEC)
+    q1, q2 = random_forward_kernel(rng, _MIXTURE_SPEC), random_forward_kernel(rng, _MIXTURE_SPEC)
+    return _MIXTURE_SPEC, {
+        "backward_kernel": p, "forward_kernel": q1, "forward_kernel_b": q2, "lambdas": _LAMBDA_GRID
+    }
+
+
+def _convexity_slack(case: dict) -> float:
+    return check_convexity_in_q(
+        case["backward_kernel"], case["forward_kernel"], case["forward_kernel_b"], case["lambdas"]
+    ).max_violation
+
+
+def _draw_concavity(rng: np.random.Generator, k: int, cases: int):
+    q = random_forward_kernel(rng, _MIXTURE_SPEC)
+    p1, p2 = random_backward_kernel(rng, _MIXTURE_SPEC), random_backward_kernel(rng, _MIXTURE_SPEC)
+    return _MIXTURE_SPEC, {
+        "forward_kernel": q, "backward_kernel": p1, "backward_kernel_b": p2, "lambdas": _LAMBDA_GRID
+    }
+
+
+def _concavity_slack(case: dict) -> float:
+    return check_concavity_in_p(
+        case["forward_kernel"], case["backward_kernel"], case["backward_kernel_b"], case["lambdas"]
+    ).max_violation
+
+
+def _draw_lsc(rng: np.random.Generator, k: int, cases: int):
+    spec = random_spec(rng, max_horizon=2, max_size=3)
+    p = random_backward_kernel(rng, spec)
+    shrinking = k % 2 == 0
+    q_limit = _deterministic_forward(rng, spec) if shrinking else random_forward_kernel(rng, spec)
+    mode = "shrinking-support" if shrinking else "full-support"
+    return spec, {"backward_kernel": p, "forward_kernel": q_limit, "mode": mode, "start": "uniform"}
+
+
+def _lsc_violation(case: dict) -> float:
+    q_limit = case["forward_kernel"]
+    return _lsc_audit(case["backward_kernel"], q_limit, _lsc_sequence(q_limit)).violation
+
+
+def _draw_no_feedback(rng: np.random.Generator, k: int, cases: int):
+    spec = random_spec(rng, max_horizon=2, max_size=3)
+    collapse = k < (cases + 1) // 2
+    p = (random_feedback_free_kernel if collapse else random_backward_kernel)(rng, spec)
+    q = random_forward_kernel(rng, spec)
+    mode = "collapse" if collapse else "ordering"
+    return spec, {"backward_kernel": p, "forward_kernel": q, "mode": mode}
+
+
+def _no_feedback_slack(case: dict) -> float:
     """``|DI - MI|`` for a feedback-free input (the two must collapse), or
     ``DI - MI`` for any input (DI never exceeds MI); one joint serves both."""
+    p, q = case["backward_kernel"], case["forward_kernel"]
     joint = build_joint(p, q)
     di = float(sum(t.value for t in per_step_information(p, q, joint=joint)))
     mi = float(mutual_information(joint))
-    return abs(di - mi) if collapse else di - mi
+    return abs(di - mi) if case.get("mode") == "collapse" else di - mi
 
 
-def _base_payload(suite: str, index: int, spec: AlphabetSpec, slack: float, tol: float) -> dict:
-    return {
-        "suite": suite,
-        "case_index": index,
-        "spec": spec_to_jsonable(spec),
-        "slack": real_to_str(slack),
-        "tolerance": real_to_str(tol),
-    }
+@dataclass(frozen=True)
+class _Suite:
+    """A suite draws case ``k`` of ``cases`` as ``(spec, case)``, where
+    ``case`` holds, under their payload keys, exactly the objects a failure
+    payload carries; it measures a case as its adverse slack.  Replay
+    decodes a payload into a case and measures it the same way."""
+
+    cases: int
+    tol: Callable[[], float]  # read when the suite runs, so a patched constant counts
+    draw: Callable[[np.random.Generator, int, int], tuple[AlphabetSpec, dict]]
+    measure: Callable[[dict], float]
+
+
+_SUITES = {
+    "dual-formula": _Suite(200, lambda: DUAL_FORMULA_TOL, _draw_pair, _dual_formula_gap),
+    "convexity": _Suite(50, lambda: MIXTURE_TOL, _draw_convexity, _convexity_slack),
+    "concavity": _Suite(50, lambda: MIXTURE_TOL, _draw_concavity, _concavity_slack),
+    "lsc": _Suite(20, lambda: MIXTURE_TOL, _draw_lsc, _lsc_violation),
+    "no-feedback": _Suite(100, lambda: DUAL_FORMULA_TOL, _draw_no_feedback, _no_feedback_slack),
+}
+SUITE_IDS = tuple(_SUITES)
+
+
+def _encode(value):
+    if isinstance(value, (BackwardKernel, ForwardKernel)):
+        return kernel_to_jsonable(value)
+    if isinstance(value, tuple):
+        return [real_to_str(v) for v in value]
+    return value
+
+
+def _decode(spec: AlphabetSpec, key: str, value):
+    if key.startswith("backward_kernel"):
+        return backward_kernel_from_jsonable(spec, value)
+    if key.startswith("forward_kernel"):
+        return forward_kernel_from_jsonable(spec, value)
+    if key == "lambdas":
+        if not isinstance(value, list):
+            raise ProblemFileError("lambdas: expected a list of reals")
+        return tuple(parse_real(v, "lambdas") for v in value)
+    return value
+
+
+class _Case(dict):
+    """A replayed case: a key the measurement needs but the payload lacks
+    is a bad input file, not a crash."""
+
+    def __missing__(self, key):
+        raise ProblemFileError(f"replay payload lacks {key!r}")
 
 
 def run_suite(suite: str, seed: int = 0, cases: Optional[int] = None) -> SuiteReport:
     """Run one property suite and report the worst adverse margin."""
     if suite not in SUITE_IDS:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITE_IDS}")
-    n_cases = _DEFAULT_CASES[suite] if cases is None else int(cases)
+    entry = _SUITES[suite]
+    n_cases = entry.cases if cases is None else int(cases)
     if n_cases < 1:
         raise DomainError("need at least one case")
     rng = rng_from_seed(seed)
-    runner = {
-        "dual-formula": _run_dual_formula,
-        "convexity": _run_convexity,
-        "concavity": _run_concavity,
-        "lsc": _run_lsc,
-        "no-feedback": _run_no_feedback,
-    }[suite]
-    return runner(rng, n_cases)
-
-
-def _run_dual_formula(rng: np.random.Generator, n_cases: int) -> SuiteReport:
-    tol = DUAL_FORMULA_TOL
-    worst, worst_case = 0.0, 0
-    failures = []
-    for k in range(n_cases):
-        spec = random_spec(rng, max_horizon=2, max_size=3)
-        p = random_backward_kernel(rng, spec)
-        q = random_forward_kernel(rng, spec)
-        if k % 4 == 3:  # stress the zero-mass code paths too
-            p, q = _sparse_backward(p), _sparse_forward(q)
-        gap = _dual_formula_gap(p, q)
-        if gap > worst:
-            worst, worst_case = gap, k
-        if gap > tol:
-            payload = _base_payload("dual-formula", k, spec, gap, tol)
-            payload["backward_kernel"] = backward_kernel_to_jsonable(p)
-            payload["forward_kernel"] = forward_kernel_to_jsonable(q)
-            failures.append(payload)
-    return SuiteReport(
-        "dual-formula", n_cases, not failures, worst, worst_case, tol, tuple(failures)
-    )
-
-
-def _run_convexity(rng: np.random.Generator, n_cases: int) -> SuiteReport:
-    tol = MIXTURE_TOL
+    tol = entry.tol()
     worst, worst_case = -math.inf, 0
     failures = []
     for k in range(n_cases):
-        spec = _MIXTURE_SPEC
-        p = random_backward_kernel(rng, spec)
-        q1 = random_forward_kernel(rng, spec)
-        q2 = random_forward_kernel(rng, spec)
-        audit = check_convexity_in_q(p, q1, q2, _LAMBDA_GRID)
-        if audit.max_violation > worst:
-            worst, worst_case = audit.max_violation, k
-        if not audit.passed:
-            payload = _base_payload("convexity", k, spec, audit.max_violation, tol)
-            payload["backward_kernel"] = backward_kernel_to_jsonable(p)
-            payload["forward_kernel"] = forward_kernel_to_jsonable(q1)
-            payload["forward_kernel_b"] = forward_kernel_to_jsonable(q2)
-            payload["lambdas"] = [real_to_str(v) for v in _LAMBDA_GRID]
-            failures.append(payload)
-    return SuiteReport(
-        "convexity", n_cases, not failures, worst, worst_case, tol, tuple(failures)
-    )
-
-
-def _run_concavity(rng: np.random.Generator, n_cases: int) -> SuiteReport:
-    tol = MIXTURE_TOL
-    worst, worst_case = -math.inf, 0
-    failures = []
-    for k in range(n_cases):
-        spec = _MIXTURE_SPEC
-        q = random_forward_kernel(rng, spec)
-        p1 = random_backward_kernel(rng, spec)
-        p2 = random_backward_kernel(rng, spec)
-        audit = check_concavity_in_p(q, p1, p2, _LAMBDA_GRID)
-        if audit.max_violation > worst:
-            worst, worst_case = audit.max_violation, k
-        if not audit.passed:
-            payload = _base_payload("concavity", k, spec, audit.max_violation, tol)
-            payload["forward_kernel"] = forward_kernel_to_jsonable(q)
-            payload["backward_kernel"] = backward_kernel_to_jsonable(p1)
-            payload["backward_kernel_b"] = backward_kernel_to_jsonable(p2)
-            payload["lambdas"] = [real_to_str(v) for v in _LAMBDA_GRID]
-            failures.append(payload)
-    return SuiteReport(
-        "concavity", n_cases, not failures, worst, worst_case, tol, tuple(failures)
-    )
-
-
-def _run_lsc(rng: np.random.Generator, n_cases: int) -> SuiteReport:
-    tol = MIXTURE_TOL
-    worst, worst_case = -math.inf, 0
-    failures = []
-    for k in range(n_cases):
-        spec = random_spec(rng, max_horizon=2, max_size=3)
-        p = random_backward_kernel(rng, spec)
-        shrinking = k % 2 == 0
-        q_limit = (
-            _deterministic_forward(rng, spec)
-            if shrinking
-            else random_forward_kernel(rng, spec)
-        )
-        audit = _lsc_audit(p, q_limit, _lsc_sequence(q_limit))
-        if audit.violation > worst:
-            worst, worst_case = audit.violation, k
-        if not audit.passed:
-            payload = _base_payload("lsc", k, spec, audit.violation, tol)
-            payload["backward_kernel"] = backward_kernel_to_jsonable(p)
-            payload["forward_kernel"] = forward_kernel_to_jsonable(q_limit)
-            payload["mode"] = "shrinking-support" if shrinking else "full-support"
-            payload["start"] = "uniform"
-            failures.append(payload)
-    return SuiteReport(
-        "lsc", n_cases, not failures, worst, worst_case, tol, tuple(failures)
-    )
-
-
-def _run_no_feedback(rng: np.random.Generator, n_cases: int) -> SuiteReport:
-    tol = DUAL_FORMULA_TOL
-    worst, worst_case = -math.inf, 0
-    failures = []
-    half = (n_cases + 1) // 2
-    for k in range(n_cases):
-        spec = random_spec(rng, max_horizon=2, max_size=3)
-        collapse = k < half
-        if collapse:
-            p: BackwardKernel = random_feedback_free_kernel(rng, spec)
-        else:
-            p = random_backward_kernel(rng, spec)
-        q = random_forward_kernel(rng, spec)
-        slack = _no_feedback_slack(p, q, collapse)
+        spec, case = entry.draw(rng, k, n_cases)
+        slack = entry.measure(case)
         if slack > worst:
             worst, worst_case = slack, k
-        if slack > tol:
-            payload = _base_payload("no-feedback", k, spec, slack, tol)
-            payload["backward_kernel"] = backward_kernel_to_jsonable(p)
-            payload["forward_kernel"] = forward_kernel_to_jsonable(q)
-            payload["mode"] = "collapse" if collapse else "ordering"
-            failures.append(payload)
-    return SuiteReport(
-        "no-feedback", n_cases, not failures, worst, worst_case, tol, tuple(failures)
-    )
+        if not slack <= tol:  # a NaN slack fails too
+            failures.append({
+                "suite": suite,
+                "case_index": k,
+                "spec": spec_to_jsonable(spec),
+                "slack": real_to_str(slack),
+                "tolerance": real_to_str(tol),
+                **{key: _encode(value) for key, value in case.items()},
+            })
+    return SuiteReport(suite, n_cases, not failures, worst, worst_case, tol, tuple(failures))
 
 
 def replay(payload: dict) -> float:
@@ -300,26 +273,5 @@ def replay(payload: dict) -> float:
     if suite not in SUITE_IDS:
         raise ProblemFileError(f"replay payload names unknown suite {suite!r}")
     spec = spec_from_jsonable(payload.get("spec"))
-    if suite == "dual-formula":
-        p = backward_kernel_from_jsonable(spec, payload["backward_kernel"])
-        q = forward_kernel_from_jsonable(spec, payload["forward_kernel"])
-        return _dual_formula_gap(p, q)
-    if suite == "convexity":
-        p = backward_kernel_from_jsonable(spec, payload["backward_kernel"])
-        q1 = forward_kernel_from_jsonable(spec, payload["forward_kernel"])
-        q2 = forward_kernel_from_jsonable(spec, payload["forward_kernel_b"])
-        grid = [parse_real(v, "lambdas") for v in payload["lambdas"]]
-        return check_convexity_in_q(p, q1, q2, grid).max_violation
-    if suite == "concavity":
-        q = forward_kernel_from_jsonable(spec, payload["forward_kernel"])
-        p1 = backward_kernel_from_jsonable(spec, payload["backward_kernel"])
-        p2 = backward_kernel_from_jsonable(spec, payload["backward_kernel_b"])
-        grid = [parse_real(v, "lambdas") for v in payload["lambdas"]]
-        return check_concavity_in_p(q, p1, p2, grid).max_violation
-    if suite == "lsc":
-        p = backward_kernel_from_jsonable(spec, payload["backward_kernel"])
-        q_limit = forward_kernel_from_jsonable(spec, payload["forward_kernel"])
-        return _lsc_audit(p, q_limit, _lsc_sequence(q_limit)).violation
-    p = backward_kernel_from_jsonable(spec, payload["backward_kernel"])
-    q = forward_kernel_from_jsonable(spec, payload["forward_kernel"])
-    return _no_feedback_slack(p, q, payload.get("mode") == "collapse")
+    case = _Case({key: _decode(spec, key, value) for key, value in payload.items()})
+    return _SUITES[suite].measure(case)

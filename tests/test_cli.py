@@ -7,6 +7,7 @@ import pytest
 
 from dirinfo.cli import main
 from dirinfo.serialization import parse_real, real_to_str
+from dirinfo.verify import SUITE_IDS
 
 
 def hb(t: float) -> float:
@@ -387,11 +388,7 @@ def test_verify_replay_file_round_trip(tmp_path, capsys):
     # craft a passing payload, then a failing one by lying about tolerance
     import dirinfo as di
     from dirinfo.sampling import random_backward_kernel, random_forward_kernel, rng_from_seed
-    from dirinfo.serialization import (
-        backward_kernel_to_jsonable,
-        forward_kernel_to_jsonable,
-        spec_to_jsonable,
-    )
+    from dirinfo.serialization import kernel_to_jsonable, spec_to_jsonable
 
     rng = rng_from_seed(2)
     spec = di.AlphabetSpec(1, (2, 2), (2, 2))
@@ -399,8 +396,8 @@ def test_verify_replay_file_round_trip(tmp_path, capsys):
         "suite": "dual-formula",
         "spec": spec_to_jsonable(spec),
         "tolerance": "1e-9",
-        "backward_kernel": backward_kernel_to_jsonable(random_backward_kernel(rng, spec)),
-        "forward_kernel": forward_kernel_to_jsonable(random_forward_kernel(rng, spec)),
+        "backward_kernel": kernel_to_jsonable(random_backward_kernel(rng, spec)),
+        "forward_kernel": kernel_to_jsonable(random_forward_kernel(rng, spec)),
     }
     good = tmp_path / "good.json"
     good.write_text(json.dumps(payload))
@@ -415,6 +412,52 @@ def test_verify_replay_file_round_trip(tmp_path, capsys):
     code, out = run(["verify", "-i", str(evil)], capsys)
     assert code == 5
     assert json.loads(out)["passed"] is False
+
+
+def failing_payload(suite, monkeypatch):
+    """The first failure payload of ``suite`` with every case made to fail."""
+    import dirinfo.verify as v
+
+    monkeypatch.setattr(v, "DUAL_FORMULA_TOL", -math.inf)
+    monkeypatch.setattr(v, "MIXTURE_TOL", -math.inf)
+    return dict(v.run_suite(suite, seed=1, cases=1).failures[0])
+
+
+@pytest.mark.parametrize("suite", SUITE_IDS)
+def test_verify_replay_of_an_incomplete_payload_exits_2(suite, tmp_path, capsys, monkeypatch):
+    payload = failing_payload(suite, monkeypatch)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"suite": suite, "spec": payload["spec"]}))
+    assert main(["verify", "-i", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "replay payload lacks" in captured.err
+    del payload["backward_kernel"]
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "-i", str(path)]) == 2
+    assert "'backward_kernel'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["convexity", "concavity"])
+def test_verify_replay_of_non_list_lambdas_exits_2(suite, tmp_path, capsys, monkeypatch):
+    payload = failing_payload(suite, monkeypatch)
+    payload["lambdas"] = 5
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(payload))
+    code, out = run(["verify", "-i", str(path)], capsys)
+    assert code == 2 and out == ""
+
+
+def test_verify_replay_writes_one_csv_row(tmp_path, capsys, monkeypatch):
+    payload = failing_payload("dual-formula", monkeypatch)
+    payload["tolerance"] = "1e-9"
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(payload))
+    code, out = run(["verify", "-i", str(path), "--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "suite,slack,tolerance,passed",
+        f"dual-formula,{payload['slack']},{real_to_str(1e-9)},true",
+    ]
 
 
 def test_verify_replay_rejects_non_payload_files(tmp_path, capsys):

@@ -316,14 +316,14 @@ def _close(got, want):
 @pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_stacked_mixture_audits_equal_the_per_kernel_route(n, sparse):
-    from dirinfo.verify import _sparse_backward, _sparse_forward
+    from dirinfo.verify import _sparse
 
     rng = rng_from_seed(60 + 2 * n + sparse)
     spec = _audit_spec(rng, n)
     p1, p2 = random_backward_kernel(rng, spec), random_backward_kernel(rng, spec)
     q1, q2 = random_forward_kernel(rng, spec), random_forward_kernel(rng, spec)
     if sparse:
-        p1, q2 = _sparse_backward(p1), _sparse_forward(q2)
+        p1, q2 = _sparse(p1), _sparse(q2)
     for audit, a, b, value in (
         (di.check_convexity_in_q(p1, q1, q2, GRID), q1, q2,
          lambda k: di.directed_information(p1, k)),
@@ -346,12 +346,12 @@ def test_stacked_lsc_audit_equals_the_per_kernel_route(n, shrinking):
         _LSC_EPSILONS,
         _deterministic_forward,
         _lsc_sequence,
-        _sparse_backward,
+        _sparse,
     )
 
     rng = rng_from_seed(70 + 2 * n + shrinking)
     spec = _audit_spec(rng, n)
-    p = _sparse_backward(random_backward_kernel(rng, spec))
+    p = _sparse(random_backward_kernel(rng, spec))
     q_limit = _deterministic_forward(rng, spec) if shrinking else random_forward_kernel(rng, spec)
     stack = _lsc_sequence(q_limit)
     audit = _lsc_audit(p, q_limit, stack)

@@ -10,11 +10,10 @@ import dirinfo as di
 from dirinfo.sampling import random_backward_kernel, random_forward_kernel, random_spec, rng_from_seed
 from dirinfo.serialization import (
     backward_kernel_from_jsonable,
-    backward_kernel_to_jsonable,
     cost_table_from_jsonable,
     finite_real,
     forward_kernel_from_jsonable,
-    forward_kernel_to_jsonable,
+    kernel_to_jsonable,
     load_stochastic_table,
     nonneg_int,
     parse_real,
@@ -166,8 +165,8 @@ def test_kernel_round_trips_are_exact(seed):
     spec = random_spec(rng)
     p = random_backward_kernel(rng, spec)
     q = random_forward_kernel(rng, spec)
-    p2 = backward_kernel_from_jsonable(spec, json.loads(json.dumps(backward_kernel_to_jsonable(p))))
-    q2 = forward_kernel_from_jsonable(spec, json.loads(json.dumps(forward_kernel_to_jsonable(q))))
+    p2 = backward_kernel_from_jsonable(spec, json.loads(json.dumps(kernel_to_jsonable(p))))
+    q2 = forward_kernel_from_jsonable(spec, json.loads(json.dumps(kernel_to_jsonable(q))))
     # the loader renormalizes each row, which can move the last bit when a
     # row sum is one ulp off 1; everything else is bit-exact
     for a, b in zip(p.tables, p2.tables):
@@ -198,10 +197,10 @@ def test_round_trip_preserves_information_value():
     q = random_forward_kernel(rng, spec)
     before = di.directed_information(p, q)
     p2 = backward_kernel_from_jsonable(
-        spec, json.loads(json.dumps(backward_kernel_to_jsonable(p)))
+        spec, json.loads(json.dumps(kernel_to_jsonable(p)))
     )
     q2 = forward_kernel_from_jsonable(
-        spec, json.loads(json.dumps(forward_kernel_to_jsonable(q)))
+        spec, json.loads(json.dumps(kernel_to_jsonable(q)))
     )
     after = di.directed_information(p2, q2)
     assert after == pytest.approx(before, abs=1e-15)

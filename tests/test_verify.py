@@ -4,8 +4,7 @@ import pytest
 import dirinfo as di
 from dirinfo.sampling import random_backward_kernel, random_forward_kernel, rng_from_seed
 from dirinfo.serialization import (
-    backward_kernel_to_jsonable,
-    forward_kernel_to_jsonable,
+    kernel_to_jsonable,
     real_to_str,
     spec_to_jsonable,
 )
@@ -65,15 +64,15 @@ def payload_for(suite: str, seed: int = 0) -> dict:
         "spec": spec_to_jsonable(spec),
         "slack": real_to_str(0.0),
         "tolerance": real_to_str(1e-9),
-        "backward_kernel": backward_kernel_to_jsonable(p),
-        "forward_kernel": forward_kernel_to_jsonable(q1),
+        "backward_kernel": kernel_to_jsonable(p),
+        "forward_kernel": kernel_to_jsonable(q1),
     }
     if suite == "convexity":
-        doc["forward_kernel_b"] = forward_kernel_to_jsonable(q2)
+        doc["forward_kernel_b"] = kernel_to_jsonable(q2)
         doc["lambdas"] = [real_to_str(k / 10) for k in range(11)]
     if suite == "concavity":
         p2 = random_backward_kernel(rng, spec)
-        doc["backward_kernel_b"] = backward_kernel_to_jsonable(p2)
+        doc["backward_kernel_b"] = kernel_to_jsonable(p2)
         doc["lambdas"] = [real_to_str(k / 10) for k in range(11)]
     return doc
 
@@ -95,8 +94,8 @@ def test_replay_collapse_mode_uses_feedback_free_input():
         "suite": "no-feedback",
         "spec": spec_to_jsonable(spec),
         "mode": "collapse",
-        "backward_kernel": backward_kernel_to_jsonable(p),
-        "forward_kernel": forward_kernel_to_jsonable(q),
+        "backward_kernel": kernel_to_jsonable(p),
+        "forward_kernel": kernel_to_jsonable(q),
     }
     assert replay(doc) <= 1e-9
 
@@ -110,19 +109,36 @@ def test_replay_rejects_malformed_payloads():
         replay([1, 2, 3])
 
 
-def test_failure_payloads_would_replay(monkeypatch):
-    # force a tolerance violation to check the failure plumbing end to end
+PAYLOAD_KEYS = {
+    "suite", "case_index", "spec", "slack", "tolerance", "backward_kernel", "forward_kernel"
+}
+SUITE_PAYLOAD_KEYS = {
+    "dual-formula": set(),
+    "convexity": {"forward_kernel_b", "lambdas"},
+    "concavity": {"backward_kernel_b", "lambdas"},
+    "lsc": {"mode", "start"},
+    "no-feedback": {"mode"},
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_IDS)
+def test_failure_payloads_would_replay(suite, monkeypatch):
+    # force every case to fail to check the failure plumbing end to end
     import dirinfo.verify as v
+    from dirinfo.serialization import parse_real
 
-    monkeypatch.setattr(v, "DUAL_FORMULA_TOL", 0.0)
-    report = v.run_suite("dual-formula", seed=0, cases=3)
+    monkeypatch.setattr(v, "DUAL_FORMULA_TOL", -np.inf)
+    monkeypatch.setattr(v, "MIXTURE_TOL", -np.inf)
+    report = v.run_suite(suite, seed=0, cases=4)
     assert not report.passed
-    assert report.failures
+    assert report.tolerance == -np.inf
+    assert [payload["case_index"] for payload in report.failures] == [0, 1, 2, 3]
     for payload in report.failures:
+        assert set(payload) == PAYLOAD_KEYS | SUITE_PAYLOAD_KEYS[suite]
+        assert payload["suite"] == suite
+        assert payload["tolerance"] == real_to_str(report.tolerance)
+        # replay measures the same slack the suite recorded
         got = replay(dict(payload))
-        # replay measures the same gap the suite recorded
-        from dirinfo.serialization import parse_real
-
         assert got == pytest.approx(parse_real(payload["slack"]), abs=1e-15)
 
 
