@@ -25,9 +25,13 @@ from .measures import (
     BackwardKernel,
     ForwardKernel,
     InfoValue,
-    _expand_x_keyed_table,
-    _output_path_weights,
+    _expand_tied_table,
+    _path_weights,
+    _prefix_len,
     _require_same_spec,
+    _side_axes,
+    _side_major,
+    _step_shape,
     _xy_matrix,
     build_joint,
 )
@@ -94,10 +98,8 @@ def _cost_matrix(spec: AlphabetSpec, c: PowerConstraint) -> np.ndarray:
 def _cost_interleaved(spec: AlphabetSpec, constraint: PowerConstraint) -> np.ndarray:
     """Cost table rearranged to broadcast against interleaved joint weights
     (trailing ``y_n`` axis kept at size 1)."""
-    n = spec.horizon_n
-    arr = _cost_matrix(spec, constraint).reshape(spec.x_sizes + spec.y_sizes[:n])
-    perm = [a for i in range(n) for a in (i, spec.steps + i)] + [n]
-    return arr.transpose(perm)[..., None]
+    stop = _prefix_len(0, spec.horizon_n)
+    return _side_major(spec, _cost_matrix(spec, constraint), 0, stop, inverse=True)[..., None]
 
 
 def expected_cost(p: BackwardKernel, q: ForwardKernel, c: PowerConstraint) -> float:
@@ -111,8 +113,7 @@ def expected_cost(p: BackwardKernel, q: ForwardKernel, c: PowerConstraint) -> fl
 def _channel_laws(spec: AlphabetSpec, tables) -> list:
     """The channel's step tables as nature's laws of the ``y_i`` axes of an
     interleaved array, with the controller on the ``x_i`` axes."""
-    shape = spec.interleaved_shape
-    return [law for i, t in enumerate(tables) for law in (None, t.reshape(shape[: 2 * i + 2]))]
+    return [law for i, t in enumerate(tables) for law in (None, t.reshape(_step_shape(spec, 1, i)))]
 
 
 def min_expected_cost(q: ForwardKernel, c: PowerConstraint) -> float:
@@ -154,7 +155,7 @@ class _CapacityProblem:
             # one step from x^n to y^n, held as arrays: a row of the product
             # may miss 1 by (n + 1) PMF_TOL, past a kernel's check
             layout = AlphabetSpec(0, (q.spec.num_x_paths,), (q.spec.num_y_paths,))
-            tables = (np.ascontiguousarray(_xy_matrix(q.spec, _output_path_weights(q.spec, q.tables))),)
+            tables = (np.ascontiguousarray(_xy_matrix(q.spec, _path_weights(q.spec, q.tables, 1))),)
             g = None
             if constraint is not None:  # the expected cost of each fixed input path
                 response = tables[0].reshape(q.spec.num_x_paths, q.spec.num_y_histories, -1).sum(axis=-1)
@@ -170,29 +171,29 @@ class _CapacityProblem:
         self.allowed = np.isfinite(cost)
         self.cost = np.where(self.allowed, cost, 0.0)
         self.budget = 0.0 if constraint is None else constraint.budget
-        self.qp = _output_path_weights(layout, tables)  # Q(y^n || x^n)
+        self.qp = _path_weights(layout, tables, 1)  # Q(y^n || x^n)
         with np.errstate(divide="ignore"):
             self.log_q = np.log(self.qp)  # -inf off the support
         self.q_last = tables[-1].reshape(self.head + (1, layout.y_sizes[-1]))  # rows for a matmul
-        self.q_prev = _output_path_weights(layout, tables[:-1])[..., 0]  # Q(y^{n-1} || x^{n-1})
+        self.q_prev = _path_weights(layout, tables[:-1], 1)[..., 0]  # Q(y^{n-1} || x^{n-1})
         self.reached = self.q_prev > 0
         self.mean_log_q = (self.q_last[..., 0, :] * log_where_positive(self.qp)).sum(axis=-1)
 
     def start(self):
         """Uniform input over what is not forbidden."""
-        head = self.head
+        layout = self.layout
         with np.errstate(divide="ignore"):
             last = np.log(self.allowed / self.allowed.sum(axis=-1, keepdims=True))
-        uniform = [np.full(head[: 2 * i + 1], -math.log(head[2 * i])) for i in range(len(head) // 2)]
+        sizes = layout.x_sizes[:-1]
+        uniform = [np.full(_step_shape(layout, 0, i), -math.log(k)) for i, k in enumerate(sizes)]
         return uniform + [last]
 
     def _log_law(self, state) -> np.ndarray:
         """The input's log-probability of ``x^n`` given ``y^{n-1}``, on the
         final step's axes."""
-        shape = self.layout.interleaved_shape
         lp = 0.0
         for i, t in enumerate(state):
-            lp = lp + t.reshape(shape[: 2 * i + 1] + (1,) * (len(shape) - 2 * i - 2))
+            lp = lp + t.reshape(_step_shape(self.layout, 0, i, len(self.head)))
         return lp
 
     def posterior(self, state, mu: float):
@@ -207,7 +208,7 @@ class _CapacityProblem:
         Q(y^{n-1} || x^{n-1}) e^lp d``, i.e. ``H(Y^n) - H(Y^n || X^n)``.
         """
         lp = self._log_law(state)
-        log_nu = logsumexp(lp[..., None] + self.log_q, axis=tuple(range(0, lp.ndim, 2)), keepdims=True)
+        log_nu = logsumexp(lp[..., None] + self.log_q, axis=_side_axes(0, lp.ndim), keepdims=True)
         log_nu = np.where(np.isfinite(log_nu), log_nu, 0.0)
         d = self.mean_log_q - (self.q_last @ log_nu[..., None])[..., 0, 0]
         di = float(np.vdot(self.q_prev * np.exp(lp), d))
@@ -236,7 +237,7 @@ class _CapacityProblem:
         if self.no_feedback:  # log P(x_i | x^{i-1}), tied across y^{i-1}
             _, tied = induction(state[0].reshape(spec.x_sizes), [None] * spec.steps, soft=True)
             state = [
-                _expand_x_keyed_table(spec, i, t.reshape(spec.x_prefix_count(i), spec.x_sizes[i]))
+                _expand_tied_table(spec, 0, i, t.reshape(-1, spec.x_sizes[i]))
                 for i, t in enumerate(tied)
             ]
         # a log-probability near -3e4, as long horizons give rarely used
@@ -320,16 +321,15 @@ def _batch_terms(prob: _CapacityProblem, pools):
     Q log Q`` and :func:`split_infinite` of ``sum_{y_n} Q c`` gives the two
     means.
     """
-    spec, layout = prob.spec, prob.layout
-    n, m = spec.horizon_n, layout.horizon_n
-    # (y^{m-1}, x^m, .) from the layout's interleaved (x_0, y_0, ..., x_m, .)
-    perm = tuple(range(1, 2 * m, 2)) + tuple(range(0, 2 * m + 1, 2)) + (2 * m + 1,)
+    spec, layout, n = prob.spec, prob.layout, prob.spec.horizon_n
+    # (y^{m-1}, x^m, .) from the interleaved (x_0, y_0, ..., x_m, .) of the layout
+    stop = _prefix_len(0, layout.horizon_n)
     cost = np.where(prob.allowed, prob.cost, np.inf)[..., None]
-    means = np.concatenate([
+    means = _side_major(layout, np.concatenate([
         (prob.q_prev * prob.mean_log_q)[..., None],
         split_infinite(weight_table(prob.qp, cost).sum(axis=-1)),
-    ], axis=-1).transpose(perm).reshape(-1, 3)
-    channel = prob.qp.transpose(perm).reshape(layout.num_y_histories, layout.num_x_paths, -1)
+    ], axis=-1), 1, stop).reshape(-1, 3)
+    channel = _side_major(layout, prob.qp, 1, stop).reshape(layout.num_y_histories, layout.num_x_paths, -1)
 
     def evaluate(idx):
         law = 1.0
@@ -338,8 +338,8 @@ def _batch_terms(prob: _CapacityProblem, pools):
             if prob.no_feedback:  # (batch, x^i)
                 t = np.take(pools[i], j.reshape((nb,) + spec.x_sizes[:i]), axis=0)
             else:  # (batch, y^{i-1}, x^i): the rows' output histories first
-                j = j.reshape((nb,) + spec.interleaved_shape[: 2 * i])
-                j = j.transpose((0,) + tuple(range(2, 2 * i + 1, 2)) + tuple(range(1, 2 * i, 2)))
+                hist = _step_shape(spec, 0, i)[:-1]
+                j = _side_major(spec, j.reshape((nb,) + hist), 1, len(hist), lead=1)
                 t = np.take(pools[i], j, axis=0)[(slice(None),) * (i + 1) + (None,) * (n - i)]
             law = law * t[(...,) + (None,) * (n - i)]
         law = law.reshape(nb, len(channel), -1)

@@ -25,13 +25,14 @@ from .measures import (
     _check_joint_mass,
     _check_rows,
     _joint_weights,
+    _marginal_weights,
     _mass_log_ratio,
     _mixture_tables,
-    _output_path_weights,
+    _path_weights,
     _require_same_spec,
     _sum_axis,
+    _tied_shape,
     _xy_matrix,
-    _y_marginal_weights,
     build_joint,
     condition_on_path,
     kl_divergence,
@@ -82,7 +83,7 @@ def _per_step_terms(w: np.ndarray, steps: int) -> list:
     rounding, raises; a rounding-sized negative becomes 0."""
     lead = w.ndim - 2 * steps
     j = w                                               # law of (x^i, y^i), i = n first
-    c = _y_marginal_weights(w, steps)                   # law of y^i
+    c = _marginal_weights(w, steps, 1)                  # law of y^i
     terms = []
     for _ in range(steps):
         b = _sum_axis(j, -1)                            # law of (x^i, y^{i-1})
@@ -160,14 +161,8 @@ def directed_information(p: BackwardKernel, q: ForwardKernel) -> float:
 
 def mutual_information(joint: JointMeasure) -> InfoValue:
     """Mutual information between full input and output paths, in nats."""
-    spec = joint.spec
-    ndim = 2 * spec.steps
-    mu = marginal_x(joint).weights.reshape(
-        tuple(spec.x_sizes[a // 2] if a % 2 == 0 else 1 for a in range(ndim))
-    )
-    nu = marginal_y(joint).weights.reshape(
-        tuple(spec.y_sizes[a // 2] if a % 2 else 1 for a in range(ndim))
-    )
+    mu = marginal_x(joint).weights.reshape(_tied_shape(joint.spec, 0))
+    nu = marginal_y(joint).weights.reshape(_tied_shape(joint.spec, 1))
     return kl_divergence(joint.weights, mu * nu)
 
 
@@ -209,11 +204,18 @@ def _check_lambda_grid(lambda_grid: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
-def _mixture_audit(
-    direction: str, grid: tuple[float, ...], values: np.ndarray
-) -> MixtureAudit:
-    """Audit from the values at the two endpoints (first) and at each
-    mixture of the grid (after them)."""
+def _mixture_audit(direction: str, fixed, a, b, lambda_grid: Sequence[float]) -> MixtureAudit:
+    """Audit along the segment from kernel ``a`` to kernel ``b`` of one
+    side, the other side's kernel held at ``fixed``.  The two endpoints,
+    then each mixture of the grid, are built and evaluated as one stack."""
+    spec = _require_same_spec(fixed, a, b)
+    grid = _check_lambda_grid(lambda_grid)
+    mixes = _mixture_tables(condition_on_path(a), condition_on_path(b), grid)
+    stack = tuple(np.concatenate([ta[None], tb[None], tm]) for ta, tb, tm in zip(a.tables, b.tables, mixes))
+    if direction == "convex-in-output":
+        values = _directed_information_stack(spec, fixed.tables, stack)
+    else:
+        values = _directed_information_stack(spec, stack, fixed.tables)
     v1, v2 = float(values[0]), float(values[1])
     mix = values[2:]
     lam = np.array(grid)
@@ -230,11 +232,6 @@ def _mixture_audit(
     )
 
 
-def _with_endpoints(a: Sequence[np.ndarray], b: Sequence[np.ndarray], mixes):
-    """Step tables of kernels ``a`` and ``b`` stacked ahead of ``mixes``."""
-    return tuple(np.concatenate([ta[None], tb[None], tm]) for ta, tb, tm in zip(a, b, mixes))
-
-
 def check_convexity_in_q(
     p: BackwardKernel,
     q1: ForwardKernel,
@@ -249,13 +246,7 @@ def check_convexity_in_q(
     included, is refactored, built and evaluated as one stack; each value
     equals the per-kernel ``directed_information`` to rounding.
     """
-    spec = _require_same_spec(p, q1, q2)
-    grid = _check_lambda_grid(lambda_grid)
-    mixes = _mixture_tables(condition_on_path(q1), condition_on_path(q2), grid)
-    q_stack = _with_endpoints(q1.tables, q2.tables, mixes)
-    return _mixture_audit(
-        "convex-in-output", grid, _directed_information_stack(spec, p.tables, q_stack)
-    )
+    return _mixture_audit("convex-in-output", p, q1, q2, lambda_grid)
 
 
 def check_concavity_in_p(
@@ -271,13 +262,7 @@ def check_concavity_in_p(
     segment is evaluated as one stack that equals per-kernel evaluation to
     rounding.
     """
-    spec = _require_same_spec(q, p1, p2)
-    grid = _check_lambda_grid(lambda_grid)
-    mixes = _mixture_tables(condition_on_path(p1), condition_on_path(p2), grid)
-    p_stack = _with_endpoints(p1.tables, p2.tables, mixes)
-    return _mixture_audit(
-        "concave-in-input", grid, _directed_information_stack(spec, p_stack, q.tables)
-    )
+    return _mixture_audit("concave-in-input", q, p1, p2, lambda_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +330,7 @@ def _tv_distances_to(c_limit: ConditionedFamily, q_stack: Sequence[np.ndarray]) 
     conditional to ``c_limit``.  Returning frees the path tables before
     the audit builds its joints, which keeps the audit's peak memory down."""
     spec = c_limit.spec
-    paths = _xy_matrix(spec, _output_path_weights(spec, q_stack))
+    paths = _xy_matrix(spec, _path_weights(spec, q_stack, 1))
     _check_rows(paths, "conditioned family")
     return _worst_row_tv(paths, c_limit.table).tolist()
 

@@ -7,6 +7,12 @@ so a history's table row index equals the mixed-radix code of its
 interleaved prefix.  Values are immutable after construction and all
 operations are pure functions; nothing here mutates its arguments.
 
+This module owns that layout: the rest of the package takes its step
+shapes, tied shapes and path-major reorderings from the helpers in the
+"interleaved layout" section.  The input and output kernels are one
+construction applied to either side, so :class:`BackwardKernel` and
+:class:`ForwardKernel` share one class body.
+
 Entropy-like quantities are in nats.  The conventions ``0 log 0 = 0`` and
 ``x log(x/0) = +inf`` for ``x > 0`` apply throughout.
 """
@@ -16,7 +22,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Sequence, Union
+from typing import Literal, Optional, Sequence, Union
 
 import numpy as np
 
@@ -144,6 +150,102 @@ def _require_same_spec(*objs) -> AlphabetSpec:
 
 
 # ---------------------------------------------------------------------------
+# interleaved layout
+# ---------------------------------------------------------------------------
+#
+# Side 0 is the input and side 1 the output.  The step-``i`` table of side
+# ``s`` ends on axis ``2i + s``; a side's tied shape keeps that side's sizes
+# on its own axes and puts 1 on the other side's.
+
+
+def _side_sizes(spec: AlphabetSpec, side: int) -> tuple[int, ...]:
+    return spec.y_sizes if side else spec.x_sizes
+
+
+def _prefix_len(side: int, i: int) -> int:
+    """Interleaved axes up to and including the step-``i`` axis of ``side``."""
+    return 2 * i + side + 1
+
+
+def _tied_shape(spec: AlphabetSpec, side: int) -> tuple[int, ...]:
+    return tuple(k if a % 2 == side else 1 for a, k in enumerate(spec.interleaved_shape))
+
+
+def _step_shape(spec: AlphabetSpec, side: int, i: int, ndim: int = 0, tied: bool = False) -> tuple:
+    """The interleaved axes of the step-``i`` table of ``side``, padded with
+    1s to ``ndim`` axes; ``tied`` takes them from the side's tied shape."""
+    stop = _prefix_len(side, i)
+    shape = _tied_shape(spec, side) if tied else spec.interleaved_shape
+    return shape[:stop] + (1,) * (ndim - stop)
+
+
+def _table_shape(spec: AlphabetSpec, side: int, i: int, tied: bool = False) -> tuple[int, int]:
+    """``(rows, symbols)`` of the step-``i`` table of ``side``; ``tied``
+    keys the rows by the side's own history alone."""
+    shape = _step_shape(spec, side, i, tied=tied)
+    return math.prod(shape[:-1]), shape[-1]
+
+
+def _side_axes(side: int, stop: int) -> tuple[int, ...]:
+    """The axes of ``side`` among the first ``stop`` interleaved axes."""
+    return tuple(range(side, stop, 2))
+
+
+def _side_major(
+    spec: AlphabetSpec, arr: np.ndarray, first: int = 0, stop: Optional[int] = None,
+    lead: int = 0, inverse: bool = False,
+) -> np.ndarray:
+    """View of ``arr`` with the first ``stop`` (default: all) interleaved
+    axes after its ``lead`` leading ones reordered side-major: side
+    ``first``'s axes, then the other side's; later axes stay.
+
+    ``inverse`` undoes this on path codes: the two axes of ``arr`` after
+    ``lead`` index the paths of side ``first`` and of the other side over
+    those axes, and become them in interleaved order.
+    """
+    stop = 2 * spec.steps if stop is None else stop
+    order = _side_axes(first, stop) + _side_axes(1 - first, stop)
+    if inverse:
+        sizes = tuple(spec.interleaved_shape[a] for a in order)
+        arr = arr.reshape(arr.shape[:lead] + sizes + arr.shape[lead + 2:])
+        order = sorted(range(stop), key=order.__getitem__)
+    rest = tuple(range(lead + stop, arr.ndim))
+    return arr.transpose(tuple(range(lead)) + tuple(lead + a for a in order) + rest)
+
+
+def _path_weights(spec: AlphabetSpec, tables: Sequence[np.ndarray], side: int, tied: bool = False):
+    """Product of one side's step tables as an interleaved array: input
+    tables leave the ``y_n`` axis 1, and tables keyed by the side's own
+    history (``tied``) leave every axis of the other side 1.  Tables
+    stacked on leading axes give a stack of products."""
+    ndim = 2 * spec.steps
+    arr = np.ones((1,) * ndim)
+    for i, t in enumerate(tables):
+        arr = arr * t.reshape(t.shape[:-2] + _step_shape(spec, side, i, ndim, tied))
+    return arr
+
+
+def _expand_tied_table(spec: AlphabetSpec, side: int, i: int, tied: np.ndarray) -> np.ndarray:
+    """Replicate a step table of ``side`` keyed by the side's own history
+    across every axis of the other side in its prefix."""
+    want = _table_shape(spec, side, i, tied=True)
+    if tied.shape != want:
+        raise SpecMismatch(f"step {i} table has shape {tied.shape}, expected {want}")
+    src = tied.reshape(_step_shape(spec, side, i, tied=True))
+    return np.broadcast_to(src, _step_shape(spec, side, i)).reshape(_table_shape(spec, side, i))
+
+
+def _tied_rows(spec: AlphabetSpec, side: int, i: int, table: np.ndarray) -> np.ndarray:
+    """A step table of ``side`` averaged over the other side's axes of its
+    prefix: rows keyed by the side's own history alone."""
+    arr = table.reshape(_step_shape(spec, side, i))
+    other = _side_axes(1 - side, _prefix_len(side, i))
+    if other:
+        arr = arr.mean(axis=other)
+    return arr.reshape(_table_shape(spec, side, i, tied=True))
+
+
+# ---------------------------------------------------------------------------
 # value types
 # ---------------------------------------------------------------------------
 
@@ -263,19 +365,18 @@ class InfoValue:
 def _check_tables(
     spec: AlphabetSpec,
     tables: Sequence[np.ndarray],
-    row_count,
-    sym_sizes: tuple[int, ...],
+    side: int,
     what: str,
     lead: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, ...]:
-    """Validate step tables; with ``lead``, each table stacks that many
-    kernels' tables on its leading axes."""
+    """Validate the step tables of ``side``; with ``lead``, each table
+    stacks that many kernels' tables on its leading axes."""
     if len(tables) != spec.steps:
         raise SpecMismatch(f"{what} needs {spec.steps} step tables, got {len(tables)}")
     out = []
     for i, t in enumerate(tables):
         t = np.asarray(t, dtype=float)
-        want = tuple(lead) + (row_count(i), sym_sizes[i])
+        want = tuple(lead) + _table_shape(spec, side, i)
         if t.shape != want:
             raise SpecMismatch(f"{what} table {i} has shape {t.shape}, expected {want}")
         out.append(_validate_rows(t, f"{what} table {i}"))
@@ -283,7 +384,37 @@ def _check_tables(
 
 
 @dataclass(frozen=True, eq=False)
-class BackwardKernel:
+class _StepKernel:
+    """Per-step laws of one side of the interleaved layout.
+
+    ``tables[i]`` has one row per interleaved prefix before the step's own
+    axis ``2i + side`` (row index = mixed-radix code of the prefix) and one
+    column per symbol of the step's own alphabet.
+    """
+
+    spec: AlphabetSpec
+    tables: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "tables", _check_tables(self.spec, self.tables, self._side, self._what))
+
+    @classmethod
+    def uniform(cls, spec: AlphabetSpec):
+        side, sizes = cls._side, _side_sizes(spec, cls._side)
+        return cls(spec, tuple(np.full(_table_shape(spec, side, i), 1.0 / k) for i, k in enumerate(sizes)))
+
+    @classmethod
+    def _from_tied_tables(cls, spec: AlphabetSpec, tables: Sequence[np.ndarray]):
+        """Build a kernel from tables keyed by the side's own history alone,
+        replicated across the other side's."""
+        if len(tables) != spec.steps:
+            raise SpecMismatch(f"need {spec.steps} step tables, got {len(tables)}")
+        side = cls._side
+        full = (_expand_tied_table(spec, side, i, np.asarray(t, dtype=float)) for i, t in enumerate(tables))
+        return cls(spec, tuple(full))
+
+
+class BackwardKernel(_StepKernel):
     """Per-step input laws ``p_i(x_i | x^{i-1}, y^{i-1})``.
 
     ``tables[i]`` has one row per interleaved history prefix (row index =
@@ -291,26 +422,7 @@ class BackwardKernel:
     column per symbol of ``X_i``.  The step-0 table has a single row.
     """
 
-    spec: AlphabetSpec
-    tables: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "tables",
-            _check_tables(
-                self.spec, self.tables, self.spec.input_history_count,
-                self.spec.x_sizes, "backward kernel",
-            ),
-        )
-
-    @classmethod
-    def uniform(cls, spec: AlphabetSpec) -> "BackwardKernel":
-        tables = [
-            np.full((spec.input_history_count(i), spec.x_sizes[i]), 1.0 / spec.x_sizes[i])
-            for i in range(spec.steps)
-        ]
-        return cls(spec, tuple(tables))
+    _side, _what = 0, "backward kernel"
 
     @classmethod
     def from_feedback_free_tables(
@@ -322,17 +434,10 @@ class BackwardKernel:
         ``(x_prefix_count(i), x_sizes[i])``; it is replicated across all
         ``y^{i-1}``.
         """
-        if len(tables) != spec.steps:
-            raise SpecMismatch(f"need {spec.steps} step tables, got {len(tables)}")
-        full = [
-            _expand_x_keyed_table(spec, i, np.asarray(t, dtype=float))
-            for i, t in enumerate(tables)
-        ]
-        return cls(spec, tuple(full))
+        return cls._from_tied_tables(spec, tables)
 
 
-@dataclass(frozen=True, eq=False)
-class ForwardKernel:
+class ForwardKernel(_StepKernel):
     """Per-step output laws ``q_i(y_i | x^i, y^{i-1})``.
 
     ``tables[i]`` has one row per interleaved history prefix extended by the
@@ -341,26 +446,7 @@ class ForwardKernel:
     of ``Y_i``.
     """
 
-    spec: AlphabetSpec
-    tables: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "tables",
-            _check_tables(
-                self.spec, self.tables, self.spec.output_history_count,
-                self.spec.y_sizes, "forward kernel",
-            ),
-        )
-
-    @classmethod
-    def uniform(cls, spec: AlphabetSpec) -> "ForwardKernel":
-        tables = [
-            np.full((spec.output_history_count(i), spec.y_sizes[i]), 1.0 / spec.y_sizes[i])
-            for i in range(spec.steps)
-        ]
-        return cls(spec, tuple(tables))
+    _side, _what = 1, "forward kernel"
 
     @classmethod
     def from_input_free_tables(
@@ -371,50 +457,15 @@ class ForwardKernel:
         ``tables[i]`` is keyed by ``y^{i-1}`` alone, shape
         ``(y_prefix_count(i), y_sizes[i])``.
         """
-        if len(tables) != spec.steps:
-            raise SpecMismatch(f"need {spec.steps} step tables, got {len(tables)}")
-        full = [
-            _expand_y_keyed_table(spec, i, np.asarray(t, dtype=float))
-            for i, t in enumerate(tables)
-        ]
-        return cls(spec, tuple(full))
-
-
-def _expand_x_keyed_table(spec: AlphabetSpec, i: int, tied: np.ndarray) -> np.ndarray:
-    """Replicate a table keyed by ``x^{i-1}`` across all ``y^{i-1}``."""
-    want = (spec.x_prefix_count(i), spec.x_sizes[i])
-    if tied.shape != want:
-        raise SpecMismatch(f"step {i} table has shape {tied.shape}, expected {want}")
-    src = tied.reshape(
-        tuple(v for s in spec.x_sizes[:i] for v in (s, 1)) + (spec.x_sizes[i],)
-    )
-    full_shape = spec.interleaved_shape[: 2 * i] + (spec.x_sizes[i],)
-    return np.broadcast_to(src, full_shape).reshape(spec.input_history_count(i), spec.x_sizes[i])
-
-
-def _expand_y_keyed_table(spec: AlphabetSpec, i: int, tied: np.ndarray) -> np.ndarray:
-    """Replicate a table keyed by ``y^{i-1}`` across all ``(x^{i-1}, x_i)``."""
-    want = (spec.y_prefix_count(i), spec.y_sizes[i])
-    if tied.shape != want:
-        raise SpecMismatch(f"step {i} table has shape {tied.shape}, expected {want}")
-    src = tied.reshape(
-        tuple(v for s in spec.y_sizes[:i] for v in (1, s)) + (1, spec.y_sizes[i])
-    )
-    full_shape = spec.interleaved_shape[: 2 * i] + (spec.x_sizes[i], spec.y_sizes[i])
-    return np.broadcast_to(src, full_shape).reshape(
-        spec.output_history_count(i), spec.y_sizes[i]
-    )
+        return cls._from_tied_tables(spec, tables)
 
 
 def ignores_output_history(kernel: BackwardKernel, tol: float = 1e-12) -> bool:
     """True when every step table of ``kernel`` is constant across ``y^{i-1}``."""
     spec = kernel.spec
     for i, t in enumerate(kernel.tables):
-        prefix = spec.interleaved_shape[: 2 * i] + (spec.x_sizes[i],)
-        arr = t.reshape(prefix)
-        y_axes = tuple(range(1, 2 * i, 2))
-        ref = arr.mean(axis=y_axes, keepdims=True) if y_axes else arr
-        if float(np.abs(arr - ref).max()) > tol:
+        ref = _expand_tied_table(spec, 0, i, _tied_rows(spec, 0, i, t))
+        if float(np.abs(t - ref).max()) > tol:
             return False
     return True
 
@@ -488,14 +539,6 @@ class ConditionedFamily:
 # ---------------------------------------------------------------------------
 
 
-def _x_axes(ndim: int) -> tuple[int, ...]:
-    return tuple(range(0, ndim, 2))
-
-
-def _y_axes(ndim: int) -> tuple[int, ...]:
-    return tuple(range(1, ndim, 2))
-
-
 def _sum_axis(w: np.ndarray, axis: int) -> np.ndarray:
     """Sum a C-ordered array over one axis in a single pass over its cells.
 
@@ -528,53 +571,13 @@ def _mass_log_ratio(mass: np.ndarray, den: np.ndarray, lead: int = 0):
     return (mass.reshape(lead_shape + (1, -1)) @ ratio.reshape(lead_shape + (-1, 1)))[..., 0, 0]
 
 
-def _input_path_weights(spec: AlphabetSpec, tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Product of input tables as an interleaved array; the ``y_n`` axis
-    stays 1.  Tables stacked on leading axes give a stack of products."""
-    shape = spec.interleaved_shape
-    ndim = len(shape)
-    arr = np.ones((1,) * ndim)
-    for i, t in enumerate(tables):
-        fshape = shape[: 2 * i] + (spec.x_sizes[i],) + (1,) * (ndim - 2 * i - 1)
-        arr = arr * t.reshape(t.shape[:-2] + fshape)
-    return arr
-
-
-def _output_path_weights(spec: AlphabetSpec, tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Product of output tables as a full interleaved array.  Tables
-    stacked on leading axes give a stack of products."""
-    shape = spec.interleaved_shape
-    ndim = len(shape)
-    arr = np.ones((1,) * ndim)
-    for i, t in enumerate(tables):
-        fshape = shape[: 2 * i + 1] + (spec.y_sizes[i],) + (1,) * (ndim - 2 * i - 2)
-        arr = arr * t.reshape(t.shape[:-2] + fshape)
-    return arr
-
-
-def _lead_axes(lead: int, axes) -> tuple[int, ...]:
-    """``lead`` leading axes, then ``axes`` shifted past them."""
-    return tuple(range(lead)) + tuple(lead + a for a in axes)
-
-
 def _xy_matrix(spec: AlphabetSpec, weights: np.ndarray) -> np.ndarray:
     """Reorder an interleaved array into an (X-paths, Y-paths) matrix, or
     a stack of them when ``weights`` has leading axes."""
-    ndim = 2 * spec.steps
-    lead = weights.ndim - ndim
-    perm = _lead_axes(lead, _x_axes(ndim) + _y_axes(ndim))
-    return weights.transpose(perm).reshape(
+    lead = weights.ndim - 2 * spec.steps
+    return _side_major(spec, weights, lead=lead).reshape(
         weights.shape[:lead] + (spec.num_x_paths, spec.num_y_paths)
     )
-
-
-def _from_xy_matrix(spec: AlphabetSpec, matrix: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_xy_matrix`."""
-    ndim = 2 * spec.steps
-    arr = matrix.reshape(spec.x_sizes + spec.y_sizes)
-    perm = [a for i in range(spec.steps) for a in (i, spec.steps + i)]
-    assert len(perm) == ndim
-    return arr.transpose(perm)
 
 
 def joint_path_matrix(joint: JointMeasure) -> np.ndarray:
@@ -605,33 +608,31 @@ def _joint_weights(
     """The prefix-by-prefix product of :func:`build_joint`.  Either side's
     tables may stack kernels on one shared leading shape; the result then
     stacks the joints on it."""
-    shape = spec.interleaved_shape
     w = np.ones(())
     for i, (pt, qt) in enumerate(zip(p_tables, q_tables)):
-        w = w[..., None] * pt.reshape(pt.shape[:-2] + shape[: 2 * i + 1])
-        w = w[..., None] * qt.reshape(qt.shape[:-2] + shape[: 2 * i + 2])
+        w = w[..., None] * pt.reshape(pt.shape[:-2] + _step_shape(spec, 0, i))
+        w = w[..., None] * qt.reshape(qt.shape[:-2] + _step_shape(spec, 1, i))
     return w
 
 
 def marginal_x(joint: JointMeasure) -> Pmf:
     """Input-path marginal, indexed by the row-major code of ``x^n``."""
-    w = joint.weights
-    for i in range(joint.spec.steps):
-        w = _sum_axis(w, i + 1)  # y_i, once y_0..y_{i-1} are gone
-    return Pmf(w.reshape(-1))
+    return Pmf(_marginal_weights(joint.weights, joint.spec.steps, 0).reshape(-1))
 
 
 def marginal_y(joint: JointMeasure) -> Pmf:
     """Output-path marginal, indexed by the row-major code of ``y^n``."""
-    return Pmf(_y_marginal_weights(joint.weights, joint.spec.steps).reshape(-1))
+    return Pmf(_marginal_weights(joint.weights, joint.spec.steps, 1).reshape(-1))
 
 
-def _y_marginal_weights(w: np.ndarray, steps: int) -> np.ndarray:
-    """Output-path marginal of the interleaved weights ``w`` as an array
-    with one axis per ``y_i``, after any leading axes ``w`` has."""
+def _marginal_weights(w: np.ndarray, steps: int, side: int) -> np.ndarray:
+    """Path marginal of ``side`` of the interleaved weights ``w`` as an
+    array with one axis per step of that side, after any leading axes
+    ``w`` has."""
     lead = w.ndim - 2 * steps
     for i in range(steps):
-        w = _sum_axis(w, lead + i)  # x_i, once x_0..x_{i-1} are gone
+        # the other side's step-i axis, once its earlier axes are gone
+        w = _sum_axis(w, lead + i + 1 - side)
     return w
 
 
@@ -652,7 +653,7 @@ def product_pi_forward(p: BackwardKernel, nu: Pmf) -> JointMeasure:
         # (y^{i-1}, 1, y_i, x_{i+1}, ...) -> (y^{i-1}, x_i, y_i, x_{i+1}, ...)
         w = np.repeat(w.reshape(spec.y_prefix_count(i), 1, -1), spec.x_sizes[i], axis=1)
     w = w.reshape(-1, spec.y_sizes[-1])
-    a = _input_path_weights(spec, p.tables).reshape(-1)
+    a = _path_weights(spec, p.tables, 0).reshape(-1)
     for j in range(spec.y_sizes[-1]):
         w[:, j] *= a
     return JointMeasure(spec, _frozen(w.reshape(spec.interleaved_shape)))
@@ -665,11 +666,7 @@ def product_pi_backward(mu: Pmf, q: ForwardKernel) -> JointMeasure:
         raise SpecMismatch(
             f"mu has {mu.size} outcomes, expected {spec.num_x_paths} input paths"
         )
-    ndim = 2 * spec.steps
-    mu_shape = tuple(
-        spec.x_sizes[a // 2] if a % 2 == 0 else 1 for a in range(ndim)
-    )
-    w = mu.weights.reshape(mu_shape) * _output_path_weights(spec, q.tables)
+    w = mu.weights.reshape(_tied_shape(spec, 0)) * _path_weights(spec, q.tables, 1)
     return JointMeasure(spec, _frozen(w))
 
 
@@ -716,29 +713,23 @@ def kl_divergence(a: DenseLike, b: DenseLike) -> InfoValue:
 def extract_backward_family(joint: JointMeasure) -> BackwardKernel:
     """Per-step input conditionals of a joint; uniform rows where the
     conditioning history has zero mass."""
-    spec = joint.spec
-    w = joint.weights
-    ndim = w.ndim
-    tables = []
-    for i in range(spec.steps):
-        m = w.sum(axis=tuple(range(2 * i + 1, ndim)))
-        rows = m.reshape(spec.input_history_count(i), spec.x_sizes[i])
-        tables.append(_normalize_rows(rows, spec.x_sizes[i]))
-    return BackwardKernel(spec, tuple(tables))
+    return _extract_family(joint, BackwardKernel)
 
 
 def extract_forward_family(joint: JointMeasure) -> ForwardKernel:
     """Per-step output conditionals of a joint; uniform rows where the
     conditioning history has zero mass."""
-    spec = joint.spec
-    w = joint.weights
-    ndim = w.ndim
+    return _extract_family(joint, ForwardKernel)
+
+
+def _extract_family(joint: JointMeasure, kernel: type) -> _StepKernel:
+    """The step conditionals of ``kernel``'s side of a joint."""
+    spec, side, w = joint.spec, kernel._side, joint.weights
     tables = []
-    for i in range(spec.steps):
-        m = w.sum(axis=tuple(range(2 * i + 2, ndim)))
-        rows = m.reshape(spec.output_history_count(i), spec.y_sizes[i])
-        tables.append(_normalize_rows(rows, spec.y_sizes[i]))
-    return ForwardKernel(spec, tuple(tables))
+    for i, k in enumerate(_side_sizes(spec, side)):
+        m = w.sum(axis=tuple(range(_prefix_len(side, i), w.ndim)))
+        tables.append(_normalize_rows(m.reshape(_table_shape(spec, side, i)), k))
+    return kernel(spec, tuple(tables))
 
 
 def _normalize_rows(rows: np.ndarray, width: int) -> np.ndarray:
@@ -752,20 +743,14 @@ def condition_on_path(kernel: Union[BackwardKernel, ForwardKernel]) -> Condition
     """Collapse a per-step family into whole-path conditional rows.
 
     A forward kernel becomes ``Q(y^n | x^n)``; a backward kernel becomes
-    ``P(x^n | y^{n-1})``.
+    ``P(x^n | y^{n-1})``.  Either way the rows are the other side's paths.
     """
-    spec = kernel.spec
-    if isinstance(kernel, ForwardKernel):
-        w = _output_path_weights(spec, kernel.tables)
-        return ConditionedFamily(spec, "x", _xy_matrix(spec, w))
-    if isinstance(kernel, BackwardKernel):
-        w = _input_path_weights(spec, kernel.tables)
-        arr = w[..., 0]  # drop the unused y_n axis
-        ndim = arr.ndim  # (x_0, y_0, ..., x_{n-1}, y_{n-1}, x_n)
-        y_first = tuple(range(1, ndim - 1, 2)) + tuple(range(0, ndim, 2))
-        mat = arr.transpose(y_first).reshape(spec.num_y_histories, spec.num_x_paths)
-        return ConditionedFamily(spec, "y", mat)
-    raise TypeError(f"expected a kernel, got {type(kernel).__name__}")
+    if not isinstance(kernel, _StepKernel):
+        raise TypeError(f"expected a kernel, got {type(kernel).__name__}")
+    spec, side = kernel.spec, kernel._side
+    w = _path_weights(spec, kernel.tables, side)  # a backward kernel's y_n axis is 1
+    table = _side_major(spec, w, 1 - side).reshape(-1, product_size(_side_sizes(spec, side)))
+    return ConditionedFamily(spec, "x" if side else "y", table)
 
 
 def mix_conditioned(
@@ -824,29 +809,21 @@ def _refactor_tables(
     validated like a kernel's."""
     lead_shape = table.shape[:-2]
     lead = len(lead_shape)
-    n, steps = spec.horizon_n, spec.steps
-    if given == "x":
-        # interleaved layout of Q(y^n | x^n); later y's are summed out and
-        # later x's averaged
-        arr = table.reshape(lead_shape + spec.x_sizes + spec.y_sizes)
-        perm = [a for i in range(steps) for a in (i, steps + i)]
-        summed = [tuple(lead + 2 * j + 1 for j in range(i + 1, steps)) for i in range(steps)]
-        averaged = [tuple(lead + 2 * j for j in range(i + 1, steps)) for i in range(steps)]
-        row_count, sizes, what = spec.output_history_count, spec.y_sizes, "forward kernel"
-    else:
-        # rows are P(x^n | y^{n-1}), laid out (x_0, y_0, ..., y_{n-1}, x_n);
-        # later x's are summed out and later y's averaged
-        arr = table.reshape(lead_shape + spec.y_sizes[:n] + spec.x_sizes)
-        perm = [a for i in range(n) for a in (n + i, i)] + [2 * n]
-        summed = [tuple(lead + 2 * j for j in range(i + 1, steps)) for i in range(steps)]
-        averaged = [tuple(lead + 2 * j + 1 for j in range(i, n)) for i in range(steps)]
-        row_count, sizes, what = spec.input_history_count, spec.x_sizes, "backward kernel"
-    cond = arr.transpose(_lead_axes(lead, perm))
+    kernel = ForwardKernel if given == "x" else BackwardKernel
+    side = kernel._side
+    # the rows are the other side's paths, Q(y^n | x^n) or P(x^n | y^{n-1});
+    # interleaved, later axes of the kernel's side are summed out and later
+    # axes of the other side averaged
+    stop = _prefix_len(side, spec.horizon_n)
+    cond = _side_major(spec, table, 1 - side, stop, lead, inverse=True)
     tables = []
-    for i in range(steps):
+    for i, k in enumerate(_side_sizes(spec, side)):
         m = cond
-        if i < n:
-            m = m.sum(axis=summed[i], keepdims=True).mean(axis=averaged[i], keepdims=True)
-        rows = m.reshape(lead_shape + (row_count(i), sizes[i]))
-        tables.append(_frozen(_normalize_rows(rows, sizes[i])))
-    return _check_tables(spec, tables, row_count, sizes, what, lead_shape)
+        if i < spec.horizon_n:
+            end = _prefix_len(side, i)
+            summed = tuple(lead + a for a in _side_axes(side, stop) if a >= end)
+            averaged = tuple(lead + a for a in _side_axes(1 - side, stop) if a >= end)
+            m = m.sum(axis=summed, keepdims=True).mean(axis=averaged, keepdims=True)
+        rows = m.reshape(lead_shape + _table_shape(spec, side, i))
+        tables.append(_frozen(_normalize_rows(rows, k)))
+    return _check_tables(spec, tables, side, kernel._what, lead_shape)

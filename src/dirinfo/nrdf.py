@@ -27,9 +27,14 @@ from .measures import (
     ForwardKernel,
     InfoValue,
     Pmf,
-    _from_xy_matrix,
+    _frozen,
+    _marginal_weights,
     _normalize_rows,
-    _sum_axis,
+    _path_weights,
+    _side_major,
+    _step_shape,
+    _tied_rows,
+    _tied_shape,
     ignores_output_history,
     product_pi_backward,
 )
@@ -62,16 +67,8 @@ class SourceSpec:
         if not ignores_output_history(self.kernel):
             raise DomainError("source tables must not depend on output history")
         spec = self.kernel.spec
-        tied = []
-        for i, t in enumerate(self.kernel.tables):
-            arr = t.reshape(spec.interleaved_shape[: 2 * i] + (spec.x_sizes[i],))
-            y_ax = tuple(range(1, 2 * i, 2))
-            if y_ax:
-                arr = arr.mean(axis=y_ax)
-            arr = arr.reshape(spec.x_prefix_count(i), spec.x_sizes[i]).copy()
-            arr.setflags(write=False)
-            tied.append(arr)
-        object.__setattr__(self, "step_tables", tuple(tied))
+        tied = tuple(_frozen(_tied_rows(spec, 0, i, t).copy()) for i, t in enumerate(self.kernel.tables))
+        object.__setattr__(self, "step_tables", tied)
 
     @classmethod
     def from_step_tables(
@@ -86,12 +83,7 @@ class SourceSpec:
 
     def marginal(self) -> Pmf:
         """Law of the full input path."""
-        spec = self.spec
-        arr = np.ones((1,) * spec.steps)
-        for i, t in enumerate(self.step_tables):
-            fshape = spec.x_sizes[:i] + (spec.x_sizes[i],) + (1,) * (spec.steps - i - 1)
-            arr = arr * t.reshape(fshape)
-        return Pmf(arr.reshape(-1))
+        return Pmf(_path_weights(self.spec, self.step_tables, 0, tied=True).reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +134,7 @@ def expected_distortion(src: SourceSpec, q: ForwardKernel, d: DistortionConstrai
         raise SpecMismatch("source and kernel specs differ")
     _check_table_shape(q.spec, d)
     w = product_pi_backward(src.marginal(), q).weights
-    return float(weight_table(w, _from_xy_matrix(q.spec, d.distortion_table)).sum())
+    return float(weight_table(w, _side_major(q.spec, d.distortion_table, inverse=True)).sum())
 
 
 def _distortion_dp(prob: _NrdfProblem):
@@ -200,15 +192,12 @@ class _NrdfProblem:
         spec = src.spec
         _check_table_shape(spec, d)
         self.spec = spec
-        self.d = np.ascontiguousarray(_from_xy_matrix(spec, d.distortion_table))
-        mu = [
-            t.reshape(tuple(v for k in spec.x_sizes[:i] for v in (k, 1)) + (spec.x_sizes[i],))
-            for i, t in enumerate(src.step_tables)
-        ]
+        self.d = np.ascontiguousarray(_side_major(spec, d.distortion_table, inverse=True))
+        mu = [t.reshape(_step_shape(spec, 0, i, tied=True)) for i, t in enumerate(src.step_tables)]
         self.laws = [law for t in mu for law in (t, None)]  # the controller picks each y_i
         with np.errstate(divide="ignore"):
             self.log_mu = [np.log(t) for t in mu]
-        self.y_shape = tuple(v for k in spec.y_sizes for v in (1, k))
+        self.y_shape = _tied_shape(spec, 1)
 
     @np.errstate(divide="ignore", invalid="ignore")
     def tilt(self, log_nu: np.ndarray, s: float) -> _Update:
@@ -246,10 +235,7 @@ class _NrdfProblem:
             top = top.max(axis=i)  # over x_i, once x_0..x_{i-1} are gone
         top = np.where(np.isfinite(top), top, 0.0)
         e = np.exp(acc - top.reshape(self.y_shape))
-        total = e
-        for i in range(steps):
-            total = _sum_axis(total, i)
-        log_c = np.log(total) + top
+        log_c = np.log(_marginal_weights(e, steps, 1)) + top
 
         new_log_nu = log_nu + log_c
         nu = np.exp(new_log_nu)
@@ -377,13 +363,11 @@ def _batch_terms(src: SourceSpec, d: DistortionConstraint, pools):
     distortion.
     """
     spec = src.spec
-    shape = spec.interleaved_shape
-    mu = [t.reshape(shape[: 2 * i + 1]) for i, t in enumerate(src.kernel.tables)]
+    mu = [t.reshape(_step_shape(spec, 0, i)) for i, t in enumerate(src.kernel.tables)]
     neg_entropy = [(p * log_where_positive(p)).sum(axis=-1) for p in pools]
     paths = np.broadcast_to(np.eye(spec.num_y_paths), (spec.num_x_paths,) + (spec.num_y_paths,) * 2)
-    perm = tuple(a for i in range(spec.steps) for a in (i, spec.steps + i)) + (2 * spec.steps,)
     paths, split = (
-        m.reshape(spec.x_sizes + spec.y_sizes + (-1,)).transpose(perm).reshape(spec.total_cells, -1)
+        _side_major(spec, m, inverse=True).reshape(spec.total_cells, -1)
         for m in (paths, split_infinite(d.distortion_table))
     )
 
@@ -391,9 +375,9 @@ def _batch_terms(src: SourceSpec, d: DistortionConstraint, pools):
         w, mean_log_q = np.ones(()), 0.0
         for i, j in enumerate(idx):
             w = w[..., None] * mu[i]  # the law of (x^i, y^{i-1})
-            prefix = w.reshape(w.shape[: w.ndim - 2 * i - 1] + (-1,))
+            prefix = w.reshape(w.shape[: w.ndim - mu[i].ndim] + (-1,))
             mean_log_q = mean_log_q + np.einsum("...r,...r->...", np.take(neg_entropy[i], j), prefix)
-            w = w[..., None] * np.take(pools[i], j, axis=0).reshape((len(j),) + shape[: 2 * i + 2])
+            w = w[..., None] * np.take(pools[i], j, axis=0).reshape((len(j),) + _step_shape(spec, 1, i))
         w = w.reshape(len(w), -1)
         return entropy_route(mean_log_q, (w @ paths)[None], w @ split)
 

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import AlphabetSpec, BackwardKernel, ForwardKernel, Pmf
+from .measures import AlphabetSpec, BackwardKernel, ForwardKernel, Pmf, _table_shape
 
 
 def rng_from_seed(seed: Optional[int]) -> np.random.Generator:
@@ -29,46 +29,40 @@ def random_pmf(rng: np.random.Generator, size: int, min_mass: float = 0.0) -> Pm
     return Pmf(_rows(rng, (1, size), min_mass)[0])
 
 
+def _random_kernel(
+    rng: np.random.Generator, spec: AlphabetSpec, kernel: type, min_mass: float, tied: bool = False
+):
+    """A ``kernel`` of random step tables, drawn step by step; ``tied``
+    tables are keyed by the kernel side's own history alone."""
+    side = kernel._side
+    tables = tuple(_rows(rng, _table_shape(spec, side, i, tied), min_mass) for i in range(spec.steps))
+    return kernel._from_tied_tables(spec, tables) if tied else kernel(spec, tables)
+
+
 def random_backward_kernel(
     rng: np.random.Generator, spec: AlphabetSpec, min_mass: float = 0.0
 ) -> BackwardKernel:
-    tables = [
-        _rows(rng, (spec.input_history_count(i), spec.x_sizes[i]), min_mass)
-        for i in range(spec.steps)
-    ]
-    return BackwardKernel(spec, tuple(tables))
+    return _random_kernel(rng, spec, BackwardKernel, min_mass)
 
 
 def random_forward_kernel(
     rng: np.random.Generator, spec: AlphabetSpec, min_mass: float = 0.0
 ) -> ForwardKernel:
-    tables = [
-        _rows(rng, (spec.output_history_count(i), spec.y_sizes[i]), min_mass)
-        for i in range(spec.steps)
-    ]
-    return ForwardKernel(spec, tuple(tables))
+    return _random_kernel(rng, spec, ForwardKernel, min_mass)
 
 
 def random_feedback_free_kernel(
     rng: np.random.Generator, spec: AlphabetSpec, min_mass: float = 0.0
 ) -> BackwardKernel:
     """Input law whose step tables ignore the output history."""
-    tables = [
-        _rows(rng, (spec.x_prefix_count(i), spec.x_sizes[i]), min_mass)
-        for i in range(spec.steps)
-    ]
-    return BackwardKernel.from_feedback_free_tables(spec, tables)
+    return _random_kernel(rng, spec, BackwardKernel, min_mass, tied=True)
 
 
 def random_input_free_kernel(
     rng: np.random.Generator, spec: AlphabetSpec, min_mass: float = 0.0
 ) -> ForwardKernel:
     """Channel whose step tables ignore the input entirely."""
-    tables = [
-        _rows(rng, (spec.y_prefix_count(i), spec.y_sizes[i]), min_mass)
-        for i in range(spec.steps)
-    ]
-    return ForwardKernel.from_input_free_tables(spec, tables)
+    return _random_kernel(rng, spec, ForwardKernel, min_mass, tied=True)
 
 
 def random_spec(

@@ -176,13 +176,17 @@ def _draw_no_feedback(rng: np.random.Generator, k: int, cases: int):
 
 
 def _no_feedback_slack(case: dict) -> float:
-    """``|DI - MI|`` for a feedback-free input (the two must collapse), or
-    ``DI - MI`` for any input (DI never exceeds MI); one joint serves both."""
+    """``|DI - MI|`` for a feedback-free input (mode ``collapse``: the two
+    must collapse), or ``DI - MI`` for any input (mode ``ordering``, the
+    default: DI never exceeds MI); one joint serves both."""
+    mode = case.get("mode", "ordering")
+    if mode not in ("collapse", "ordering"):
+        raise ProblemFileError(f'mode: expected "collapse" or "ordering", got {mode!r}')
     p, q = case["backward_kernel"], case["forward_kernel"]
     joint = build_joint(p, q)
     di = float(sum(t.value for t in per_step_information(p, q, joint=joint)))
     mi = float(mutual_information(joint))
-    return abs(di - mi) if case.get("mode") == "collapse" else di - mi
+    return abs(di - mi) if mode == "collapse" else di - mi
 
 
 @dataclass(frozen=True)
@@ -237,13 +241,16 @@ class _Case(dict):
 
 
 def run_suite(suite: str, seed: int = 0, cases: Optional[int] = None) -> SuiteReport:
-    """Run one property suite and report the worst adverse margin."""
+    """Run one property suite from a nonnegative ``seed`` and report the
+    worst adverse margin."""
     if suite not in SUITE_IDS:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITE_IDS}")
     entry = _SUITES[suite]
     n_cases = entry.cases if cases is None else int(cases)
     if n_cases < 1:
         raise DomainError("need at least one case")
+    if seed is not None and seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     rng = rng_from_seed(seed)
     tol = entry.tol()
     worst, worst_case = -math.inf, 0

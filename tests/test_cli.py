@@ -447,6 +447,28 @@ def test_verify_replay_of_non_list_lambdas_exits_2(suite, tmp_path, capsys, monk
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("mode", [[1], "colapse"])
+def test_verify_replay_of_an_unknown_no_feedback_mode_exits_2(mode, tmp_path, capsys, monkeypatch):
+    # read as "ordering", a failing collapse case would replay as passing
+    payload = failing_payload("no-feedback", monkeypatch)
+    payload["mode"] = mode
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "-i", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "mode" in captured.err
+
+
+def test_verify_negative_seed_exits_2(capsys):
+    from dirinfo.errors import DomainError
+    from dirinfo.verify import run_suite
+
+    with pytest.raises(DomainError, match="seed"):
+        run_suite("dual-formula", seed=-1)
+    code, out = run(["verify", "dual-formula", "--seed", "-1"], capsys)
+    assert code == 2 and out == ""
+
+
 def test_verify_replay_writes_one_csv_row(tmp_path, capsys, monkeypatch):
     payload = failing_payload("dual-formula", monkeypatch)
     payload["tolerance"] = "1e-9"

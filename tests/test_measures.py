@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dirinfo as di
+from dirinfo.indexing import decode
 from dirinfo.measures import (
     PMF_TOL,
     active_cell_cap,
@@ -21,7 +22,12 @@ from dirinfo.sampling import (
     rng_from_seed,
 )
 
-from helpers import random_small_shape
+from helpers import (
+    backward_kernel_from_fn,
+    forward_kernel_from_fn,
+    random_kernel_fn,
+    random_small_shape,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +133,34 @@ def test_feedback_free_expansion_ignores_output_history():
     assert not di.ignores_output_history(loose)
 
 
-def test_input_free_expansion():
-    spec = di.AlphabetSpec(1, (2, 2), (2, 2))
-    tied = [np.array([[0.3, 0.7]]), np.array([[0.2, 0.8], [0.6, 0.4]])]
-    q = di.ForwardKernel.from_input_free_tables(spec, tied)
-    # all rows with the same y-history agree
-    t1 = q.tables[1].reshape(2, 2, 2, 2)  # (x0, y0, x1, y1)
-    assert np.allclose(t1[0, 0, 0], t1[1, 0, 1])
-    assert np.allclose(t1[0, 1, 1], t1[1, 1, 0])
+TIED_SPECS = [
+    di.AlphabetSpec(0, (3,), (2,)),
+    di.AlphabetSpec(1, (2, 3), (3, 2)),
+    di.AlphabetSpec(2, (3, 2, 2), (2, 3, 2)),
+    di.AlphabetSpec(3, (2, 3, 2, 3), (3, 2, 3, 2)),
+]
+
+
+@pytest.mark.parametrize("side", ["feedback-free", "input-free"])
+@pytest.mark.parametrize("spec", TIED_SPECS, ids=lambda s: f"n{s.horizon_n}")
+def test_tied_constructors_match_kernels_of_history_functions(spec, side):
+    # unequal per-step sizes, so an x/y swap anywhere in the expansion shows
+    backward = side == "feedback-free"
+    sizes = spec.x_sizes if backward else spec.y_sizes
+    fn = random_kernel_fn(random.Random(spec.horizon_n), sizes)
+    tied = [
+        np.array([fn(i, decode(c, sizes[:i]), ()) for c in range(math.prod(sizes[:i]))])
+        for i in range(spec.steps)
+    ]
+    if backward:
+        got = di.BackwardKernel.from_feedback_free_tables(spec, tied)
+        want = backward_kernel_from_fn(spec, lambda i, xs, ys: fn(i, xs, ()))
+    else:
+        got = di.ForwardKernel.from_input_free_tables(spec, tied)
+        want = forward_kernel_from_fn(spec, lambda i, xs, ys: fn(i, ys, ()))
+    assert len(got.tables) == spec.steps
+    for g, w in zip(got.tables, want.tables):
+        assert g.shape == w.shape and np.array_equal(g, w)
 
 
 def test_uniform_kernels():
@@ -205,7 +231,7 @@ def test_marginals_and_product_measures():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_product_pi_forward_matches_a_broadcast_over_all_axes(seed):
-    from dirinfo.measures import _input_path_weights
+    from dirinfo.measures import _path_weights
 
     rng = rng_from_seed(seed)
     spec = random_spec(rng)
@@ -213,7 +239,7 @@ def test_product_pi_forward_matches_a_broadcast_over_all_axes(seed):
     nu = random_pmf(rng, spec.num_y_paths)
     ndim = 2 * spec.steps
     nu_shape = tuple(spec.y_sizes[a // 2] if a % 2 else 1 for a in range(ndim))
-    want = _input_path_weights(spec, p.tables) * nu.weights.reshape(nu_shape)
+    want = _path_weights(spec, p.tables, 0) * nu.weights.reshape(nu_shape)
     got = di.product_pi_forward(p, nu).weights
     assert got.shape == want.shape
     assert np.allclose(got, want, rtol=1e-15, atol=0.0)
