@@ -8,8 +8,9 @@ a serialized failure).  Exit codes: 0 success, 2 unreadable or invalid
 problem file, 3 internal inconsistency, 4 infeasible constraints, 5
 property violation.
 
-Reports are JSON (reals as 17-significant-digit strings, keys sorted, so
-identical inputs produce byte-identical output) or CSV with a header row.
+A report is one record, written as JSON (reals as 17-significant-digit
+strings, keys sorted, so identical inputs produce byte-identical output) or
+as CSV: a header row, then one row of those columns per report entry.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .capacity import CapacityResult, PowerConstraint, solve_capacity
+from .capacity import PowerConstraint, solve_capacity
 from .errors import (
     DirinfoError,
     DomainError,
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .information import directed_information_sum
 from .measures import AlphabetSpec, BackwardKernel, ForwardKernel
-from .nrdf import DistortionConstraint, NrdfResult, SourceSpec, rd_curve, solve_nrdf
+from .nrdf import DistortionConstraint, SourceSpec, rd_curve, solve_nrdf
 from .serialization import (
     backward_kernel_from_jsonable,
     cost_table_from_jsonable,
@@ -84,8 +85,25 @@ class ProblemFile:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ProblemFileError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except RecursionError:
+        raise ProblemFileError(f"{path}: JSON nested too deeply") from None
+
+
+def _budget_block(data: dict, key: str, table_key: str):
+    """Constraint block ``key``: the block, its cost table under
+    ``table_key``, and its raw ``budget`` (None when absent)."""
+    block = data[key]
+    if not isinstance(block, dict):
+        raise ProblemFileError(f"{key}: expected an object")
+    table = cost_table_from_jsonable(block.get(table_key), f"{key}.{table_key}")
+    return block, table, value_or_none(block, "budget", key)
 
 
 def load_problem_file(path: str) -> ProblemFile:
@@ -120,24 +138,14 @@ def load_problem_file(path: str) -> ProblemFile:
         ]
         pf.source = SourceSpec.from_step_tables(spec, loaded)
     if "power_constraint" in data:
-        block = data["power_constraint"]
-        if not isinstance(block, dict):
-            raise ProblemFileError("power_constraint: expected an object")
-        table = cost_table_from_jsonable(
-            block.get("cost_table"), "power_constraint.cost_table"
-        )
-        budget = value_or_none(block, "budget", "power_constraint")
+        _, table, budget = _budget_block(data, "power_constraint", "cost_table")
         if budget is None:
             raise ProblemFileError("power_constraint.budget is required")
         pf.power = PowerConstraint(table, finite_real(budget, "power_constraint.budget"))
     if "distortion_constraint" in data:
-        block = data["distortion_constraint"]
-        if not isinstance(block, dict):
-            raise ProblemFileError("distortion_constraint: expected an object")
-        table = cost_table_from_jsonable(
-            block.get("distortion_table"), "distortion_constraint.distortion_table"
+        block, table, budget = _budget_block(
+            data, "distortion_constraint", "distortion_table"
         )
-        budget = value_or_none(block, "budget", "distortion_constraint")
         grid = block.get("budget_grid")
         if grid is not None:
             if not isinstance(grid, list) or not grid:
@@ -210,16 +218,18 @@ def build_config(pf: ProblemFile, args: argparse.Namespace) -> SolverConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _resolve_units(pf: ProblemFile, args) -> str:
-    return args.units if args.units is not None else pf.units
+def _load(args, *needs):
+    """The problem file at ``--input``, holding each ``(field, what)`` of
+    ``needs``, and the report's units and format; flags override ``output``."""
+    pf = load_problem_file(args.input)
+    for field, what in needs:
+        if getattr(pf, field) is None:
+            raise ProblemFileError(f"this subcommand needs {what} in the problem file")
+    return pf, args.units or pf.units, args.format or pf.format
 
 
-def _resolve_format(pf: ProblemFile, args) -> str:
-    return args.format if args.format is not None else pf.format
-
-
-def _in_units(nats: float, units: str) -> float:
-    return nats / _LN2 if units == "bits" else nats
+def _real(nats, units: str) -> str:
+    return real_to_str(float(nats) / (_LN2 if units == "bits" else 1.0))
 
 
 def _emit(text: str, path: Optional[str]):
@@ -230,19 +240,22 @@ def _emit(text: str, path: Optional[str]):
             fh.write(text)
 
 
-def _emit_json(doc, path: Optional[str]):
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", path)
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[str]], path: Optional[str]):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    _emit("\n".join(lines) + "\n", path)
-
-
-def _require(pf: ProblemFile, field: str, what: str):
-    if getattr(pf, field) is None:
-        raise ProblemFileError(f"this subcommand needs {what} in the problem file")
+def _report(doc, header, entries, fmt, path):
+    """Write a report: ``doc`` as JSON, or as CSV the ``header`` row and then
+    one row per entry of ``entries``, each that entry's ``header`` columns
+    with booleans as true/false and None as an empty cell."""
+    if fmt == "json":
+        text = json.dumps(doc, sort_keys=True, indent=2)
+    else:
+        rows = [header] + [[_cell(e[h]) for h in header] for e in entries]
+        text = "\n".join(",".join(row) for row in rows)
+    _emit(text + "\n", path)
 
 
 # ---------------------------------------------------------------------------
@@ -251,129 +264,70 @@ def _require(pf: ProblemFile, field: str, what: str):
 
 
 def cmd_compute(args) -> int:
-    pf = load_problem_file(args.input)
-    _require(pf, "backward", "a 'backward_kernel'")
-    _require(pf, "forward", "a 'forward_kernel'")
-    units = _resolve_units(pf, args)
-    fmt = _resolve_format(pf, args)
+    pf, units, fmt = _load(
+        args, ("backward", "a 'backward_kernel'"), ("forward", "a 'forward_kernel'")
+    )
     report = directed_information_sum(pf.backward, pf.forward)
-    per_step = [_in_units(float(v), units) for v in report.per_step_terms]
-    fields = {
-        "sum_form": _in_units(float(report.sum_form), units),
-        "divergence_form": _in_units(float(report.divergence_form), units),
-        "normalized": _in_units(report.normalized, units),
+    doc = {
+        "command": "compute",
+        "units": units,
+        "per_step": [_real(v, units) for v in report.per_step_terms],
+        "sum_form": _real(report.sum_form, units),
+        "divergence_form": _real(report.divergence_form, units),
+        "normalized": _real(report.normalized, units),
     }
-    if fmt == "json":
-        doc = {
-            "command": "compute",
-            "units": units,
-            "per_step": [real_to_str(v) for v in per_step],
-            **{k: real_to_str(v) for k, v in fields.items()},
-        }
-        _emit_json(doc, args.output)
-    else:
-        header = list(fields) + [f"per_step_{i}" for i in range(len(per_step))]
-        row = [real_to_str(v) for v in fields.values()]
-        row += [real_to_str(v) for v in per_step]
-        _emit_csv(header, [row], args.output)
+    per_step = {f"per_step_{i}": v for i, v in enumerate(doc["per_step"])}
+    header = ["sum_form", "divergence_form", "normalized", *per_step]
+    _report(doc, header, [{**doc, **per_step}], fmt, args.output)
     return 0
 
 
-def _capacity_doc(result: CapacityResult, units: str, steps: int) -> dict:
+def _solved(command: str, kernel: str, slack_key: str, result, units: str, steps: int):
+    """The report of one capacity or NRDF solve and its CSV header.
+    ``kernel`` and ``slack_key`` name the optimizing kernel and the budget
+    slack, both as attributes of ``result`` and as report keys."""
     nats = result.value.value
+    slack = getattr(result, slack_key)
     doc = {
-        "command": "capacity",
+        "command": command,
         "units": units,
-        "value": real_to_str(_in_units(nats, units)),
-        "normalized": real_to_str(_in_units(nats / steps, units)),
-        "argmax": {"tables": [table_to_jsonable(t) for t in result.argmax.tables]},
+        "value": _real(nats, units),
+        "normalized": _real(nats / steps, units),
+        kernel: {"tables": [table_to_jsonable(t) for t in getattr(result, kernel).tables]},
         "iterations": result.iterations,
         "converged": result.converged,
-        "constraint_slack": (
-            None if result.constraint_slack is None else real_to_str(result.constraint_slack)
-        ),
+        slack_key: None if slack is None else real_to_str(slack),
     }
-    return doc
+    return doc, ["value", "normalized", "iterations", slack_key, "converged"]
 
 
 def cmd_capacity(args) -> int:
-    pf = load_problem_file(args.input)
-    _require(pf, "forward", "a 'forward_kernel' (the channel)")
-    units = _resolve_units(pf, args)
-    fmt = _resolve_format(pf, args)
-    cfg = build_config(pf, args)
-    no_feedback = pf.no_feedback or bool(getattr(args, "no_feedback", False))
-    result = solve_capacity(pf.forward, pf.power, cfg, no_feedback=no_feedback)
-    steps = pf.spec.steps
-    if fmt == "json":
-        _emit_json(_capacity_doc(result, units, steps), args.output)
-    else:
-        header = ["value", "normalized", "iterations", "constraint_slack", "converged"]
-        row = [
-            real_to_str(_in_units(result.value.value, units)),
-            real_to_str(_in_units(result.value.value / steps, units)),
-            str(result.iterations),
-            "" if result.constraint_slack is None else real_to_str(result.constraint_slack),
-            str(result.converged).lower(),
-        ]
-        _emit_csv(header, [row], args.output)
+    pf, units, fmt = _load(args, ("forward", "a 'forward_kernel' (the channel)"))
+    no_feedback = pf.no_feedback or args.no_feedback
+    result = solve_capacity(pf.forward, pf.power, build_config(pf, args), no_feedback=no_feedback)
+    doc, header = _solved("capacity", "argmax", "constraint_slack", result, units, pf.spec.steps)
+    _report(doc, header, [doc], fmt, args.output)
     return 0
 
 
-def _nrdf_doc(result: NrdfResult, units: str, steps: int) -> dict:
-    nats = result.value.value
-    return {
-        "command": "nrdf",
-        "units": units,
-        "value": real_to_str(_in_units(nats, units)),
-        "normalized": real_to_str(_in_units(nats / steps, units)),
-        "argmin": {"tables": [table_to_jsonable(t) for t in result.argmin.tables]},
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "distortion_slack": real_to_str(result.distortion_slack),
-    }
-
-
 def cmd_nrdf(args) -> int:
-    pf = load_problem_file(args.input)
-    _require(pf, "source", "a 'source'")
-    _require(pf, "distortion", "a 'distortion_constraint'")
-    units = _resolve_units(pf, args)
-    fmt = _resolve_format(pf, args)
+    pf, units, fmt = _load(
+        args, ("source", "a 'source'"), ("distortion", "a 'distortion_constraint'")
+    )
     cfg = build_config(pf, args)
-    steps = pf.spec.steps
     if pf.budget_grid is not None:
         points = rd_curve(pf.source, pf.distortion, pf.budget_grid, cfg)
-        if fmt == "json":
-            doc = {
-                "command": "nrdf",
-                "mode": "curve",
-                "units": units,
-                "points": [
-                    {"budget": real_to_str(b), "value": real_to_str(_in_units(v, units))}
-                    for b, v in points
-                ],
-            }
-            _emit_json(doc, args.output)
-        else:
-            rows = [
-                [real_to_str(b), real_to_str(_in_units(v, units))] for b, v in points
-            ]
-            _emit_csv(["budget", "value"], rows, args.output)
+        doc = {
+            "command": "nrdf",
+            "mode": "curve",
+            "units": units,
+            "points": [{"budget": real_to_str(b), "value": _real(v, units)} for b, v in points],
+        }
+        _report(doc, ["budget", "value"], doc["points"], fmt, args.output)
         return 0
     result = solve_nrdf(pf.source, pf.distortion, cfg=cfg)
-    if fmt == "json":
-        _emit_json(_nrdf_doc(result, units, steps), args.output)
-    else:
-        header = ["value", "normalized", "iterations", "distortion_slack", "converged"]
-        row = [
-            real_to_str(_in_units(result.value.value, units)),
-            real_to_str(_in_units(result.value.value / steps, units)),
-            str(result.iterations),
-            real_to_str(result.distortion_slack),
-            str(result.converged).lower(),
-        ]
-        _emit_csv(header, [row], args.output)
+    doc, header = _solved("nrdf", "argmin", "distortion_slack", result, units, pf.spec.steps)
+    _report(doc, header, [doc], fmt, args.output)
     return 0
 
 
@@ -421,13 +375,7 @@ def cmd_verify(args) -> int:
         }
         header = ["suite", "cases", "passed", "worst_slack", "worst_case", "tolerance"]
         entries = doc["suites"]
-    if (args.format or "json") == "json":
-        _emit_json(doc, args.output)
-    else:
-        # a CSV row is its report entry's columns; booleans as true/false
-        rows = [[str(e[h]).lower() if isinstance(e[h], bool) else str(e[h]) for h in header]
-                for e in entries]
-        _emit_csv(header, rows, args.output)
+    _report(doc, header, entries, args.format or "json", args.output)
     return 0 if passed else 5
 
 
@@ -496,7 +444,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemFileError, json.JSONDecodeError, OSError, SpecMismatch, DomainError, GridTooLarge) as exc:
+    except (ProblemFileError, OSError, SpecMismatch, DomainError, GridTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleConstraint as exc:

@@ -38,6 +38,27 @@ def bsc_capacity_problem(**extra) -> dict:
     return doc
 
 
+def two_step_channel() -> dict:
+    """A two-step channel on which feedback strictly helps."""
+    q1 = [
+        ["1", "0"],
+        ["0.5", "0.5"],
+        ["0.5", "0.5"],
+        ["0", "1"],
+        ["1", "0"],
+        ["0.5", "0.5"],
+        ["0.5", "0.5"],
+        ["0", "1"],
+    ]
+    return {
+        "format_version": "1",
+        "spec": {"horizon_n": 1, "x_sizes": [2, 2], "y_sizes": [2, 2]},
+        "forward_kernel": {
+            "tables": [[["0.5", "0.5"], ["0.5", "0.5"]], q1]
+        },
+    }
+
+
 def nrdf_problem(**extra) -> dict:
     doc = {
         "format_version": "1",
@@ -117,6 +138,22 @@ def test_missing_file_and_bad_json_exit_2(tmp_path, capsys):
     bad.write_text("{not json")
     code, _ = run(["compute", "-i", str(bad)], capsys)
     assert code == 2
+
+
+UNREADABLE = {
+    "not-utf8": '{"format_version": "1", "spec": "caf\xe9"}'.encode("latin-1"),
+    "nested-too-deeply": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+def test_unreadable_input_file_exits_2(kind, command, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_bytes(UNREADABLE[kind])
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_format_version_must_be_the_string_one(tmp_path, capsys):
@@ -202,24 +239,7 @@ def test_capacity_csv(tmp_path, capsys):
 
 
 def test_capacity_no_feedback_flag_and_file_key(tmp_path, capsys):
-    # two-step channel where feedback strictly helps
-    q1 = [
-        ["1", "0"],
-        ["0.5", "0.5"],
-        ["0.5", "0.5"],
-        ["0", "1"],
-        ["1", "0"],
-        ["0.5", "0.5"],
-        ["0.5", "0.5"],
-        ["0", "1"],
-    ]
-    doc = {
-        "format_version": "1",
-        "spec": {"horizon_n": 1, "x_sizes": [2, 2], "y_sizes": [2, 2]},
-        "forward_kernel": {
-            "tables": [[["0.5", "0.5"], ["0.5", "0.5"]], q1]
-        },
-    }
+    doc = two_step_channel()
     path = write_problem(tmp_path / "p.json", doc)
     _, out_fb = run(["capacity", "-i", path], capsys)
     _, out_flag = run(["capacity", "-i", path, "--no-feedback"], capsys)
@@ -384,34 +404,31 @@ def test_verify_single_suite_json(capsys):
     assert doc["suites"][0]["failures"] == []
 
 
-def test_verify_replay_file_round_trip(tmp_path, capsys):
-    # craft a passing payload, then a failing one by lying about tolerance
+def dual_formula_payload(tolerance: str) -> dict:
+    """A replayable dual-formula case on random binary kernels at n = 1."""
     import dirinfo as di
     from dirinfo.sampling import random_backward_kernel, random_forward_kernel, rng_from_seed
     from dirinfo.serialization import kernel_to_jsonable, spec_to_jsonable
 
     rng = rng_from_seed(2)
     spec = di.AlphabetSpec(1, (2, 2), (2, 2))
-    payload = {
+    return {
         "suite": "dual-formula",
         "spec": spec_to_jsonable(spec),
-        "tolerance": "1e-9",
+        "tolerance": tolerance,
         "backward_kernel": kernel_to_jsonable(random_backward_kernel(rng, spec)),
         "forward_kernel": kernel_to_jsonable(random_forward_kernel(rng, spec)),
     }
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps(payload))
-    code, out = run(["verify", "-i", str(good)], capsys)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["mode"] == "replay" and doc["passed"] is True
 
-    payload["tolerance"] = "0"
-    evil = tmp_path / "fail.json"
-    evil.write_text(json.dumps(payload))
-    code, out = run(["verify", "-i", str(evil)], capsys)
-    assert code == 5
-    assert json.loads(out)["passed"] is False
+
+def test_verify_replay_file_round_trip(tmp_path, capsys):
+    # a passing payload, then a failing one by lying about tolerance
+    for tolerance, want in (("1e-9", 0), ("0", 5)):
+        path = write_problem(tmp_path / "p.json", dual_formula_payload(tolerance))
+        code, out = run(["verify", "-i", path], capsys)
+        assert code == want
+        doc = json.loads(out)
+        assert doc["mode"] == "replay" and doc["passed"] is (want == 0)
 
 
 def failing_payload(suite, monkeypatch):
@@ -542,3 +559,113 @@ def test_reports_end_with_newline_and_sorted_keys(tmp_path, capsys):
     doc = json.loads(out)
     assert list(doc.keys()) == sorted(doc.keys())
     assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# CSV is a rendering of the JSON record
+# ---------------------------------------------------------------------------
+
+
+def two_step_compute_problem() -> dict:
+    doc = two_step_channel()
+    doc["backward_kernel"] = {
+        "tables": [
+            [["0.3", "0.7"]],
+            [["0.2", "0.8"], ["0.6", "0.4"], ["0.5", "0.5"], ["0.9", "0.1"]],
+        ]
+    }
+    return doc
+
+
+def curve_problem() -> dict:
+    doc = nrdf_problem()
+    doc["distortion_constraint"]["budget_grid"] = ["0", "0.1", "0.25", "0.5"]
+    return doc
+
+
+SOLVED = ["value", "normalized", "iterations"]
+SUITE = ["suite", "cases", "passed", "worst_slack", "worst_case", "tolerance"]
+REPLAY = ["suite", "slack", "tolerance", "passed"]
+
+# name: (argv, document for --input or None, CSV header, exit code)
+CSV_REPORTS = {
+    "compute": (
+        ["compute"],
+        two_step_compute_problem(),
+        ["sum_form", "divergence_form", "normalized", "per_step_0", "per_step_1"],
+        0,
+    ),
+    "capacity-constrained": (
+        ["capacity"],
+        bsc_capacity_problem(power_constraint={"cost_table": [["0"], ["1"]], "budget": "0.3"}),
+        SOLVED + ["constraint_slack", "converged"],
+        0,
+    ),
+    "capacity-unconstrained": (
+        ["capacity"], bsc_capacity_problem(), SOLVED + ["constraint_slack", "converged"], 0
+    ),
+    "capacity-no-feedback": (
+        ["capacity", "--no-feedback"],
+        two_step_channel(),
+        SOLVED + ["constraint_slack", "converged"],
+        0,
+    ),
+    "nrdf-single-budget": (
+        ["nrdf"], nrdf_problem(), SOLVED + ["distortion_slack", "converged"], 0
+    ),
+    "nrdf-curve": (["nrdf"], curve_problem(), ["budget", "value"], 0),
+    "verify": (["verify", "convexity", "--seed", "3"], None, SUITE, 0),
+    "replay-passing": (["verify"], dual_formula_payload("1e-9"), REPLAY, 0),
+    "replay-failing": (["verify"], dual_formula_payload("0"), REPLAY, 5),
+}
+
+
+def csv_entries(doc: dict) -> list:
+    """The entries of a JSON report that its CSV rows render, in order."""
+    if "points" in doc:
+        return doc["points"]
+    if "suites" in doc:
+        return doc["suites"]
+    return [doc]
+
+
+def rendered(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "name, units",
+    [
+        (name, units)
+        for name, (argv, *_) in sorted(CSV_REPORTS.items())
+        for units in ((None,) if argv[0] == "verify" else ("nats", "bits"))
+    ],
+)
+def test_csv_renders_the_json_report(name, units, tmp_path, capsys):
+    argv, problem, header, want_code = CSV_REPORTS[name]
+    if problem is not None:
+        argv = argv + ["-i", write_problem(tmp_path / "p.json", problem)]
+    if units is not None:
+        argv = argv + ["--units", units]
+    assert main(argv + ["--format", "json"]) == want_code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.get("units") == units
+    assert main(argv + ["--format", "csv"]) == want_code
+    lines = capsys.readouterr().out.splitlines()
+
+    assert lines[0].split(",") == header
+    entries = csv_entries(doc)
+    assert len(lines) == 1 + len(entries)
+    for line, entry in zip(lines[1:], entries):
+        cells = line.split(",")
+        assert len(cells) == len(header)
+        for column, cell in zip(header, cells):
+            if column.startswith("per_step_"):
+                want = entry["per_step"][int(column[len("per_step_"):])]
+            else:
+                want = entry[column]
+            assert cell == rendered(want), column
