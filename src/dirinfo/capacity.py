@@ -18,18 +18,20 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InfeasibleConstraint, SpecMismatch
+from .errors import InfeasibleConstraint
 from .information import directed_information
 from .measures import (
     AlphabetSpec,
     BackwardKernel,
     ForwardKernel,
     InfoValue,
+    _constraint_table,
     _expand_tied_table,
     _path_weights,
     _prefix_len,
     _require_same_spec,
     _side_axes,
+    _side_laws,
     _side_major,
     _step_shape,
     _xy_matrix,
@@ -41,12 +43,11 @@ from .solver import (
     SolverConfig,
     entropy_route,
     freeze_budget_table,
-    grid_batches,
+    grid_search,
     induction,
     log_where_positive,
     logsumexp,
     match_budget,
-    simplex_grid,
     split_infinite,
     weight_table,
 )
@@ -86,20 +87,10 @@ class CapacityResult:
     converged: bool
 
 
-def _cost_matrix(spec: AlphabetSpec, c: PowerConstraint) -> np.ndarray:
-    """``c``'s table, checked to have a row per input path of ``spec`` and
-    a column per output history."""
-    want = (spec.num_x_paths, spec.num_y_histories)
-    if c.cost_table.shape != want:
-        raise SpecMismatch(f"cost table has shape {c.cost_table.shape}, expected {want}")
-    return c.cost_table
-
-
 def _cost_interleaved(spec: AlphabetSpec, constraint: PowerConstraint) -> np.ndarray:
-    """Cost table rearranged to broadcast against interleaved joint weights
-    (trailing ``y_n`` axis kept at size 1)."""
-    stop = _prefix_len(0, spec.horizon_n)
-    return _side_major(spec, _cost_matrix(spec, constraint), 0, stop, inverse=True)[..., None]
+    """Cost table, checked, laid to broadcast against interleaved joint
+    weights (trailing ``y_n`` axis kept at size 1)."""
+    return _constraint_table(spec, constraint.cost_table, "cost", _prefix_len(0, spec.horizon_n))
 
 
 def expected_cost(p: BackwardKernel, q: ForwardKernel, c: PowerConstraint) -> float:
@@ -110,16 +101,10 @@ def expected_cost(p: BackwardKernel, q: ForwardKernel, c: PowerConstraint) -> fl
     return float(weight_table(build_joint(p, q).weights, g).sum())
 
 
-def _channel_laws(spec: AlphabetSpec, tables) -> list:
-    """The channel's step tables as nature's laws of the ``y_i`` axes of an
-    interleaved array, with the controller on the ``x_i`` axes."""
-    return [law for i, t in enumerate(tables) for law in (None, t.reshape(_step_shape(spec, 1, i)))]
-
-
 def min_expected_cost(q: ForwardKernel, c: PowerConstraint) -> float:
     """Least expected cost over all input kernels, by backward induction;
     a deterministic feedback strategy attains it."""
-    value, _ = induction(-_cost_interleaved(q.spec, c), _channel_laws(q.spec, q.tables))
+    value, _ = induction(-_cost_interleaved(q.spec, c), _side_laws(q.spec, q.tables, 1))
     return 0.0 - float(value)  # a floor of 0 as 0.0, not -0.0
 
 
@@ -151,20 +136,20 @@ class _CapacityProblem:
         self.spec = q.spec
         self.no_feedback = no_feedback
         self.constraint = constraint
+        g = None if constraint is None else _cost_interleaved(q.spec, constraint)
         if no_feedback:
             # one step from x^n to y^n, held as arrays: a row of the product
             # may miss 1 by (n + 1) PMF_TOL, past a kernel's check
             layout = AlphabetSpec(0, (q.spec.num_x_paths,), (q.spec.num_y_paths,))
-            tables = (np.ascontiguousarray(_xy_matrix(q.spec, _path_weights(q.spec, q.tables, 1))),)
-            g = None
-            if constraint is not None:  # the expected cost of each fixed input path
-                response = tables[0].reshape(q.spec.num_x_paths, q.spec.num_y_histories, -1).sum(axis=-1)
-                g = weight_table(response, _cost_matrix(q.spec, constraint)).sum(axis=-1)
+            qp = _path_weights(q.spec, q.tables, 1)
+            tables = (np.ascontiguousarray(_xy_matrix(q.spec, qp)),)
+            if g is not None:  # the expected cost of each fixed input path
+                g = weight_table(qp.sum(axis=-1, keepdims=True), g)
+                g = _side_major(q.spec, g, 0).reshape(q.spec.num_x_paths, -1).sum(axis=-1)
         else:
             layout, tables = q.spec, q.tables
-            g = None if constraint is None else _cost_interleaved(layout, constraint)
         self.layout = layout
-        self.laws = _channel_laws(layout, tables)
+        self.laws = _side_laws(layout, tables, 1)
         # the final step's (x_0, y_0, ..., x_n) axes, then y_n
         self.head = layout.interleaved_shape[:-1]
         cost = np.zeros(self.head) if g is None else g.reshape(self.head)
@@ -242,8 +227,7 @@ class _CapacityProblem:
             ]
         # a log-probability near -3e4, as long horizons give rarely used
         # inputs, leaves exp of its row off 1 by about ulp(3e4) = 4e-12
-        tables = [np.exp(t).reshape(spec.input_history_count(i), -1) for i, t in enumerate(state)]
-        return BackwardKernel(spec, tuple(t / t.sum(axis=-1, keepdims=True) for t in tables))
+        return BackwardKernel._from_log_tables(spec, state)
 
 
 def solve_capacity(
@@ -369,26 +353,8 @@ def brute_force_capacity(
     combination count exceeds ``max_grid_points``, and
     :class:`InfeasibleConstraint` when no grid kernel meets the budget.
     """
-    spec = q.spec
     prob = _CapacityProblem(q, c, no_feedback)
-    batches = grid_batches(
-        [spec.x_prefix_count(i) * (1 if no_feedback else spec.y_prefix_count(i)) for i in range(spec.steps)],
-        spec.x_sizes,
-        grid_resolution,
-        max_grid_points,
-        chunk_cells,
-        spec.total_cells,
-    )
-    grids = {k: simplex_grid(grid_resolution, k) for k in set(spec.x_sizes)}
-    evaluate = _batch_terms(prob, [grids[k] for k in spec.x_sizes])
-    best = -math.inf
-    for idx in batches:
-        di, cost = evaluate(idx)
-        if c is not None:
-            di = di[cost <= c.budget + FEASIBILITY_SLACK]
-        if len(di):
-            best = max(best, float(di.max()))
-
-    if best == -math.inf:
-        raise InfeasibleConstraint("no grid kernel meets the budget")
-    return InfoValue(best)
+    return InfoValue(grid_search(
+        q.spec, 0, no_feedback, lambda pools: _batch_terms(prob, pools), None if c is None else c.budget,
+        1.0, grid_resolution, max_grid_points, chunk_cells,
+    ))

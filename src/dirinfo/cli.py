@@ -351,7 +351,7 @@ def cmd_verify(args) -> int:
                 "replay file must be a serialized failure payload (an object with 'spec')"
             )
         slack = replay(payload)
-        tol = parse_real(payload.get("tolerance", "1e-9"), "tolerance")
+        tol = finite_real(parse_real(payload.get("tolerance", "1e-9"), "tolerance"), "tolerance")
         passed = slack <= tol
         doc = {
             "command": "verify",

@@ -7,11 +7,12 @@ so a history's table row index equals the mixed-radix code of its
 interleaved prefix.  Values are immutable after construction and all
 operations are pure functions; nothing here mutates its arguments.
 
-This module owns that layout: the rest of the package takes its step
-shapes, tied shapes and path-major reorderings from the helpers in the
-"interleaved layout" section.  The input and output kernels are one
-construction applied to either side, so :class:`BackwardKernel` and
-:class:`ForwardKernel` share one class body.
+This module owns that layout: the rest of the package takes its
+mixed-radix codes, step shapes, tied shapes, path-major reorderings, the
+layout of cost and distortion tables and the induction laws of either side
+from the helpers in the "interleaved layout" section.  The input and output
+kernels are one construction applied to either side, so
+:class:`BackwardKernel` and :class:`ForwardKernel` share one class body.
 
 Entropy-like quantities are in nats.  The conventions ``0 log 0 = 0`` and
 ``x log(x/0) = +inf`` for ``x > 0`` apply throughout.
@@ -27,7 +28,6 @@ from typing import Literal, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, SpecMismatch
-from .indexing import product_size
 
 # Mass-conservation tolerance.  Inputs outside it are rejected, never
 # silently renormalized.
@@ -101,11 +101,11 @@ class AlphabetSpec:
 
     @property
     def num_x_paths(self) -> int:
-        return product_size(self.x_sizes)
+        return math.prod(self.x_sizes)
 
     @property
     def num_y_paths(self) -> int:
-        return product_size(self.y_sizes)
+        return math.prod(self.y_sizes)
 
     @property
     def num_y_histories(self) -> int:
@@ -127,10 +127,10 @@ class AlphabetSpec:
     # -- history counts --------------------------------------------------
 
     def x_prefix_count(self, i: int) -> int:
-        return product_size(self.x_sizes[:i])
+        return math.prod(self.x_sizes[:i])
 
     def y_prefix_count(self, i: int) -> int:
-        return product_size(self.y_sizes[:i])
+        return math.prod(self.y_sizes[:i])
 
     def input_history_count(self, i: int) -> int:
         """Rows of the step-``i`` input table, histories ``(x^{i-1}, y^{i-1})``."""
@@ -211,6 +211,30 @@ def _side_major(
         order = sorted(range(stop), key=order.__getitem__)
     rest = tuple(range(lead + stop, arr.ndim))
     return arr.transpose(tuple(range(lead)) + tuple(lead + a for a in order) + rest)
+
+
+def _constraint_table(spec: AlphabetSpec, table: np.ndarray, what: str, stop: Optional[int] = None):
+    """A ``what`` table whose rows are input paths and columns output paths
+    over the first ``stop`` (default: all) interleaved axes, checked against
+    ``spec`` and laid onto those axes; later axes are kept at 1."""
+    ndim = 2 * spec.steps
+    stop = ndim if stop is None else stop
+    want = tuple(math.prod(spec.interleaved_shape[a] for a in _side_axes(s, stop)) for s in (0, 1))
+    if table.shape != want:
+        raise SpecMismatch(f"{what} table has shape {table.shape}, expected {want}")
+    laid = _side_major(spec, table, 0, stop, inverse=True)
+    return laid.reshape(laid.shape + (1,) * (ndim - stop))
+
+
+def _side_laws(spec: AlphabetSpec, tables: Sequence[np.ndarray], side: int, tied: bool = False) -> list:
+    """The step tables of ``side`` as nature's laws of its interleaved axes
+    for :func:`solver.induction`, with ``None`` (the controller) on the
+    other side's axes; ``tied`` tables are keyed by the side's own history."""
+    laws = []
+    for i, t in enumerate(tables):
+        law = t.reshape(_step_shape(spec, side, i, tied=tied))
+        laws += [None, law] if side else [law, None]
+    return laws
 
 
 def _path_weights(spec: AlphabetSpec, tables: Sequence[np.ndarray], side: int, tied: bool = False):
@@ -402,6 +426,14 @@ class _StepKernel:
     def uniform(cls, spec: AlphabetSpec):
         side, sizes = cls._side, _side_sizes(spec, cls._side)
         return cls(spec, tuple(np.full(_table_shape(spec, side, i), 1.0 / k) for i, k in enumerate(sizes)))
+
+    @classmethod
+    def _from_log_tables(cls, spec: AlphabetSpec, log_tables: Sequence[np.ndarray]):
+        """The kernel of log step tables, each row exponentiated and
+        normalized; a row without mass becomes uniform."""
+        shapes = (_table_shape(spec, cls._side, i) for i in range(spec.steps))
+        tables = (_normalize_rows(np.exp(t).reshape(s), s[1]) for t, s in zip(log_tables, shapes))
+        return cls(spec, tuple(tables))
 
     @classmethod
     def _from_tied_tables(cls, spec: AlphabetSpec, tables: Sequence[np.ndarray]):
@@ -749,7 +781,7 @@ def condition_on_path(kernel: Union[BackwardKernel, ForwardKernel]) -> Condition
         raise TypeError(f"expected a kernel, got {type(kernel).__name__}")
     spec, side = kernel.spec, kernel._side
     w = _path_weights(spec, kernel.tables, side)  # a backward kernel's y_n axis is 1
-    table = _side_major(spec, w, 1 - side).reshape(-1, product_size(_side_sizes(spec, side)))
+    table = _side_major(spec, w, 1 - side).reshape(-1, math.prod(_side_sizes(spec, side)))
     return ConditionedFamily(spec, "x" if side else "y", table)
 
 

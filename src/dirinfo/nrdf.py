@@ -19,7 +19,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, InfeasibleConstraint, SpecMismatch
-from .indexing import decode
 from .information import directed_information
 from .measures import (
     AlphabetSpec,
@@ -27,11 +26,11 @@ from .measures import (
     ForwardKernel,
     InfoValue,
     Pmf,
+    _constraint_table,
     _frozen,
     _marginal_weights,
-    _normalize_rows,
     _path_weights,
-    _side_major,
+    _side_laws,
     _step_shape,
     _tied_rows,
     _tied_shape,
@@ -45,12 +44,11 @@ from .solver import (
     checked_budget,
     entropy_route,
     freeze_budget_table,
-    grid_batches,
+    grid_search,
     induction,
     log_where_positive,
     logsumexp,
     match_budget,
-    simplex_grid,
     split_infinite,
     weight_table,
 )
@@ -113,14 +111,6 @@ class NrdfResult:
     converged: bool
 
 
-def _check_table_shape(spec: AlphabetSpec, d: DistortionConstraint):
-    want = (spec.num_x_paths, spec.num_y_paths)
-    if d.distortion_table.shape != want:
-        raise SpecMismatch(
-            f"distortion table has shape {d.distortion_table.shape}, expected {want}"
-        )
-
-
 def _resolve_budget(d: DistortionConstraint, budget: Optional[float]) -> float:
     """The budget a solve or oracle runs at: ``d.budget`` unless one is
     given, which must then be a finite nonnegative real."""
@@ -132,9 +122,9 @@ def expected_distortion(src: SourceSpec, q: ForwardKernel, d: DistortionConstrai
     when mass reaches a forbidden cell."""
     if src.spec != q.spec:
         raise SpecMismatch("source and kernel specs differ")
-    _check_table_shape(q.spec, d)
+    table = _constraint_table(q.spec, d.distortion_table, "distortion")
     w = product_pi_backward(src.marginal(), q).weights
-    return float(weight_table(w, _side_major(q.spec, d.distortion_table, inverse=True)).sum())
+    return float(weight_table(w, table).sum())
 
 
 def _distortion_dp(prob: _NrdfProblem):
@@ -164,7 +154,7 @@ def _input_free_floor(src: SourceSpec, d: DistortionConstraint) -> tuple[float, 
 
 
 def _constant_path_kernel(spec: AlphabetSpec, path_code: int) -> ForwardKernel:
-    digits = decode(path_code, spec.y_sizes)
+    digits = np.unravel_index(path_code, spec.y_sizes)
     tables = [np.eye(spec.y_sizes[i])[[y] * spec.y_prefix_count(i)] for i, y in enumerate(digits)]
     return ForwardKernel.from_input_free_tables(spec, tables)
 
@@ -190,13 +180,11 @@ class _NrdfProblem:
 
     def __init__(self, src: SourceSpec, d: DistortionConstraint):
         spec = src.spec
-        _check_table_shape(spec, d)
         self.spec = spec
-        self.d = np.ascontiguousarray(_side_major(spec, d.distortion_table, inverse=True))
-        mu = [t.reshape(_step_shape(spec, 0, i, tied=True)) for i, t in enumerate(src.step_tables)]
-        self.laws = [law for t in mu for law in (t, None)]  # the controller picks each y_i
+        self.d = np.ascontiguousarray(_constraint_table(spec, d.distortion_table, "distortion"))
+        self.laws = _side_laws(spec, src.step_tables, 0, tied=True)  # the controller picks each y_i
         with np.errstate(divide="ignore"):
-            self.log_mu = [np.log(t) for t in mu]
+            self.log_mu = [np.log(t) for t in self.laws[::2]]
         self.y_shape = _tied_shape(spec, 1)
 
     @np.errstate(divide="ignore", invalid="ignore")
@@ -248,12 +236,7 @@ class _NrdfProblem:
     def kernel(self, log_q: list) -> ForwardKernel:
         """The kernel of log step tables; a row with ``Z_i = 0``, which is
         never reached, holds the induction's uniform policy."""
-        spec = self.spec
-        tables = []
-        for i, lq in enumerate(log_q):
-            rows = np.exp(lq).reshape(spec.output_history_count(i), spec.y_sizes[i])
-            tables.append(_normalize_rows(rows, spec.y_sizes[i]))
-        return ForwardKernel(spec, tuple(tables))
+        return ForwardKernel._from_log_tables(self.spec, log_q)
 
 
 def _solve_fixed_s(prob: _NrdfProblem, s: float, cfg: SolverConfig, log_nu: np.ndarray):
@@ -351,7 +334,7 @@ def solve_nrdf(
 # ---------------------------------------------------------------------------
 
 
-def _batch_terms(src: SourceSpec, d: DistortionConstraint, pools):
+def _batch_terms(prob: _NrdfProblem, pools):
     """``evaluate(idx)``: the directed information and expected distortion
     of a batch of reconstruction kernels, whose step-``i`` rows ``idx[i]``,
     of shape ``(batch, rows)``, picks from ``pools[i]``.
@@ -362,14 +345,12 @@ def _batch_terms(src: SourceSpec, d: DistortionConstraint, pools):
     law, and times :func:`split_infinite` of the distortion the expected
     distortion.
     """
-    spec = src.spec
-    mu = [t.reshape(_step_shape(spec, 0, i)) for i, t in enumerate(src.kernel.tables)]
+    spec = prob.spec
+    mu = prob.laws[::2]
     neg_entropy = [(p * log_where_positive(p)).sum(axis=-1) for p in pools]
-    paths = np.broadcast_to(np.eye(spec.num_y_paths), (spec.num_x_paths,) + (spec.num_y_paths,) * 2)
-    paths, split = (
-        _side_major(spec, m, inverse=True).reshape(spec.total_cells, -1)
-        for m in (paths, split_infinite(d.distortion_table))
-    )
+    paths = np.eye(spec.num_y_paths).reshape(prob.y_shape + (-1,))
+    paths = np.broadcast_to(paths, spec.interleaved_shape + paths.shape[-1:]).reshape(spec.total_cells, -1)
+    split = split_infinite(prob.d).reshape(spec.total_cells, -1)
 
     def evaluate(idx):
         w, mean_log_q = np.ones(()), 0.0
@@ -404,29 +385,12 @@ def brute_force_nrdf(
     ``max_grid_points``, and :class:`InfeasibleConstraint` when no grid
     kernel meets the budget.
     """
-    spec = src.spec
-    _check_table_shape(spec, d)
+    prob = _NrdfProblem(src, d)
     target = _resolve_budget(d, budget)
-    batches = grid_batches(
-        [spec.output_history_count(i) for i in range(spec.steps)],
-        spec.y_sizes,
-        grid_resolution,
-        max_grid_points,
-        chunk_cells,
-        spec.total_cells,
-    )
-    grids = {k: simplex_grid(grid_resolution, k) for k in set(spec.y_sizes)}
-    evaluate = _batch_terms(src, d, [grids[k] for k in spec.y_sizes])
-    best = math.inf
-    for idx in batches:
-        di, dist = evaluate(idx)
-        di = di[dist <= target + FEASIBILITY_SLACK]
-        if len(di):
-            best = min(best, float(di.min()))
-
-    if best == math.inf:
-        raise InfeasibleConstraint("no grid kernel meets the budget")
-    return InfoValue(best)
+    return InfoValue(grid_search(
+        src.spec, 1, False, lambda pools: _batch_terms(prob, pools), target,
+        -1.0, grid_resolution, max_grid_points, chunk_cells,
+    ))
 
 
 def rd_curve(

@@ -7,9 +7,10 @@ The solvers share the configuration, the checks of a cost or distortion
 table and its budget, the multiplier search that prices the budget, the
 log-sum-exp, and the one backward induction that both run: capacity's
 update, certificate and least cost, NRDF's tilt and least distortion.
-The grid oracles share the simplex-grid enumerator and the evaluation
-kernel, which reads each batch of joints as ``H(Y^n) - H(Y^n || X^n)``,
-i.e. ``E log Q(y^n || x^n) - sum_y nu log nu``.
+The grid oracles share one grid search, over the simplex-grid rows of
+either side's kernel, and the evaluation kernel, which reads each batch of
+joints as ``H(Y^n) - H(Y^n || X^n)``, i.e. ``E log Q(y^n || x^n) - sum_y nu
+log nu``; each oracle supplies only its batch evaluator.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, GridTooLarge, InfeasibleConstraint
+from .measures import AlphabetSpec, _table_shape
 
 # Entropic mirror ascent: ``exp_update_rows``, ``StepSchedule``,
 # ``monotone_improve`` and ``MERIT_SLACK`` are no longer called by either
@@ -382,3 +384,30 @@ def grid_batches(
 
     # a generator of its own, so the checks above run at the call
     return batches()
+
+
+def grid_search(spec: AlphabetSpec, side: int, tied: bool, terms: Callable, budget: Optional[float],
+                sign: float, resolution: int, max_grid_points: int, chunk_cells: int) -> float:
+    """The largest (``sign`` 1) or least (``sign`` -1) value over kernels of
+    ``side`` whose rows (keyed by the side's own history when ``tied``) are
+    simplex-grid points and whose expected cost is within ``budget`` (when
+    given) plus ``FEASIBILITY_SLACK``.  ``terms(pools)`` gives the oracle's
+    ``evaluate(idx) -> (values, costs)`` for batches whose step-``i`` rows
+    pick from ``pools[i]``.  Raises as :func:`grid_batches` does, or
+    :class:`InfeasibleConstraint` when no grid kernel meets the budget.
+    """
+    shapes = [_table_shape(spec, side, i, tied) for i in range(spec.steps)]
+    rows, sizes = zip(*shapes)
+    batches = grid_batches(rows, sizes, resolution, max_grid_points, chunk_cells, spec.total_cells)
+    grids = {k: simplex_grid(resolution, k) for k in set(sizes)}
+    evaluate = terms([grids[k] for k in sizes])
+    best = -math.inf
+    for idx in batches:
+        value, cost = evaluate(idx)
+        if budget is not None:
+            value = value[cost <= budget + FEASIBILITY_SLACK]
+        if len(value):
+            best = max(best, float((sign * value).max()))
+    if best == -math.inf:
+        raise InfeasibleConstraint("no grid kernel meets the budget")
+    return sign * best

@@ -1,8 +1,22 @@
 """Shared test utilities: random kernel callables and table builders."""
+import math
+
 import numpy as np
 
-from dirinfo.indexing import decode
 from dirinfo.measures import AlphabetSpec, BackwardKernel, ForwardKernel
+
+
+def decode(code, sizes):
+    """Digits of ``code``, the row-major rank of a tuple in the product
+    space of ``sizes`` (the last coordinate varies fastest): a pure-Python
+    reference for the package's row and path codes."""
+    if not 0 <= code < math.prod(sizes):
+        raise ValueError(f"code {code} out of range for a space of {math.prod(sizes)} tuples")
+    digits = []
+    for s in reversed(sizes):
+        code, d = divmod(code, s)
+        digits.append(d)
+    return tuple(reversed(digits))
 
 
 def random_kernel_fn(rnd, width, sparse=False):

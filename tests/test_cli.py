@@ -431,6 +431,15 @@ def test_verify_replay_file_round_trip(tmp_path, capsys):
         assert doc["mode"] == "replay" and doc["passed"] is (want == 0)
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+def test_verify_replay_rejects_a_non_finite_tolerance(tolerance, tmp_path, capsys):
+    # "inf" would pass any slack, and "nan" fail every one
+    path = write_problem(tmp_path / "p.json", dual_formula_payload(tolerance))
+    assert main(["verify", "-i", path, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "tolerance" in captured.err
+
+
 def failing_payload(suite, monkeypatch):
     """The first failure payload of ``suite`` with every case made to fail."""
     import dirinfo.verify as v

@@ -68,6 +68,12 @@ def _forbid_prefix(prefix):
     return cost
 
 
+def _paid_history(xs, ys):
+    # a price on x_0, x_n and y_0, so that rows and columns of the table
+    # both matter
+    return 0.5 * xs[0] + float(xs[-1]) + 0.2 * ys[0]
+
+
 CAPACITY_CASES = {
     # name: (x_sizes, y_sizes, channel, cost or None, budget, resolution, no_feedback)
     "deterministic": ((2, 2), (2, 2), _deterministic, None, 0.0, 2, False),
@@ -84,6 +90,12 @@ CAPACITY_CASES = {
     "ternary": ((3,), (2,), "dense", None, 0.0, 4, False),
     "ternary-budget": ((3,), (3,), "sparse", _final_symbol, 0.6, 4, False),
     "infeasible": ((2,), (2,), "dense", lambda xs, ys: 1.0 + xs[-1], 0.5, 4, False),
+    # unequal per-step alphabets; at resolution 1 every feedback kernel is
+    # deterministic, with directed information 0, and at resolution 2 the
+    # input sizes (2, 3) give 139,968 feedback kernels, too many for the
+    # pure-Python search, so the feedback case keeps x at (2, 2)
+    "unequal-alphabets": ((2, 2), (3, 2), "dense", _paid_history, 0.5, 2, False),
+    "unequal-alphabets-no-feedback": ((2, 3), (3, 2), "dense", _paid_history, 0.8, 2, True),
 }
 
 
@@ -140,6 +152,8 @@ NRDF_CASES = {
     "ternary-zero-mass": ((3,), (2,), [[[0.5, 0.5, 0.0]]],
                           lambda xs, ys: math.inf if xs == (2,) else float(xs[0] != ys[0]), 0.4, 4),
     "infeasible": ((2,), (2,), [[[0.5, 0.5]]], lambda xs, ys: 1.0 + _hamming(xs, ys), 0.5, 4),
+    "unequal-alphabets": ((1, 2), (3, 2), [[[1.0]], [[0.7, 0.3]]],
+                          lambda xs, ys: float(xs[1] != ys[1]) + 0.25 * ys[0], 0.2, 2),
 }
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dirinfo as di
-from dirinfo.indexing import decode
 from dirinfo.measures import (
     PMF_TOL,
     active_cell_cap,
@@ -24,6 +23,7 @@ from dirinfo.sampling import (
 
 from helpers import (
     backward_kernel_from_fn,
+    decode,
     forward_kernel_from_fn,
     random_kernel_fn,
     random_small_shape,

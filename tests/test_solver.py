@@ -304,7 +304,7 @@ def test_entropy_route_matches_the_evaluator_batched_or_not():
     # row without mass, and an infinite cell counts only when it has mass
     from dirinfo.capacity import PowerConstraint, _batch_terms, _CapacityProblem, expected_cost
     from dirinfo.nrdf import _batch_terms as _nrdf_batch_terms
-    from dirinfo.nrdf import expected_distortion
+    from dirinfo.nrdf import _NrdfProblem, expected_distortion
     from dirinfo.sampling import (
         random_backward_kernel,
         random_feedback_free_kernel,
@@ -362,7 +362,7 @@ def test_entropy_route_matches_the_evaluator_batched_or_not():
     d = di.DistortionConstraint(table, 1.0)
     free = random_forward_kernel(rng, spec).tables
     check(
-        lambda pools: _nrdf_batch_terms(src, d, pools),
+        lambda pools: _nrdf_batch_terms(_NrdfProblem(src, d), pools),
         [(np.tile([[0.0, 0.3, 0.7]], (2, 1)), free[1]), free],
         lambda t: di.directed_information(src.kernel, di.ForwardKernel(spec, t)),
         lambda t: expected_distortion(src, di.ForwardKernel(spec, t), d),
