@@ -40,6 +40,8 @@ from .measures import (
 from .solver import (
     DEFAULT_CONFIG,
     FEASIBILITY_SLACK,
+    _MU_CAP,
+    _MU_GROWTH,
     SolverConfig,
     entropy_route,
     freeze_budget_table,
@@ -54,9 +56,6 @@ from .solver import (
 
 # updates between evaluations of the certificate
 _CERT_EVERY = 10
-# over-relaxation: the step mu grows by this factor per update, up to the cap
-_MU_GROWTH = 1.1
-_MU_CAP = 4.0
 
 
 @dataclass(frozen=True, eq=False)

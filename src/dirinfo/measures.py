@@ -260,13 +260,13 @@ def _expand_tied_table(spec: AlphabetSpec, side: int, i: int, tied: np.ndarray) 
 
 
 def _tied_rows(spec: AlphabetSpec, side: int, i: int, table: np.ndarray) -> np.ndarray:
-    """A step table of ``side`` averaged over the other side's axes of its
-    prefix: rows keyed by the side's own history alone."""
+    """A step table of ``side`` at index 0 of the other side's axes of its
+    prefix: rows keyed by the side's own history alone.  One replica, not
+    their mean, which can round, so a tied table gives back its own rows."""
     arr = table.reshape(_step_shape(spec, side, i))
     other = _side_axes(1 - side, _prefix_len(side, i))
-    if other:
-        arr = arr.mean(axis=other)
-    return arr.reshape(_table_shape(spec, side, i, tied=True))
+    first = tuple(slice(None, 1) if a in other else slice(None) for a in range(arr.ndim))
+    return arr[first].reshape(_table_shape(spec, side, i, tied=True))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +493,8 @@ class ForwardKernel(_StepKernel):
 
 
 def ignores_output_history(kernel: BackwardKernel, tol: float = 1e-12) -> bool:
-    """True when every step table of ``kernel`` is constant across ``y^{i-1}``."""
+    """True when every step table of ``kernel`` is constant across ``y^{i-1}``:
+    each replica of a row is within ``tol`` of the one at ``y^{i-1} = 0``."""
     spec = kernel.spec
     for i, t in enumerate(kernel.tables):
         ref = _expand_tied_table(spec, 0, i, _tied_rows(spec, 0, i, t))

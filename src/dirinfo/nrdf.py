@@ -6,9 +6,14 @@ alternating minimization (Csiszar-Tusnady): with the output law ``nu``
 fixed, one soft backward induction gives the exact minimizing causal
 kernel, for additive and path-level distortions alike; then ``nu`` becomes
 the output law of the new joint.  Each update also certifies a lower bound
-on the least Lagrangian, since its value is convex in ``nu``.  The shared
-multiplier search matches the slope to the budget and stops on a certified
-gap; a simplex-grid oracle validates results.
+on the least Lagrangian, since its value is convex in ``nu``; the bound
+holds at any ``nu``.  So each slope may start from the last one's output
+law, floored by a little of the uniform law so that it cannot have
+collapsed, and the law update is over-relaxed with capacity's schedule
+(Matz & Duhamel): a step ``mu >= 1`` on ``log nu``, undone and retaken at
+``mu = 1`` when it raises the Lagrangian.  The shared multiplier search
+matches the slope to the budget and stops on a certified gap; a
+simplex-grid oracle validates results.
 """
 from __future__ import annotations
 
@@ -40,6 +45,8 @@ from .measures import (
 from .solver import (
     DEFAULT_CONFIG,
     FEASIBILITY_SLACK,
+    _MU_CAP,
+    _MU_GROWTH,
     SolverConfig,
     checked_budget,
     entropy_route,
@@ -242,14 +249,29 @@ class _NrdfProblem:
 def _solve_fixed_s(prob: _NrdfProblem, s: float, cfg: SolverConfig, log_nu: np.ndarray):
     """Alternate updates at slope ``s`` from the output law ``log_nu`` until
     the Lagrangian is within ``cfg.tol`` of the best certified bound.
-    Returns the last update, that bound and the number of updates."""
-    bound = -math.inf
+    Returns the last kept update, that bound and the number of tilts, undone
+    ones included.  The start is floored and the law updates over-relaxed as
+    :func:`solve_nrdf` says: with ``c`` the ratio of a tilt's output law to
+    its normalized input ``nu``, the next input is ``nu c^mu``.
+    """
+    eps = min(cfg.tol, cfg.multiplier_tol)
+    log_nu = log_nu - logsumexp(log_nu.reshape(-1))
+    log_nu = np.logaddexp(log_nu + math.log1p(-eps), math.log(eps / log_nu.size))
+    bound, mu, kept = -math.inf, 1.0, None  # mu: the step that made log_nu
     for iters in range(1, cfg.max_iters + 1):
         step = prob.tilt(log_nu, s)
-        log_nu = step.log_nu
         bound = max(bound, step.bound)
+        if mu > 1.0 and step.lagrangian > kept.lagrangian:  # undo a relaxed step that lost ground
+            log_nu, step, mu = kept.log_nu, kept, 1.0
+            continue
         if step.lagrangian - bound <= cfg.tol:
             break
+        mu = min(mu * _MU_GROWTH, _MU_CAP) if kept is not None else 1.0
+        kept = step
+        with np.errstate(invalid="ignore"):
+            log_c = step.log_nu - log_nu
+            log_nu = log_nu + mu * np.where(np.isnan(log_c), -np.inf, log_c)
+        log_nu = log_nu - logsumexp(log_nu.reshape(-1))
     return step, bound, iters
 
 
@@ -278,6 +300,14 @@ def solve_nrdf(
     is within ``cfg.multiplier_tol`` of the best such bound, which is what
     ``converged`` means.  The returned kernel meets the budget to within
     ``1e-9``.
+
+    Each slope starts from the last slope's output law mixed with the
+    uniform law at weight ``min(cfg.tol, cfg.multiplier_tol)``.  Its law
+    updates are over-relaxed (Matz & Duhamel) as capacity's are: the step
+    ``mu`` on ``log nu`` starts at 1 and grows by ``1.1`` per update up to
+    ``4``; an update with ``mu > 1`` that raises the Lagrangian is undone,
+    counted in ``iterations`` and toward ``cfg.max_iters`` at that slope,
+    and retaken from the kept law at ``mu = 1``.
     """
     cfg = cfg or DEFAULT_CONFIG
     spec = src.spec

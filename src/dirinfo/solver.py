@@ -42,6 +42,10 @@ FEASIBILITY_SLACK = 1e-9
 _BRACKET_CAP = 1e12
 # false-position steps allowed per budget match
 _MATCH_ROUNDS = 100
+# over-relaxation (Matz & Duhamel), shared by both solvers: the step mu
+# starts at 1 and grows by this factor per update, up to the cap
+_MU_GROWTH = 1.1
+_MU_CAP = 4.0
 
 
 @dataclass(frozen=True)

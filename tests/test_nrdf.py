@@ -174,6 +174,17 @@ def test_source_must_ignore_output_history():
     SourceSpec(random_feedback_free_kernel(rng, SPEC2))
 
 
+def test_source_keeps_its_tied_rows_exactly():
+    # a row replicated over three y_0 histories is stored as given, not as a
+    # mean of its replicas, which rounds 0.7 one ulp down; on the stored
+    # source an input-free path meets the exactly binding budget at rate 0
+    spec = di.AlphabetSpec(1, (1, 2), (3, 2))
+    src = SourceSpec.from_step_tables(spec, [np.array([[1.0]]), np.array([[0.7, 0.3]])])
+    assert [float(v).hex() for v in src.step_tables[1].ravel()] == [(0.7).hex(), (0.3).hex()]
+    table = np.array([[float(x1 != y % 2) for y in range(6)] for x1 in range(2)])
+    assert float(brute_force_nrdf(src, DistortionConstraint(table, 0.3), grid_resolution=2)) == 0.0
+
+
 def test_min_expected_distortion_floor():
     src = uniform_binary_source(SPEC1)
     d = DistortionConstraint(hamming_paths(SPEC1), budget=0.0)
@@ -397,6 +408,55 @@ def test_markov_source_is_certified():
     assert res.converged
     assert float(res.value) == pytest.approx(0.5969247, abs=2e-6)
     assert res.distortion_slack >= -1e-9
+
+
+def test_warm_start_does_not_collapse_a_slope(monkeypatch):
+    # seed 14 at n=2: the s = 1 solve drives an output-law component to about
+    # e^-526, and a slope started from that law took 93,601 updates before
+    # warm starts were floored
+    updates = []
+    solve_fixed_s = nrdf._solve_fixed_s
+
+    def spy(prob, s, cfg, log_nu):
+        out = solve_fixed_s(prob, s, cfg, log_nu)
+        updates.append(out[2])
+        return out
+
+    monkeypatch.setattr(nrdf, "_solve_fixed_s", spy)
+    spec = di.AlphabetSpec(2, (2, 2, 2), (2, 2, 2))
+    src = SourceSpec(random_feedback_free_kernel(rng_from_seed(14), spec, min_mass=0.05))
+    res = solve_nrdf(src, DistortionConstraint(hamming_paths(spec), budget=0.3))
+    assert res.converged
+    assert res.iterations == sum(updates)
+    assert max(updates) <= 3000
+
+
+def test_relaxed_steps_are_undone_and_counted(monkeypatch):
+    # each tilt is one update; a tilt whose Lagrangian rises above the one
+    # before it at the same slope was over-relaxed, and the next tilt
+    # retakes the step from the kept law at mu = 1: the kept tilt's output
+    calls = []
+    tilt = _NrdfProblem.tilt
+
+    def spy(self, log_nu, s):
+        step = tilt(self, log_nu, s)
+        calls.append((s, log_nu, step))
+        return step
+
+    monkeypatch.setattr(_NrdfProblem, "tilt", spy)
+    src = SourceSpec(random_feedback_free_kernel(rng_from_seed(3), SPEC2, min_mass=0.05))
+    res = solve_nrdf(src, DistortionConstraint(hamming_paths(SPEC2), budget=0.2))
+    undone = [
+        k for k in range(1, len(calls))
+        if calls[k][0] == calls[k - 1][0] and calls[k][2].lagrangian > calls[k - 1][2].lagrangian
+    ]
+    assert undone
+    for k in undone:
+        assert calls[k + 1][0] == calls[k][0]
+        assert np.array_equal(calls[k + 1][1], calls[k - 1][2].log_nu)
+    assert res.converged
+    assert res.iterations == len(calls)
+    assert float(res.value) == pytest.approx(0.59692407, abs=1e-6)
 
 
 @pytest.mark.parametrize("seed", [8, 78, 105, 143])
