@@ -2,13 +2,12 @@
 backward kernels, optionally under an expected-cost budget.
 
 The solver is Blahut-Arimoto for directed information (Naiss & Permuter),
-in logs and over-relaxed (Matz & Duhamel): each update is one soft backward
-induction from the posterior of the current joint, its information term
-scaled by a step ``mu >= 1``, with the cost multiplier matched to the
-budget.  An over-relaxed step that lowers the value is undone and retaken
-at ``mu = 1``.  A dual bound from the output law, at the multiplier over
-``mu``, certifies the gap it stops on.  A simplex-grid oracle provides
-independent validation of solver output.
+in logs and over-relaxed by :func:`~dirinfo.solver.relax` with the value
+as its merit: each update is one soft backward induction from the
+posterior of the current joint, its information term scaled by the step
+``mu``, with the cost multiplier matched to the budget.  A dual bound from
+the output law, at the multiplier over ``mu``, certifies the gap it stops
+on.  A simplex-grid oracle validates solver output.
 """
 from __future__ import annotations
 
@@ -40,8 +39,6 @@ from .measures import (
 from .solver import (
     DEFAULT_CONFIG,
     FEASIBILITY_SLACK,
-    _MU_CAP,
-    _MU_GROWTH,
     SolverConfig,
     entropy_route,
     freeze_budget_table,
@@ -50,6 +47,7 @@ from .solver import (
     log_where_positive,
     logsumexp,
     match_budget,
+    relax,
     split_infinite,
     weight_table,
 )
@@ -180,27 +178,24 @@ class _CapacityProblem:
             lp = lp + t.reshape(_step_shape(self.layout, 0, i, len(self.head)))
         return lp
 
-    def posterior(self, state, mu: float):
-        """The current input's log output law ``log nu`` (0 where it has no
-        mass), its directed information, and the next update's reward.
-
-        With ``lp`` the input's log-probability of ``x^n`` given
-        ``y^{n-1}``, ``m = sum_{y_n} q_n log Q(y^n || x^n)`` and ``d = m -
-        sum_{y_n} q_n log nu``, the reward is ``lp + mu d`` where ``Q(y^{n-1}
-        || x^{n-1}) > 0`` and 0 elsewhere (at ``mu = 1`` the mean of ``log
-        P(x^n | y^n)`` over ``y_n``), and the directed information is ``sum
-        Q(y^{n-1} || x^{n-1}) e^lp d``, i.e. ``H(Y^n) - H(Y^n || X^n)``.
-        """
+    def posterior(self, state):
+        """``(di, log nu, lp, d)``: the current input's directed information
+        ``sum Q(y^{n-1} || x^{n-1}) e^lp d``, i.e. ``H(Y^n) - H(Y^n ||
+        X^n)``, its log output law (0 where it has no mass), its
+        log-probability ``lp`` of ``x^n`` given ``y^{n-1}``, and ``d =
+        sum_{y_n} q_n log(Q(y^n || x^n) / nu)``."""
         lp = self._log_law(state)
         log_nu = logsumexp(lp[..., None] + self.log_q, axis=_side_axes(0, lp.ndim), keepdims=True)
         log_nu = np.where(np.isfinite(log_nu), log_nu, 0.0)
         d = self.mean_log_q - (self.q_last @ log_nu[..., None])[..., 0, 0]
-        di = float(np.vdot(self.q_prev * np.exp(lp), d))
-        return log_nu, di, np.where(self.reached, lp + mu * d, 0.0)
+        return float(np.vdot(self.q_prev * np.exp(lp), d)), log_nu, lp, d
 
-    def update(self, a: np.ndarray, lam: float):
-        """The input that maximizes ``E log P(x^n | y^n) - lam E c`` plus its
-        own entropy, and its expected cost."""
+    def update(self, lp: np.ndarray, d: np.ndarray, mu: float, lam: float):
+        """The input that maximizes ``E a - lam E c`` plus its own entropy,
+        and its expected cost, for the reward ``a = lp + mu d`` where
+        ``Q(y^{n-1} || x^{n-1}) > 0`` (0 elsewhere): at ``mu = 1`` the mean
+        of ``log P(x^n | y^n)`` over ``y_n``."""
+        a = np.where(self.reached, lp + mu * d, 0.0)
         _, log_p = induction(a - lam * self.cost if lam else a, self.laws[:-1], soft=True)
         if self.constraint is None:
             return log_p, 0.0
@@ -241,9 +236,8 @@ def solve_capacity(
     With a constraint, feasibility is certified first via the minimum-cost
     strategy.  ``converged`` means a certified upper bound, checked every
     ``10`` updates and at the last, is within ``cfg.tol`` nats of the value.
-    The step ``mu`` starts at 1 and grows by ``1.1`` per update up to ``4``;
-    an update with ``mu > 1`` that lowers the value is undone, counted in
-    ``iterations``, and retaken from the kept iterate at ``mu = 1``.
+    The updates are over-relaxed as :func:`~dirinfo.solver.relax` says; an
+    undone update counts in ``iterations``.
     ``no_feedback=True`` ties each step's table across output histories: it
     solves for the law of the input path on the one-step channel ``Q(y^n |
     x^n)``.  With feedback, histories whose every final-step symbol has
@@ -260,28 +254,25 @@ def solve_capacity(
             raise InfeasibleConstraint(
                 f"minimum achievable cost {floor:.9g} exceeds budget {c.budget:.9g}"
             )
-    state, iters, gap = prob.start(), 0, math.inf
-    # the multiplier (over mu) and the cost of the step that made ``state``,
-    # that step's mu, and the iterate before it with its value
-    lam, cost, step, kept = 0.0, 0.0, 1.0, None
-    while True:
-        mu = min(step * _MU_GROWTH, _MU_CAP) if iters else 1.0
-        log_nu, di, a = prob.posterior(state, mu)
-        if step > 1.0 and di < kept[1]:  # undo an over-relaxed step that lost value
-            state, _, cost, lam = kept
-            mu = 1.0
-            log_nu, di, a = prob.posterior(state, mu)
-        if iters and (iters % _CERT_EVERY == 0 or iters == cfg.max_iters):
-            gap = prob.bound(log_nu, lam) - di
-            if gap <= cfg.tol or iters == cfg.max_iters:
-                break
-        kept = (state, di, cost, lam)
-        # without a budget every update costs 0 against a budget of 0
+    gap = math.inf
+
+    def advance(x, point, mu):
+        # x: a state with its update's cost and multiplier (over mu); without
+        # a budget every update costs 0 against a budget of 0
+        _, _, lp, d = point
         state, cost, lam = match_budget(
-            lambda x: prob.update(a, x), prob.budget, lam * mu, 0.01 * cfg.tol
+            lambda lam: prob.update(lp, d, mu, lam), prob.budget, x[2] * mu, 0.01 * cfg.tol
         )
-        lam, step = lam / mu, mu
-        iters += 1
+        return state, cost, lam / mu
+
+    def done(x, point, k):
+        nonlocal gap
+        if k and (k % _CERT_EVERY == 0 or k == cfg.max_iters):
+            gap = prob.bound(point[1], x[2]) - point[0]
+        return gap <= cfg.tol
+
+    start = (prob.start(), 0.0, 0.0)
+    (state, cost, _), _, iters = relax(lambda x: prob.posterior(x[0]), advance, start, done, cfg.max_iters)
     kernel = prob.kernel(state)
     value = directed_information(kernel, q)
     slack = None if c is None else c.budget - cost

@@ -38,13 +38,13 @@ from .serialization import (
     cost_table_from_jsonable,
     finite_real,
     forward_kernel_from_jsonable,
+    kernel_to_jsonable,
     load_stochastic_table,
     nonneg_int,
     parse_real,
     positive_int,
     real_to_str,
     spec_from_jsonable,
-    table_to_jsonable,
     value_or_none,
 )
 from .solver import SolverConfig
@@ -293,7 +293,7 @@ def _solved(command: str, kernel: str, slack_key: str, result, units: str, steps
         "units": units,
         "value": _real(nats, units),
         "normalized": _real(nats / steps, units),
-        kernel: {"tables": [table_to_jsonable(t) for t in getattr(result, kernel).tables]},
+        kernel: kernel_to_jsonable(getattr(result, kernel)),
         "iterations": result.iterations,
         "converged": result.converged,
         slack_key: None if slack is None else real_to_str(slack),

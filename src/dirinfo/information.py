@@ -198,9 +198,6 @@ def _check_lambda_grid(lambda_grid: Sequence[float]) -> tuple[float, ...]:
     grid = tuple(float(v) for v in lambda_grid)
     if not grid:
         raise DomainError("lambda grid must not be empty")
-    for v in grid:
-        if math.isnan(v) or not 0.0 <= v <= 1.0:
-            raise DomainError(f"mixture weight must lie in [0, 1], got {v!r}")
     return grid
 
 

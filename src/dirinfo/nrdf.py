@@ -9,9 +9,9 @@ the output law of the new joint.  Each update also certifies a lower bound
 on the least Lagrangian, since its value is convex in ``nu``; the bound
 holds at any ``nu``.  So each slope may start from the last one's output
 law, floored by a little of the uniform law so that it cannot have
-collapsed, and the law update is over-relaxed with capacity's schedule
-(Matz & Duhamel): a step ``mu >= 1`` on ``log nu``, undone and retaken at
-``mu = 1`` when it raises the Lagrangian.  The shared multiplier search
+collapsed, and the law update is over-relaxed by
+:func:`~dirinfo.solver.relax`, a step ``mu`` on ``log nu``, with the
+Lagrangian's negative as the merit.  The shared multiplier search
 matches the slope to the budget and stops on a certified gap; a
 simplex-grid oracle validates results.
 """
@@ -33,8 +33,8 @@ from .measures import (
     Pmf,
     _constraint_table,
     _frozen,
-    _marginal_weights,
     _path_weights,
+    _side_axes,
     _side_laws,
     _step_shape,
     _tied_rows,
@@ -45,8 +45,6 @@ from .measures import (
 from .solver import (
     DEFAULT_CONFIG,
     FEASIBILITY_SLACK,
-    _MU_CAP,
-    _MU_GROWTH,
     SolverConfig,
     checked_budget,
     entropy_route,
@@ -56,6 +54,7 @@ from .solver import (
     log_where_positive,
     logsumexp,
     match_budget,
+    relax,
     split_infinite,
     weight_table,
 )
@@ -170,6 +169,7 @@ class _Update(NamedTuple):
     """One alternating update at a fixed slope ``s``."""
 
     log_nu: np.ndarray  # output-path law of the new joint
+    log_c: np.ndarray  # its ratio to the normalized law tilted against
     log_q: list  # the new kernel's step tables, log domain
     di: float
     dist: float
@@ -208,37 +208,23 @@ class _NrdfProblem:
         ``log nu(y^i) - U_i``; its value at the root is ``-V``.  The minimum
         ``V`` is convex in ``nu`` with gradient ``-c``, where ``c(y) = sum_x
         mu(x) Q(y || x) / nu(y)``; so no law does better than ``V + 1 - max
-        c``.  The new joint's output law is ``nu c``.  Everything stays in
-        logs, because probabilities underflow at large ``s``.  ``log_nu``
-        need not be normalized.
+        c``.  The new joint's output law ``nu c`` sums its weights ``mu_i
+        Q_i`` over the inputs, in logs, as everything here is: probabilities
+        underflow at large ``s``.  ``log_nu`` need not be normalized.
         """
-        steps = self.spec.steps
         log_nu = log_nu - logsumexp(log_nu.reshape(-1))  # normalized
         neg_v, log_q = induction(log_nu.reshape(self.y_shape) - s * self.d, self.laws, soft=True)
         v = -float(neg_v)
-
-        # log mu(x) Q(y||x) / nu(y), prefix by prefix; a cell that is
-        # -inf on one step and +inf on a later one is never reached
-        acc = np.zeros(())
-        for i in range(steps):
-            acc = acc[..., None] + self.log_mu[i]
-            acc = acc[..., None] + log_q[i]
-        acc = acc - log_nu.reshape(self.y_shape)
-        acc = np.where(np.isnan(acc), -np.inf, acc)
-        top = acc
-        for i in range(steps):
-            top = top.max(axis=i)  # over x_i, once x_0..x_{i-1} are gone
-        top = np.where(np.isfinite(top), top, 0.0)
-        e = np.exp(acc - top.reshape(self.y_shape))
-        log_c = np.log(_marginal_weights(e, steps, 1)) + top
-
-        new_log_nu = log_nu + log_c
+        joint = np.zeros(())
+        for log_mu, log_q_i in zip(self.log_mu, log_q):
+            joint = (joint[..., None] + log_mu)[..., None] + log_q_i
+        new_log_nu = logsumexp(joint, axis=_side_axes(0, joint.ndim)).reshape(log_nu.shape)
+        log_c = np.where(np.isneginf(new_log_nu), -np.inf, new_log_nu - log_nu)
         nu = np.exp(new_log_nu)
-        w = e * np.exp(top + log_nu).reshape(self.y_shape)
-        dist = float(weight_table(w, self.d).sum())
+        dist = float(weight_table(np.exp(joint), self.d).sum())
         lagrangian = v - float(np.vdot(nu, np.where(nu > 0, log_c, 0.0)))
         bound = v - math.expm1(float(log_c.max()))
-        return _Update(new_log_nu, log_q, lagrangian - s * dist, dist, lagrangian, bound)
+        return _Update(new_log_nu, log_c, log_q, lagrangian - s * dist, dist, lagrangian, bound)
 
     def kernel(self, log_q: list) -> ForwardKernel:
         """The kernel of log step tables; a row with ``Z_i = 0``, which is
@@ -247,32 +233,35 @@ class _NrdfProblem:
 
 
 def _solve_fixed_s(prob: _NrdfProblem, s: float, cfg: SolverConfig, log_nu: np.ndarray):
-    """Alternate updates at slope ``s`` from the output law ``log_nu`` until
-    the Lagrangian is within ``cfg.tol`` of the best certified bound.
-    Returns the last kept update, that bound and the number of tilts, undone
-    ones included.  The start is floored and the law updates over-relaxed as
-    :func:`solve_nrdf` says: with ``c`` the ratio of a tilt's output law to
-    its normalized input ``nu``, the next input is ``nu c^mu``.
+    """Alternate updates at slope ``s`` from the output law ``log_nu``,
+    floored as :func:`solve_nrdf` says, until the Lagrangian is within
+    ``cfg.tol`` of the best bound of any tilt; returns the last kept update,
+    that bound and the number of tilts, undone ones included.  The next
+    input is ``nu c^mu``, at ``mu = 1`` the tilt's output law itself.
     """
     eps = min(cfg.tol, cfg.multiplier_tol)
     log_nu = log_nu - logsumexp(log_nu.reshape(-1))
     log_nu = np.logaddexp(log_nu + math.log1p(-eps), math.log(eps / log_nu.size))
-    bound, mu, kept = -math.inf, 1.0, None  # mu: the step that made log_nu
-    for iters in range(1, cfg.max_iters + 1):
+    bound = -math.inf
+
+    def evaluate(log_nu):
+        nonlocal bound
         step = prob.tilt(log_nu, s)
         bound = max(bound, step.bound)
-        if mu > 1.0 and step.lagrangian > kept.lagrangian:  # undo a relaxed step that lost ground
-            log_nu, step, mu = kept.log_nu, kept, 1.0
-            continue
-        if step.lagrangian - bound <= cfg.tol:
-            break
-        mu = min(mu * _MU_GROWTH, _MU_CAP) if kept is not None else 1.0
-        kept = step
-        with np.errstate(invalid="ignore"):
-            log_c = step.log_nu - log_nu
-            log_nu = log_nu + mu * np.where(np.isnan(log_c), -np.inf, log_c)
-        log_nu = log_nu - logsumexp(log_nu.reshape(-1))
-    return step, bound, iters
+        return -step.lagrangian, step
+
+    def advance(log_nu, point, mu):
+        if mu == 1.0:
+            return point[1].log_nu
+        log_nu = log_nu + mu * point[1].log_c
+        return log_nu - logsumexp(log_nu.reshape(-1))
+
+    def done(log_nu, point, k):
+        return point[1].lagrangian - bound <= cfg.tol
+
+    # the first tilt evaluates the start, and each update is one more
+    _, (_, step), k = relax(evaluate, advance, log_nu, done, cfg.max_iters - 1)
+    return step, bound, k + 1
 
 
 class _Certified(Exception):
@@ -303,11 +292,9 @@ def solve_nrdf(
 
     Each slope starts from the last slope's output law mixed with the
     uniform law at weight ``min(cfg.tol, cfg.multiplier_tol)``.  Its law
-    updates are over-relaxed (Matz & Duhamel) as capacity's are: the step
-    ``mu`` on ``log nu`` starts at 1 and grows by ``1.1`` per update up to
-    ``4``; an update with ``mu > 1`` that raises the Lagrangian is undone,
-    counted in ``iterations`` and toward ``cfg.max_iters`` at that slope,
-    and retaken from the kept law at ``mu = 1``.
+    updates are over-relaxed as :func:`~dirinfo.solver.relax` says; an
+    undone update counts in ``iterations`` and toward ``cfg.max_iters`` at
+    that slope.
     """
     cfg = cfg or DEFAULT_CONFIG
     spec = src.spec

@@ -4,9 +4,9 @@ Both problems optimize one functional, the directed information of the
 joint of an input and a channel kernel plus an expected cost or
 distortion: capacity varies the input kernel, NRDF the channel kernel.
 The solvers share the configuration, the checks of a cost or distortion
-table and its budget, the multiplier search that prices the budget, the
-log-sum-exp, and the one backward induction that both run: capacity's
-update, certificate and least cost, NRDF's tilt and least distortion.
+table and its budget, the multiplier search, the log-sum-exp, and the one
+relaxed iteration and one backward induction that both run (capacity's
+update, certificate and least cost, NRDF's tilt and least distortion).
 The grid oracles share one grid search, over the simplex-grid rows of
 either side's kernel, and the evaluation kernel, which reads each batch of
 joints as ``H(Y^n) - H(Y^n || X^n)``, i.e. ``E log Q(y^n || x^n) - sum_y nu
@@ -42,8 +42,7 @@ FEASIBILITY_SLACK = 1e-9
 _BRACKET_CAP = 1e12
 # false-position steps allowed per budget match
 _MATCH_ROUNDS = 100
-# over-relaxation (Matz & Duhamel), shared by both solvers: the step mu
-# starts at 1 and grows by this factor per update, up to the cap
+# the step schedule of :func:`relax`
 _MU_GROWTH = 1.1
 _MU_CAP = 4.0
 
@@ -168,6 +167,31 @@ def monotone_improve(
                 converged = True
                 break
     return tables, sign * merit, iters, converged
+
+
+def relax(evaluate: Callable, advance: Callable, x, done: Callable, max_iters: int):
+    """The over-relaxed iteration (Matz & Duhamel) of both solvers: the last
+    kept ``(x, point, k)``, after ``k`` updates, undone ones included.
+
+    ``point = evaluate(x)`` has the merit ``point[0]``, and ``advance(x,
+    point, mu)`` is the next iterate, taken with the step ``mu``, which
+    starts at 1 and grows by a factor of 1.1 per update, up to 4.  An update
+    with ``mu > 1`` that lowers the merit is undone and retaken from the
+    kept iterate at ``mu = 1``, where the schedule restarts.  ``done(x,
+    point, k)`` is asked of the start, after each update, and of the kept
+    iterate again after an undo; ``max_iters`` updates also stop it.
+    """
+    point, k, step, kept = evaluate(x), 0, 1.0, None  # step: the mu that made x
+    while True:
+        if step > 1.0 and point[0] < kept[1][0]:  # undo a relaxed update that lost merit
+            (x, point), mu = kept, 1.0
+        else:
+            mu = min(step * _MU_GROWTH, _MU_CAP) if k else 1.0
+        if done(x, point, k) or k == max_iters:
+            return x, point, k
+        kept, step = (x, point), mu
+        x = advance(x, point, mu)
+        point, k = evaluate(x), k + 1
 
 
 # ---------------------------------------------------------------------------

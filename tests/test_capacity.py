@@ -472,6 +472,30 @@ def test_value_never_falls_and_slack_is_the_returned_kernels(budget):
         assert r.constraint_slack == pytest.approx(c.budget - spent, abs=1e-12)
 
 
+def test_an_undo_reuses_the_kept_evaluation(monkeypatch):
+    # the budget-0.2 solve above undoes steps; each undo restores the kept
+    # iterate's posterior, so there is one posterior per update and one of
+    # the start
+    q = _seed1_channel(2, 2)
+    calls, steps = [], []
+    posterior, update = _CapacityProblem.posterior, _CapacityProblem.update
+
+    def posterior_spy(self, *args):
+        calls.append(1)
+        return posterior(self, *args)
+
+    def update_spy(self, lp, d, mu, lam):
+        steps.append(mu)
+        return update(self, lp, d, mu, lam)
+
+    monkeypatch.setattr(_CapacityProblem, "posterior", posterior_spy)
+    monkeypatch.setattr(_CapacityProblem, "update", update_spy)
+    result = solve_capacity(q, _final_symbol_budget(q.spec))
+    assert result.converged
+    assert any(a > 1.0 and b == 1.0 for a, b in zip(steps, steps[1:]))  # a retake
+    assert len(calls) == result.iterations + 1
+
+
 def test_boundary_optimum_is_certified():
     # the optimal first input puts no mass on one symbol; plain
     # Blahut-Arimoto is still uncertified after 100,000 updates here
@@ -612,13 +636,13 @@ def test_relaxed_steps_certify_at_the_multiplier_over_mu(seed, monkeypatch):
     # only at the multiplier over mu
     spec, q_fn, q, c, cost_fn = _random_case(seed)
     steps = []
-    posterior = _CapacityProblem.posterior
+    update = _CapacityProblem.update
 
-    def spy(self, state, mu):
+    def spy(self, lp, d, mu, lam):
         steps.append(mu)
-        return posterior(self, state, mu)
+        return update(self, lp, d, mu, lam)
 
-    monkeypatch.setattr(_CapacityProblem, "posterior", spy)
+    monkeypatch.setattr(_CapacityProblem, "update", spy)
     for k in range(3, 21):
         result = solve_capacity(q, c, SolverConfig(tol=1e-8, max_iters=k))
         assert result.converged

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -374,10 +375,16 @@ def test_audit_rejects_bad_lambda_grid():
     spec = di.AlphabetSpec(1, (2, 2), (2, 2))
     p = random_backward_kernel(rng, spec)
     q1 = random_forward_kernel(rng, spec)
-    with pytest.raises(di.DomainError):
-        di.check_convexity_in_q(p, q1, q1, [0.5, 1.5])
-    with pytest.raises(di.DomainError):
-        di.check_convexity_in_q(p, q1, q1, [])
+    for bad, got in (([0.5, 1.5], "1.5"), ([0.5, math.nan, 2.0], "nan"), ([-0.5], "-0.5")):
+        message = re.escape(f"mixture weight must lie in [0, 1], got {got}")
+        with pytest.raises(di.DomainError, match=message):
+            di.check_convexity_in_q(p, q1, q1, bad)
+        with pytest.raises(di.DomainError, match=message):
+            di.check_concavity_in_p(q1, p, p, bad)
+    for audit in (lambda grid: di.check_convexity_in_q(p, q1, q1, grid),
+                  lambda grid: di.check_concavity_in_p(q1, p, p, grid)):
+        with pytest.raises(di.DomainError, match="lambda grid must not be empty"):
+            audit([])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from dirinfo.solver import (
     logsumexp,
     match_budget,
     monotone_improve,
+    relax,
     simplex_grid,
 )
 
@@ -212,6 +213,65 @@ def test_monotone_improve_descends_with_negative_sign():
     assert conv
     assert merit == pytest.approx(1.0, abs=1e-6)
     assert tabs[0][0, 1] == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the relaxed iteration on a toy map with a known merit
+# ---------------------------------------------------------------------------
+
+
+def _shrink(rate, steps):
+    """``relax``'s callables for the iterate ``x`` moving ``mu`` times the
+    way to the fixed point of ``x -> rate * x`` from wherever it is, with
+    merit ``-|x|``; each update's ``(x, mu)`` goes on ``steps``."""
+
+    def advance(x, point, mu):
+        steps.append((x, mu))
+        return x + mu * (rate * x - x)
+
+    return (lambda x: (-abs(x),)), advance
+
+
+def test_relax_grows_the_step_to_its_cap_and_honours_max_iters():
+    steps = []
+    evaluate, advance = _shrink(0.9, steps)  # no step up to 4 overshoots
+    x, point, k = relax(evaluate, advance, 1.0, lambda x, point, k: False, 20)
+    assert k == len(steps) == 20
+    mus = [mu for _, mu in steps]
+    assert mus == pytest.approx([min(1.1 ** i, 4.0) for i in range(20)], rel=1e-12)
+    assert mus[0] == 1.0 and mus[-1] == 4.0
+    assert point == (-abs(x),) and x == pytest.approx(math.prod(1.0 - 0.1 * mu for mu in mus))
+
+
+def test_relax_undoes_an_update_that_loses_merit_and_retakes_it_at_one():
+    # with rate 0.2 a step mu > 2.5 overshoots past -x: first at mu = 1.1^10
+    steps = []
+    evaluate, advance = _shrink(0.2, steps)
+    relax(evaluate, advance, 1.0, lambda x, point, k: False, 20)
+    undone = [j for j, (x, mu) in enumerate(steps) if abs(x + mu * (0.2 * x - x)) > abs(x)]
+    assert undone[0] == 10 and steps[10][1] == pytest.approx(1.1 ** 10)
+    for j in undone:
+        assert steps[j][1] > 1.0
+        assert steps[j + 1] == (steps[j][0], 1.0)  # from the kept iterate, at mu = 1
+        assert steps[j + 2][1] == pytest.approx(1.1)
+    # the undone update counts toward max_iters, and the kept iterate is returned
+    steps.clear()
+    x, point, k = relax(evaluate, advance, 1.0, lambda x, point, k: False, 11)
+    assert k == len(steps) == 11
+    assert x == steps[10][0] and point == (-abs(x),)
+
+
+def test_relax_asks_done_of_the_restored_iterate_after_an_undo():
+    steps, asked = [], []
+    evaluate, advance = _shrink(0.2, steps)
+
+    def done(x, point, k):
+        asked.append((x, k))
+        return k == 11
+
+    x, point, k = relax(evaluate, advance, 1.0, done, 100)
+    assert [j for _, j in asked] == list(range(12))
+    assert k == 11 and asked[-1] == (steps[10][0], 11) and x == steps[10][0]
 
 
 # ---------------------------------------------------------------------------
