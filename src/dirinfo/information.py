@@ -163,7 +163,7 @@ def mutual_information(joint: JointMeasure) -> InfoValue:
     """Mutual information between full input and output paths, in nats."""
     mu = marginal_x(joint).weights.reshape(_tied_shape(joint.spec, 0))
     nu = marginal_y(joint).weights.reshape(_tied_shape(joint.spec, 1))
-    return kl_divergence(joint.weights, mu * nu)
+    return kl_divergence(joint, mu * nu)
 
 
 # ---------------------------------------------------------------------------

@@ -711,14 +711,18 @@ def _dense_weights(obj: DenseLike) -> np.ndarray:
         return obj.weights
     if isinstance(obj, JointMeasure):
         return obj.weights.reshape(-1)
-    return np.asarray(obj, dtype=float).reshape(-1)
+    w = np.asarray(obj, dtype=float).reshape(-1)
+    if not np.all((w >= 0) & (w < np.inf)):  # NaN fails both
+        raise DomainError("an array operand must have finite nonnegative entries")
+    return w
 
 
 def kl_divergence(a: DenseLike, b: DenseLike) -> InfoValue:
     """Relative entropy ``D(a || b)`` in nats over a shared index space.
 
     Cells with ``a = 0`` contribute nothing; a cell with ``a > 0`` and
-    ``b = 0`` makes the divergence infinite.
+    ``b = 0`` makes the divergence infinite.  An array operand need not sum
+    to 1, but a negative or non-finite entry raises :class:`DomainError`.
     """
     wa = _dense_weights(a)
     wb = _dense_weights(b)

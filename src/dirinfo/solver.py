@@ -24,16 +24,15 @@ import numpy as np
 from .errors import DomainError, GridTooLarge, InfeasibleConstraint
 from .measures import AlphabetSpec, _table_shape
 
-# Entropic mirror ascent: ``exp_update_rows``, ``StepSchedule``,
-# ``monotone_improve`` and ``MERIT_SLACK`` are no longer called by either
-# solver.  They stay because the traced benchmark (``perfbench/spans.py``)
-# looks up ``monotone_improve`` and ``MERIT_SLACK`` when it installs.
-
-# Acceptance slack for the monotone-merit check; a candidate step may not
-# worsen the merit by more than this.
+# Kept only because the traced benchmark (``perfbench/spans.py``) binds
+# these two names when it installs; it never calls the stub.  ROADMAP
+# item 1 removes both together with the tracer's new targets.
 MERIT_SLACK = 1e-12
 
-_EXP_CLIP = 700.0
+
+def monotone_improve(*args, **kwargs):
+    raise NotImplementedError("entropic mirror ascent was retired; see solver.relax")
+
 
 # Budget slack of the feasibility checks and of the grid oracles.
 FEASIBILITY_SLACK = 1e-9
@@ -62,111 +61,16 @@ class SolverConfig:
     multiplier_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise DomainError("tol must be positive")
-        if self.max_iters < 1:
-            raise DomainError("max_iters must be at least 1")
-        if not self.multiplier_tol > 0:
-            raise DomainError("multiplier_tol must be positive")
+        for name in ("tol", "multiplier_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be a finite positive real, got {value!r}")
+        m = self.max_iters
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise DomainError(f"max_iters must be an integer >= 1, got {m!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()
-
-
-def exp_update_rows(rows: np.ndarray, grad: np.ndarray, step: float) -> np.ndarray:
-    """One multiplicative-weights step on each probability row.
-
-    Computes ``rows * exp(step * grad)`` row-normalized, with the exponent
-    shifted so the largest entry is 0; exact zeros in ``rows`` stay zero.
-    """
-    z = step * grad
-    z = z - z.max(axis=-1, keepdims=True)
-    w = rows * np.exp(np.clip(z, -_EXP_CLIP, 0.0))
-    den = w.sum(axis=-1, keepdims=True)
-    # the max-shift guarantees at least one untouched positive entry per
-    # live row, so a zero denominator only happens for all-zero rows
-    safe = np.where(den > 0, den, 1.0)
-    return np.where(den > 0, w / safe, rows)
-
-
-@dataclass
-class StepSchedule:
-    """Diminishing step sizes ``base / sqrt(t)`` with restart-on-reject.
-
-    A rejected candidate halves the base and resets the clock; long accept
-    streaks cautiously grow it back.
-    """
-
-    base: float = 1.0
-    max_base: float = 64.0
-    t: int = 1
-    streak: int = 0
-
-    def current(self) -> float:
-        return self.base / math.sqrt(self.t)
-
-    def accept(self):
-        self.t += 1
-        self.streak += 1
-        if self.streak >= 30:
-            self.base = min(self.base * 2.0, self.max_base)
-            self.streak = 0
-
-    def reject(self):
-        self.base *= 0.5
-        self.t = 1
-        self.streak = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.base < 1e-13
-
-
-def monotone_improve(
-    evaluate: Callable[[list[np.ndarray]], float],
-    gradient: Callable[[list[np.ndarray]], list[np.ndarray]],
-    tables: list[np.ndarray],
-    sign: float,
-    tol: float,
-    max_iters: int,
-) -> tuple[list[np.ndarray], float, int, bool]:
-    """Entropic mirror ascent (+1) or descent (-1) over stacked simplex rows.
-
-    Returns ``(tables, merit, iterations, converged)`` where the merit is
-    ``sign * objective`` maximized.  Convergence means five consecutive
-    accepted steps with relative merit change below ``tol``, or the step
-    size collapsing to numerical stationarity.
-    """
-    merit = sign * evaluate(tables)
-    sched = StepSchedule()
-    quiet = 0
-    iters = 0
-    converged = False
-    while iters < max_iters:
-        grads = gradient(tables)
-        iters += 1
-        step = sched.current()
-        cand = [exp_update_rows(t, sign * g, step) for t, g in zip(tables, grads)]
-        cand_merit = sign * evaluate(cand)
-        if cand_merit >= merit - MERIT_SLACK:
-            delta = cand_merit - merit
-            tables = cand
-            merit = cand_merit
-            sched.accept()
-            if abs(delta) <= tol * max(1.0, abs(merit)):
-                quiet += 1
-                if quiet >= 5:
-                    converged = True
-                    break
-            else:
-                quiet = 0
-        else:
-            sched.reject()
-            quiet = 0
-            if sched.exhausted:
-                converged = True
-                break
-    return tables, sign * merit, iters, converged
 
 
 def relax(evaluate: Callable, advance: Callable, x, done: Callable, max_iters: int):

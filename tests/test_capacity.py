@@ -515,6 +515,17 @@ def test_iteration_cap_is_honoured_and_iterates_stay_feasible():
     assert expected_cost(result.argmax, q, budget) <= 0.2 + 1e-9
 
 
+def test_a_numpy_integer_iteration_cap_acts_as_the_int():
+    q = _seed1_channel(2, 2)
+    budget = _final_symbol_budget(q.spec)
+    for k in (1, 2, 3, 7):
+        want = solve_capacity(q, budget, SolverConfig(max_iters=k))
+        got = solve_capacity(q, budget, SolverConfig(max_iters=np.int64(k)))
+        assert got.iterations == want.iterations == k
+        assert float(got.value) == float(want.value)
+        assert all(np.array_equal(s, t) for s, t in zip(got.argmax.tables, want.argmax.tables))
+
+
 # ---------------------------------------------------------------------------
 # the certificate: the solver's dual bound against plain loops over every
 # deterministic feedback strategy (tests/oracles.py)

@@ -281,9 +281,13 @@ def test_solver_block_validation(tmp_path, capsys):
     path = write_problem(tmp_path / "p.json", doc)
     code, _ = run(["capacity", "-i", path], capsys)
     assert code == 2
-    doc = bsc_capacity_problem(solver={"tol": "not a number"})
-    path = write_problem(tmp_path / "p2.json", doc)
-    code, _ = run(["capacity", "-i", path], capsys)
+    for bad in ("not a number", "inf"):
+        doc = bsc_capacity_problem(solver={"tol": bad})
+        path = write_problem(tmp_path / "p2.json", doc)
+        code, _ = run(["capacity", "-i", path], capsys)
+        assert code == 2
+    path = write_problem(tmp_path / "p3.json", bsc_capacity_problem())
+    code, _ = run(["capacity", "-i", path, "--tol", "inf"], capsys)
     assert code == 2
 
 

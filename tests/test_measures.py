@@ -284,6 +284,15 @@ def test_kl_divergence_stays_finite_when_a_quotient_overflows():
     assert float(di.kl_divergence(a, b)) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [[-0.5, 1.5], [np.nan, 1.0], [np.inf, 0.5]])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_kl_divergence_rejects_negative_or_non_finite_array_entries(bad, side):
+    # a negative entry is an error, not a cell that contributes nothing
+    good, bad = np.array([0.5, 0.5]), np.array(bad)
+    with pytest.raises(di.DomainError):
+        di.kl_divergence(*((bad, good) if side == "a" else (good, bad)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 6))
 def test_gibbs_inequality(seed, size):

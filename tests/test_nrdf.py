@@ -461,6 +461,30 @@ def test_relaxed_steps_are_undone_and_counted(monkeypatch):
     assert float(res.value) == pytest.approx(0.59692407, abs=1e-6)
 
 
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 5])
+def test_max_iters_caps_the_tilts_of_each_slope(monkeypatch, max_iters):
+    tilts, per_slope = [], []
+    tilt, solve_fixed_s = _NrdfProblem.tilt, nrdf._solve_fixed_s
+
+    def spy_tilt(self, log_nu, s):
+        tilts.append(s)
+        return tilt(self, log_nu, s)
+
+    def spy_slope(prob, s, cfg, log_nu):
+        before = len(tilts)
+        out = solve_fixed_s(prob, s, cfg, log_nu)
+        per_slope.append(len(tilts) - before)
+        return out
+
+    monkeypatch.setattr(_NrdfProblem, "tilt", spy_tilt)
+    monkeypatch.setattr(nrdf, "_solve_fixed_s", spy_slope)
+    src = SourceSpec(random_feedback_free_kernel(rng_from_seed(3), SPEC2, min_mass=0.05))
+    cfg = SolverConfig(max_iters=max_iters)
+    res = solve_nrdf(src, DistortionConstraint(hamming_paths(SPEC2), budget=0.2), cfg=cfg)
+    assert per_slope and max(per_slope) == max_iters  # the cap binds and is never passed
+    assert res.iterations == len(tilts) == sum(per_slope)
+
+
 @pytest.mark.parametrize("seed", [8, 78, 105, 143])
 def test_biased_coin_is_certified_at_its_closed_form(seed):
     rng = rng_from_seed(seed)

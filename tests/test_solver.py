@@ -7,15 +7,11 @@ from hypothesis import strategies as st
 
 import dirinfo as di
 from dirinfo.solver import (
-    MERIT_SLACK,
     SolverConfig,
-    StepSchedule,
-    exp_update_rows,
     grid_batches,
     induction,
     logsumexp,
     match_budget,
-    monotone_improve,
     relax,
     simplex_grid,
 )
@@ -29,61 +25,20 @@ from dirinfo.solver import (
 def test_config_defaults_and_validation():
     cfg = SolverConfig()
     assert cfg.tol == 1e-9 and cfg.multiplier_tol == 1e-6
+    assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
     for bad in (
         dict(tol=0.0),
         dict(tol=-1e-9),
+        dict(tol=math.inf),
+        dict(tol=math.nan),
         dict(max_iters=0),
+        dict(max_iters=3.5),
+        dict(max_iters=True),
         dict(multiplier_tol=0.0),
+        dict(multiplier_tol=math.inf),
     ):
         with pytest.raises(di.DomainError):
             SolverConfig(**bad)
-
-
-# ---------------------------------------------------------------------------
-# multiplicative updates
-# ---------------------------------------------------------------------------
-
-
-def test_exp_update_keeps_rows_stochastic_and_zeros_fixed():
-    rows = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
-    grad = np.array([[1.0, -1.0, 100.0], [0.0, 0.0, 0.0]])
-    out = exp_update_rows(rows, grad, 0.7)
-    assert np.allclose(out.sum(axis=1), 1.0)
-    assert out[0, 2] == 0.0
-    assert out[0, 0] > rows[0, 0]
-    # zero gradient leaves the row untouched
-    assert np.allclose(out[1], rows[1])
-
-
-def test_exp_update_survives_infinite_penalties():
-    rows = np.array([[0.25, 0.25, 0.5]])
-    grad = np.array([[0.0, -np.inf, 0.0]])
-    out = exp_update_rows(rows, grad, 1.0)
-    assert np.all(np.isfinite(out))
-    assert out[0, 1] == pytest.approx(0.0, abs=1e-300)
-    assert np.allclose(out.sum(axis=1), 1.0)
-
-
-def test_exp_update_zero_step_is_identity_on_support():
-    rng = np.random.default_rng(0)
-    rows = rng.dirichlet(np.ones(4), size=3)
-    grad = rng.normal(size=(3, 4))
-    out = exp_update_rows(rows, grad, 0.0)
-    assert np.allclose(out, rows)
-
-
-def test_step_schedule_halves_on_reject_and_grows_slowly():
-    s = StepSchedule()
-    start = s.current()
-    s.reject()
-    assert s.current() == pytest.approx(start / 2)
-    for _ in range(30):
-        s.accept()
-    assert s.base == pytest.approx(1.0)  # grew back from 0.5
-    assert not s.exhausted
-    for _ in range(60):
-        s.reject()
-    assert s.exhausted
 
 
 # ---------------------------------------------------------------------------
@@ -143,76 +98,6 @@ def test_match_budget_bisects_away_from_an_infinite_cost():
     _, cost, lam = match_budget(update, 0.3, 1.0, 1e-6)
     assert cost == 0.0 and 0.0 < lam and lam * 0.3 <= 1e-6
     assert len(probes) < 30 and len(set(probes)) == len(probes)
-
-
-# ---------------------------------------------------------------------------
-# the monotone inner loop on a problem with a known answer
-# ---------------------------------------------------------------------------
-
-
-def test_monotone_improve_maximizes_entropy():
-    # max of sum(-p log p) over the 4-simplex is log 4 at uniform
-    def value(tables):
-        p = tables[0][0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(p > 0, p * np.log(p), 0.0)
-        return -float(t.sum())
-
-    def grad(tables):
-        p = tables[0][0]
-        with np.errstate(divide="ignore"):
-            g = -np.log(np.where(p > 0, p, 1.0)) - 1.0
-        return [g[None, :]]
-
-    start = [np.array([[0.7, 0.1, 0.1, 0.1]])]
-    tabs, merit, iters, conv = monotone_improve(value, grad, start, 1.0, 1e-12, 10_000)
-    assert conv
-    assert merit == pytest.approx(math.log(4), abs=1e-9)
-    assert np.allclose(tabs[0], 0.25, atol=1e-5)
-
-
-def test_monotone_improve_never_regresses():
-    # every accepted merit must be within MERIT_SLACK of monotone
-    seen = []
-
-    def value(tables):
-        p = tables[0][0]
-        v = -float(((p - np.array([0.1, 0.2, 0.7])) ** 2).sum())
-        return v
-
-    def grad(tables):
-        p = tables[0][0]
-        return [(-2.0 * (p - np.array([0.1, 0.2, 0.7])))[None, :]]
-
-    def tracked(tables):
-        v = value(tables)
-        seen.append(v)
-        return v
-
-    start = [np.array([[1 / 3, 1 / 3, 1 / 3]])]
-    _, merit, _, conv = monotone_improve(tracked, grad, start, 1.0, 1e-11, 5_000)
-    assert conv
-    assert merit == pytest.approx(0.0, abs=1e-8)
-    best = seen[0]
-    for v in seen[1:]:
-        if v >= best - MERIT_SLACK:
-            best = max(best, v)
-    assert merit <= best + 1e-15
-
-
-def test_monotone_improve_descends_with_negative_sign():
-    def value(tables):
-        p = tables[0][0]
-        return float((p * np.array([3.0, 1.0, 2.0])).sum())
-
-    def grad(tables):
-        return [np.array([[3.0, 1.0, 2.0]])]
-
-    start = [np.full((1, 3), 1 / 3)]
-    tabs, merit, _, conv = monotone_improve(value, grad, start, -1.0, 1e-12, 10_000)
-    assert conv
-    assert merit == pytest.approx(1.0, abs=1e-6)
-    assert tabs[0][0, 1] == pytest.approx(1.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
