@@ -26,6 +26,7 @@ from .measures import (
     InfoValue,
     _constraint_table,
     _expand_tied_table,
+    _path_table,
     _path_weights,
     _prefix_len,
     _require_same_spec,
@@ -33,7 +34,6 @@ from .measures import (
     _side_laws,
     _side_major,
     _step_shape,
-    _xy_matrix,
     build_joint,
 )
 from .solver import (
@@ -136,13 +136,14 @@ class _CapacityProblem:
         g = None if constraint is None else _cost_interleaved(q.spec, constraint)
         if no_feedback:
             # one step from x^n to y^n, held as arrays: a row of the product
-            # may miss 1 by (n + 1) PMF_TOL, past a kernel's check
+            # of n + 1 kernel rows, each within PMF_TOL / (4 (n + 1)), may
+            # miss 1 by PMF_TOL / 4 plus rounding, past the one-step
+            # layout's kernel check of PMF_TOL / 4
             layout = AlphabetSpec(0, (q.spec.num_x_paths,), (q.spec.num_y_paths,))
-            qp = _path_weights(q.spec, q.tables, 1)
-            tables = (np.ascontiguousarray(_xy_matrix(q.spec, qp)),)
+            tables = (_path_table(q.spec, q.tables, 1),)
             if g is not None:  # the expected cost of each fixed input path
-                g = weight_table(qp.sum(axis=-1, keepdims=True), g)
-                g = _side_major(q.spec, g, 0).reshape(q.spec.num_x_paths, -1).sum(axis=-1)
+                g = _side_major(q.spec, g, 0).reshape(q.spec.num_x_paths, -1)
+                g = weight_table(tables[0].reshape(g.shape + (-1,)).sum(axis=-1), g).sum(axis=-1)
         else:
             layout, tables = q.spec, q.tables
         self.layout = layout
@@ -308,13 +309,11 @@ def _batch_terms(prob: _CapacityProblem, pools):
     def evaluate(idx):
         law = 1.0
         for i, j in enumerate(idx):
-            nb = len(j)
-            if prob.no_feedback:  # (batch, x^i)
-                t = np.take(pools[i], j.reshape((nb,) + spec.x_sizes[:i]), axis=0)
-            else:  # (batch, y^{i-1}, x^i): the rows' output histories first
-                hist = _step_shape(spec, 0, i)[:-1]
-                j = _side_major(spec, j.reshape((nb,) + hist), 1, len(hist), lead=1)
-                t = np.take(pools[i], j, axis=0)[(slice(None),) * (i + 1) + (None,) * (n - i)]
+            # (batch, y^{i-1}, x^i): the rows' output histories first, all
+            # of size 1 without feedback
+            nb, hist = len(j), _step_shape(spec, 0, i, tied=prob.no_feedback)[:-1]
+            j = _side_major(spec, j.reshape((nb,) + hist), 1, len(hist), lead=1)
+            t = np.take(pools[i], j, axis=0)[(slice(None),) * (i + 1) + (None,) * (n - i)]
             law = law * t[(...,) + (None,) * (n - i)]
         law = law.reshape(nb, len(channel), -1)
         tail = law.reshape(nb, -1) @ means

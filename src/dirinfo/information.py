@@ -28,11 +28,10 @@ from .measures import (
     _marginal_weights,
     _mass_log_ratio,
     _mixture_tables,
-    _path_weights,
+    _path_table,
     _require_same_spec,
     _sum_axis,
     _tied_shape,
-    _xy_matrix,
     build_joint,
     condition_on_path,
     kl_divergence,
@@ -326,8 +325,7 @@ def _tv_distances_to(c_limit: ConditionedFamily, q_stack: Sequence[np.ndarray]) 
     """:func:`tv_distance` from each stacked forward kernel's path
     conditional to ``c_limit``.  Returning frees the path tables before
     the audit builds its joints, which keeps the audit's peak memory down."""
-    spec = c_limit.spec
-    paths = _xy_matrix(spec, _path_weights(spec, q_stack, 1))
+    paths = _path_table(c_limit.spec, q_stack, 1)
     _check_rows(paths, "conditioned family")
     return _worst_row_tv(paths, c_limit.table).tolist()
 

@@ -30,7 +30,9 @@ import numpy as np
 from .errors import DomainError, SpecMismatch
 
 # Mass-conservation tolerance.  Inputs outside it are rejected, never
-# silently renormalized.
+# silently renormalized.  A kernel's rows are held to PMF_TOL / (4 (n + 1)),
+# so that the joints, path conditionals and output marginals built from up
+# to 2 (n + 1) of its rows and another kernel's stay within PMF_TOL.
 PMF_TOL = 1e-12
 
 # Ceiling on dense cell counts; override with the DIRINFO_CELL_CAP
@@ -299,15 +301,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _validate_rows(rows: np.ndarray, what: str) -> np.ndarray:
+def _validate_rows(rows: np.ndarray, what: str, tol: float = PMF_TOL) -> np.ndarray:
     """Check that the trailing axis of ``rows`` holds probability vectors,
-    and return them read-only."""
+    each summing to 1 within ``tol``, and return them read-only."""
     rows = np.asarray(rows, dtype=float)
-    _check_rows(rows, what)
+    _check_rows(rows, what, tol)
     return _as_readonly(rows)
 
 
-def _check_rows(rows: np.ndarray, what: str) -> None:
+def _check_rows(rows: np.ndarray, what: str, tol: float = PMF_TOL) -> None:
     """The checks of :func:`_validate_rows` on a float array."""
     gap = float(np.abs(_sum_axis(rows, -1) - 1.0).max())
     # A finite gap rules out NaN and infinite entries, so the entry-wise
@@ -316,8 +318,8 @@ def _check_rows(rows: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} contains non-finite entries")
     if rows.min() < 0:
         raise DomainError(f"{what} contains negative entries")
-    if gap > PMF_TOL:
-        raise DomainError(f"{what} rows must sum to 1 within {PMF_TOL:g}; worst gap {gap:.3e}")
+    if gap > tol:
+        raise DomainError(f"{what} rows must sum to 1 within {tol:g}; worst gap {gap:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,17 +395,19 @@ def _check_tables(
     what: str,
     lead: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, ...]:
-    """Validate the step tables of ``side``; with ``lead``, each table
-    stacks that many kernels' tables on its leading axes."""
+    """Validate the step tables of ``side`` to the kernel tolerance (see
+    ``PMF_TOL``); with ``lead``, each table stacks that many kernels' tables
+    on its leading axes."""
     if len(tables) != spec.steps:
         raise SpecMismatch(f"{what} needs {spec.steps} step tables, got {len(tables)}")
+    tol = PMF_TOL / (4 * spec.steps)
     out = []
     for i, t in enumerate(tables):
         t = np.asarray(t, dtype=float)
         want = tuple(lead) + _table_shape(spec, side, i)
         if t.shape != want:
             raise SpecMismatch(f"{what} table {i} has shape {t.shape}, expected {want}")
-        out.append(_validate_rows(t, f"{what} table {i}"))
+        out.append(_validate_rows(t, f"{what} table {i}", tol))
     return tuple(out)
 
 
@@ -604,18 +608,10 @@ def _mass_log_ratio(mass: np.ndarray, den: np.ndarray, lead: int = 0):
     return (mass.reshape(lead_shape + (1, -1)) @ ratio.reshape(lead_shape + (-1, 1)))[..., 0, 0]
 
 
-def _xy_matrix(spec: AlphabetSpec, weights: np.ndarray) -> np.ndarray:
-    """Reorder an interleaved array into an (X-paths, Y-paths) matrix, or
-    a stack of them when ``weights`` has leading axes."""
-    lead = weights.ndim - 2 * spec.steps
-    return _side_major(spec, weights, lead=lead).reshape(
-        weights.shape[:lead] + (spec.num_x_paths, spec.num_y_paths)
-    )
-
-
 def joint_path_matrix(joint: JointMeasure) -> np.ndarray:
     """Joint weights as a matrix with X-path rows and Y-path columns."""
-    return _xy_matrix(joint.spec, joint.weights)
+    spec = joint.spec
+    return _side_major(spec, joint.weights).reshape(spec.num_x_paths, spec.num_y_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -750,23 +746,27 @@ def kl_divergence(a: DenseLike, b: DenseLike) -> InfoValue:
 def extract_backward_family(joint: JointMeasure) -> BackwardKernel:
     """Per-step input conditionals of a joint; uniform rows where the
     conditioning history has zero mass."""
-    return _extract_family(joint, BackwardKernel)
+    return BackwardKernel(joint.spec, _conditionals(joint.spec, joint.weights, 0))
 
 
 def extract_forward_family(joint: JointMeasure) -> ForwardKernel:
     """Per-step output conditionals of a joint; uniform rows where the
     conditioning history has zero mass."""
-    return _extract_family(joint, ForwardKernel)
+    return ForwardKernel(joint.spec, _conditionals(joint.spec, joint.weights, 1))
 
 
-def _extract_family(joint: JointMeasure, kernel: type) -> _StepKernel:
-    """The step conditionals of ``kernel``'s side of a joint."""
-    spec, side, w = joint.spec, kernel._side, joint.weights
+def _conditionals(spec: AlphabetSpec, w: np.ndarray, side: int, lead: int = 0) -> tuple[np.ndarray, ...]:
+    """The step conditionals of ``side`` of the interleaved axes of ``w``
+    (those up to the side's last step at least) after its ``lead`` leading
+    ones: ``w`` summed over the axes after each step's, rows normalized,
+    uniform where they sum to 0."""
+    lead_shape = w.shape[:lead]
     tables = []
     for i, k in enumerate(_side_sizes(spec, side)):
-        m = w.sum(axis=tuple(range(_prefix_len(side, i), w.ndim)))
-        tables.append(_normalize_rows(m.reshape(_table_shape(spec, side, i)), k))
-    return kernel(spec, tuple(tables))
+        later = tuple(range(lead + _prefix_len(side, i), w.ndim))
+        m = w.sum(axis=later) if later else w  # an empty sum would copy a strided view
+        tables.append(_frozen(_normalize_rows(m.reshape(lead_shape + _table_shape(spec, side, i)), k)))
+    return tuple(tables)
 
 
 def _normalize_rows(rows: np.ndarray, width: int) -> np.ndarray:
@@ -784,10 +784,17 @@ def condition_on_path(kernel: Union[BackwardKernel, ForwardKernel]) -> Condition
     """
     if not isinstance(kernel, _StepKernel):
         raise TypeError(f"expected a kernel, got {type(kernel).__name__}")
-    spec, side = kernel.spec, kernel._side
-    w = _path_weights(spec, kernel.tables, side)  # a backward kernel's y_n axis is 1
-    table = _side_major(spec, w, 1 - side).reshape(-1, math.prod(_side_sizes(spec, side)))
-    return ConditionedFamily(spec, "x" if side else "y", table)
+    side = kernel._side
+    return ConditionedFamily(kernel.spec, "x" if side else "y", _path_table(kernel.spec, kernel.tables, side))
+
+
+def _path_table(spec: AlphabetSpec, tables: Sequence[np.ndarray], side: int) -> np.ndarray:
+    """The rows of :func:`condition_on_path` for the step tables of
+    ``side``; tables stacked on leading axes give tables stacked on them."""
+    lead = tables[0].ndim - 2
+    w = _path_weights(spec, tables, side)  # a backward kernel's y_n axis is 1
+    rows = _side_major(spec, w, 1 - side, lead=lead)
+    return rows.reshape(w.shape[:lead] + (-1, math.prod(_side_sizes(spec, side))))
 
 
 def mix_conditioned(
@@ -822,45 +829,32 @@ def _mixture_tables(
     they stand for."""
     mixed = _mix_tables(a, b, lams)
     _check_rows(mixed, "conditioned family")
-    return _refactor_tables(a.spec, a.given, mixed)
+    kernel, tables = _refactor_tables(a.spec, a.given, mixed)
+    return _check_tables(a.spec, tables, kernel._side, kernel._what, mixed.shape[:-2])
 
 
 def refactor_to_kernel(family: ConditionedFamily) -> Union[BackwardKernel, ForwardKernel]:
     """Rewrite whole-path conditional rows as a per-step kernel.
 
-    For families that already factor causally this inverts
-    :func:`condition_on_path` exactly.  In general the step-``i`` table is
-    the conditional of the family's marginal after averaging uniformly over
-    conditioning coordinates beyond the step's own history; rows whose
-    denominator vanishes fall back to uniform.
+    The result is the extracted family of the table laid out interleaved:
+    the step-``i`` table is the conditional of the family's marginal after
+    averaging uniformly over conditioning coordinates beyond the step's own
+    history, and that mean is a sum over them divided by one constant per
+    row, which cancels when the row is normalized.  For families that
+    already factor causally this inverts :func:`condition_on_path` exactly;
+    rows whose denominator vanishes fall back to uniform.
     """
-    kernel = ForwardKernel if family.given == "x" else BackwardKernel
-    return kernel(family.spec, _refactor_tables(family.spec, family.given, family.table))
+    kernel, tables = _refactor_tables(family.spec, family.given, family.table)
+    return kernel(family.spec, tables)
 
 
-def _refactor_tables(
-    spec: AlphabetSpec, given: str, table: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """The step tables of :func:`refactor_to_kernel` for a conditioned
-    table of shape ``(..., rows, cols)``, with the same leading axes,
-    validated like a kernel's."""
-    lead_shape = table.shape[:-2]
-    lead = len(lead_shape)
+def _refactor_tables(spec: AlphabetSpec, given: str, table: np.ndarray):
+    """The kernel class and the step tables of :func:`refactor_to_kernel`
+    for a conditioned table of shape ``(..., rows, cols)``, the tables
+    stacked on the same leading axes."""
     kernel = ForwardKernel if given == "x" else BackwardKernel
-    side = kernel._side
-    # the rows are the other side's paths, Q(y^n | x^n) or P(x^n | y^{n-1});
-    # interleaved, later axes of the kernel's side are summed out and later
-    # axes of the other side averaged
-    stop = _prefix_len(side, spec.horizon_n)
-    cond = _side_major(spec, table, 1 - side, stop, lead, inverse=True)
-    tables = []
-    for i, k in enumerate(_side_sizes(spec, side)):
-        m = cond
-        if i < spec.horizon_n:
-            end = _prefix_len(side, i)
-            summed = tuple(lead + a for a in _side_axes(side, stop) if a >= end)
-            averaged = tuple(lead + a for a in _side_axes(1 - side, stop) if a >= end)
-            m = m.sum(axis=summed, keepdims=True).mean(axis=averaged, keepdims=True)
-        rows = m.reshape(lead_shape + _table_shape(spec, side, i))
-        tables.append(_frozen(_normalize_rows(rows, k)))
-    return _check_tables(spec, tables, side, kernel._what, lead_shape)
+    side, lead = kernel._side, table.ndim - 2
+    # the rows are the other side's paths, Q(y^n | x^n) or P(x^n | y^{n-1}),
+    # laid out on the interleaved axes up to the kernel's last step
+    cond = _side_major(spec, table, 1 - side, _prefix_len(side, spec.horizon_n), lead, inverse=True)
+    return kernel, _conditionals(spec, cond, side, lead)

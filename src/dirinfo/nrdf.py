@@ -39,8 +39,8 @@ from .measures import (
     _step_shape,
     _tied_rows,
     _tied_shape,
+    build_joint,
     ignores_output_history,
-    product_pi_backward,
 )
 from .solver import (
     DEFAULT_CONFIG,
@@ -129,8 +129,7 @@ def expected_distortion(src: SourceSpec, q: ForwardKernel, d: DistortionConstrai
     if src.spec != q.spec:
         raise SpecMismatch("source and kernel specs differ")
     table = _constraint_table(q.spec, d.distortion_table, "distortion")
-    w = product_pi_backward(src.marginal(), q).weights
-    return float(weight_table(w, table).sum())
+    return float(weight_table(build_joint(src.kernel, q).weights, table).sum())
 
 
 def _distortion_dp(prob: _NrdfProblem):

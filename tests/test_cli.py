@@ -184,6 +184,55 @@ def test_non_stochastic_rows_are_rejected(tmp_path, capsys):
     assert code == 2
 
 
+_HAMMING = [["0", "1"], ["1", "0"]]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([identity_problem()], "problem file must be a JSON object"),
+    ({k: v for k, v in identity_problem().items() if k != "spec"}, "problem file must carry a 'spec' object"),
+] + [(identity_problem() | change, message) for change, message in [
+    ({"power_constraint": [1]}, "power_constraint: expected an object"),
+    ({"source": [[["1"]]]}, "source: expected an object with 'step_tables'"),
+    ({"source": {"step_tables": []}}, "source.step_tables must be a non-empty list"),
+    ({"power_constraint": {"cost_table": _HAMMING}}, "power_constraint.budget is required"),
+    ({"distortion_constraint": {"distortion_table": _HAMMING, "budget_grid": []}},
+     "distortion_constraint.budget_grid must be a non-empty list"),
+    ({"distortion_constraint": {"distortion_table": _HAMMING}},
+     "distortion_constraint needs 'budget' or 'budget_grid'"),
+    ({"no_feedback": "yes"}, "no_feedback must be a boolean"),
+    ({"solver": [1]}, "solver: expected an object"),
+    ({"output": "csv"}, "output: expected an object"),
+    ({"output": {"units": "nits"}}, "output.units must be 'nats' or 'bits', got 'nits'"),
+    ({"output": {"format": "xml"}}, "output.format must be 'json' or 'csv', got 'xml'"),
+]])
+def test_each_malformed_block_exits_2_with_its_message(doc, message, tmp_path, capsys):
+    path = write_problem(tmp_path / "p.json", doc)
+    assert main(["compute", "-i", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_output_block_shapes_the_report_and_flags_override_it(tmp_path, capsys):
+    path = write_problem(tmp_path / "p.json", identity_problem() | {"output": {"units": "bits", "format": "csv"}})
+    code, out = run(["compute", "-i", path], capsys)
+    assert code == 0
+    assert out.splitlines() == ["sum_form,divergence_form,normalized,per_step_0", "1,1,1,1"]
+    code, out = run(["compute", "-i", path, "--units", "nats"], capsys)
+    assert out.splitlines()[1] == ",".join([real_to_str(math.log(2))] * 4)
+    code, out = run(["compute", "-i", path, "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert doc["units"] == "bits" and parse_real(doc["sum_form"]) == 1.0
+
+
+def test_a_formula_disagreement_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("dirinfo.information.DUAL_FORMULA_TOL", -1.0)
+    path = write_problem(tmp_path / "p.json", identity_problem())
+    assert main(["compute", "-i", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal inconsistency: evaluation routes disagree")
+
+
 # ---------------------------------------------------------------------------
 # capacity
 # ---------------------------------------------------------------------------

@@ -251,6 +251,25 @@ def test_report_rejects_disagreeing_routes():
         )
 
 
+_S0 = di.AlphabetSpec(0, (2,), (2,))
+
+
+@pytest.mark.parametrize("make, error", [
+    pytest.param(lambda: DirectedInfoReport(di.InfoValue(0.5), di.InfoValue(0.5), (di.InfoValue(0.4),), 0.5),
+                 di.FormulaDisagreement, id="terms-miss-the-sum"),
+    pytest.param(lambda: DirectedInfoReport(di.InfoValue(math.inf), di.InfoValue(0.5), (di.InfoValue(math.inf),), 0.5),
+                 di.FormulaDisagreement, id="one-route-infinite"),
+    pytest.param(lambda: di.tv_distance(condition_on_path(di.ForwardKernel.uniform(_S0)),
+                                        condition_on_path(di.BackwardKernel.uniform(_S0))),
+                 di.DomainError, id="tv-given-differs"),
+    pytest.param(lambda: di.check_lower_semicontinuity(di.BackwardKernel.uniform(_S0), di.ForwardKernel.uniform(_S0), []),
+                 di.DomainError, id="lsc-empty-sequence"),
+])
+def test_input_guards(make, error):
+    with pytest.raises(error):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # ordering and collapse
 # ---------------------------------------------------------------------------

@@ -67,6 +67,39 @@ def test_cell_cap_env_override(monkeypatch):
     di.AlphabetSpec(1, (2, 2), (2, 2))
 
 
+_S0 = di.AlphabetSpec(0, (2,), (2,))
+_S1 = di.AlphabetSpec(1, (2, 2), (2, 2))
+_HALF = np.array([[0.5, 0.5]])
+
+
+@pytest.mark.parametrize("make, error", [
+    pytest.param(lambda mp: mp.setenv("DIRINFO_CELL_CAP", "ten") or active_cell_cap(), di.DomainError, id="cap-text"),
+    pytest.param(lambda mp: mp.setenv("DIRINFO_CELL_CAP", "0") or active_cell_cap(), di.DomainError, id="cap-zero"),
+    pytest.param(lambda mp: di.build_joint(di.BackwardKernel.uniform(_S0), di.ForwardKernel.uniform(_S1)),
+                 di.SpecMismatch, id="specs-differ"),
+    pytest.param(lambda mp: di.BackwardKernel.from_feedback_free_tables(_S1, [_HALF, _HALF]),
+                 di.SpecMismatch, id="tied-table-shape"),
+    pytest.param(lambda mp: di.BackwardKernel.from_feedback_free_tables(_S1, [_HALF]),
+                 di.SpecMismatch, id="tied-table-count"),
+    pytest.param(lambda mp: di.BackwardKernel(_S0, (np.array([[np.nan, 1.0]]),)), di.DomainError, id="non-finite-row"),
+    pytest.param(lambda mp: di.Pmf(np.array([])), di.DomainError, id="empty-pmf"),
+    pytest.param(lambda mp: di.JointMeasure(_S0, np.full(4, 0.25)), di.SpecMismatch, id="joint-shape"),
+    pytest.param(lambda mp: di.JointMeasure(_S0, np.array([[np.inf, 0.0], [0.0, 0.0]])),
+                 di.DomainError, id="joint-non-finite"),
+    pytest.param(lambda mp: di.ConditionedFamily(_S0, "z", np.eye(2)), di.DomainError, id="family-given"),
+    pytest.param(lambda mp: di.ConditionedFamily(_S0, "x", _HALF), di.SpecMismatch, id="family-shape"),
+    pytest.param(lambda mp: di.product_pi_forward(di.BackwardKernel.uniform(_S1), di.Pmf(_HALF[0])),
+                 di.SpecMismatch, id="nu-size"),
+    pytest.param(lambda mp: di.product_pi_backward(di.Pmf(_HALF[0]), di.ForwardKernel.uniform(_S1)),
+                 di.SpecMismatch, id="mu-size"),
+    pytest.param(lambda mp: di.kl_divergence(di.Pmf(_HALF[0]), np.full(3, 1.0)), di.SpecMismatch, id="kl-spaces"),
+    pytest.param(lambda mp: condition_on_path(np.eye(2)), TypeError, id="condition-non-kernel"),
+])
+def test_input_guards(make, error, monkeypatch):
+    with pytest.raises(error):
+        make(monkeypatch)
+
+
 # ---------------------------------------------------------------------------
 # Pmf / InfoValue
 # ---------------------------------------------------------------------------
@@ -120,6 +153,46 @@ def test_kernel_shape_and_row_validation():
         di.BackwardKernel(spec, (np.array([[0.7, 0.2]]),))
     with pytest.raises(di.SpecMismatch):
         di.ForwardKernel(spec, (np.array([[1.0, 0.0]]),))  # needs 2 rows
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_kernels_at_the_row_bound_pass_every_mass_check_downstream(n):
+    # each row is held to PMF_TOL / (4 (n + 1)), so that the products of up
+    # to 2 (n + 1) rows in joints, path conditionals and output marginals
+    # stay within PMF_TOL
+    spec = di.AlphabetSpec(n, (2,) * (n + 1), (2,) * (n + 1))
+    bound = PMF_TOL / (4 * spec.steps)
+
+    def heavy(kernel, scale=1.0 + 0.9 * bound):
+        return type(kernel)(spec, tuple(t * scale for t in kernel.tables))
+
+    rng = rng_from_seed(n)
+    p, p2 = (heavy(random_backward_kernel(rng, spec, min_mass=0.05)) for _ in range(2))
+    q, q2 = (heavy(random_forward_kernel(rng, spec, min_mass=0.05)) for _ in range(2))
+    assert min(float(t.sum(axis=-1).min()) for t in p.tables + q.tables) > 1.0 + 0.8 * bound
+    src = di.SourceSpec(heavy(di.BackwardKernel.uniform(spec)))
+    hamming = [[sum(a != b for a, b in zip(np.unravel_index(x, spec.x_sizes), np.unravel_index(y, spec.y_sizes)))
+                for y in range(spec.num_y_paths)] for x in range(spec.num_x_paths)]
+    d = di.DistortionConstraint(np.array(hamming, dtype=float), 0.1 * spec.steps)
+    di.directed_information_sum(p, q)
+    di.mutual_information(di.build_joint(p, q))
+    condition_on_path(p)
+    condition_on_path(q)
+    di.extract_forward_family(di.build_joint(p, q))
+    di.extract_backward_family(di.build_joint(p, q))
+    assert di.check_convexity_in_q(p, q, q2, [0.5]).passed
+    assert di.check_concavity_in_p(q, p, p2, [0.5]).passed
+    assert di.check_lower_semicontinuity(p, q, [q2, q]).passed
+    assert 0.0 < di.expected_distortion(src, q, d) < math.inf
+    assert di.solve_capacity(q).converged
+    assert di.solve_capacity(q, no_feedback=True).converged
+    assert di.solve_nrdf(src, d).converged
+    # a row at twice the bound is rejected, and its table named
+    tables = list(q.tables)
+    tables[-1] = tables[-1] / tables[-1].sum(axis=-1, keepdims=True)
+    tables[-1][-1] *= 1.0 + 2.0 * bound
+    with pytest.raises(di.DomainError, match=f"forward kernel table {n} rows must sum to 1 within"):
+        di.ForwardKernel(spec, tuple(tables))
 
 
 def test_feedback_free_expansion_ignores_output_history():
@@ -348,6 +421,53 @@ def test_mixtures_stay_valid_and_causal(lam):
     assert np.allclose(mix.table.sum(axis=-1), 1.0, atol=1e-12)
     back = condition_on_path(refactor_to_kernel(mix))
     assert np.abs(back.table - mix.table).max() < 1e-12
+
+
+def _laid_out(family):
+    """The family's rows times a uniform law on its conditioning paths (and
+    on ``y_n`` for a backward family), as a joint in interleaved order."""
+    spec, n = family.spec, family.spec.horizon_n
+    if family.given == "x":  # axes x_0..x_n, y_0..y_n
+        w = family.table.reshape(spec.x_sizes + spec.y_sizes) / spec.num_x_paths
+        order = [a for i in range(n + 1) for a in (i, n + 1 + i)]
+    else:  # axes y_0..y_{n-1}, x_0..x_n, y_n
+        w = family.table.reshape(spec.y_sizes[:-1] + spec.x_sizes + (1,)) / spec.num_y_paths
+        w = np.broadcast_to(w, w.shape[:-1] + spec.y_sizes[-1:])
+        order = [a for i in range(n) for a in (n + i, i)] + [2 * n, 2 * n + 1]
+    return di.JointMeasure(spec, np.ascontiguousarray(w.transpose(order)))
+
+
+def _extracted(family):
+    joint = _laid_out(family)
+    return (di.extract_forward_family if family.given == "x" else di.extract_backward_family)(joint)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_refactoring_is_extracting_the_family_laid_out(seed):
+    # the uniform mean over later conditioning coordinates is one constant
+    # per row, so it cancels when the row is normalized
+    from dirinfo.measures import _mixture_tables
+    from dirinfo.verify import _sparse
+
+    rng = rng_from_seed(seed)
+    spec = random_spec(rng, max_horizon=2, max_size=3)
+    kernels = [random_backward_kernel(rng, spec), random_forward_kernel(rng, spec)]
+    if seed % 3 == 2:  # zero-mass rows in the step tables
+        kernels = [_sparse(k, 0.3) for k in kernels]
+    others = [random_backward_kernel(rng, spec), random_forward_kernel(rng, spec)]
+    for kernel, other in zip(kernels, others):
+        a = condition_on_path(kernel)
+        b = condition_on_path(other)
+        families = [a, mix_conditioned(a, b, 0.3)]
+        for fam in families:
+            for x, y in zip(refactor_to_kernel(fam).tables, _extracted(fam).tables):
+                assert np.abs(x - y).max() <= 1e-15
+        lams = [0.0, 0.3, 0.8]
+        stacked = _mixture_tables(a, b, lams)
+        for k, lam in enumerate(lams):
+            want = _extracted(mix_conditioned(a, b, lam))
+            for x, y in zip(stacked, want.tables):
+                assert np.abs(x[k] - y).max() <= 1e-15
 
 
 def test_mix_rejects_bad_weight():

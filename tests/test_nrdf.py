@@ -159,6 +159,13 @@ def test_distortion_validation():
     DistortionConstraint(np.array([[0.0, np.inf], [np.inf, 0.0]]), budget=1.0)
 
 
+@pytest.mark.parametrize("src_spec, q_spec", [(SPEC1, SPEC2), (SPEC2, SPEC1)], ids=["longer-kernel", "longer-source"])
+def test_input_guards(src_spec, q_spec):
+    d = DistortionConstraint(hamming_paths(q_spec), 1.0)
+    with pytest.raises(di.SpecMismatch, match="source and kernel specs differ"):
+        expected_distortion(uniform_binary_source(src_spec), di.ForwardKernel.uniform(q_spec), d)
+
+
 def test_source_must_ignore_output_history():
     rng = rng_from_seed(0)
     fb = di.BackwardKernel(
@@ -347,6 +354,19 @@ def test_no_solve_tilts_at_slope_zero(monkeypatch):
     src = SourceSpec(random_feedback_free_kernel(rng_from_seed(3), SPEC2, min_mass=0.05))
     solve_nrdf(src, DistortionConstraint(hamming_paths(SPEC2), budget=0.2))
     assert slopes and min(slopes) > 0.0
+
+
+def test_an_exhausted_slope_bracket_returns_the_greedy_kernel(monkeypatch):
+    # the budget's slope is ln 19 ~ 2.94, past a bracket capped at 1.5
+    monkeypatch.setattr("dirinfo.solver._BRACKET_CAP", 1.5)
+    src = uniform_binary_source(SPEC1)
+    d = DistortionConstraint(hamming_paths(SPEC1), 0.05)
+    result = solve_nrdf(src, d)
+    assert not result.converged
+    assert result.distortion_slack == 0.05 - min_expected_distortion(src, d)
+    assert expected_distortion(src, result.argmin, d) <= 0.05
+    assert result.value.value == di.directed_information(src.kernel, result.argmin)
+    assert result.value.value == pytest.approx(math.log(2), abs=1e-15)
 
 
 def test_every_finite_reconstruction_is_faithful():

@@ -139,6 +139,20 @@ def test_cost_table_allows_infinity_rejects_nan_and_negatives():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: table_to_jsonable(np.zeros(3)), id="table-not-2d"),
+    pytest.param(lambda: spec_from_jsonable({"horizon_n": "0", "x_sizes": [2], "y_sizes": [2]}), id="horizon-text"),
+    pytest.param(lambda: spec_from_jsonable({"horizon_n": True, "x_sizes": [2], "y_sizes": [2]}), id="horizon-bool"),
+    pytest.param(lambda: backward_kernel_from_jsonable(di.AlphabetSpec(0, (2,), (2,)), {"tables": []}),
+                 id="tables-empty"),
+    pytest.param(lambda: forward_kernel_from_jsonable(di.AlphabetSpec(0, (2,), (2,)), {"tables": "[]"}),
+                 id="tables-not-a-list"),
+])
+def test_input_guards(make):
+    with pytest.raises(di.ProblemFileError):
+        make()
+
+
 def test_spec_round_trip_and_validation():
     spec = di.AlphabetSpec(1, (2, 3), (4, 2))
     doc = spec_to_jsonable(spec)

@@ -22,6 +22,13 @@ from dirinfo.solver import (
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("make", [di.PowerConstraint, di.DistortionConstraint])
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 1)])
+def test_input_guards(make, shape):
+    with pytest.raises(di.DomainError, match="table must be 2-D"):
+        make(np.zeros(shape), 1.0)
+
+
 def test_config_defaults_and_validation():
     cfg = SolverConfig()
     assert cfg.tol == 1e-9 and cfg.multiplier_tol == 1e-6
