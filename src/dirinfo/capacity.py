@@ -285,39 +285,46 @@ def solve_capacity(
 # ---------------------------------------------------------------------------
 
 
-def _batch_terms(prob: _CapacityProblem, pools):
-    """``evaluate(idx)``: the directed information and expected cost of a
-    batch of input kernels, whose step-``i`` rows (in the state's order)
-    ``idx[i]``, of shape ``(batch, rows)``, picks from ``pools[i]``.
+def _batch_terms(prob: _CapacityProblem, pools, low):
+    """``evaluate(high)``: the directed information and expected cost, each
+    of shape ``(len(high[0]), len(low[0]))``, of the input kernels that
+    join each row of ``high`` with each of ``low`` (see
+    :func:`~dirinfo.solver.grid_batches`), whose step-``i`` rows, in the
+    state's order, pick from ``pools[i]``.
 
-    The batch's law of ``x^n`` is laid out per output history ``y^{n-1}``
-    of the problem's layout (one without feedback), so one product per
-    history with the channel gives the output law, and one with ``sum_{y_n}
-    Q log Q`` and :func:`split_infinite` of ``sum_{y_n} Q c`` gives the two
-    means.
+    A kernel's law of ``x^n`` per output history ``y^{n-1}`` of the
+    problem's layout (one without feedback) is the product of the two
+    parts' laws.  So per history, the high laws times the low laws times
+    the channel give the output laws; and over every ``(y^{n-1}, x^n)``,
+    the high laws times the low laws times ``sum_{y_n} Q log Q`` and
+    :func:`split_infinite` of ``sum_{y_n} Q c`` give the two means.
     """
-    spec, layout, n = prob.spec, prob.layout, prob.spec.horizon_n
+    spec, layout = prob.spec, prob.layout
+    histories, paths = layout.num_y_histories, layout.num_x_paths
     # (y^{m-1}, x^m, .) from the interleaved (x_0, y_0, ..., x_m, .) of the layout
     stop = _prefix_len(0, layout.horizon_n)
     cost = np.where(prob.allowed, prob.cost, np.inf)[..., None]
+    channel = _side_major(layout, prob.qp, 1, stop).reshape(histories, paths, -1)
     means = _side_major(layout, np.concatenate([
         (prob.q_prev * prob.mean_log_q)[..., None],
         split_infinite(weight_table(prob.qp, cost).sum(axis=-1)),
-    ], axis=-1), 1, stop).reshape(-1, 3)
-    channel = _side_major(layout, prob.qp, 1, stop).reshape(layout.num_y_histories, layout.num_x_paths, -1)
+    ], axis=-1), 1, stop).reshape(histories * paths, -1)
 
-    def evaluate(idx):
-        law = 1.0
-        for i, j in enumerate(idx):
-            # (batch, y^{i-1}, x^i): the rows' output histories first, all
-            # of size 1 without feedback
-            nb, hist = len(j), _step_shape(spec, 0, i, tied=prob.no_feedback)[:-1]
-            j = _side_major(spec, j.reshape((nb,) + hist), 1, len(hist), lead=1)
-            t = np.take(pools[i], j, axis=0)[(slice(None),) * (i + 1) + (None,) * (n - i)]
-            law = law * t[(...,) + (None,) * (n - i)]
-        law = law.reshape(nb, len(channel), -1)
-        tail = law.reshape(nb, -1) @ means
-        return entropy_route(tail[:, 0], law.transpose(1, 0, 2) @ channel, tail[:, 1:])
+    def laws(idx):  # (count, y^{n-1}, x^n)
+        tables = [np.take(pool, j, axis=0) for pool, j in zip(pools, idx)]
+        law = _path_weights(spec, tables, 0, tied=prob.no_feedback)
+        return _side_major(spec, law, 1, _prefix_len(0, spec.horizon_n), lead=1).reshape(-1, histories, paths)
+
+    low_laws = laws(low).reshape(len(low[0]), -1).T  # (y^{n-1} x^n, low)
+    # the channel's rows, and the means, times the low laws
+    channel = (channel[..., None] * low_laws.reshape(histories, paths, 1, -1)).reshape(histories, paths, -1)
+    means = (means[..., None] * low_laws[:, None]).reshape(histories * paths, -1)
+
+    def evaluate(high):
+        law = laws(high)
+        nu = (law.transpose(1, 0, 2) @ channel).reshape(histories, len(law), -1, len(low[0]))
+        tail = (law.reshape(len(law), -1) @ means).reshape(len(law), 3, -1)
+        return entropy_route(tail[:, 0], nu, tail[:, 1:])
 
     return evaluate
 
@@ -329,13 +336,13 @@ def brute_force_capacity(
     *,
     no_feedback: bool = False,
     max_grid_points: int = 2_000_000,
-    chunk_cells: int = 2_000_000,
 ) -> InfoValue:
     """Exhaustive maximum of directed information over input kernels whose
     simplex rows have entries in multiples of ``1/grid_resolution``.
 
     Enumerates every combination of grid rows (all steps, all histories)
-    in vectorized chunks.  Each kernel's value is ``E log Q(y^n || x^n) -
+    in blocks of bounded size, so a call's memory stays bounded whatever
+    the size of the grid.  Each kernel's value is ``E log Q(y^n || x^n) -
     sum_y nu log nu`` (``H(Y^n) - H(Y^n || X^n)``), so only its output law
     ``nu`` is formed, by a product of its input-path law with the channel,
     per output history ``y^{n-1}``.  Raises :class:`GridTooLarge` when the
@@ -344,6 +351,6 @@ def brute_force_capacity(
     """
     prob = _CapacityProblem(q, c, no_feedback)
     return InfoValue(grid_search(
-        q.spec, 0, no_feedback, lambda pools: _batch_terms(prob, pools), None if c is None else c.budget,
-        1.0, grid_resolution, max_grid_points, chunk_cells,
+        q.spec, 0, no_feedback, lambda pools, low: _batch_terms(prob, pools, low),
+        None if c is None else c.budget, 1.0, grid_resolution, max_grid_points,
     ))

@@ -36,7 +36,7 @@ from .measures import (
     _path_weights,
     _side_axes,
     _side_laws,
-    _step_shape,
+    _side_major,
     _tied_rows,
     _tied_shape,
     build_joint,
@@ -350,33 +350,44 @@ def solve_nrdf(
 # ---------------------------------------------------------------------------
 
 
-def _batch_terms(prob: _NrdfProblem, pools):
-    """``evaluate(idx)``: the directed information and expected distortion
-    of a batch of reconstruction kernels, whose step-``i`` rows ``idx[i]``,
-    of shape ``(batch, rows)``, picks from ``pools[i]``.
+def _batch_terms(prob: _NrdfProblem, src: SourceSpec, pools, low):
+    """``evaluate(high)``: the directed information and expected
+    distortion, each of shape ``(len(high[0]), len(low[0]))``, of the
+    reconstruction kernels that join each row of ``high`` with each of
+    ``low`` (see :func:`~dirinfo.solver.grid_batches`), whose step-``i``
+    rows pick from ``pools[i]``.
 
-    ``sum_{y_i} q log q`` is taken once per pool row; the prefix-by-prefix
-    joint build weights it by the law of ``(x^i, y^{i-1})``.  The joint
-    times the one-hot matrix of each cell's output path gives the output
-    law, and times :func:`split_infinite` of the distortion the expected
-    distortion.
+    A kernel's ``Q(y^n || x^n)`` is the product of its two parts', and
+    ``log Q`` their sum.  So per output path, the high parts' ``Q`` times
+    the low parts' joints (with the source) gives the output laws; and
+    over every cell, the high ``Q`` times those joints weighted by the low
+    ``log Q`` and by :func:`split_infinite` of the distortion gives the
+    low share of ``E log Q`` and the expected distortion, and the high ``Q
+    log Q`` times the low joints the high share of ``E log Q``.
     """
     spec = prob.spec
-    mu = prob.laws[::2]
-    neg_entropy = [(p * log_where_positive(p)).sum(axis=-1) for p in pools]
-    paths = np.eye(spec.num_y_paths).reshape(prob.y_shape + (-1,))
-    paths = np.broadcast_to(paths, spec.interleaved_shape + paths.shape[-1:]).reshape(spec.total_cells, -1)
-    split = split_infinite(prob.d).reshape(spec.total_cells, -1)
+    paths = (spec.num_y_paths, spec.num_x_paths)
 
-    def evaluate(idx):
-        w, mean_log_q = np.ones(()), 0.0
-        for i, j in enumerate(idx):
-            w = w[..., None] * mu[i]  # the law of (x^i, y^{i-1})
-            prefix = w.reshape(w.shape[: w.ndim - mu[i].ndim] + (-1,))
-            mean_log_q = mean_log_q + np.einsum("...r,...r->...", np.take(neg_entropy[i], j), prefix)
-            w = w[..., None] * np.take(pools[i], j, axis=0).reshape((len(j),) + _step_shape(spec, 1, i))
-        w = w.reshape(len(w), -1)
-        return entropy_route(mean_log_q, (w @ paths)[None], w @ split)
+    def laws(idx):  # Q(y^n || x^n) of each row of idx, interleaved
+        return _path_weights(spec, [np.take(pool, j, axis=0) for pool, j in zip(pools, idx)], 1)
+
+    def by_path(a):  # (count, y^n x^n, ...) from (count, x_0, y_0, ..., x_n, y_n, ...)
+        a = _side_major(spec, a, 1, lead=1)
+        return a.reshape((len(a), math.prod(paths)) + a.shape[2 * spec.steps + 1:])
+
+    q = laws(low)
+    joint = q * _path_weights(spec, src.step_tables, 0, tied=True)
+    # (y^n x^n, term, low): the low joints times the low log Q and the split distortion
+    terms = np.concatenate([(joint * log_where_positive(q))[..., None], joint[..., None] * split_infinite(prob.d)], -1)
+    right = by_path(terms).transpose(1, 2, 0).reshape(math.prod(paths), -1)
+    joint = by_path(joint).T.copy()  # (y^n x^n, low)
+
+    def evaluate(high):
+        q = by_path(laws(high))
+        nu = q.reshape((len(q),) + paths).swapaxes(0, 1) @ joint.reshape(paths + (-1,))
+        sums = (q @ right).reshape(len(q), 3, -1)
+        mean_log_q = sums[:, 0] + (q * log_where_positive(q)) @ joint
+        return entropy_route(mean_log_q, nu[:, :, None], sums[:, 1:])
 
     return evaluate
 
@@ -388,15 +399,15 @@ def brute_force_nrdf(
     grid_resolution: int = 100,
     *,
     max_grid_points: int = 2_000_000,
-    chunk_cells: int = 2_000_000,
 ) -> InfoValue:
     """Exhaustive minimum of directed information over reconstruction
     kernels with simplex rows in multiples of ``1/grid_resolution`` that
     meet the budget.
 
-    Each kernel's value is ``E log Q(y^n || x^n) - sum_y nu log nu``
-    (``H(Y^n) - H(Y^n || X^n)``): ``sum_{y_i} q log q`` is taken once per
-    simplex-grid point and looked up by each row's grid index.  Raises
+    Enumerates every combination of grid rows in blocks of bounded size,
+    so a call's memory stays bounded whatever the size of the grid.  Each
+    kernel's value is ``E log Q(y^n || x^n) - sum_y nu log nu`` (``H(Y^n)
+    - H(Y^n || X^n)``).  Raises
     :class:`GridTooLarge` when the combination count exceeds
     ``max_grid_points``, and :class:`InfeasibleConstraint` when no grid
     kernel meets the budget.
@@ -404,8 +415,8 @@ def brute_force_nrdf(
     prob = _NrdfProblem(src, d)
     target = _resolve_budget(d, budget)
     return InfoValue(grid_search(
-        src.spec, 1, False, lambda pools: _batch_terms(prob, pools), target,
-        -1.0, grid_resolution, max_grid_points, chunk_cells,
+        src.spec, 1, False, lambda pools, low: _batch_terms(prob, src, pools, low), target,
+        -1.0, grid_resolution, max_grid_points,
     ))
 
 

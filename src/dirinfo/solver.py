@@ -8,9 +8,13 @@ table and its budget, the multiplier search, the log-sum-exp, and the one
 relaxed iteration and one backward induction that both run (capacity's
 update, certificate and least cost, NRDF's tilt and least distortion).
 The grid oracles share one grid search, over the simplex-grid rows of
-either side's kernel, and the evaluation kernel, which reads each batch of
+either side's kernel, and the evaluation kernel, which reads each block of
 joints as ``H(Y^n) - H(Y^n || X^n)``, i.e. ``E log Q(y^n || x^n) - sum_y nu
-log nu``; each oracle supplies only its batch evaluator.
+log nu``; each oracle supplies only its block evaluator.  The search
+enumerates the grid in blocks of ``GRID_BLOCK_CELLS`` cells, each the
+product of a few settings of the leading rows with every setting of the
+trailing ones, so the memory of a call stays bounded whatever the size of
+the grid.
 """
 from __future__ import annotations
 
@@ -36,6 +40,13 @@ def monotone_improve(*args, **kwargs):
 
 # Budget slack of the feasibility checks and of the grid oracles.
 FEASIBILITY_SLACK = 1e-9
+# Cells of one grid-oracle block, ``point_cells`` per combination it
+# stands for (see grid_batches): small enough that a block's arrays stay
+# in a core's caches, large enough to spread numpy's per-call cost.  On a
+# 2-core x86_64 VM the capacity benchmark oracle ran fastest at
+# 2**16-2**17 and the NRDF one at 2**15-2**19; both slowed from 2**14
+# down (CHANGES.md has the sweep).
+GRID_BLOCK_CELLS = 2 ** 17
 
 # the multiplier search gives up past this multiplier
 _BRACKET_CAP = 1e12
@@ -244,16 +255,18 @@ def entropy_route(mean_log_q: np.ndarray, nu: np.ndarray, sums: np.ndarray):
     """Directed information and an expected table of a batch of joints by
     ``I(X^n -> Y^n) = E log Q(y^n || x^n) - sum_y nu log nu``.
 
-    ``mean_log_q`` holds each joint's ``E log Q``; ``nu`` its output law,
-    of shape ``(blocks, batch, paths)`` for a law split into blocks of
-    output paths; and ``sums`` a product of its weights with
+    The joints lie on two axes, as the grid oracles' blocks give them
+    (see :func:`grid_search`).  ``mean_log_q`` holds each joint's ``E log
+    Q``; ``nu`` its output law, of shape ``(blocks, high, paths, low)`` for
+    a law split into blocks of output paths; and ``sums``, of shape
+    ``(high, 2, low)``, a product of its weights with
     :func:`split_infinite` of the table, so that the expectation is
     ``+inf`` exactly when mass reaches an infinite cell, as under
     :func:`weight_table`.
     """
     log_nu = np.log(nu, out=np.zeros_like(nu), where=nu > 0)
-    info = mean_log_q - np.einsum("hbk,hbk->b", nu, log_nu)
-    return info, np.where(sums[..., 1] > 0, np.inf, sums[..., 0])
+    info = mean_log_q - np.einsum("hakb,hakb->ab", nu, log_nu)
+    return info, np.where(sums[:, 1] > 0, np.inf, sums[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +293,27 @@ def grid_batches(
     sizes: Sequence[int],
     resolution: int,
     max_grid_points: int,
-    chunk_cells: int,
     point_cells: int,
-) -> Iterator[list[np.ndarray]]:
-    """Every combination of simplex-grid rows, in batches of indices.
+) -> tuple[list[np.ndarray], Iterator[list[np.ndarray]]]:
+    """Every combination of simplex-grid rows, as ``(low, blocks)``.
 
     Step ``i`` has ``rows[i]`` free rows, each ranging over the points of
-    ``simplex_grid(resolution, sizes[i])``.  Each batch is one integer
-    array per step, of shape ``(batch, rows[i])``, whose entries index that
-    grid, and holds ``chunk_cells // point_cells`` combinations (at least
-    one), where ``point_cells`` is the size of the array one combination
-    expands to.  Raises :class:`DomainError` (``resolution`` not a positive
-    integer) or :class:`GridTooLarge` (more than ``max_grid_points``
-    combinations) before any batch is made.
+    ``simplex_grid(resolution, sizes[i])``.  Combination ``c`` gives each
+    row, in order (step 0's rows first), the digit of ``c`` in the mixed
+    radix of the rows' grid sizes, the last row's fastest, as
+    ``np.unravel_index`` would.  ``low`` sets the trailing rows, as many
+    as fit in one block, in each of their settings in turn; each block
+    that ``blocks`` yields sets the leading rows for a run of consecutive
+    codes and stands for each of its settings joined with each of
+    ``low``'s, in that order.  So the blocks give every combination once,
+    in order, and each stands for at most ``GRID_BLOCK_CELLS //
+    point_cells`` combinations (at least one), ``point_cells`` being the
+    size of the array one combination expands to.  ``low`` and each block
+    are one integer array per step, of shape ``(count, rows[i])``, whose
+    entries index that step's grid, or equal its size at a row that the
+    other part sets.  Raises :class:`DomainError` (``resolution`` not a
+    positive integer) or :class:`GridTooLarge` (more than
+    ``max_grid_points`` combinations) before any block is made.
     """
     if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)) or resolution < 1:
         raise DomainError(f"grid_resolution must be a positive integer, got {resolution!r}")
@@ -302,43 +323,52 @@ def grid_batches(
         raise GridTooLarge(
             f"{total} grid combinations exceed the cap of {max_grid_points}"
         )
-    batch = max(1, chunk_cells // max(1, point_cells))
+    batch = max(1, GRID_BLOCK_CELLS // max(1, point_cells))
+    split, count = len(radices), 1  # low sets rows split.. in count ways
+    while split and count * radices[split - 1] <= batch:
+        split, count = split - 1, count * radices[split - 1]
     starts = np.cumsum((0,) + tuple(rows))
-    live = [k for k, radix in enumerate(radices) if radix > 1]  # one-point grids stay at 0
 
-    def batches():
-        for start in range(0, total, batch):
-            codes = np.arange(start, min(start + batch, total))
-            digits = np.zeros((len(codes), len(radices)), dtype=np.intp)
-            if live:
-                digits[:, live] = np.stack(np.unravel_index(codes, [radices[k] for k in live]), axis=-1)
-            yield [digits[:, a:b] for a, b in zip(starts, starts[1:])]
+    def part(codes, first, stop):  # rows first..stop-1 read codes, the rest their grid's size
+        digits = np.tile(np.array(radices, dtype=np.intp), (len(codes), 1))
+        for k in reversed(range(first, stop)):
+            digits[:, k] = codes % radices[k]
+            codes = codes // radices[k]
+        return [digits[:, a:b] for a, b in zip(starts, starts[1:])]
+
+    def blocks():
+        leading, per_block = total // count, batch // count
+        for start in range(0, leading, per_block):
+            yield part(np.arange(start, min(start + per_block, leading)), 0, split)
 
     # a generator of its own, so the checks above run at the call
-    return batches()
+    return part(np.arange(count), split, len(radices)), blocks()
 
 
 def grid_search(spec: AlphabetSpec, side: int, tied: bool, terms: Callable, budget: Optional[float],
-                sign: float, resolution: int, max_grid_points: int, chunk_cells: int) -> float:
+                sign: float, resolution: int, max_grid_points: int) -> float:
     """The largest (``sign`` 1) or least (``sign`` -1) value over kernels of
     ``side`` whose rows (keyed by the side's own history when ``tied``) are
     simplex-grid points and whose expected cost is within ``budget`` (when
-    given) plus ``FEASIBILITY_SLACK``.  ``terms(pools)`` gives the oracle's
-    ``evaluate(idx) -> (values, costs)`` for batches whose step-``i`` rows
-    pick from ``pools[i]``.  Raises as :func:`grid_batches` does, or
-    :class:`InfeasibleConstraint` when no grid kernel meets the budget.
+    given) plus ``FEASIBILITY_SLACK``.  ``terms(pools, low)`` gives the
+    oracle's ``evaluate(high) -> (values, costs)`` over the kernels that
+    join each row of ``high`` with each of ``low`` (see :func:`grid_batches`),
+    whose step-``i`` rows pick from ``pools[i]``: the grid's points, then a
+    row of ones for an index the other part sets.  Raises as
+    :func:`grid_batches` does, or :class:`InfeasibleConstraint` when no
+    grid kernel meets the budget.
     """
     shapes = [_table_shape(spec, side, i, tied) for i in range(spec.steps)]
     rows, sizes = zip(*shapes)
-    batches = grid_batches(rows, sizes, resolution, max_grid_points, chunk_cells, spec.total_cells)
-    grids = {k: simplex_grid(resolution, k) for k in set(sizes)}
-    evaluate = terms([grids[k] for k in sizes])
+    low, blocks = grid_batches(rows, sizes, resolution, max_grid_points, spec.total_cells)
+    pools = {k: np.vstack([simplex_grid(resolution, k), np.ones(k)]) for k in set(sizes)}
+    evaluate = terms([pools[k] for k in sizes], low)
     best = -math.inf
-    for idx in batches:
-        value, cost = evaluate(idx)
+    for high in blocks:
+        value, cost = evaluate(high)
         if budget is not None:
             value = value[cost <= budget + FEASIBILITY_SLACK]
-        if len(value):
+        if value.size:
             best = max(best, float((sign * value).max()))
     if best == -math.inf:
         raise InfeasibleConstraint("no grid kernel meets the budget")

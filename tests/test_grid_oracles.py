@@ -7,11 +7,13 @@ package's oracles must agree to 1e-12 and raise the same errors.
 """
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dirinfo as di
+from dirinfo import sampling, solver
 from dirinfo.capacity import PowerConstraint, brute_force_capacity, expected_cost
 from dirinfo.nrdf import DistortionConstraint, SourceSpec, brute_force_nrdf
 
@@ -109,14 +111,29 @@ def _capacity_case(name):
     return channel, forward_kernel_from_fn(spec, channel), c
 
 
+# Cells per oracle block: 7 splits every grid into blocks of one
+# combination, the default holds each grid here in one block or a few,
+# and 2**40 any grid in one; "capped" keeps the default block and caps the
+# grid at 100 combinations.
+BLOCKS = ["7-cells", "default", "whole-grid", "capped"]
+
+
+def _blocks(monkeypatch, blocks):
+    """The grid cap of the case ``blocks``, with its block size set."""
+    cells = {"7-cells": 7, "whole-grid": 2**40}.get(blocks)
+    if cells is not None:
+        monkeypatch.setattr(solver, "GRID_BLOCK_CELLS", cells)
+    return 100 if blocks == "capped" else 2_000_000
+
+
 @pytest.mark.parametrize("name", sorted(CAPACITY_CASES))
-@pytest.mark.parametrize("max_grid_points,chunk_cells", [(2_000_000, 2_000_000), (2_000_000, 7), (100, 2_000_000)])
-def test_capacity_oracle_matches_the_pure_python_search(name, max_grid_points, chunk_cells):
+@pytest.mark.parametrize("blocks", BLOCKS)
+def test_capacity_oracle_matches_the_pure_python_search(name, blocks, monkeypatch):
     xs, ys, _, cost_fn, budget, res, no_feedback = CAPACITY_CASES[name]
     channel, q, c = _capacity_case(name)
+    max_grid_points = _blocks(monkeypatch, blocks)
     got = _outcome(lambda: brute_force_capacity(
-        q, c, grid_resolution=res, no_feedback=no_feedback,
-        max_grid_points=max_grid_points, chunk_cells=chunk_cells,
+        q, c, grid_resolution=res, no_feedback=no_feedback, max_grid_points=max_grid_points,
     ))
     want = _expected(
         capacity_grid_rows(xs, ys, no_feedback), res, max_grid_points,
@@ -158,9 +175,10 @@ NRDF_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(NRDF_CASES))
-@pytest.mark.parametrize("max_grid_points,chunk_cells", [(2_000_000, 2_000_000), (2_000_000, 7), (100, 2_000_000)])
-def test_nrdf_oracle_matches_the_pure_python_search(name, max_grid_points, chunk_cells):
+@pytest.mark.parametrize("blocks", BLOCKS)
+def test_nrdf_oracle_matches_the_pure_python_search(name, blocks, monkeypatch):
     xs, ys, rows, dist_fn, budget, res = NRDF_CASES[name]
+    max_grid_points = _blocks(monkeypatch, blocks)
     spec = di.AlphabetSpec(len(xs) - 1, xs, ys)
     src = SourceSpec.from_step_tables(spec, [np.array(t) for t in rows])
     codes = [{p: k for k, p in enumerate(all_paths(xs[:i]))} for i in range(len(xs))]
@@ -169,11 +187,34 @@ def test_nrdf_oracle_matches_the_pure_python_search(name, max_grid_points, chunk
         return rows[i][codes[i][x_prefix]]
 
     d = DistortionConstraint(_table(dist_fn, xs, ys), budget)
-    got = _outcome(lambda: brute_force_nrdf(
-        src, d, grid_resolution=res, max_grid_points=max_grid_points, chunk_cells=chunk_cells,
-    ))
+    got = _outcome(lambda: brute_force_nrdf(src, d, grid_resolution=res, max_grid_points=max_grid_points))
     want = _expected(
         nrdf_grid_rows(xs, ys), res, max_grid_points,
         lambda: oracle_grid_nrdf(xs, ys, p_fn, dist_fn, budget, res),
     )
     _assert_same(got, want)
+
+
+def _peak_mb(call):
+    """The most memory ``call`` holds at once, in MB, as tracemalloc sees
+    numpy's buffers."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_memory_stays_bounded_on_large_grids():
+    # 251,001 kernels of the uniform binary source under Hamming distortion,
+    # and 161,051 inputs of the seed-1 binary n=1 channel (the benchmark's
+    # grid oracles): a call used to hold arrays for about 500,000 cells at
+    # once, over 30 MB
+    spec = di.AlphabetSpec(0, (2,), (2,))
+    src = SourceSpec(di.BackwardKernel.uniform(spec))
+    hamming = DistortionConstraint(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.2)
+    assert _peak_mb(lambda: brute_force_nrdf(src, hamming, grid_resolution=500)) < 8
+    spec = di.AlphabetSpec(1, (2, 2), (2, 2))
+    q = sampling.random_forward_kernel(sampling.rng_from_seed(1), spec, min_mass=0.01)
+    assert _peak_mb(lambda: brute_force_capacity(q, grid_resolution=10)) < 8

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dirinfo as di
+from dirinfo import solver
 from dirinfo.solver import (
     SolverConfig,
     grid_batches,
@@ -192,42 +193,58 @@ def test_simplex_grid_small_cases():
         simplex_grid(3, 0)
 
 
-def test_grid_batches_enumerate_every_combination_once():
-    # one row on the 2-simplex (3 points), then two rows on the 3-simplex
-    # (6 points); batches of 3 index arrays, one per step
+def _combinations(low, blocks, grids, most):
+    """Every combination ``grid_batches`` gives, in order, as one tuple of
+    row indices each; checks that ``low`` and each block stand for at most
+    ``most`` combinations, and that at each row one of them holds an index
+    into step ``i``'s grid of ``grids[i]`` points and the other that size."""
+    assert all(np.issubdtype(j.dtype, np.integer) for j in low)
+    assert 1 <= len(low[0]) <= most
     seen = []
-    for idx in grid_batches((1, 2), (2, 3), 2, 10**6, chunk_cells=7, point_cells=2):
-        assert [j.shape[1:] for j in idx] == [(1,), (2,)]
-        assert len(idx[0]) == len(idx[1]) <= 3
-        assert all(np.issubdtype(j.dtype, np.integer) for j in idx)
-        for k in range(len(idx[0])):
-            seen.append(tuple(np.concatenate([j[k] for j in idx])))
-    assert len(seen) == 3 * 6 * 6
-    assert len(set(seen)) == len(seen)
-    assert {s[0] for s in seen} == set(range(3)) and {v for s in seen for v in s[1:]} == set(range(6))
+    for high in blocks:
+        assert [j.shape[1:] for j in high] == [j.shape[1:] for j in low]
+        assert 1 <= len(high[0]) * len(low[0]) <= most
+        for h in range(len(high[0])):
+            for k in range(len(low[0])):
+                pairs = [(np.minimum(j[h], i[k]), np.maximum(j[h], i[k])) for j, i in zip(high, low)]
+                assert all(np.all(a < g) and np.all(b == g) for (a, b), g in zip(pairs, grids))
+                seen.append(tuple(int(v) for a, _ in pairs for v in a))
+    return seen
 
 
-def test_grid_batches_hold_one_point_grids_at_zero():
+# 1 and 7 cells give blocks of one and three combinations, 10 of five
+# (which does not divide the 108 combinations), 80 of the 36 that the two
+# trailing rows take, 150 of 72 and then 36, and 2**20 the whole grid in
+# one block
+@pytest.mark.parametrize("cells", [1, 7, 10, 80, 150, 2**20])
+def test_grid_batches_give_every_combination_once_in_row_major_order(cells, monkeypatch):
+    # one row on the 2-simplex (3 points), then two rows on the 3-simplex
+    # (6 points), at two cells per combination
+    monkeypatch.setattr(solver, "GRID_BLOCK_CELLS", cells)
+    low, blocks = grid_batches((1, 2), (2, 3), 2, 10**6, point_cells=2)
+    seen = _combinations(low, blocks, (3, 6), max(1, cells // 2))
+    assert seen == [tuple(int(v) for v in np.unravel_index(c, (3, 6, 6))) for c in range(108)]
+
+
+def test_grid_batches_hold_one_point_grids_at_zero(monkeypatch):
     # 70 rows on the 1-simplex (one point each) ride along with two free
     # rows, more rows than numpy unravels at once
-    seen = []
-    for idx in grid_batches((70, 2), (1, 3), 1, 10**6, chunk_cells=4, point_cells=1):
-        assert not idx[0].any() and idx[0].shape[1:] == (70,)
-        seen.extend(map(tuple, idx[1]))
-    assert sorted(seen) == [(a, b) for a in range(3) for b in range(3)]
+    monkeypatch.setattr(solver, "GRID_BLOCK_CELLS", 4)
+    seen = _combinations(*grid_batches((70, 2), (1, 3), 1, 10**6, point_cells=1), (1, 3), 4)
+    assert seen == [(0,) * 70 + (a, b) for a in range(3) for b in range(3)]
 
 
 def test_grid_batches_raise_before_enumerating():
     with pytest.raises(di.GridTooLarge):
-        grid_batches((1, 2), (2, 3), 2, 107, 100, 1)
+        grid_batches((1, 2), (2, 3), 2, 107, 1)
     with pytest.raises(di.DomainError):
-        grid_batches((1,), (2,), 0, 10, 100, 1)
+        grid_batches((1,), (2,), 0, 10, 1)
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.7, 3.0, True, False, "3", None, np.float64(2.0)])
 def test_grid_resolution_must_be_a_positive_int(bad):
     with pytest.raises(di.DomainError, match="grid_resolution"):
-        grid_batches((1,), (2,), bad, 10**6, 100, 1)
+        grid_batches((1,), (2,), bad, 10**6, 1)
     spec = di.AlphabetSpec(0, (2,), (2,))
     q = di.ForwardKernel(spec, (np.array([[0.9, 0.1], [0.2, 0.8]]),))
     with pytest.raises(di.DomainError, match="grid_resolution"):
@@ -251,9 +268,11 @@ def test_grid_resolution_takes_numpy_integers():
 
 
 def test_entropy_route_matches_the_evaluator_batched_or_not():
-    # both grid oracles' batch evaluators against the package's evaluator,
-    # a batch of two kernels against each kernel alone: one kernel leaves a
-    # row without mass, and an infinite cell counts only when it has mass
+    # both grid oracles' block evaluators against the package's evaluator,
+    # a block of two kernels' parts against each joined kernel alone, for
+    # every step at which the high part hands over to the low one: one
+    # kernel leaves a row without mass, and an infinite cell counts only
+    # when it has mass
     from dirinfo.capacity import PowerConstraint, _batch_terms, _CapacityProblem, expected_cost
     from dirinfo.nrdf import _batch_terms as _nrdf_batch_terms
     from dirinfo.nrdf import _NrdfProblem, expected_distortion
@@ -264,21 +283,27 @@ def test_entropy_route_matches_the_evaluator_batched_or_not():
         rng_from_seed,
     )
 
-    def batch(evaluator, tables):
-        # the kernels' step tables stacked into pools, each kernel's rows
-        # picked by index
-        pools = [np.concatenate(ts) for ts in zip(*tables)]
-        return evaluator(pools)([np.arange(len(p)).reshape(len(tables), -1) for p in pools])
+    def block(evaluator, tables, cut):
+        # the kernels' step tables stacked into pools, then the row of ones
+        # that an index the other part sets picks; entry (a, b) joins the
+        # steps before ``cut`` of kernel a with the rest of kernel b
+        pools = [np.vstack(ts + (np.ones(ts[0].shape[1]),)) for ts in zip(*tables)]
+        idx = [np.arange(len(p) - 1).reshape(len(tables), -1) for p in pools]
+        pad = [np.full_like(j, len(p) - 1) for j, p in zip(idx, pools)]
+        return evaluator(pools, pad[:cut] + idx[cut:])(idx[:cut] + pad[cut:])
 
     def check(evaluator, tables, value, spent):
-        info, cost = batch(evaluator, tables)
-        for k, kernel in enumerate(tables):
-            one_info, one_cost = batch(evaluator, [kernel])
-            assert one_info[0] == pytest.approx(value(kernel), abs=1e-12)
-            assert info[k] == pytest.approx(one_info[0], abs=1e-15)
-            assert cost[k] == pytest.approx(one_cost[0], abs=1e-15)
-            assert one_cost[0] == pytest.approx(spent(kernel), abs=1e-15)
-        assert cost[0] == pytest.approx(1.0, abs=1e-15) and cost[1] == np.inf
+        for cut in range(spec.steps + 1):
+            info, cost = block(evaluator, tables, cut)
+            assert info.shape == cost.shape == (len(tables), len(tables))
+            for a, b in np.ndindex(info.shape):
+                kernel = tuple(tables[a][:cut]) + tuple(tables[b][cut:])
+                one_info, one_cost = block(evaluator, [kernel], cut)
+                assert one_info[0, 0] == pytest.approx(value(kernel), abs=1e-12)
+                assert info[a, b] == pytest.approx(one_info[0, 0], abs=1e-15)
+                assert cost[a, b] == pytest.approx(one_cost[0, 0], abs=1e-15)
+                assert one_cost[0, 0] == pytest.approx(spent(kernel), abs=1e-15)
+            assert cost[0, 0] == pytest.approx(1.0, abs=1e-15) and cost[1, 1] == np.inf
 
     rng = rng_from_seed(5)
     spec = di.AlphabetSpec(1, (2, 3), (3, 2))
@@ -290,7 +315,7 @@ def test_entropy_route_matches_the_evaluator_batched_or_not():
     # with feedback: tables as the kernel holds them
     free = random_backward_kernel(rng, spec).tables
     check(
-        lambda pools: _batch_terms(_CapacityProblem(q, c, no_feedback=False), pools),
+        lambda pools, low: _batch_terms(_CapacityProblem(q, c, no_feedback=False), pools, low),
         [(np.array([[1.0, 0.0]]), free[1]), free],
         lambda t: di.directed_information(di.BackwardKernel(spec, t), q),
         lambda t: expected_cost(di.BackwardKernel(spec, t), q, c),
@@ -299,7 +324,7 @@ def test_entropy_route_matches_the_evaluator_batched_or_not():
     # without feedback: tables keyed by x^{i-1} alone
     tied = [t[:: spec.y_prefix_count(i)] for i, t in enumerate(random_feedback_free_kernel(rng, spec).tables)]
     check(
-        lambda pools: _batch_terms(_CapacityProblem(q, c, no_feedback=True), pools),
+        lambda pools, low: _batch_terms(_CapacityProblem(q, c, no_feedback=True), pools, low),
         [(np.array([[1.0, 0.0]]), tied[1]), tied],
         lambda t: di.directed_information(di.BackwardKernel.from_feedback_free_tables(spec, t), q),
         lambda t: expected_cost(di.BackwardKernel.from_feedback_free_tables(spec, t), q, c),
@@ -314,7 +339,7 @@ def test_entropy_route_matches_the_evaluator_batched_or_not():
     d = di.DistortionConstraint(table, 1.0)
     free = random_forward_kernel(rng, spec).tables
     check(
-        lambda pools: _nrdf_batch_terms(_NrdfProblem(src, d), pools),
+        lambda pools, low: _nrdf_batch_terms(_NrdfProblem(src, d), src, pools, low),
         [(np.tile([[0.0, 0.3, 0.7]], (2, 1)), free[1]), free],
         lambda t: di.directed_information(src.kernel, di.ForwardKernel(spec, t)),
         lambda t: expected_distortion(src, di.ForwardKernel(spec, t), d),
