@@ -163,13 +163,11 @@ class _CapacityProblem:
         self.mean_log_q = (self.q_last[..., 0, :] * log_where_positive(self.qp)).sum(axis=-1)
 
     def start(self):
-        """Uniform input over what is not forbidden."""
-        layout = self.layout
+        """The input of a zero reward, by the updates' soft :func:`induction`:
+        uniform over what is allowed, and ``-inf`` also on each choice that
+        can lead to a history which allows no final symbol."""
         with np.errstate(divide="ignore"):
-            last = np.log(self.allowed / self.allowed.sum(axis=-1, keepdims=True))
-        sizes = layout.x_sizes[:-1]
-        uniform = [np.full(_step_shape(layout, 0, i), -math.log(k)) for i, k in enumerate(sizes)]
-        return uniform + [last]
+            return induction(np.log(self.allowed), self.laws[:-1], soft=True)[1]
 
     def _log_law(self, state) -> np.ndarray:
         """The input's log-probability of ``x^n`` given ``y^{n-1}``, on the
@@ -241,14 +239,12 @@ def solve_capacity(
     undone update counts in ``iterations``.
     ``no_feedback=True`` ties each step's table across output histories: it
     solves for the law of the input path on the one-step channel ``Q(y^n |
-    x^n)``.  With feedback, histories whose every final-step symbol has
-    infinite cost are rejected as infeasible rather than searched around;
-    without feedback only a problem that forbids every input path is.
+    x^n)``.  Its one refusal is its oracle's: :class:`InfeasibleConstraint`
+    when the least expected cost (over fixed input paths, without
+    feedback) exceeds the budget plus ``FEASIBILITY_SLACK``.
     """
     cfg = cfg or DEFAULT_CONFIG
     prob = _CapacityProblem(q, c, no_feedback)
-    if not prob.allowed.any(axis=-1).all():
-        raise InfeasibleConstraint("an input history has no finite-cost symbol at the final step")
     if c is not None:
         floor = _min_cost_without_feedback(prob) if no_feedback else min_expected_cost(q, c)
         if floor > c.budget + FEASIBILITY_SLACK:

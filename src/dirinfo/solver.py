@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -281,11 +280,15 @@ def simplex_grid(resolution: int, dim: int) -> np.ndarray:
         raise DomainError("simplex grid needs dim >= 1 and resolution >= 1")
     if dim == 1:
         return np.ones((1, 1))
-    points = []
-    for cuts in combinations(range(resolution + dim - 1), dim - 1):
-        edges = (-1,) + cuts + (resolution + dim - 1,)  # stars between bars
-        points.append([b - a - 1 for a, b in zip(edges, edges[1:])])
-    return np.asarray(points, dtype=float) / resolution
+    # column by column: each point so far opens a run 0..left of next entries
+    left, columns = np.array([resolution]), []
+    for _ in range(dim - 1):
+        runs = left + 1
+        ends = np.cumsum(runs)
+        entry = np.arange(ends[-1]) - np.repeat(ends - runs, runs)
+        columns = [np.repeat(c, runs) for c in columns] + [entry]
+        left = np.repeat(left, runs) - entry
+    return np.stack(columns + [left], axis=1) / resolution
 
 
 def grid_batches(

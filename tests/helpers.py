@@ -19,6 +19,11 @@ def decode(code, sizes):
     return tuple(reversed(digits))
 
 
+def hb(t: float) -> float:
+    """Binary entropy in nats."""
+    return -t * math.log(t) - (1 - t) * math.log(1 - t)
+
+
 def random_kernel_fn(rnd, width, sparse=False):
     """A memoized callable mapping (step, x_prefix, y_prefix) to a random
     probability row of the given per-step widths."""
@@ -75,6 +80,19 @@ def forward_kernel_from_fn(spec: AlphabetSpec, fn) -> ForwardKernel:
             rows.append(fn(i, xs, ys))
         tables.append(np.array(rows, dtype=float))
     return ForwardKernel(spec, tuple(tables))
+
+
+def trapdoor_channel(n: int) -> ForwardKernel:
+    """The trapdoor channel over ``n + 1`` uses.  A state starts at 0; the
+    output is the input when the input equals the state and a fair bit
+    otherwise; then the state becomes ``s xor x_i xor y_i``."""
+    def fn(i, xs, ys):
+        s = 0
+        for x, y in zip(xs, ys):
+            s ^= x ^ y
+        return [1.0 - xs[i], float(xs[i])] if xs[i] == s else [0.5, 0.5]
+
+    return forward_kernel_from_fn(AlphabetSpec(n, (2,) * (n + 1), (2,) * (n + 1)), fn)
 
 
 def random_small_shape(rnd, max_horizon=2, max_size=3):

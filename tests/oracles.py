@@ -171,12 +171,14 @@ def oracle_dual_bound(terms, budget):
 
 def simplex_points(resolution, dim):
     """Probability rows of width ``dim`` with entries in multiples of
-    ``1/resolution``, from the compositions of ``resolution``."""
-    return [
-        tuple(k / resolution for k in parts)
-        for parts in product(range(resolution + 1), repeat=dim)
-        if sum(parts) == resolution
-    ]
+    ``1/resolution``, from the compositions of ``resolution`` by stars and
+    bars: ``dim - 1`` bars among ``resolution + dim - 1`` places, so the rows
+    come in lexicographic order."""
+    rows = []
+    for bars in combinations(range(resolution + dim - 1), dim - 1):
+        edges = (-1,) + bars + (resolution + dim - 1,)
+        rows.append(tuple((b - a - 1) / resolution for a, b in zip(edges, edges[1:])))
+    return rows
 
 
 def capacity_grid_rows(x_sizes, y_sizes, no_feedback=False):

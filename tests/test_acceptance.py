@@ -20,9 +20,7 @@ from dirinfo.nrdf import DistortionConstraint, SourceSpec, rd_curve, solve_nrdf
 from dirinfo.serialization import parse_real
 from dirinfo.verify import run_suite
 
-
-def hb(t: float) -> float:
-    return -t * math.log(t) - (1 - t) * math.log(1 - t)
+from helpers import hb
 
 
 def criterion(num: int, name: str, budget_s: float):

@@ -15,6 +15,14 @@ from dirinfo.capacity import (
     min_expected_cost,
     solve_capacity,
 )
+from dirinfo.nrdf import (
+    DistortionConstraint,
+    SourceSpec,
+    brute_force_nrdf,
+    expected_distortion,
+    min_expected_distortion,
+    solve_nrdf,
+)
 from dirinfo.sampling import (
     random_backward_kernel,
     random_forward_kernel,
@@ -22,7 +30,13 @@ from dirinfo.sampling import (
 )
 from dirinfo.solver import SolverConfig, logsumexp
 
-from helpers import backward_kernel_from_fn, forward_kernel_from_fn, random_kernel_fn
+from helpers import (
+    backward_kernel_from_fn,
+    forward_kernel_from_fn,
+    hb,
+    random_kernel_fn,
+    trapdoor_channel,
+)
 from oracles import (
     all_paths,
     oracle_dual_bound,
@@ -31,10 +45,6 @@ from oracles import (
     oracle_lagrangian_bound,
     oracle_strategy_terms,
 )
-
-
-def hb(t: float) -> float:
-    return -t * math.log(t) - (1 - t) * math.log(1 - t)
 
 
 SPEC1 = di.AlphabetSpec(0, (2,), (2,))
@@ -256,15 +266,81 @@ def test_all_infinite_row_is_infeasible():
 
 def test_oracle_searches_around_an_unreachable_forbidden_history():
     # y_i = x_i, so (x_0, y_0) = (0, 1) never occurs; both x_1 after it cost
-    # +inf.  The solver refuses such a history, the oracle must not.
+    # +inf.  Neither the oracle nor the solver may refuse such a history.
     spec = di.AlphabetSpec(1, (2, 2), (2, 2))
     q = forward_kernel_from_fn(spec, lambda i, xs, ys: [1.0 - xs[-1], float(xs[-1])])
     table = np.zeros((spec.num_x_paths, spec.num_y_histories))
     table[:2, 1] = np.inf  # x^1 = (0, x_1) after y_0 = 1
     c = PowerConstraint(table, budget=0.5)
     assert float(brute_force_capacity(q, c, grid_resolution=4)) == pytest.approx(2 * math.log(2), abs=1e-12)
-    with pytest.raises(di.InfeasibleConstraint):
-        solve_capacity(q, c)
+    res = solve_capacity(q, c)
+    assert res.converged
+    assert float(res.value) == pytest.approx(2 * math.log(2), abs=1e-9)
+    assert expected_cost(res.argmax, q, c) <= 0.5
+
+
+def _refused(solve):
+    """``solve()``, or ``None`` when it raises :class:`InfeasibleConstraint`."""
+    try:
+        return solve()
+    except di.InfeasibleConstraint:
+        return None
+
+
+def _budget_clear_of(rnd, floors, scale=1.0):
+    # a budget within 1e-9 below a floor passes the floor check, but the
+    # multiplier search aims at the budget itself and then gives up
+    budget = scale * rnd.random()
+    while any(abs(budget - f) < 1e-6 for f in floors):
+        budget = scale * rnd.random()
+    return budget
+
+
+def test_solvers_refuse_exactly_when_their_oracles_do():
+    # binary n=1 channels, every third deterministic so that some histories
+    # are never reached, and 30% of the cost cells +inf: a history whose
+    # every final symbol is forbidden must be routed around, not refused
+    spec = di.AlphabetSpec(1, (2, 2), (2, 2))
+    rnd = random.Random(0)
+    for k in range(40):
+        tables = []
+        for rows in (2, 8):
+            t = np.array([[rnd.random() + 0.05, rnd.random() + 0.05] for _ in range(rows)])
+            if k % 3 == 0:
+                t = (t == t.max(axis=1, keepdims=True)).astype(float)
+            tables.append(t / t.sum(axis=1, keepdims=True))
+        q = di.ForwardKernel(spec, tuple(tables))
+        table = np.array([[math.inf if rnd.random() < 0.3 else rnd.random() for _ in range(2)]
+                          for _ in range(4)])
+        # the least cost of each fixed input path (x_0, x_1), 0 * inf = 0
+        paths = [sum(w * table[x, y] for y, w in enumerate(tables[0][x // 2]) if w > 0) for x in range(4)]
+        floors = [min_expected_cost(q, PowerConstraint(table, 0.0)), min(paths)]
+        c = PowerConstraint(table, _budget_clear_of(rnd, floors))
+        for no_feedback in (False, True):
+            want = _refused(lambda: brute_force_capacity(q, c, grid_resolution=6, no_feedback=no_feedback))
+            got = _refused(lambda: solve_capacity(q, c, no_feedback=no_feedback))
+            assert (got is None) == (want is None), (k, no_feedback)
+            if got is not None:
+                assert got.converged, (k, no_feedback)
+                assert float(got.value) >= float(want) - 1e-9, (k, no_feedback)
+                assert expected_cost(got.argmax, q, c) <= c.budget + 1e-9, (k, no_feedback)
+    # NRDF keeps the same one rule: 3x3 sources at n=0 with forbidden cells
+    spec = di.AlphabetSpec(0, (3,), (3,))
+    for k in range(10):
+        law = np.array([rnd.random() + 0.05 for _ in range(3)])
+        src = SourceSpec.from_step_tables(spec, [(law / law.sum())[None]])
+        # cheap on the diagonal, so that some budgets need a positive rate
+        table = np.array([[math.inf if rnd.random() < 0.3 else rnd.random() * (0.2 if x == y else 1.0)
+                           for y in range(3)] for x in range(3)])
+        floor = min_expected_distortion(src, DistortionConstraint(table, 0.0))
+        d = DistortionConstraint(table, _budget_clear_of(rnd, [floor], min(floor, 1.0) + 0.3))
+        want = _refused(lambda: brute_force_nrdf(src, d, grid_resolution=6))
+        got = _refused(lambda: solve_nrdf(src, d))
+        assert (got is None) == (want is None), k
+        if got is not None:
+            assert got.converged, k
+            assert float(got.value) <= float(want) + 1e-6, k
+            assert expected_distortion(src, got.argmin, d) <= d.budget + 1e-9, k
 
 
 def test_infinite_cost_cell_is_avoided():
@@ -335,6 +411,24 @@ def test_no_feedback_brute_force_agrees():
     nofb = float(brute_force_capacity(q, no_feedback=True, grid_resolution=40))
     want = hb(0.25) - 0.5 * math.log(2)
     assert nofb == pytest.approx(want, abs=1e-9)
+
+
+def test_trapdoor_ladder():
+    # feedback capacity per use tends to ln phi (Permuter, Cuff, Van Roy &
+    # Weissman 2008); n = 0 is a Z-channel with crossover 1/2
+    fb, nofb = [], []
+    for n in range(4):
+        q = trapdoor_channel(n)
+        with_fb, without = solve_capacity(q), solve_capacity(q, no_feedback=True)
+        assert with_fb.converged and without.converged, n
+        fb.append(float(with_fb.value))
+        nofb.append(float(without.value))
+    assert fb[0] == pytest.approx(math.log(5 / 4), abs=1e-9)
+    grid = float(brute_force_capacity(trapdoor_channel(1), grid_resolution=10))
+    assert grid <= fb[1] <= grid + 0.01
+    assert all(a <= b for a, b in zip(fb, fb[1:]))
+    assert all(f >= g - 1e-9 for f, g in zip(fb, nofb))
+    assert fb[3] - fb[2] == pytest.approx(math.log((1 + math.sqrt(5)) / 2), abs=0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,7 @@ from dirinfo.cli import main
 from dirinfo.serialization import parse_real, real_to_str
 from dirinfo.verify import SUITE_IDS
 
-
-def hb(t: float) -> float:
-    return -t * math.log(t) - (1 - t) * math.log(1 - t)
+from helpers import hb
 
 
 def write_problem(path, doc):

@@ -21,6 +21,7 @@ from dirinfo.sampling import (
 from helpers import (
     backward_kernel_from_fn,
     forward_kernel_from_fn,
+    hb,
     random_kernel_fn,
     random_small_shape,
 )
@@ -31,10 +32,6 @@ from oracles import (
     oracle_mutual_information,
     oracle_per_step_information,
 )
-
-
-def hb(t: float) -> float:
-    return -t * math.log(t) - (1 - t) * math.log(1 - t)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,8 @@ from dirinfo.nrdf import (
 from dirinfo.sampling import random_feedback_free_kernel, rng_from_seed
 from dirinfo.solver import SolverConfig
 
-from helpers import forward_kernel_from_fn, random_kernel_fn
+from helpers import forward_kernel_from_fn, hb, random_kernel_fn
 from oracles import oracle_expected_distortion, oracle_joint
-
-
-def hb(t: float) -> float:
-    return -t * math.log(t) - (1 - t) * math.log(1 - t)
 
 
 SPEC1 = di.AlphabetSpec(0, (2,), (2,))

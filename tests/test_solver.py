@@ -17,6 +17,8 @@ from dirinfo.solver import (
     simplex_grid,
 )
 
+from oracles import simplex_points
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -181,6 +183,13 @@ def test_simplex_grid_counts_and_sums(res, dim):
     assert np.all(g >= 0)
     # all points distinct
     assert len({tuple(row) for row in g}) == g.shape[0]
+
+
+@pytest.mark.parametrize("res, dim", [(500, 2), (100, 3), (10, 4), (20, 5), (3, 3), (7, 1), (1, 4)])
+def test_simplex_grid_matches_stars_and_bars(res, dim):
+    # the same floats in the same (lexicographic) order
+    g, want = simplex_grid(res, dim), np.array(simplex_points(res, dim))
+    assert g.shape == want.shape and g.tobytes() == want.tobytes()
 
 
 def test_simplex_grid_small_cases():
