@@ -241,7 +241,9 @@ def solve_capacity(
     solves for the law of the input path on the one-step channel ``Q(y^n |
     x^n)``.  Its one refusal is its oracle's: :class:`InfeasibleConstraint`
     when the least expected cost (over fixed input paths, without
-    feedback) exceeds the budget plus ``FEASIBILITY_SLACK``.
+    feedback) exceeds the budget plus ``FEASIBILITY_SLACK``.  A budget
+    within that slack below the least cost is met at the budget plus the
+    slack, so ``constraint_slack`` is then negative.
     """
     cfg = cfg or DEFAULT_CONFIG
     prob = _CapacityProblem(q, c, no_feedback)
@@ -251,6 +253,8 @@ def solve_capacity(
             raise InfeasibleConstraint(
                 f"minimum achievable cost {floor:.9g} exceeds budget {c.budget:.9g}"
             )
+        if floor > c.budget:
+            prob.budget = c.budget + FEASIBILITY_SLACK
     gap = math.inf
 
     def advance(x, point, mu):

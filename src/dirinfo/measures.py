@@ -253,12 +253,14 @@ def _path_weights(spec: AlphabetSpec, tables: Sequence[np.ndarray], side: int, t
 
 def _expand_tied_table(spec: AlphabetSpec, side: int, i: int, tied: np.ndarray) -> np.ndarray:
     """Replicate a step table of ``side`` keyed by the side's own history
-    across every axis of the other side in its prefix."""
+    across every axis of the other side in its prefix, into a new frozen
+    array (see :func:`_frozen`)."""
     want = _table_shape(spec, side, i, tied=True)
     if tied.shape != want:
         raise SpecMismatch(f"step {i} table has shape {tied.shape}, expected {want}")
-    src = tied.reshape(_step_shape(spec, side, i, tied=True))
-    return np.broadcast_to(src, _step_shape(spec, side, i)).reshape(_table_shape(spec, side, i))
+    out = np.empty(_table_shape(spec, side, i))
+    out.reshape(_step_shape(spec, side, i))[...] = tied.reshape(_step_shape(spec, side, i, tied=True))
+    return _frozen(out)
 
 
 def _tied_rows(spec: AlphabetSpec, side: int, i: int, table: np.ndarray) -> np.ndarray:
@@ -279,8 +281,10 @@ def _tied_rows(spec: AlphabetSpec, side: int, i: int, table: np.ndarray) -> np.n
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
     """``arr`` as a read-only float array that no other reference can write.
 
-    A float array that is already read-only and owns its memory (see
-    :func:`_frozen`) is taken as it is; anything else is copied.
+    This is the one rule by which value types take arrays: they copy an
+    array the caller handed them, and adopt a table the package has just
+    built.  A float array that is already read-only and owns its memory
+    (see :func:`_frozen`) is taken as it is; anything else is copied.
     """
     if (
         isinstance(arr, np.ndarray)
@@ -296,7 +300,12 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """Mark an array the package has just built, and holds no other
-    reference to, as read-only, so that value types adopt it uncopied."""
+    reference to, as read-only, so that value types adopt it uncopied.
+
+    Every builder of kernel tables and joints hands its result over this
+    way.  Only an array that owns its memory is adopted: a view, such as
+    a reshape of a fresh array, is still copied by :func:`_as_readonly`.
+    """
     arr.setflags(write=False)
     return arr
 
@@ -429,14 +438,15 @@ class _StepKernel:
     @classmethod
     def uniform(cls, spec: AlphabetSpec):
         side, sizes = cls._side, _side_sizes(spec, cls._side)
-        return cls(spec, tuple(np.full(_table_shape(spec, side, i), 1.0 / k) for i, k in enumerate(sizes)))
+        tables = (_frozen(np.full(_table_shape(spec, side, i), 1.0 / k)) for i, k in enumerate(sizes))
+        return cls(spec, tuple(tables))
 
     @classmethod
     def _from_log_tables(cls, spec: AlphabetSpec, log_tables: Sequence[np.ndarray]):
         """The kernel of log step tables, each row exponentiated and
         normalized; a row without mass becomes uniform."""
         shapes = (_table_shape(spec, cls._side, i) for i in range(spec.steps))
-        tables = (_normalize_rows(np.exp(t).reshape(s), s[1]) for t, s in zip(log_tables, shapes))
+        tables = (_frozen(_normalize_rows(np.exp(t).reshape(s), s[1])) for t, s in zip(log_tables, shapes))
         return cls(spec, tuple(tables))
 
     @classmethod

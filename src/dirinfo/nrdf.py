@@ -139,7 +139,7 @@ def _distortion_dp(prob: _NrdfProblem):
     tables (one-hot rows) that attain it.
     """
     value, best = induction(-prob.d, prob.laws)
-    choices = [np.eye(k)[y.reshape(-1)] for k, y in zip(prob.spec.y_sizes, best)]  # one-hot rows
+    choices = [_frozen(np.eye(k)[y.reshape(-1)]) for k, y in zip(prob.spec.y_sizes, best)]  # one-hot rows
     return 0.0 - float(value), choices  # a floor of 0 as 0.0, not -0.0
 
 

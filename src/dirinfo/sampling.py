@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import AlphabetSpec, BackwardKernel, ForwardKernel, Pmf, _table_shape
+from .measures import AlphabetSpec, BackwardKernel, ForwardKernel, Pmf, _frozen, _table_shape
 
 
 def rng_from_seed(seed: Optional[int]) -> np.random.Generator:
@@ -18,11 +18,19 @@ def rng_from_seed(seed: Optional[int]) -> np.random.Generator:
 
 
 def _rows(rng: np.random.Generator, shape: tuple[int, int], min_mass: float) -> np.ndarray:
+    """Dirichlet rows lifted to at least ``min_mass``, as a frozen array
+    (see :func:`~dirinfo.measures._frozen`) that a kernel adopts."""
     rows = rng.dirichlet(np.ones(shape[1]), size=shape[0])
     if min_mass > 0.0:
-        rows = rows * (1.0 - shape[1] * min_mass) + min_mass
-    # defensive renormalization against accumulated rounding
-    return rows / rows.sum(axis=-1, keepdims=True)
+        rows *= 1.0 - shape[1] * min_mass
+        rows += min_mass
+    # Defensive renormalization against accumulated rounding, in place.
+    # numpy adds fewer than 8 terms left to right, so below that width
+    # adding the columns in order gives its row sums bit for bit, without
+    # its slow pass along a short trailing axis.
+    cols = rows.T
+    rows /= (sum(cols[1:], cols[0]) if len(cols) < 8 else rows.sum(axis=-1))[:, None]
+    return _frozen(rows)
 
 
 def random_pmf(rng: np.random.Generator, size: int, min_mass: float = 0.0) -> Pmf:

@@ -14,7 +14,7 @@ from typing import Any, Union
 import numpy as np
 
 from .errors import ProblemFileError
-from .measures import AlphabetSpec, BackwardKernel, ForwardKernel
+from .measures import AlphabetSpec, BackwardKernel, ForwardKernel, _frozen
 
 LOAD_ROW_TOL = 1e-9
 
@@ -112,7 +112,7 @@ def _tables_from_jsonable(data: Any, where: str) -> list[np.ndarray]:
     if not isinstance(entries, list) or not entries:
         raise ProblemFileError(f"{where}: 'tables' must be a non-empty list")
     return [
-        load_stochastic_table(t, f"{where}.tables[{i}]") for i, t in enumerate(entries)
+        _frozen(load_stochastic_table(t, f"{where}.tables[{i}]")) for i, t in enumerate(entries)
     ]
 
 

@@ -29,6 +29,7 @@ from .measures import (
     AlphabetSpec,
     BackwardKernel,
     ForwardKernel,
+    _frozen,
     _mixture_tables,
     build_joint,
     condition_on_path,
@@ -84,7 +85,7 @@ def _sparse(kernel, threshold: float = 0.15):
         dead = out.sum(axis=-1) == 0
         if np.any(dead):
             out[np.nonzero(dead)[0], rows[dead].argmax(axis=-1)] = 1.0
-        tables.append(out / out.sum(axis=-1, keepdims=True))
+        tables.append(_frozen(out / out.sum(axis=-1, keepdims=True)))
     return type(kernel)(kernel.spec, tuple(tables))
 
 
@@ -95,7 +96,7 @@ def _deterministic_forward(rng: np.random.Generator, spec: AlphabetSpec) -> Forw
         rows = spec.output_history_count(i)
         t = np.zeros((rows, spec.y_sizes[i]))
         t[np.arange(rows), rng.integers(0, spec.y_sizes[i], size=rows)] = 1.0
-        tables.append(t)
+        tables.append(_frozen(t))
     return ForwardKernel(spec, tuple(tables))
 
 

@@ -23,11 +23,7 @@ from dirinfo.nrdf import (
     min_expected_distortion,
     solve_nrdf,
 )
-from dirinfo.sampling import (
-    random_backward_kernel,
-    random_forward_kernel,
-    rng_from_seed,
-)
+from dirinfo.sampling import random_forward_kernel, rng_from_seed
 from dirinfo.solver import SolverConfig, logsumexp
 
 from helpers import (
@@ -302,6 +298,7 @@ def test_solvers_refuse_exactly_when_their_oracles_do():
     # every final symbol is forbidden must be routed around, not refused
     spec = di.AlphabetSpec(1, (2, 2), (2, 2))
     rnd = random.Random(0)
+    problems = []
     for k in range(40):
         tables = []
         for rows in (2, 8):
@@ -315,11 +312,17 @@ def test_solvers_refuse_exactly_when_their_oracles_do():
         # the least cost of each fixed input path (x_0, x_1), 0 * inf = 0
         paths = [sum(w * table[x, y] for y, w in enumerate(tables[0][x // 2]) if w > 0) for x in range(4)]
         floors = [min_expected_cost(q, PowerConstraint(table, 0.0)), min(paths)]
-        c = PowerConstraint(table, _budget_clear_of(rnd, floors))
+        problems.append((q, PowerConstraint(table, _budget_clear_of(rnd, floors))))
+    # budgets at the floor 1 of BSC(0.1) with costs (1, 2) on x, and 5e-10
+    # and 2e-9 below it: within FEASIBILITY_SLACK of the floor is feasible
+    at_floor = [(bsc(0.1), PowerConstraint(np.array([[1.0], [2.0]]), 1.0 - b)) for b in (0.0, 5e-10, 2e-9)]
+    for k, (q, c) in enumerate(problems + at_floor):
         for no_feedback in (False, True):
             want = _refused(lambda: brute_force_capacity(q, c, grid_resolution=6, no_feedback=no_feedback))
             got = _refused(lambda: solve_capacity(q, c, no_feedback=no_feedback))
             assert (got is None) == (want is None), (k, no_feedback)
+            if k >= len(problems):
+                assert (got is None) == (k == len(problems) + 2), (k, no_feedback)
             if got is not None:
                 assert got.converged, (k, no_feedback)
                 assert float(got.value) >= float(want) - 1e-9, (k, no_feedback)

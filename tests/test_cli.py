@@ -2,7 +2,6 @@ import json
 import math
 import pathlib
 
-import numpy as np
 import pytest
 
 from dirinfo.cli import main

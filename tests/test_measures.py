@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dirinfo as di
+from dirinfo import measures
 from dirinfo.measures import (
     PMF_TOL,
     active_cell_cap,
@@ -15,7 +16,9 @@ from dirinfo.measures import (
 )
 from dirinfo.sampling import (
     random_backward_kernel,
+    random_feedback_free_kernel,
     random_forward_kernel,
+    random_input_free_kernel,
     random_pmf,
     random_spec,
     rng_from_seed,
@@ -26,7 +29,6 @@ from helpers import (
     decode,
     forward_kernel_from_fn,
     random_kernel_fn,
-    random_small_shape,
 )
 
 
@@ -234,6 +236,36 @@ def test_tied_constructors_match_kernels_of_history_functions(spec, side):
     assert len(got.tables) == spec.steps
     for g, w in zip(got.tables, want.tables):
         assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_tied_tables_are_expanded_into_arrays_the_kernel_adopts(monkeypatch):
+    real, expanded = measures._expand_tied_table, []
+
+    def spy(*args):
+        expanded.append(real(*args))
+        return expanded[-1]
+
+    monkeypatch.setattr(measures, "_expand_tied_table", spy)
+    spec = TIED_SPECS[2]
+    rng = rng_from_seed(4)
+    kernels = random_feedback_free_kernel(rng, spec), random_input_free_kernel(rng, spec)
+    tables = kernels[0].tables + kernels[1].tables
+    assert len(expanded) == len(tables)
+    for got, want in zip(tables, expanded):
+        assert got is want
+        assert got.base is None and not got.flags.writeable
+
+
+def test_kernels_copy_the_arrays_their_caller_hands_them():
+    spec = di.AlphabetSpec(1, (2, 2), (2, 2))
+    plain = [np.array([[0.5, 0.5]]), np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])]
+    tied = [np.array([[0.4, 0.6]]), np.array([[0.9, 0.1], [0.2, 0.8]])]
+    kernels = di.BackwardKernel(spec, tuple(plain)), di.BackwardKernel.from_feedback_free_tables(spec, tied)
+    kept = [t.copy() for k in kernels for t in k.tables]
+    for t in plain + tied:
+        t[:] = t[:, ::-1].copy()  # still rows of a kernel
+    for got, want in zip([t for k in kernels for t in k.tables], kept):
+        assert np.array_equal(got, want)
 
 
 def test_uniform_kernels():

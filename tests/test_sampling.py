@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dirinfo as di
+from dirinfo import sampling
 from dirinfo.measures import condition_on_path, ignores_output_history
 from dirinfo.sampling import (
     random_backward_kernel,
@@ -77,3 +78,34 @@ def test_horizon_and_size_caps_are_respected():
         spec = random_spec(rng, max_horizon=1, max_size=2)
         assert spec.horizon_n <= 1
         assert all(s == 2 for s in spec.x_sizes + spec.y_sizes)
+
+
+@pytest.mark.parametrize("min_mass", [0.0, 0.01])
+@pytest.mark.parametrize("width", range(1, 10))
+def test_rows_renormalize_bit_for_bit_as_one_division_by_the_row_sums(width, min_mass):
+    for count in (1, 5, 1000):
+        a, b = rng_from_seed(width * 1000 + count), rng_from_seed(width * 1000 + count)
+        want = a.dirichlet(np.ones(width), size=count)
+        if min_mass > 0.0:
+            want = want * (1.0 - width * min_mass) + min_mass
+        want = want / want.sum(axis=-1, keepdims=True)
+        got = sampling._rows(b, (count, width), min_mass)
+        assert got.tobytes() == want.tobytes(), count
+
+
+def test_sampled_kernels_adopt_the_rows_they_draw(monkeypatch):
+    real, drawn = sampling._rows, []
+
+    def spy(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(sampling, "_rows", spy)
+    spec = di.AlphabetSpec(2, (2, 3, 2), (3, 2, 2))
+    rng = rng_from_seed(3)
+    p = random_backward_kernel(rng, spec)
+    q = random_forward_kernel(rng, spec)
+    assert len(drawn) == 6
+    for got, want in zip(p.tables + q.tables, drawn):
+        assert got is want
+        assert got.base is None and not got.flags.writeable
