@@ -22,8 +22,7 @@ from .measures import (
     ForwardKernel,
     InfoValue,
     JointMeasure,
-    _check_joint_mass,
-    _check_rows,
+    _check_laws,
     _joint_weights,
     _marginal_weights,
     _mass_log_ratio,
@@ -103,7 +102,7 @@ def _directed_information_stack(
     plain tables), from one stacked joint.  The terms are added in step
     order, as :func:`directed_information` adds them."""
     w = _joint_weights(spec, p_tables, q_tables)
-    _check_joint_mass(w, w.ndim - 2 * spec.steps)
+    _check_laws(w, "joint", lead=w.ndim - 2 * spec.steps)
     return sum(_per_step_terms(w, spec.steps))
 
 
@@ -326,7 +325,7 @@ def _tv_distances_to(c_limit: ConditionedFamily, q_stack: Sequence[np.ndarray]) 
     conditional to ``c_limit``.  Returning frees the path tables before
     the audit builds its joints, which keeps the audit's peak memory down."""
     paths = _path_table(c_limit.spec, q_stack, 1)
-    _check_rows(paths, "conditioned family")
+    _check_laws(paths, "conditioned family")
     return _worst_row_tv(paths, c_limit.table).tolist()
 
 

@@ -58,6 +58,15 @@ def active_cell_cap() -> int:
     return cap
 
 
+def _check_count(value, name: str, least: int = 0) -> int:
+    """``value`` as an ``int`` if it is an integer (an ``int`` or a numpy
+    integer, not a ``bool``) of at least ``least``; else a
+    :class:`DomainError` that names the parameter ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # alphabet spec
 # ---------------------------------------------------------------------------
@@ -77,18 +86,16 @@ class AlphabetSpec:
     y_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.horizon_n, int) or self.horizon_n < 0:
-            raise DomainError(f"horizon_n must be a nonnegative integer, got {self.horizon_n!r}")
-        object.__setattr__(self, "x_sizes", tuple(int(s) for s in self.x_sizes))
-        object.__setattr__(self, "y_sizes", tuple(int(s) for s in self.y_sizes))
+        object.__setattr__(self, "horizon_n", _check_count(self.horizon_n, "horizon_n"))
+        for name in ("x_sizes", "y_sizes"):
+            sizes = tuple(_check_count(s, f"{name}[{i}]", 1) for i, s in enumerate(getattr(self, name)))
+            object.__setattr__(self, name, sizes)
         steps = self.horizon_n + 1
         if len(self.x_sizes) != steps or len(self.y_sizes) != steps:
             raise DomainError(
                 f"need {steps} alphabet sizes per side, got "
                 f"{len(self.x_sizes)} for X and {len(self.y_sizes)} for Y"
             )
-        if any(s < 1 for s in self.x_sizes + self.y_sizes):
-            raise DomainError("alphabet sizes must be at least 1")
         cap = active_cell_cap()
         if self.total_cells > cap:
             raise DomainError(
@@ -281,10 +288,10 @@ def _tied_rows(spec: AlphabetSpec, side: int, i: int, table: np.ndarray) -> np.n
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
     """``arr`` as a read-only float array that no other reference can write.
 
-    This is the one rule by which value types take arrays: they copy an
-    array the caller handed them, and adopt a table the package has just
-    built.  A float array that is already read-only and owns its memory
-    (see :func:`_frozen`) is taken as it is; anything else is copied.
+    Value types take every array through :func:`_law_array`, which ends
+    here: a float array that is already read-only and owns its memory (see
+    :func:`_frozen`) is adopted as it is; anything else, such as an array
+    the caller handed over, is copied.
     """
     if (
         isinstance(arr, np.ndarray)
@@ -300,35 +307,49 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """Mark an array the package has just built, and holds no other
-    reference to, as read-only, so that value types adopt it uncopied.
-
-    Every builder of kernel tables and joints hands its result over this
-    way.  Only an array that owns its memory is adopted: a view, such as
-    a reshape of a fresh array, is still copied by :func:`_as_readonly`.
-    """
+    reference to, as read-only, so that :func:`_as_readonly` adopts it
+    uncopied.  Only an array that owns its memory is adopted: a view, such
+    as a reshape of a fresh array, is still copied."""
     arr.setflags(write=False)
     return arr
 
 
-def _validate_rows(rows: np.ndarray, what: str, tol: float = PMF_TOL) -> np.ndarray:
-    """Check that the trailing axis of ``rows`` holds probability vectors,
-    each summing to 1 within ``tol``, and return them read-only."""
-    rows = np.asarray(rows, dtype=float)
-    _check_rows(rows, what, tol)
-    return _as_readonly(rows)
-
-
-def _check_rows(rows: np.ndarray, what: str, tol: float = PMF_TOL) -> None:
-    """The checks of :func:`_validate_rows` on a float array."""
-    gap = float(np.abs(_sum_axis(rows, -1) - 1.0).max())
-    # A finite gap rules out NaN and infinite entries, so the entry-wise
-    # test runs only when the gap is not finite.
-    if not math.isfinite(gap) and not np.all(np.isfinite(rows)):
+def _check_laws(w: np.ndarray, what: str, tol: float = PMF_TOL, lead: Optional[int] = None) -> None:
+    """Check that the float array ``w`` holds probability laws: finite,
+    nonnegative, of mass 1 within ``tol``.  The laws are the rows on its
+    trailing axis or, given ``lead``, the joints stacked on its first
+    ``lead`` axes."""
+    if lead is None:
+        totals = _sum_axis(w, -1)
+    else:
+        # numpy's pairwise sum over each joint's cells, one pass and no
+        # vector of ones as long as the joint
+        totals = w.reshape(w.shape[:lead] + (-1,)).sum(axis=-1)
+    gap = np.abs(totals - 1.0)
+    worst = gap.max()
+    # A finite worst gap rules out NaN and infinite entries, so the
+    # entry-wise test runs only when it is not finite.
+    if not math.isfinite(worst) and not np.all(np.isfinite(w)):
         raise DomainError(f"{what} contains non-finite entries")
-    if rows.min() < 0:
+    if w.min() < 0:
         raise DomainError(f"{what} contains negative entries")
-    if gap > tol:
-        raise DomainError(f"{what} rows must sum to 1 within {tol:g}; worst gap {gap:.3e}")
+    if worst > tol:
+        if lead is None:
+            raise DomainError(f"{what} rows must sum to 1 within {tol:g}; worst gap {worst:.3e}")
+        raise DomainError(f"{what} mass is {float(totals.flat[gap.argmax()])!r}, not 1 within {tol:g}")
+
+
+def _law_array(
+    arr, shape: Optional[tuple], what: str, tol: float = PMF_TOL, lead: Optional[int] = None
+) -> np.ndarray:
+    """The one path by which value types take a law: ``arr`` as a float
+    array of ``shape`` (any shape if ``None``), checked by
+    :func:`_check_laws` and taken by :func:`_as_readonly`."""
+    w = np.asarray(arr, dtype=float)
+    if shape is not None and w.shape != shape:
+        raise SpecMismatch(f"{what} has shape {w.shape}, expected {shape}")
+    _check_laws(w, what, tol, lead)
+    return _as_readonly(w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,7 +364,7 @@ class Pmf:
             raise DomainError(f"Pmf weights must be one-dimensional, got shape {w.shape}")
         if w.size == 0:
             raise DomainError("Pmf must have at least one outcome")
-        object.__setattr__(self, "weights", _validate_rows(w, "Pmf"))
+        object.__setattr__(self, "weights", _law_array(w, None, "Pmf"))
 
     @property
     def size(self) -> int:
@@ -410,14 +431,10 @@ def _check_tables(
     if len(tables) != spec.steps:
         raise SpecMismatch(f"{what} needs {spec.steps} step tables, got {len(tables)}")
     tol = PMF_TOL / (4 * spec.steps)
-    out = []
-    for i, t in enumerate(tables):
-        t = np.asarray(t, dtype=float)
-        want = tuple(lead) + _table_shape(spec, side, i)
-        if t.shape != want:
-            raise SpecMismatch(f"{what} table {i} has shape {t.shape}, expected {want}")
-        out.append(_validate_rows(t, f"{what} table {i}", tol))
-    return tuple(out)
+    return tuple(
+        _law_array(t, lead + _table_shape(spec, side, i), f"{what} table {i}", tol)
+        for i, t in enumerate(tables)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -530,28 +547,8 @@ class JointMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != self.spec.interleaved_shape:
-            raise SpecMismatch(
-                f"joint weights have shape {w.shape}, expected {self.spec.interleaved_shape}"
-            )
-        _check_joint_mass(w)
-        object.__setattr__(self, "weights", _as_readonly(w))
-
-
-def _check_joint_mass(w: np.ndarray, lead: int = 0) -> None:
-    """Check that each joint stacked on the first ``lead`` axes of ``w`` is
-    a probability law: finite, nonnegative, of mass 1 within ``PMF_TOL``."""
-    totals = w.reshape(w.shape[:lead] + (-1,)).sum(axis=-1)
-    # As in _validate_rows, finite totals rule out non-finite entries.
-    if not np.all(np.isfinite(totals)) and not np.all(np.isfinite(w)):
-        raise DomainError("joint weights contain non-finite entries")
-    if w.min() < 0:
-        raise DomainError("joint weights contain negative entries")
-    gap = np.abs(totals - 1.0)
-    worst = int(gap.argmax())
-    if gap.flat[worst] > PMF_TOL:
-        raise DomainError(f"joint mass is {float(totals.flat[worst])!r}, not 1 within {PMF_TOL:g}")
+        w = _law_array(self.weights, self.spec.interleaved_shape, "joint", lead=0)
+        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -575,10 +572,7 @@ class ConditionedFamily:
             want = (self.spec.num_y_histories, self.spec.num_x_paths)
         else:
             raise DomainError(f'given must be "x" or "y", got {self.given!r}')
-        t = np.asarray(self.table, dtype=float)
-        if t.shape != want:
-            raise SpecMismatch(f"conditioned table has shape {t.shape}, expected {want}")
-        object.__setattr__(self, "table", _validate_rows(t, "conditioned family"))
+        object.__setattr__(self, "table", _law_array(self.table, want, "conditioned family"))
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +670,10 @@ def _marginal_weights(w: np.ndarray, steps: int, side: int) -> np.ndarray:
 def product_pi_forward(p: BackwardKernel, nu: Pmf) -> JointMeasure:
     """Product of an input kernel with an output-path law: ``p (x|y) * nu(y)``.
 
-    ``nu`` is copied across the input axes in whole contiguous blocks, then
-    scaled one ``y_n`` column at a time by the input-path weights; a single
-    broadcast over all axes would loop over only ``|Y_n|`` cells at a time.
+    ``nu`` is copied across the input axes in whole contiguous blocks, the
+    last time into the array the joint adopts, then scaled one ``y_n``
+    column at a time by the input-path weights; a single broadcast over
+    all axes would loop over only ``|Y_n|`` cells at a time.
     """
     spec = p.spec
     if nu.size != spec.num_y_paths:
@@ -686,14 +681,16 @@ def product_pi_forward(p: BackwardKernel, nu: Pmf) -> JointMeasure:
             f"nu has {nu.size} outcomes, expected {spec.num_y_paths} output paths"
         )
     w = nu.weights
-    for i in reversed(range(spec.steps)):
+    for i in reversed(range(1, spec.steps)):
         # (y^{i-1}, 1, y_i, x_{i+1}, ...) -> (y^{i-1}, x_i, y_i, x_{i+1}, ...)
         w = np.repeat(w.reshape(spec.y_prefix_count(i), 1, -1), spec.x_sizes[i], axis=1)
-    w = w.reshape(-1, spec.y_sizes[-1])
+    out = np.empty(spec.interleaved_shape)  # step 0's copy, as the loop's would be
+    out.reshape(spec.x_sizes[0], -1)[...] = w.reshape(-1)
+    cols = out.reshape(-1, spec.y_sizes[-1])
     a = _path_weights(spec, p.tables, 0).reshape(-1)
     for j in range(spec.y_sizes[-1]):
-        w[:, j] *= a
-    return JointMeasure(spec, _frozen(w.reshape(spec.interleaved_shape)))
+        cols[:, j] *= a
+    return JointMeasure(spec, _frozen(out))
 
 
 def product_pi_backward(mu: Pmf, q: ForwardKernel) -> JointMeasure:
@@ -836,7 +833,7 @@ def _mixture_tables(
     rows and the step tables are validated like the families and kernels
     they stand for."""
     mixed = _mix_tables(a, b, lams)
-    _check_rows(mixed, "conditioned family")
+    _check_laws(mixed, "conditioned family")
     kernel, tables = _refactor_tables(a.spec, a.given, mixed)
     return _check_tables(a.spec, tables, kernel._side, kernel._what, mixed.shape[:-2])
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, GridTooLarge, InfeasibleConstraint
-from .measures import AlphabetSpec, _table_shape
+from .measures import AlphabetSpec, _check_count, _table_shape
 
 # Kept only because the traced benchmark (``perfbench/spans.py``) binds
 # these two names when it installs; it never calls the stub.  ROADMAP
@@ -75,9 +75,7 @@ class SolverConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be a finite positive real, got {value!r}")
-        m = self.max_iters
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-            raise DomainError(f"max_iters must be an integer >= 1, got {m!r}")
+        _check_count(self.max_iters, "max_iters", 1)
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -318,8 +316,7 @@ def grid_batches(
     positive integer) or :class:`GridTooLarge` (more than
     ``max_grid_points`` combinations) before any block is made.
     """
-    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)) or resolution < 1:
-        raise DomainError(f"grid_resolution must be a positive integer, got {resolution!r}")
+    _check_count(resolution, "grid_resolution", 1)
     radices = [math.comb(resolution + dim - 1, dim - 1) for r, dim in zip(rows, sizes) for _ in range(r)]
     total = math.prod(radices)
     if total > max_grid_points:

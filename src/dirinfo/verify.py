@@ -29,6 +29,7 @@ from .measures import (
     AlphabetSpec,
     BackwardKernel,
     ForwardKernel,
+    _check_count,
     _frozen,
     _mixture_tables,
     build_joint,
@@ -77,14 +78,12 @@ class SuiteReport:
 
 
 def _sparse(kernel, threshold: float = 0.15):
-    """The kernel with small entries zeroed out and its rows renormalized,
-    keeping every row alive."""
+    """The kernel with entries below ``threshold`` zeroed out and its rows
+    renormalized.  A row's largest entry is at least one over its width,
+    so at a threshold of at most 1/3 no row of width 3 or less dies."""
     tables = []
     for rows in kernel.tables:
         out = np.where(rows < threshold, 0.0, rows)
-        dead = out.sum(axis=-1) == 0
-        if np.any(dead):
-            out[np.nonzero(dead)[0], rows[dead].argmax(axis=-1)] = 1.0
         tables.append(_frozen(out / out.sum(axis=-1, keepdims=True)))
     return type(kernel)(kernel.spec, tuple(tables))
 
@@ -247,11 +246,9 @@ def run_suite(suite: str, seed: int = 0, cases: Optional[int] = None) -> SuiteRe
     if suite not in SUITE_IDS:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITE_IDS}")
     entry = _SUITES[suite]
-    n_cases = entry.cases if cases is None else int(cases)
-    if n_cases < 1:
-        raise DomainError("need at least one case")
-    if seed is not None and seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+    n_cases = entry.cases if cases is None else _check_count(cases, "cases", 1)
+    if seed is not None:
+        _check_count(seed, "seed")
     rng = rng_from_seed(seed)
     tol = entry.tol()
     worst, worst_case = -math.inf, 0

@@ -60,6 +60,31 @@ def test_spec_validation():
         di.AlphabetSpec(0, (0,), (2,))
 
 
+@pytest.mark.parametrize("make, name", [
+    pytest.param(lambda: di.AlphabetSpec(0, (2.7,), (2,)), "x_sizes", id="size-float"),
+    pytest.param(lambda: di.AlphabetSpec(0, (2,), ("2",)), "y_sizes", id="size-text"),
+    pytest.param(lambda: di.AlphabetSpec(0, (True,), (2,)), "x_sizes", id="size-bool"),
+    pytest.param(lambda: di.AlphabetSpec(1.0, (2, 2), (2, 2)), "horizon_n", id="horizon-float"),
+    pytest.param(lambda: di.AlphabetSpec(False, (2,), (2,)), "horizon_n", id="horizon-bool"),
+    pytest.param(lambda: di.SolverConfig(max_iters=3.0), "max_iters", id="max-iters-float"),
+    pytest.param(lambda: di.SolverConfig(max_iters=np.int64(0)), "max_iters", id="max-iters-zero"),
+    pytest.param(lambda: di.run_suite("lsc", cases=2.9), "cases", id="cases-float"),
+    pytest.param(lambda: di.run_suite("lsc", cases=0), "cases", id="cases-zero"),
+    pytest.param(lambda: di.run_suite("lsc", seed=1.5), "seed", id="seed-float"),
+    pytest.param(lambda: di.run_suite("lsc", seed="3"), "seed", id="seed-text"),
+])
+def test_counts_are_integers_and_an_error_names_the_parameter(make, name):
+    with pytest.raises(di.DomainError, match=name):
+        make()
+
+
+def test_numpy_integer_counts_act_as_the_int():
+    spec = di.AlphabetSpec(np.int64(1), (np.int32(2), 3), (2, np.uint8(3)))
+    assert spec == di.AlphabetSpec(1, (2, 3), (2, 3))
+    assert all(type(v) is int for v in (spec.horizon_n,) + spec.x_sizes + spec.y_sizes)
+    assert di.run_suite("lsc", seed=np.int64(2), cases=np.int64(2)) == di.run_suite("lsc", seed=2, cases=2)
+
+
 def test_cell_cap_env_override(monkeypatch):
     monkeypatch.setenv("DIRINFO_CELL_CAP", "10")
     assert active_cell_cap() == 10
@@ -266,6 +291,64 @@ def test_kernels_copy_the_arrays_their_caller_hands_them():
         t[:] = t[:, ::-1].copy()  # still rows of a kernel
     for got, want in zip([t for k in kernels for t in k.tables], kept):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lead", [None, 1], ids=["rows", "stacked-joints"])
+@pytest.mark.parametrize("cell, match", [
+    (math.nan, "non-finite"),
+    (math.inf, "non-finite"),
+    (-0.25, "negative"),
+    (0.75, "rows must sum to 1 within|mass is"),
+])
+def test_check_laws_rejects_every_element_that_is_not_a_law(lead, cell, match):
+    # two laws of 12 cells, or 6 rows of 4; only the last cell's is wrong
+    w = np.full((2, 3, 4), 0.25 if lead is None else 1.0 / 12)
+    measures._check_laws(w, "law", lead=lead)
+    w[-1, -1, -1] = cell
+    with pytest.raises(di.DomainError, match=f"^law .*({match})"):
+        measures._check_laws(w, "law", lead=lead)
+    if lead is None:
+        with pytest.raises(di.DomainError, match=match):
+            di.Pmf(w[-1, -1])
+        with pytest.raises(di.DomainError, match=match):
+            di.ConditionedFamily(_S1, "y", w.reshape(-1, 4)[-2:])
+    else:
+        with pytest.raises(di.DomainError, match=match):
+            di.JointMeasure(di.AlphabetSpec(0, (3,), (4,)), w[-1])
+
+
+def test_the_divergence_route_copies_only_the_output_marginal(monkeypatch):
+    real, copied = measures._as_readonly, []
+
+    def spy(arr):
+        out = real(arr)
+        if out is not arr:
+            copied.append(arr.size)
+        return out
+
+    monkeypatch.setattr(measures, "_as_readonly", spy)
+    spec = di.AlphabetSpec(2, (2, 3, 2), (3, 2, 2))
+    rng = rng_from_seed(5)
+    di.directed_information_sum(random_backward_kernel(rng, spec), random_forward_kernel(rng, spec))
+    assert copied and max(copied) <= spec.num_y_paths
+
+
+def test_the_product_joint_adopts_the_array_it_builds(monkeypatch):
+    # a copy owns its memory too, so the joint must hold the very array
+    # that product_pi_forward froze
+    real, frozen = measures._frozen, []
+
+    def spy(arr):
+        frozen.append(real(arr))
+        return frozen[-1]
+
+    monkeypatch.setattr(measures, "_frozen", spy)
+    spec = di.AlphabetSpec(2, (2, 3, 2), (3, 2, 2))
+    rng = rng_from_seed(6)
+    p, nu = random_backward_kernel(rng, spec), random_pmf(rng, spec.num_y_paths)
+    w = measures.product_pi_forward(p, nu).weights
+    assert w is frozen[-1]
+    assert w.base is None and not w.flags.writeable
 
 
 def test_uniform_kernels():
@@ -513,7 +596,7 @@ def test_mix_rejects_bad_weight():
 
 
 def test_stacked_mixtures_and_joints_are_validated_per_element():
-    from dirinfo.measures import _check_joint_mass, _mixture_tables
+    from dirinfo.measures import _check_laws, _mixture_tables
 
     rng = rng_from_seed(3)
     spec = random_spec(rng)
@@ -525,16 +608,16 @@ def test_stacked_mixtures_and_joints_are_validated_per_element():
         _mixture_tables(c, c, [math.nan])
     # two joints of mass 0.9 and 1.1: the stack's total is 2, each is wrong
     w = np.full((2,) + spec.interleaved_shape, 1.0 / spec.total_cells)
-    _check_joint_mass(w, 1)
+    _check_laws(w, "joint", lead=1)
     w[0] *= 0.9
     w[1] *= 1.1
     with pytest.raises(di.DomainError, match="joint mass"):
-        _check_joint_mass(w, 1)
+        _check_laws(w, "joint", lead=1)
     with pytest.raises(di.DomainError, match="joint mass"):
         di.JointMeasure(spec, w[1])
     w[1] = -w[1]
     with pytest.raises(di.DomainError, match="negative"):
-        _check_joint_mass(w, 1)
+        _check_laws(w, "joint", lead=1)
 
 
 def test_mixed_given_rejected():
