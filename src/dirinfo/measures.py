@@ -391,10 +391,6 @@ class InfoValue:
         object.__setattr__(self, "value", v)
 
     @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    @property
     def bits(self) -> float:
         return self.value / math.log(2.0)
 
@@ -790,16 +786,22 @@ def condition_on_path(kernel: Union[BackwardKernel, ForwardKernel]) -> Condition
     if not isinstance(kernel, _StepKernel):
         raise TypeError(f"expected a kernel, got {type(kernel).__name__}")
     side = kernel._side
-    return ConditionedFamily(kernel.spec, "x" if side else "y", _path_table(kernel.spec, kernel.tables, side))
+    table = _frozen(_path_table(kernel.spec, kernel.tables, side))
+    return ConditionedFamily(kernel.spec, "x" if side else "y", table)
 
 
 def _path_table(spec: AlphabetSpec, tables: Sequence[np.ndarray], side: int) -> np.ndarray:
     """The rows of :func:`condition_on_path` for the step tables of
-    ``side``; tables stacked on leading axes give tables stacked on them."""
+    ``side``; tables stacked on leading axes give tables stacked on them.
+    The table owns its memory, whatever the layout, so that
+    :func:`_frozen` can hand it over uncopied."""
     lead = tables[0].ndim - 2
     w = _path_weights(spec, tables, side)  # a backward kernel's y_n axis is 1
     rows = _side_major(spec, w, 1 - side, lead=lead)
-    return rows.reshape(w.shape[:lead] + (-1, math.prod(_side_sizes(spec, side))))
+    cols = math.prod(_side_sizes(spec, side))
+    table = np.empty(w.shape[:lead] + (math.prod(rows.shape[lead:]) // cols, cols))
+    table.reshape(rows.shape)[...] = rows  # a reshape of a fresh array is a view of it
+    return table
 
 
 def mix_conditioned(

@@ -1,19 +1,19 @@
 """Finite-horizon reconstruction optimization: minimize directed information
 over forward kernels subject to an expected-distortion budget.
 
-At a fixed slope ``s`` the Lagrangian ``I + s E d`` is minimized by
-alternating minimization (Csiszar-Tusnady): with the output law ``nu``
-fixed, one soft backward induction gives the exact minimizing causal
-kernel, for additive and path-level distortions alike; then ``nu`` becomes
-the output law of the new joint.  Each update also certifies a lower bound
-on the least Lagrangian, since its value is convex in ``nu``; the bound
-holds at any ``nu``.  So each slope may start from the last one's output
-law, floored by a little of the uniform law so that it cannot have
-collapsed, and the law update is over-relaxed by
-:func:`~dirinfo.solver.relax`, a step ``mu`` on ``log nu``, with the
-Lagrangian's negative as the merit.  The shared multiplier search
-matches the slope to the budget and stops on a certified gap; a
-simplex-grid oracle validates results.
+The solver alternates two exact minimizations (Csiszar-Tusnady) of the
+Lagrangian ``I + s E d``: with the output law ``nu`` fixed, one soft
+backward induction gives the exact minimizing causal kernel, for additive
+and path-level distortions alike; then ``nu`` becomes the output law of
+the new joint.  One iteration is one such tilt of ``nu`` whose slope ``s``
+is matched to the budget by the shared multiplier search, as capacity
+matches its cost multiplier; the law update is over-relaxed by
+:func:`~dirinfo.solver.relax`, a step ``mu`` on ``log nu``, with the new
+joint's ``-I`` as the merit.  Each tilt also certifies a lower bound on
+the least Lagrangian, since its value is convex in ``nu``; the bound holds
+at any ``nu`` and so, less the slope times the budget, on the value, and
+the run stops on that certified gap.  A simplex-grid oracle validates
+results.
 """
 from __future__ import annotations
 
@@ -165,14 +165,13 @@ def _constant_path_kernel(spec: AlphabetSpec, path_code: int) -> ForwardKernel:
 
 
 class _Update(NamedTuple):
-    """One alternating update at a fixed slope ``s``."""
+    """One tilt: an alternating update at the slope ``s``."""
 
     log_nu: np.ndarray  # output-path law of the new joint
     log_c: np.ndarray  # its ratio to the normalized law tilted against
     log_q: list  # the new kernel's step tables, log domain
     di: float
     dist: float
-    lagrangian: float  # di + s * dist
     bound: float  # certified lower bound on the least Lagrangian at s
 
 
@@ -221,9 +220,8 @@ class _NrdfProblem:
         log_c = np.where(np.isneginf(new_log_nu), -np.inf, new_log_nu - log_nu)
         nu = np.exp(new_log_nu)
         dist = float(weight_table(np.exp(joint), self.d).sum())
-        lagrangian = v - float(np.vdot(nu, np.where(nu > 0, log_c, 0.0)))
-        bound = v - math.expm1(float(log_c.max()))
-        return _Update(new_log_nu, log_c, log_q, lagrangian - s * dist, dist, lagrangian, bound)
+        di = v - float(np.vdot(nu, np.where(nu > 0, log_c, 0.0))) - s * dist
+        return _Update(new_log_nu, log_c, log_q, di, dist, v - math.expm1(float(log_c.max())))
 
     def kernel(self, log_q: list) -> ForwardKernel:
         """The kernel of log step tables; a row with ``Z_i = 0``, which is
@@ -231,40 +229,11 @@ class _NrdfProblem:
         return ForwardKernel._from_log_tables(self.spec, log_q)
 
 
-def _solve_fixed_s(prob: _NrdfProblem, s: float, cfg: SolverConfig, log_nu: np.ndarray):
-    """Alternate updates at slope ``s`` from the output law ``log_nu``,
-    floored as :func:`solve_nrdf` says, until the Lagrangian is within
-    ``cfg.tol`` of the best bound of any tilt; returns the last kept update,
-    that bound and the number of tilts, undone ones included.  The next
-    input is ``nu c^mu``, at ``mu = 1`` the tilt's output law itself.
-    """
-    eps = min(cfg.tol, cfg.multiplier_tol)
-    log_nu = log_nu - logsumexp(log_nu.reshape(-1))
-    log_nu = np.logaddexp(log_nu + math.log1p(-eps), math.log(eps / log_nu.size))
-    bound = -math.inf
-
-    def evaluate(log_nu):
-        nonlocal bound
-        step = prob.tilt(log_nu, s)
-        bound = max(bound, step.bound)
-        return -step.lagrangian, step
-
-    def advance(log_nu, point, mu):
-        if mu == 1.0:
-            return point[1].log_nu
-        log_nu = log_nu + mu * point[1].log_c
-        return log_nu - logsumexp(log_nu.reshape(-1))
-
-    def done(log_nu, point, k):
-        return point[1].lagrangian - bound <= cfg.tol
-
-    # the first tilt evaluates the start, and each update is one more
-    _, (_, step), k = relax(evaluate, advance, log_nu, done, cfg.max_iters - 1)
-    return step, bound, k + 1
-
-
-class _Certified(Exception):
-    """Ends the slope search once the value is certified."""
+# Kept only because the traced benchmark (``perfbench/spans.py``) binds this
+# name when it installs; it never calls the stub.  ROADMAP item 1 removes it
+# together with the tracer's new targets.
+def _solve_fixed_s(*args, **kwargs):
+    raise NotImplementedError("the per-slope solve was retired; see solve_nrdf")
 
 
 def solve_nrdf(
@@ -278,22 +247,17 @@ def solve_nrdf(
 
     Feasibility is certified against the greedy minimum-distortion kernel.
     When an input-ignoring reconstruction meets the budget to within
-    ``1e-9`` the value is zero and that kernel is returned.  Otherwise the
-    slope ``s`` is matched to the budget by false position, a whole solve
-    per slope.  Each slope certifies a lower bound ``bound(s)`` on the least
-    Lagrangian, so the value is at least ``bound(s) - s * budget``.  Within
-    budget, an iterate is within ``cfg.tol`` plus ``s`` times the unspent
-    budget of that bound; the search stops once that product is at most
-    ``cfg.multiplier_tol - cfg.tol``, or once the best iterate within budget
-    is within ``cfg.multiplier_tol`` of the best such bound, which is what
-    ``converged`` means.  The returned kernel meets the budget to within
-    ``1e-9``.
-
-    Each slope starts from the last slope's output law mixed with the
-    uniform law at weight ``min(cfg.tol, cfg.multiplier_tol)``.  Its law
-    updates are over-relaxed as :func:`~dirinfo.solver.relax` says; an
-    undone update counts in ``iterations`` and toward ``cfg.max_iters`` at
-    that slope.
+    ``1e-9`` the value is zero and that kernel is returned.  Otherwise one
+    :func:`~dirinfo.solver.relax` run updates the output law ``nu``, with
+    the new joint's ``-I`` as its merit.  Each evaluation is one tilt
+    against ``nu`` whose slope ``s`` is matched to the budget (to the least
+    distortion, if that is above it) by :func:`~dirinfo.solver.match_budget`
+    from the last matched slope; the next law is ``nu c^mu``.  Every tilt,
+    probes included, certifies that the value is at least ``bound(s) - s *
+    budget``; the run stops once the best tilt within budget is within
+    ``cfg.multiplier_tol`` of the best such bound, which is what
+    ``converged`` means, or after ``cfg.max_iters`` updates, which
+    ``iterations`` counts, undone ones included.  ``cfg.tol`` is not read.
     """
     cfg = cfg or DEFAULT_CONFIG
     spec = src.spec
@@ -309,39 +273,50 @@ def solve_nrdf(
         kernel = _constant_path_kernel(spec, best_path)
         return NrdfResult(InfoValue(0.0), kernel, 0, target - free_floor, True)
 
-    log_nu = np.zeros(spec.y_sizes)  # uniform
-    total = 0
+    aim = max(target, floor)
+    updates = 0
     lower = 0.0  # the best certified lower bound on the value
-    feasible = None  # (di, dist, log_q) of the best update within budget
+    feasible = None  # (di, dist, log_q) of the best tilt within budget
 
-    def visit(s: float):
-        nonlocal log_nu, total, lower, feasible
+    def tilt(log_nu, s):
+        nonlocal lower, feasible
         if s == 0.0:  # exact, as zero-rate kernels ignore the input; a tilt meets 0 * inf
             return None, free_floor  # over budget, or the shortcut above would have returned
-        step, bound, iters = _solve_fixed_s(prob, s, cfg, log_nu)
-        log_nu, total = step.log_nu, total + iters
-        lower = max(lower, bound - s * target)
-        if step.dist <= target + FEASIBILITY_SLACK and (feasible is None or step.di <= feasible[0]):
+        step = prob.tilt(log_nu, s)
+        lower = max(lower, step.bound - s * target)
+        if step.dist <= aim and (feasible is None or step.di <= feasible[0]):
             feasible = (step.di, step.dist, step.log_q)
-        if feasible is not None and feasible[0] - lower <= cfg.multiplier_tol:
-            raise _Certified
-        return None, step.dist
+        return step, step.dist
+
+    def evaluate(x):  # x: an output law and the slope matched before it
+        step, _, s = match_budget(lambda s: tilt(x[0], s), aim, x[1], 0.01 * cfg.multiplier_tol)
+        return -step.di, step, s
+
+    def advance(x, point, mu):
+        nonlocal updates
+        _, step, s = point
+        updates += 1
+        if mu == 1.0:
+            return step.log_nu, s
+        log_nu = x[0] + mu * step.log_c
+        return log_nu - logsumexp(log_nu.reshape(-1)), s
+
+    def done(x, point, k):
+        return feasible[0] - lower <= cfg.multiplier_tol
 
     try:
-        match_budget(visit, target + FEASIBILITY_SLACK, 1.0, cfg.multiplier_tol - cfg.tol)
-    except _Certified:
-        pass
+        relax(evaluate, advance, (np.zeros(spec.y_sizes), 1.0), done, cfg.max_iters)
     except InfeasibleConstraint:
         # give the guaranteed-feasible greedy kernel rather than an
         # iterate that violates the budget
         kernel = ForwardKernel(spec, tuple(greedy_tables))
         value = directed_information(src.kernel, kernel)
-        return NrdfResult(InfoValue(value), kernel, total, target - floor, False)
+        return NrdfResult(InfoValue(value), kernel, updates, target - floor, False)
     di, dist, log_q = feasible
     kernel = prob.kernel(log_q)
     value = directed_information(src.kernel, kernel)
     return NrdfResult(
-        InfoValue(value), kernel, total, target - dist, di - lower <= cfg.multiplier_tol
+        InfoValue(value), kernel, updates, target - dist, di - lower <= cfg.multiplier_tol
     )
 
 

@@ -60,10 +60,12 @@ _MU_CAP = 4.0
 class SolverConfig:
     """Knobs shared by the iterative solvers.
 
-    For capacity, ``tol`` is the certified gap in nats on the returned
-    value and ``multiplier_tol`` is not read; for NRDF both are certified
-    gaps in nats, on the Lagrangian at one slope and on the returned value.
-    ``max_iters`` caps the updates of one solve (of one slope for NRDF).
+    Each solve is one :func:`relax` run.  A capacity update is one soft
+    backward induction of the input kernel, an NRDF update one tilt of the
+    output law; each matches its multiplier to the budget as it goes.  Each
+    solver reads one certified gap in nats on its returned value: ``tol``
+    for capacity and ``multiplier_tol`` for NRDF, the other going unread.
+    ``max_iters`` caps the updates of one solve, undone ones included.
     """
 
     tol: float = 1e-9

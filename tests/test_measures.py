@@ -351,6 +351,24 @@ def test_the_product_joint_adopts_the_array_it_builds(monkeypatch):
     assert w.base is None and not w.flags.writeable
 
 
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("make", [random_backward_kernel, random_forward_kernel], ids=["backward", "forward"])
+def test_a_conditioned_family_adopts_the_path_table_it_builds(monkeypatch, n, make):
+    # at n = 0 a forward kernel's side-major order is the interleaved one,
+    # where a reshape alone would give a view
+    real, built = measures._path_table, []
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(measures, "_path_table", spy)
+    spec = di.AlphabetSpec(n, (2, 3)[: n + 1], (3, 2)[: n + 1])
+    table = measures.condition_on_path(make(rng_from_seed(7), spec)).table
+    assert table is built[-1]
+    assert table.base is None and not table.flags.writeable
+
+
 def test_uniform_kernels():
     spec = di.AlphabetSpec(1, (2, 3), (4, 2))
     p = di.BackwardKernel.uniform(spec)
