@@ -5,6 +5,15 @@ conditional mutual informations, and a single relative entropy against the
 product of the input kernel with the output marginal.  They must agree to
 ``DUAL_FORMULA_TOL``; a larger gap is reported as an error rather than
 silently absorbed.
+
+Both routes walk the joint one cache-sized block at a time (see
+``measures._joint_blocks``), so beyond the kernels an evaluation holds a
+few blocks and the output marginal, never the whole joint.  The first pass
+gives each step's input half from the blocks, or from their masses for the
+steps that end before a block starts, and adds up the output marginal,
+whose laws give every step's output half.  The divergence route takes a
+second pass, against the product's block at each prefix.  A joint that
+fits in one block is walked whole, by the same steps.
 """
 from __future__ import annotations
 
@@ -22,21 +31,26 @@ from .measures import (
     ForwardKernel,
     InfoValue,
     JointMeasure,
+    Pmf,
+    _block_prefix_len,
+    _check_cells,
     _check_laws,
+    _check_mass,
+    _divergence_sum,
+    _joint_blocks,
     _joint_weights,
     _marginal_weights,
     _mass_log_ratio,
     _mixture_tables,
     _path_table,
+    _product_weights,
     _require_same_spec,
     _sum_axis,
     _tied_shape,
-    build_joint,
     condition_on_path,
     kl_divergence,
     marginal_x,
     marginal_y,
-    product_pi_forward,
 )
 
 DUAL_FORMULA_TOL = 1e-9
@@ -45,14 +59,84 @@ TV_LIMIT_TOL = 1e-6
 _TV_MONOTONE_SLACK = 1e-12
 
 
-def _joint_of(p: BackwardKernel, q: ForwardKernel, joint: Optional[JointMeasure]) -> JointMeasure:
-    """The caller's joint of ``(p, q)``, checked for its spec, or a new one."""
+def _blocks(p: BackwardKernel, q: ForwardKernel, joint: Optional[JointMeasure]):
+    """The blocks of the joint of ``(p, q)``: views of the caller's
+    ``joint``, checked for its spec, or built from the kernels' tables."""
     spec = _require_same_spec(p, q)
     if joint is None:
-        return build_joint(p, q)
+        return _joint_blocks(spec, p.tables, q.tables)
     if joint.spec != spec:
         raise SpecMismatch(f"joint is on {joint.spec}, kernels are on {spec}")
-    return joint
+    return _joint_blocks(spec, p.tables, q.tables, joint.weights)
+
+
+def _step_laws(j: np.ndarray, count: int):
+    """Yield the laws ``(j_i, b_i)`` of the last ``count`` steps of the
+    interleaved law ``j``, last step first: ``j_i`` on the axes through
+    ``y_i`` and ``b_i`` through ``x_i``, each the one before summed over
+    its trailing axis.  Each pair is made only when the one before is
+    used up, so the caller holds one at a time."""
+    for _ in range(count):
+        b = _sum_axis(j, -1)
+        yield j, b
+        if b.ndim:  # a block that starts at y_i ends at b_i
+            j = _sum_axis(b, -1)
+
+
+def _output_terms(c: np.ndarray, steps: int, lead: int = 0) -> list:
+    """``E log P(y_i | y^{i-1})`` of every step, last step first, from the
+    output-path law ``c`` (one axis per step, after ``lead`` leading
+    axes)."""
+    terms = []
+    for _ in range(steps):
+        d = _sum_axis(c, -1)                            # law of y^{i-1}
+        terms.append(_mass_log_ratio(c, d[..., None], lead))
+        c = d
+    return terms
+
+
+def _first_pass(
+    p: BackwardKernel, q: ForwardKernel, joint: Optional[JointMeasure], input_halves: bool = True
+):
+    """One walk over the joint's blocks: the output-path law, with one axis
+    per step, and unless ``input_halves`` is false the input half
+    ``E log P(y_i | x^i, y^{i-1})`` of every step, as an array over the
+    steps (else ``None``).
+
+    A step whose ``y_i`` axis lies in the blocks gets its half block by
+    block.  The blocks' masses form the law of the prefixes, which gives
+    the steps that end before a block starts.  Each block is checked for
+    finite, nonnegative cells, and the joint's mass, their sum, for 1.
+    """
+    spec = p.spec
+    steps, stop = spec.steps, _block_prefix_len(spec)
+    # the steps whose y axis is in each block
+    deep = range(stop // 2, steps) if input_halves else ()
+    masses = np.empty(spec.interleaved_shape[:stop])
+    nu = np.zeros(spec.y_sizes)
+    inputs = np.zeros(steps)
+    for prefix, w in _blocks(p, q, joint):
+        marginal = _marginal_weights(w, steps, 1, stop)
+        masses[prefix] = total = marginal.sum()
+        _check_cells(w, total, "joint")
+        nu[prefix[1::2]] += marginal
+        for i, (j, b) in zip(reversed(deep), _step_laws(w, len(deep))):
+            inputs[i] += _mass_log_ratio(j, b[..., None])
+    _check_mass(float(masses.sum()), "joint")
+    if not input_halves:
+        return nu, None
+    # the prefix law through y_{k-1}, k = stop // 2, gives steps 0..k-1
+    prefixes = _sum_axis(masses, -1) if stop % 2 else masses
+    for i, (j, b) in zip(reversed(range(stop // 2)), _step_laws(prefixes, stop // 2)):
+        inputs[i] += _mass_log_ratio(j, b[..., None])
+    return nu, inputs
+
+
+def _terms(nu: np.ndarray, inputs: np.ndarray) -> tuple[InfoValue, ...]:
+    """The per-step terms, input half minus output half, each taken by
+    :class:`InfoValue`'s rule."""
+    outputs = _output_terms(nu, len(inputs))[::-1]
+    return tuple(InfoValue(h - o) for h, o in zip(inputs, outputs))
 
 
 def per_step_information(
@@ -61,36 +145,32 @@ def per_step_information(
     """Conditional mutual information between the input prefix and the
     current output given past outputs, one term per step.
 
-    ``joint`` is ``build_joint(p, q)`` when the caller already holds it.
-    The terms come from successive marginals, last step first: each drops
-    one trailing axis of the one before, so all steps together cost a few
-    passes over the cells.  Step ``i`` is
-    ``E log P(y_i | x^i, y^{i-1}) - E log P(y_i | y^{i-1})``, taken on
-    these conditionals rather than as a difference of joint entropies, so
-    a term that should vanish does so to rounding in the conditionals.
+    ``joint`` is ``build_joint(p, q)`` when the caller already holds it;
+    its blocks are then views, else they are built from the kernels.  Step
+    ``i`` is ``E log P(y_i | x^i, y^{i-1}) - E log P(y_i | y^{i-1})``,
+    taken on these conditionals rather than as a difference of joint
+    entropies, so a term that should vanish does so to rounding in the
+    conditionals.  Each half comes from successive marginals, last step
+    first: each drops one trailing axis of the one before, so all steps
+    together cost a few passes over the cells.
     """
-    joint = _joint_of(p, q, joint)
-    return tuple(InfoValue(t) for t in _per_step_terms(joint.weights, joint.spec.steps))
+    return _terms(*_first_pass(p, q, joint))
 
 
 def _per_step_terms(w: np.ndarray, steps: int) -> list:
     """The terms of :func:`per_step_information`, first step first, for
-    interleaved joint weights ``w``.  Joints stacked on leading axes of
-    ``w`` give one array of terms per step over those axes.  Every term
-    passes :class:`InfoValue`'s rule: NaN, or a negative value beyond
-    rounding, raises; a rounding-sized negative becomes 0."""
+    joints stacked on the leading axes of the interleaved weights ``w``:
+    one array of terms per step over those axes.  Every term passes
+    :class:`InfoValue`'s rule: NaN, or a negative value beyond rounding,
+    raises; a rounding-sized negative becomes 0."""
     lead = w.ndim - 2 * steps
-    j = w                                               # law of (x^i, y^i), i = n first
-    c = _marginal_weights(w, steps, 1)                  # law of y^i
+    outputs = _output_terms(_marginal_weights(w, steps, 1), steps, lead)
     terms = []
-    for _ in range(steps):
-        b = _sum_axis(j, -1)                            # law of (x^i, y^{i-1})
-        d = _sum_axis(c, -1)                            # law of y^{i-1}
-        t = _mass_log_ratio(j, b[..., None], lead) - _mass_log_ratio(c, d[..., None], lead)
+    for (j, b), o in zip(_step_laws(w, steps), outputs):
+        t = _mass_log_ratio(j, b[..., None], lead) - o
         if not np.all(t >= 0):
             t = np.vectorize(lambda v: InfoValue(v).value, otypes=[float])(t)
         terms.append(t)
-        j, c = _sum_axis(b, -1), d
     return terms[::-1]
 
 
@@ -106,16 +186,38 @@ def _directed_information_stack(
     return sum(_per_step_terms(w, spec.steps))
 
 
+def _divergence_pass(
+    p: BackwardKernel, q: ForwardKernel, joint: Optional[JointMeasure], nu: np.ndarray
+) -> InfoValue:
+    """The divergence route's second walk: each block of the joint against
+    the product's block at the same prefix, built from ``p`` and the
+    output law ``nu``, which is first taken as a :class:`Pmf`.  Each
+    product block is checked like a joint block, and the product's mass,
+    the sum of theirs, for 1."""
+    spec = p.spec
+    nu = Pmf(nu.reshape(-1)).weights
+    total = mass = 0.0
+    for prefix, w in _blocks(p, q, joint):
+        pi = _product_weights(spec, p.tables, nu, prefix)
+        block_mass = pi.sum()
+        _check_cells(pi, block_mass, "joint")
+        mass += block_mass
+        total += _divergence_sum(w, pi)
+        del pi  # before the next block's product is built
+    _check_mass(float(mass), "joint")
+    return InfoValue(total)
+
+
 def directed_information_divergence(
     p: BackwardKernel, q: ForwardKernel, *, joint: Optional[JointMeasure] = None
 ) -> InfoValue:
     """Directed information as one relative entropy: the joint against the
     product of the input kernel with the joint's own output marginal.
 
-    ``joint`` is ``build_joint(p, q)`` when the caller already holds it.
+    ``joint`` is ``build_joint(p, q)`` when the caller already holds it;
+    its blocks are then views, else they are built from the kernels.
     """
-    joint = _joint_of(p, q, joint)
-    return kl_divergence(joint, product_pi_forward(p, marginal_y(joint)))
+    return _divergence_pass(p, q, joint, _first_pass(p, q, joint, input_halves=False)[0])
 
 
 @dataclass(frozen=True)
@@ -143,12 +245,13 @@ class DirectedInfoReport:
 
 
 def directed_information_sum(p: BackwardKernel, q: ForwardKernel) -> DirectedInfoReport:
-    """Directed information with both routes evaluated and cross-checked."""
+    """Directed information with both routes evaluated and cross-checked.
+    One first pass over the joint serves both routes."""
     spec = _require_same_spec(p, q)
-    joint = build_joint(p, q)
-    terms = per_step_information(p, q, joint=joint)
+    nu, inputs = _first_pass(p, q, None)
+    terms = _terms(nu, inputs)
     total = InfoValue(float(sum(t.value for t in terms)))
-    div = directed_information_divergence(p, q, joint=joint)
+    div = _divergence_pass(p, q, None, nu)
     return DirectedInfoReport(total, div, terms, total.value / spec.steps)
 
 

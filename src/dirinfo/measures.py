@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import product
 from typing import Literal, Optional, Sequence, Union
 
 import numpy as np
@@ -42,6 +43,11 @@ DEFAULT_CELL_CAP = 10_000_000
 # Divergences are clamped to zero only within this band; anything more
 # negative is treated as a genuine domain error, not rounding dust.
 _NEG_CLAMP = 1e-12
+
+# Cells in one block of a joint that is evaluated block by block (see
+# _joint_blocks): 1 MB of floats, so a block and the laws reduced from it
+# stay in cache, as the grid oracles' blocks of the same size do.
+JOINT_BLOCK_CELLS = 2 ** 17
 
 
 def active_cell_cap() -> int:
@@ -327,16 +333,28 @@ def _check_laws(w: np.ndarray, what: str, tol: float = PMF_TOL, lead: Optional[i
         totals = w.reshape(w.shape[:lead] + (-1,)).sum(axis=-1)
     gap = np.abs(totals - 1.0)
     worst = gap.max()
-    # A finite worst gap rules out NaN and infinite entries, so the
-    # entry-wise test runs only when it is not finite.
-    if not math.isfinite(worst) and not np.all(np.isfinite(w)):
-        raise DomainError(f"{what} contains non-finite entries")
-    if w.min() < 0:
-        raise DomainError(f"{what} contains negative entries")
+    _check_cells(w, worst, what)
     if worst > tol:
         if lead is None:
             raise DomainError(f"{what} rows must sum to 1 within {tol:g}; worst gap {worst:.3e}")
-        raise DomainError(f"{what} mass is {float(totals.flat[gap.argmax()])!r}, not 1 within {tol:g}")
+        _check_mass(float(totals.flat[gap.argmax()]), what, tol)
+
+
+def _check_cells(w: np.ndarray, total: float, what: str) -> None:
+    """Check that the entries of ``w`` are finite and nonnegative.
+    ``total`` is a float computed from every entry, such as their sum: a
+    finite one rules out NaN and infinite entries, so the entry-wise test
+    runs only when it is not finite."""
+    if not math.isfinite(total) and not np.all(np.isfinite(w)):
+        raise DomainError(f"{what} contains non-finite entries")
+    if w.min() < 0:
+        raise DomainError(f"{what} contains negative entries")
+
+
+def _check_mass(total: float, what: str, tol: float = PMF_TOL) -> None:
+    """Check that a law's total mass is 1 within ``tol``."""
+    if not abs(total - 1.0) <= tol:
+        raise DomainError(f"{what} mass is {total!r}, not 1 within {tol:g}")
 
 
 def _law_array(
@@ -576,6 +594,14 @@ class ConditionedFamily:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _ones(k: int) -> np.ndarray:
+    """A read-only vector of ``k`` ones, made once per width."""
+    ones = np.ones(k)
+    ones.setflags(write=False)
+    return ones
+
+
 def _sum_axis(w: np.ndarray, axis: int) -> np.ndarray:
     """Sum a C-ordered array over one axis in a single pass over its cells.
 
@@ -583,10 +609,14 @@ def _sum_axis(w: np.ndarray, axis: int) -> np.ndarray:
     beats numpy's ``sum`` there by an order of magnitude; any other by
     ``sum``.  Summing several axes one at a time this way beats a
     multi-axis ``sum``, which walks the array with short strides.
+
+    BLAS may split a large product across threads, and the split changes
+    the order of the sums, so on arrays as large as a joint block the
+    result's last bits depend on the BLAS thread count (ROADMAP item 12).
     """
     k = w.shape[axis]
     if axis in (-1, w.ndim - 1):
-        return (w.reshape(-1, k) @ np.ones(k)).reshape(w.shape[:-1])
+        return (w.reshape(-1, k) @ _ones(k)).reshape(w.shape[:-1])
     return w.sum(axis=axis)
 
 
@@ -598,7 +628,9 @@ def _mass_log_ratio(mass: np.ndarray, den: np.ndarray, lead: int = 0):
     Cells without mass get the quotient 1, so no masked copy is made.  A
     cell with mass over a zero ``den`` gives ``+inf`` (and a numpy
     warning, which callers that expect it silence).  Each sum is one
-    row-by-column product, as fast as ``vdot`` on a single array.
+    row-by-column product, as fast as ``vdot`` on a single array; as in
+    :func:`_sum_axis`, its last bits on a large block depend on the BLAS
+    thread count (ROADMAP item 12).
     """
     ratio = np.divide(mass, den, out=np.ones_like(mass), where=mass > 0)
     np.log(ratio, out=ratio)
@@ -630,16 +662,86 @@ def build_joint(p: BackwardKernel, q: ForwardKernel) -> JointMeasure:
 
 
 def _joint_weights(
-    spec: AlphabetSpec, p_tables: Sequence[np.ndarray], q_tables: Sequence[np.ndarray]
+    spec: AlphabetSpec, p_tables: Sequence[np.ndarray], q_tables: Sequence[np.ndarray],
+    prefix: tuple = (),
 ) -> np.ndarray:
-    """The prefix-by-prefix product of :func:`build_joint`.  Either side's
-    tables may stack kernels on one shared leading shape; the result then
-    stacks the joints on it."""
+    """The prefix-by-prefix product of :func:`build_joint`, or, given a
+    leading ``prefix`` of symbols, its block at that prefix (see
+    :func:`_step_product`).  Either side's tables may stack kernels on one
+    shared leading shape; the result then stacks the joints on it."""
+    return _step_product(spec, [t for pair in zip(p_tables, q_tables) for t in pair], prefix)
+
+
+# Up to this many cells, _step_product extends its product by a table in one
+# broadcast; past it, one column at a time is faster (both ways give the
+# same floats; on a 2-core x86_64 VM they broke even at about 1,024 cells).
+_BROADCAST_CELLS = 1024
+
+
+def _step_product(spec: AlphabetSpec, factors: Sequence[Optional[np.ndarray]], prefix: tuple = ()):
+    """Product, in axis order, of the step tables ``factors``, one per
+    interleaved axis: the table whose columns are that axis, or ``None``
+    where no table ends (the axis is then left at size 1 until a later
+    table spans it).  Only the cells that start with the leading symbols
+    ``prefix`` are built, as an array over the later axes: each table's
+    rows under a prefix are a contiguous run, since a row's index is the
+    code of the prefix it extends.  The prefix's own factors are
+    multiplied in first, in the same order, so a block holds the very
+    values of the whole product's cells."""
+    shape = spec.interleaved_shape
+    stop = len(prefix)
     w = np.ones(())
-    for i, (pt, qt) in enumerate(zip(p_tables, q_tables)):
-        w = w[..., None] * pt.reshape(pt.shape[:-2] + _step_shape(spec, 0, i))
-        w = w[..., None] * qt.reshape(qt.shape[:-2] + _step_shape(spec, 1, i))
+    code = 0  # of the prefix so far, then of the whole prefix
+    rows = 1  # the table rows under the prefix, per table
+    for a, t in enumerate(factors):
+        if a < stop:
+            if t is not None:
+                w = w * t[..., code, prefix[a]]
+            code = code * shape[a] + prefix[a]
+            continue
+        if t is None:
+            w = w[..., None]
+        else:
+            run = t[..., code * rows:(code + 1) * rows, :].reshape(t.shape[:-2] + shape[stop:a + 1])
+            if w.size <= _BROADCAST_CELLS:
+                w = w[..., None] * run
+            else:
+                # one column of the table at a time: a broadcast of w along
+                # the new axis would loop over only its few cells at a time
+                out = np.empty(np.broadcast(w[..., None], run).shape)
+                for s in range(shape[a]):
+                    np.multiply(w, run[..., s], out=out[..., s])
+                w = out
+        rows *= shape[a]
     return w
+
+
+def _block_prefix_len(spec: AlphabetSpec) -> int:
+    """How many leading interleaved axes each block of
+    :func:`_joint_blocks` fixes: the fewest that leave at most
+    ``JOINT_BLOCK_CELLS`` cells per block, keeping the last axis at least."""
+    shape, stop, cells = spec.interleaved_shape, 0, spec.total_cells
+    while cells > JOINT_BLOCK_CELLS and stop < len(shape) - 1:
+        cells //= shape[stop]
+        stop += 1
+    return stop
+
+
+def _joint_blocks(
+    spec: AlphabetSpec, p_tables: Sequence[np.ndarray], q_tables: Sequence[np.ndarray],
+    weights: Optional[np.ndarray] = None,
+):
+    """The joint of the step tables one block at a time: yields each
+    prefix of :func:`_block_prefix_len` leading symbols, in row-major
+    order, with the joint's cells that start with it as an array over the
+    later axes.  A joint that fits in one block is yielded whole, with the
+    empty prefix.  Given the joint's ``weights``, each block is a view of
+    them; else it is built from the tables' rows under its prefix."""
+    for prefix in product(*map(range, spec.interleaved_shape[:_block_prefix_len(spec)])):
+        if weights is not None:
+            yield prefix, weights[prefix]
+        else:
+            yield prefix, _joint_weights(spec, p_tables, q_tables, prefix)
 
 
 def marginal_x(joint: JointMeasure) -> Pmf:
@@ -652,41 +754,56 @@ def marginal_y(joint: JointMeasure) -> Pmf:
     return Pmf(_marginal_weights(joint.weights, joint.spec.steps, 1).reshape(-1))
 
 
-def _marginal_weights(w: np.ndarray, steps: int, side: int) -> np.ndarray:
+def _marginal_weights(w: np.ndarray, steps: int, side: int, start: int = 0) -> np.ndarray:
     """Path marginal of ``side`` of the interleaved weights ``w`` as an
     array with one axis per step of that side, after any leading axes
-    ``w`` has."""
-    lead = w.ndim - 2 * steps
-    for i in range(steps):
-        # the other side's step-i axis, once its earlier axes are gone
-        w = _sum_axis(w, lead + i + 1 - side)
+    ``w`` has.  A block whose axes start at interleaved axis ``start``
+    gives the marginal of the side's axes from there on."""
+    lead = w.ndim - (2 * steps - start)
+    for k, a in enumerate(_side_axes(1 - side, 2 * steps)[(start + side) // 2:]):
+        # the other side's axis a, once its earlier axes are gone
+        w = _sum_axis(w, lead + a - start - k)
     return w
 
 
 def product_pi_forward(p: BackwardKernel, nu: Pmf) -> JointMeasure:
-    """Product of an input kernel with an output-path law: ``p (x|y) * nu(y)``.
-
-    ``nu`` is copied across the input axes in whole contiguous blocks, the
-    last time into the array the joint adopts, then scaled one ``y_n``
-    column at a time by the input-path weights; a single broadcast over
-    all axes would loop over only ``|Y_n|`` cells at a time.
-    """
+    """Product of an input kernel with an output-path law: ``p (x|y) * nu(y)``."""
     spec = p.spec
     if nu.size != spec.num_y_paths:
         raise SpecMismatch(
             f"nu has {nu.size} outcomes, expected {spec.num_y_paths} output paths"
         )
-    w = nu.weights
-    for i in reversed(range(1, spec.steps)):
-        # (y^{i-1}, 1, y_i, x_{i+1}, ...) -> (y^{i-1}, x_i, y_i, x_{i+1}, ...)
-        w = np.repeat(w.reshape(spec.y_prefix_count(i), 1, -1), spec.x_sizes[i], axis=1)
-    out = np.empty(spec.interleaved_shape)  # step 0's copy, as the loop's would be
-    out.reshape(spec.x_sizes[0], -1)[...] = w.reshape(-1)
+    return JointMeasure(spec, _frozen(_product_weights(spec, p.tables, nu.weights)))
+
+
+def _product_weights(
+    spec: AlphabetSpec, p_tables: Sequence[np.ndarray], nu: np.ndarray, prefix: tuple = ()
+) -> np.ndarray:
+    """The cells of :func:`product_pi_forward` that start with ``prefix``
+    (a block of :func:`_joint_blocks`), as a new array over the later
+    axes; ``nu`` holds the output-path law's weights.
+
+    ``nu`` is copied across the input axes in whole contiguous blocks, the
+    last time, across ``x_{k+1}`` and across ``x_k`` when the block starts
+    there, into the array returned.  It is then scaled one ``y_n`` column
+    at a time by the input-path weights; a single broadcast over all axes
+    would loop over only ``|Y_n|`` cells at a time.
+    """
+    stop = len(prefix)
+    out = np.empty(spec.interleaved_shape[stop:])
+    k = stop // 2  # the block's first output axis is y_k
+    w = nu.reshape(spec.y_sizes)[prefix[1::2]]
+    for i in reversed(range(k + 2, spec.steps)):
+        # (y_k..y_{i-1}, 1, y_i, x_{i+1}, ...) -> (y_k..y_{i-1}, x_i, y_i, x_{i+1}, ...)
+        w = np.repeat(w.reshape(math.prod(spec.y_sizes[k:i]), 1, -1), spec.x_sizes[i], axis=1)
+    x_k = 1 if stop % 2 else spec.x_sizes[k]
+    x_next = spec.x_sizes[k + 1] if k + 1 < spec.steps else 1
+    out.reshape(x_k, spec.y_sizes[k], x_next, -1)[...] = w.reshape(1, spec.y_sizes[k], 1, -1)
     cols = out.reshape(-1, spec.y_sizes[-1])
-    a = _path_weights(spec, p.tables, 0).reshape(-1)
+    a = _step_product(spec, [t for pt in p_tables for t in (pt, None)], prefix).reshape(-1)
     for j in range(spec.y_sizes[-1]):
         cols[:, j] *= a
-    return JointMeasure(spec, _frozen(out))
+    return out
 
 
 def product_pi_backward(mu: Pmf, q: ForwardKernel) -> JointMeasure:
@@ -725,18 +842,25 @@ def kl_divergence(a: DenseLike, b: DenseLike) -> InfoValue:
     wb = _dense_weights(b)
     if wa.shape != wb.shape:
         raise SpecMismatch(f"operands index different spaces: {wa.shape} vs {wb.shape}")
+    return InfoValue(_divergence_sum(wa, wb))
+
+
+def _divergence_sum(wa: np.ndarray, wb: np.ndarray) -> float:
+    """``sum a log(a / b)`` over two C-ordered arrays of one shape, by the
+    conventions of :func:`kl_divergence`: the relative entropy itself, or
+    one block's share of it, which may be negative."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         total = _mass_log_ratio(wa, wb)
     if math.isfinite(total):
-        return InfoValue(total)
+        return total
     pos = wa > 0
     if np.any(pos & (wb <= 0)):
-        return InfoValue(math.inf)
+        return math.inf
     # Some quotient left the float range (b subnormal against a, or the
     # reverse); the difference of logarithms stays finite.
     logs = np.log(wa, out=np.zeros_like(wa), where=pos)
     logs -= np.log(wb, out=np.zeros_like(wb), where=pos)
-    return InfoValue(float(wa @ logs))
+    return float(wa.reshape(-1) @ logs.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

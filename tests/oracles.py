@@ -80,7 +80,8 @@ def oracle_divergence_route(joint, x_sizes, y_sizes, p_fn):
             pi *= nu_steps[i][ys[: i + 1]] / past if past > 0 else 0.0
         if pi == 0:
             return math.inf
-        total += w * math.log(w / pi)
+        # a difference of logs: w / pi can leave the float range
+        total += w * (math.log(w) - math.log(pi))
     return total
 
 

@@ -1,12 +1,13 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dirinfo as di
-import dirinfo.information
+from dirinfo import measures
 from dirinfo.information import DUAL_FORMULA_TOL, DirectedInfoReport
 from dirinfo.measures import condition_on_path
 from dirinfo.sampling import (
@@ -196,19 +197,111 @@ def test_routes_reject_a_joint_on_another_spec():
         di.directed_information_divergence(p, q, joint=joint)
 
 
-def test_directed_information_sum_builds_one_joint(monkeypatch):
-    calls = []
-    real = dirinfo.information.build_joint
+def test_directed_information_sum_builds_each_block_once_per_pass(monkeypatch):
+    # one first pass serves both routes, and the divergence route's second
+    # pass builds each block again; the whole joint is never built
+    built, joints = [], []
+    real = measures._joint_weights
 
-    def counting(p, q):
-        calls.append(1)
-        return real(p, q)
+    def counting(spec, p_tables, q_tables, prefix=()):
+        built.append(prefix)
+        return real(spec, p_tables, q_tables, prefix)
 
-    monkeypatch.setattr(dirinfo.information, "build_joint", counting)
+    monkeypatch.setattr(measures, "_joint_weights", counting)
+    monkeypatch.setattr(measures, "build_joint", lambda p, q: joints.append(1))
+    monkeypatch.setattr(measures, "JOINT_BLOCK_CELLS", 24)
     rng = rng_from_seed(57)
     spec = di.AlphabetSpec(2, (2, 3, 2), (3, 2, 2))
     di.directed_information_sum(random_backward_kernel(rng, spec), random_forward_kernel(rng, spec))
-    assert len(calls) == 1
+    blocks = list(np.ndindex(2, 3))  # 144 cells in blocks of 3 * 2 * 2 * 2
+    assert built == blocks + blocks
+    assert joints == []
+
+
+def tiny_rows(fn, steps):
+    """``fn`` with the first symbol's probability at 1e-155 in every row
+    of the given steps, so that a path through two such rows weighs about
+    1e-310, below the normal float range."""
+    def tiny(i, xs, ys):
+        row = fn(i, xs, ys)
+        if i not in steps:
+            return row
+        rest = sum(row[1:])
+        return [1e-155] + [v / rest for v in row[1:]]
+
+    return tiny
+
+
+def _block_case(kind, rnd):
+    """A kernel pair as callables on the mixed-alphabet spec, and the
+    input kernel of the joint that ``joint=`` hands the routes."""
+    spec = di.AlphabetSpec(2, (2, 3, 2), (3, 2, 2))
+    p_fn = random_kernel_fn(rnd, spec.x_sizes, sparse=kind == "zero-mass-rows")
+    q_fn = random_kernel_fn(rnd, spec.y_sizes, sparse=kind == "zero-mass-rows")
+    if kind == "deterministic-channel":
+        q_fn = deterministic_kernel_fn(rnd, spec.y_sizes)
+    joint_p_fn = p_fn
+    if kind == "tiny-rows":
+        # a path that the given joint weighs normally carries about 1e-310
+        # under p, so its product cell is subnormal and the quotient
+        # overflows: that block's divergence takes the difference of logs
+        joint_p_fn, p_fn = p_fn, tiny_rows(p_fn, (1, 2))
+    return spec, p_fn, q_fn, joint_p_fn
+
+
+@pytest.mark.parametrize("stop", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["mixed-alphabets", "zero-mass-rows", "deterministic-channel", "tiny-rows"])
+def test_blocks_agree_with_one_whole_joint(monkeypatch, kind, stop):
+    # blocks that fix the first ``stop`` interleaved axes: odd stops end
+    # the prefix after an x axis, even ones after a y axis
+    spec, p_fn, q_fn, joint_p_fn = _block_case(kind, random.Random(2000 + stop))
+    monkeypatch.setattr(measures, "JOINT_BLOCK_CELLS", math.prod(spec.interleaved_shape[stop:]))
+    assert measures._block_prefix_len(spec) == stop
+    p = backward_kernel_from_fn(spec, p_fn)
+    q = forward_kernel_from_fn(spec, q_fn)
+    sizes = spec.x_sizes, spec.y_sizes
+    given = di.build_joint(backward_kernel_from_fn(spec, joint_p_fn), q)
+    overflowed = []
+    real = measures._mass_log_ratio
+
+    def spy(mass, den, lead=0):
+        out = real(mass, den, lead)
+        overflowed.append(not np.all(np.isfinite(out)))
+        return out
+
+    monkeypatch.setattr(measures, "_mass_log_ratio", spy)
+    for joint, fn in ((None, p_fn), (given, joint_p_fn)):
+        want = oracle_joint(*sizes, fn, q_fn)
+        want_terms = oracle_per_step_information(want, spec.steps)
+        got = di.per_step_information(p, q, joint=joint)
+        assert [float(t) for t in got] == pytest.approx(want_terms, abs=1e-12)
+        want_div = oracle_divergence_route(want, *sizes, p_fn)
+        assert math.isfinite(want_div)
+        overflowed.clear()
+        assert float(di.directed_information_divergence(p, q, joint=joint)) == pytest.approx(want_div, abs=1e-12)
+        assert any(overflowed) == (kind == "tiny-rows" and joint is given)
+    want = oracle_joint(*sizes, p_fn, q_fn)
+    report = di.directed_information_sum(p, q)
+    assert [float(t) for t in report.per_step_terms] == pytest.approx(
+        oracle_per_step_information(want, spec.steps), abs=1e-12
+    )
+    assert float(report.sum_form) == pytest.approx(oracle_directed_information(want, spec.steps), abs=1e-12)
+    assert float(report.divergence_form) == pytest.approx(oracle_divergence_route(want, *sizes, p_fn), abs=1e-12)
+
+
+def test_the_routes_hold_a_few_blocks_not_the_joint():
+    # 2^20 cells, 8 MB of joint, walked in blocks of 2^17 cells (1 MB): a
+    # walk holds a few blocks at once, less than half the joint
+    spec = di.AlphabetSpec(9, (2,) * 10, (2,) * 10)
+    rng = rng_from_seed(59)
+    p, q = random_backward_kernel(rng, spec), random_forward_kernel(rng, spec)
+    tracemalloc.start()
+    try:
+        di.directed_information_sum(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * spec.total_cells / 2
 
 
 @pytest.mark.parametrize("n, size", [(7, 2), (3, 4), (5, 3)])

@@ -451,6 +451,29 @@ def test_product_pi_forward_matches_a_broadcast_over_all_axes(seed):
     assert np.allclose(got, want, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("stop", [0, 1, 2, 3])
+def test_blocks_hold_the_very_cells_of_the_whole_joint_and_product(monkeypatch, stop):
+    # 2^14 cells: the products over the later axes pass _BROADCAST_CELLS,
+    # so both ways of extending a product by a table run
+    spec = di.AlphabetSpec(6, (2,) * 7, (2,) * 7)
+    rng = rng_from_seed(8)
+    p, q = random_backward_kernel(rng, spec), random_forward_kernel(rng, spec)
+    nu = random_pmf(rng, spec.num_y_paths)
+    whole = di.build_joint(p, q).weights
+    want = np.ones(())  # one broadcast over all axes per table, in step order
+    for i, (pt, qt) in enumerate(zip(p.tables, q.tables)):
+        want = want[..., None] * pt.reshape(spec.interleaved_shape[:2 * i + 1])
+        want = want[..., None] * qt.reshape(spec.interleaved_shape[:2 * i + 2])
+    assert np.array_equal(whole, want)
+    product = di.product_pi_forward(p, nu).weights
+    monkeypatch.setattr(measures, "JOINT_BLOCK_CELLS", math.prod(spec.interleaved_shape[stop:]))
+    blocks = list(measures._joint_blocks(spec, p.tables, q.tables))
+    assert [prefix for prefix, _ in blocks] == list(np.ndindex(spec.interleaved_shape[:stop]))
+    for prefix, block in blocks:
+        assert np.array_equal(block, whole[prefix])
+        assert np.array_equal(measures._product_weights(spec, p.tables, nu.weights, prefix), product[prefix])
+
+
 def test_product_pi_backward_of_input_free_channel_is_product():
     spec = di.AlphabetSpec(0, (2,), (3,))
     mu = di.Pmf(np.array([0.3, 0.7]))

@@ -143,18 +143,24 @@ def test_failure_payloads_would_replay(suite, monkeypatch):
 
 
 def test_no_feedback_suite_builds_one_joint_per_case(monkeypatch):
-    import dirinfo.information
+    import dirinfo.measures
     import dirinfo.verify
 
-    calls = []
-    real = dirinfo.verify.build_joint
+    calls, built = [], []
+    real, real_weights = dirinfo.verify.build_joint, dirinfo.measures._joint_weights
 
     def counting(p, q):
         calls.append(1)
         return real(p, q)
 
-    for module in (dirinfo.verify, dirinfo.information):
-        monkeypatch.setattr(module, "build_joint", counting)
+    def counting_weights(*args, **kwargs):
+        built.append(1)
+        return real_weights(*args, **kwargs)
+
+    # the evaluation routes walk the suite's joint, so the joints built
+    # are exactly the suite's own, one per case
+    monkeypatch.setattr(dirinfo.verify, "build_joint", counting)
+    monkeypatch.setattr(dirinfo.measures, "_joint_weights", counting_weights)
     report = run_suite("no-feedback", seed=0)
     assert report.cases == 100
-    assert len(calls) == 100
+    assert len(calls) == len(built) == 100
