@@ -34,13 +34,13 @@ from .measures import (
     _side_laws,
     _side_major,
     _step_shape,
-    build_joint,
 )
 from .solver import (
     DEFAULT_CONFIG,
     FEASIBILITY_SLACK,
     SolverConfig,
     entropy_route,
+    expected_table,
     freeze_budget_table,
     grid_search,
     induction,
@@ -93,9 +93,7 @@ def _cost_interleaved(spec: AlphabetSpec, constraint: PowerConstraint) -> np.nda
 def expected_cost(p: BackwardKernel, q: ForwardKernel, c: PowerConstraint) -> float:
     """Expected cost of the joint induced by ``(p, q)``; ``+inf`` when mass
     sits on a forbidden cell."""
-    spec = _require_same_spec(p, q)
-    g = _cost_interleaved(spec, c)
-    return float(weight_table(build_joint(p, q).weights, g).sum())
+    return expected_table(p, q, _cost_interleaved(_require_same_spec(p, q), c))
 
 
 def min_expected_cost(q: ForwardKernel, c: PowerConstraint) -> float:
@@ -154,11 +152,11 @@ class _CapacityProblem:
         self.allowed = np.isfinite(cost)
         self.cost = np.where(self.allowed, cost, 0.0)
         self.budget = 0.0 if constraint is None else constraint.budget
-        self.qp = _path_weights(layout, tables, 1)  # Q(y^n || x^n)
+        self.q_prev = _path_weights(layout, tables[:-1], 1)[..., None]  # Q(y^{n-1} || x^{n-1})
+        self.q_last = tables[-1].reshape(self.head + (1, layout.y_sizes[-1]))  # rows for a matmul
+        self.qp = self.q_prev[..., None] * self.q_last[..., 0, :]  # Q(y^n || x^n)
         with np.errstate(divide="ignore"):
             self.log_q = np.log(self.qp)  # -inf off the support
-        self.q_last = tables[-1].reshape(self.head + (1, layout.y_sizes[-1]))  # rows for a matmul
-        self.q_prev = _path_weights(layout, tables[:-1], 1)[..., 0]  # Q(y^{n-1} || x^{n-1})
         self.reached = self.q_prev > 0
         self.mean_log_q = (self.q_last[..., 0, :] * log_where_positive(self.qp)).sum(axis=-1)
 

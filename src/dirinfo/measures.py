@@ -252,16 +252,16 @@ def _side_laws(spec: AlphabetSpec, tables: Sequence[np.ndarray], side: int, tied
     return laws
 
 
-def _path_weights(spec: AlphabetSpec, tables: Sequence[np.ndarray], side: int, tied: bool = False):
-    """Product of one side's step tables as an interleaved array: input
+def _path_weights(spec: AlphabetSpec, tables: Sequence[np.ndarray], side: int, tied: bool = False,
+                  prefix: tuple = ()):
+    """Product of one side's step tables over the interleaved axes they
+    span, or its block at ``prefix`` (see :func:`_step_product`): input
     tables leave the ``y_n`` axis 1, and tables keyed by the side's own
     history (``tied``) leave every axis of the other side 1.  Tables
     stacked on leading axes give a stack of products."""
-    ndim = 2 * spec.steps
-    arr = np.ones((1,) * ndim)
-    for i, t in enumerate(tables):
-        arr = arr * t.reshape(t.shape[:-2] + _step_shape(spec, side, i, ndim, tied))
-    return arr
+    shape = _tied_shape(spec, side) if tied else spec.interleaved_shape
+    factors = [t for table in tables for t in ((None, table) if side else (table, None))]
+    return _step_product(shape, factors, prefix)
 
 
 def _expand_tied_table(spec: AlphabetSpec, side: int, i: int, tied: np.ndarray) -> np.ndarray:
@@ -669,7 +669,8 @@ def _joint_weights(
     leading ``prefix`` of symbols, its block at that prefix (see
     :func:`_step_product`).  Either side's tables may stack kernels on one
     shared leading shape; the result then stacks the joints on it."""
-    return _step_product(spec, [t for pair in zip(p_tables, q_tables) for t in pair], prefix)
+    factors = [t for pair in zip(p_tables, q_tables) for t in pair]
+    return _step_product(spec.interleaved_shape, factors, prefix)
 
 
 # Up to this many cells, _step_product extends its product by a table in one
@@ -678,17 +679,18 @@ def _joint_weights(
 _BROADCAST_CELLS = 1024
 
 
-def _step_product(spec: AlphabetSpec, factors: Sequence[Optional[np.ndarray]], prefix: tuple = ()):
+def _step_product(shape: tuple[int, ...], factors: Sequence[Optional[np.ndarray]], prefix: tuple = ()):
     """Product, in axis order, of the step tables ``factors``, one per
-    interleaved axis: the table whose columns are that axis, or ``None``
+    leading axis of the layout ``shape``, the interleaved shape or a
+    side's tied shape: the table whose columns are that axis, or ``None``
     where no table ends (the axis is then left at size 1 until a later
-    table spans it).  Only the cells that start with the leading symbols
-    ``prefix`` are built, as an array over the later axes: each table's
-    rows under a prefix are a contiguous run, since a row's index is the
-    code of the prefix it extends.  The prefix's own factors are
-    multiplied in first, in the same order, so a block holds the very
-    values of the whole product's cells."""
-    shape = spec.interleaved_shape
+    table spans it).  A table's rows are the codes of the prefixes it
+    extends under ``shape``, so a tied table's, keyed by its side's own
+    history, are those of its tied shape.  Only the cells that start with
+    the leading symbols ``prefix`` are built, as an array over the later
+    axes: each table's rows under a prefix are a contiguous run.  The
+    prefix's own factors are multiplied in first, in the same order, so a
+    block holds the very values of the whole product's cells."""
     stop = len(prefix)
     w = np.ones(())
     code = 0  # of the prefix so far, then of the whole prefix
@@ -800,10 +802,21 @@ def _product_weights(
     x_next = spec.x_sizes[k + 1] if k + 1 < spec.steps else 1
     out.reshape(x_k, spec.y_sizes[k], x_next, -1)[...] = w.reshape(1, spec.y_sizes[k], 1, -1)
     cols = out.reshape(-1, spec.y_sizes[-1])
-    a = _step_product(spec, [t for pt in p_tables for t in (pt, None)], prefix).reshape(-1)
+    a = _path_weights(spec, p_tables, 0, prefix=prefix).reshape(-1)
     for j in range(spec.y_sizes[-1]):
         cols[:, j] *= a
     return out
+
+
+def _log_product(spec: AlphabetSpec, p_tables: Sequence[np.ndarray], nu: np.ndarray, prefix: tuple):
+    """The logarithm of the block of :func:`_product_weights` at ``prefix``,
+    taken as ``log a + log nu`` of the input-path weights ``a`` and the
+    output-path law ``nu``: finite on a cell where the product underflows
+    to 0 but neither factor does."""
+    a = _path_weights(spec, p_tables, 0, prefix=prefix)
+    at = tuple(s if k % 2 else 0 for k, s in enumerate(prefix))  # 0 on the size-1 x axes
+    with np.errstate(divide="ignore"):
+        return np.log(a) + np.log(nu.reshape(_tied_shape(spec, 1))[at])
 
 
 def product_pi_backward(mu: Pmf, q: ForwardKernel) -> JointMeasure:
@@ -853,13 +866,21 @@ def _divergence_sum(wa: np.ndarray, wb: np.ndarray) -> float:
         total = _mass_log_ratio(wa, wb)
     if math.isfinite(total):
         return total
-    pos = wa > 0
-    if np.any(pos & (wb <= 0)):
+    if np.any((wa > 0) & (wb <= 0)):
         return math.inf
     # Some quotient left the float range (b subnormal against a, or the
     # reverse); the difference of logarithms stays finite.
+    with np.errstate(divide="ignore"):
+        return _log_ratio_sum(wa, np.log(wb))
+
+
+def _log_ratio_sum(wa: np.ndarray, log_b: np.ndarray) -> float:
+    """``sum a (log a - log b)`` over the cells where ``a > 0``, given
+    ``log b`` as an array that broadcasts against ``a``; a cell with mass
+    where ``log b`` is ``-inf`` makes it ``+inf``."""
+    pos = wa > 0
     logs = np.log(wa, out=np.zeros_like(wa), where=pos)
-    logs -= np.log(wb, out=np.zeros_like(wb), where=pos)
+    np.subtract(logs, log_b, out=logs, where=pos)
     return float(wa.reshape(-1) @ logs.reshape(-1))
 
 

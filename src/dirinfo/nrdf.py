@@ -39,7 +39,6 @@ from .measures import (
     _side_major,
     _tied_rows,
     _tied_shape,
-    build_joint,
     ignores_output_history,
 )
 from .solver import (
@@ -48,6 +47,7 @@ from .solver import (
     SolverConfig,
     checked_budget,
     entropy_route,
+    expected_table,
     freeze_budget_table,
     grid_search,
     induction,
@@ -128,8 +128,7 @@ def expected_distortion(src: SourceSpec, q: ForwardKernel, d: DistortionConstrai
     when mass reaches a forbidden cell."""
     if src.spec != q.spec:
         raise SpecMismatch("source and kernel specs differ")
-    table = _constraint_table(q.spec, d.distortion_table, "distortion")
-    return float(weight_table(build_joint(src.kernel, q).weights, table).sum())
+    return expected_table(src.kernel, q, _constraint_table(q.spec, d.distortion_table, "distortion"))
 
 
 def _distortion_dp(prob: _NrdfProblem):

@@ -4,9 +4,10 @@ Both problems optimize one functional, the directed information of the
 joint of an input and a channel kernel plus an expected cost or
 distortion: capacity varies the input kernel, NRDF the channel kernel.
 The solvers share the configuration, the checks of a cost or distortion
-table and its budget, the multiplier search, the log-sum-exp, and the one
-relaxed iteration and one backward induction that both run (capacity's
-update, certificate and least cost, NRDF's tilt and least distortion).
+table and its budget, the expectation of that table under a joint, block
+by block, the multiplier search, the log-sum-exp, and the one relaxed
+iteration and one backward induction that both run (capacity's update,
+certificate and least cost, NRDF's tilt and least distortion).
 The grid oracles share one grid search, over the simplex-grid rows of
 either side's kernel, and the evaluation kernel, which reads each block of
 joints as ``H(Y^n) - H(Y^n || X^n)``, i.e. ``E log Q(y^n || x^n) - sum_y nu
@@ -25,7 +26,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, GridTooLarge, InfeasibleConstraint
-from .measures import AlphabetSpec, _check_count, _table_shape
+from .measures import AlphabetSpec, BackwardKernel, ForwardKernel, _check_count, _joint_blocks, _table_shape
 
 # Kept only because the traced benchmark (``perfbench/spans.py``) binds
 # these two names when it installs; it never calls the stub.  ROADMAP
@@ -239,6 +240,14 @@ def weight_table(w: np.ndarray, table: np.ndarray) -> np.ndarray:
     ``0 * inf = 0`` while mass on an infinite cell gives ``+inf``."""
     with np.errstate(invalid="ignore"):
         return np.where(w > 0, w * table, 0.0)
+
+
+def expected_table(p: BackwardKernel, q: ForwardKernel, table: np.ndarray) -> float:
+    """Expectation of the interleaved ``table`` under the joint of ``p`` and
+    ``q`` (on one spec), one block at a time (see ``measures._joint_blocks``):
+    ``+inf`` when mass reaches an infinite cell, as under :func:`weight_table`."""
+    blocks = _joint_blocks(p.spec, p.tables, q.tables)
+    return float(sum(weight_table(w, table[prefix]).sum() for prefix, w in blocks))
 
 
 def split_infinite(table: np.ndarray) -> np.ndarray:

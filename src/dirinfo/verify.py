@@ -19,9 +19,9 @@ from .information import (
     DUAL_FORMULA_TOL,
     MIXTURE_TOL,
     _lsc_audit,
+    _routes,
     check_concavity_in_p,
     check_convexity_in_q,
-    directed_information_divergence,
     mutual_information,
     per_step_information,
 )
@@ -117,11 +117,8 @@ def _draw_pair(rng: np.random.Generator, k: int, cases: int):
 
 
 def _dual_formula_gap(case: dict) -> float:
-    p, q = case["backward_kernel"], case["forward_kernel"]
-    joint = build_joint(p, q)
-    total = float(sum(per_step_information(p, q, joint=joint)))
-    div = float(directed_information_divergence(p, q, joint=joint))
-    return abs(total - div)
+    terms, div = _routes(case["backward_kernel"], case["forward_kernel"])
+    return abs(float(sum(terms)) - float(div))
 
 
 def _draw_convexity(rng: np.random.Generator, k: int, cases: int):

@@ -45,9 +45,9 @@ def oracle_per_step_information(joint, steps):
         term = 0.0
         for (xp, yp), w in m.items():
             if w > 0:
-                term += w * math.log(
-                    w * past[yp[:i]] / (hist[(xp, yp[:i])] * outp[yp])
-                )
+                # a sum of logs: the products of the quotient can underflow
+                logs = math.log(w) + math.log(past[yp[:i]])
+                term += w * (logs - math.log(hist[(xp, yp[:i])]) - math.log(outp[yp]))
         terms.append(term)
     return terms
 

@@ -221,6 +221,18 @@ def test_output_block_shapes_the_report_and_flags_override_it(tmp_path, capsys):
     assert doc["units"] == "bits" and parse_real(doc["sum_form"]) == 1.0
 
 
+def test_compute_exits_0_where_the_product_underflows(tmp_path, capsys):
+    # the product cell 1e-200 * 1e-200 underflows to 0 under a joint cell
+    # of mass 1e-200; both routes still give -1e-200 log 1e-200
+    doc = identity_problem()
+    doc["backward_kernel"] = {"tables": [[["1e-200", "1"]]]}
+    code, out = run(["compute", "-i", write_problem(tmp_path / "p.json", doc)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    for route in ("sum_form", "divergence_form"):
+        assert parse_real(doc[route]) == pytest.approx(4.6051701859880914e-198, rel=1e-12)
+
+
 def test_a_formula_disagreement_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("dirinfo.information.DUAL_FORMULA_TOL", -1.0)
     path = write_problem(tmp_path / "p.json", identity_problem())

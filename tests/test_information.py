@@ -289,6 +289,36 @@ def test_blocks_agree_with_one_whole_joint(monkeypatch, kind, stop):
     assert float(report.divergence_form) == pytest.approx(oracle_divergence_route(want, *sizes, p_fn), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_routes_stay_finite_where_the_product_underflows(n):
+    # an identity channel under input rows of 1e-200 (n = 0), or of 1e-160
+    # twice over, so that an input path weighs a subnormal 1e-320 (n = 1):
+    # a product cell a * nu underflows to 0 under a joint cell with mass,
+    # and the divergence route takes its logarithm as log a + log nu
+    spec = di.AlphabetSpec(n, (2,) * (n + 1), (2,) * (n + 1))
+    tiny = 1e-200 if n == 0 else 1e-160
+
+    def p_fn(i, xs, ys):
+        return [tiny, 1.0] if i == 0 or xs[0] == 0 else [0.0, 1.0]
+
+    def q_fn(i, xs, ys):
+        return [1.0, 0.0] if xs[i] == 0 else [0.0, 1.0]
+
+    p, q = backward_kernel_from_fn(spec, p_fn), forward_kernel_from_fn(spec, q_fn)
+    want_terms = oracle_per_step_information(oracle_joint(spec.x_sizes, spec.y_sizes, p_fn, q_fn), spec.steps)
+    want = sum(want_terms)
+    if n == 0:
+        assert want == pytest.approx(4.6051701859880914e-198, rel=1e-12)
+    report = di.directed_information_sum(p, q)
+    assert [float(t) for t in report.per_step_terms] == pytest.approx(want_terms, rel=1e-12, abs=1e-300)
+    assert float(report.sum_form) == pytest.approx(want, rel=1e-12)
+    assert float(report.divergence_form) == pytest.approx(want, rel=1e-12)
+    assert float(di.directed_information_divergence(p, q)) == float(report.divergence_form)
+    assert float(di.directed_information_divergence(p, q, joint=di.build_joint(p, q))) == float(
+        report.divergence_form
+    )
+
+
 def test_the_routes_hold_a_few_blocks_not_the_joint():
     # 2^20 cells, 8 MB of joint, walked in blocks of 2^17 cells (1 MB): a
     # walk holds a few blocks at once, less than half the joint

@@ -435,20 +435,48 @@ def test_marginals_and_product_measures():
     assert np.allclose(di.marginal_x(pi_b).weights, mu.weights, atol=1e-12)
 
 
+def _broadcast_product(tables, side, shape):
+    """One broadcast over all axes of ``shape`` per step table of
+    ``side``, in step order, the tables' leading axes kept."""
+    want = np.ones(())
+    for i, t in enumerate(tables):
+        stop = 2 * i + side + 1
+        want = want * t.reshape(t.shape[:-2] + shape[:stop] + (1,) * (len(shape) - stop))
+    return want
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_product_pi_forward_matches_a_broadcast_over_all_axes(seed):
-    from dirinfo.measures import _path_weights
-
     rng = rng_from_seed(seed)
     spec = random_spec(rng)
     p = random_backward_kernel(rng, spec)
     nu = random_pmf(rng, spec.num_y_paths)
-    ndim = 2 * spec.steps
-    nu_shape = tuple(spec.y_sizes[a // 2] if a % 2 else 1 for a in range(ndim))
-    want = _path_weights(spec, p.tables, 0) * nu.weights.reshape(nu_shape)
+    want = _broadcast_product(p.tables, 0, spec.interleaved_shape) * nu.weights.reshape(
+        measures._tied_shape(spec, 1)
+    )
     got = di.product_pi_forward(p, nu).weights
     assert got.shape == want.shape
     assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_tied_tables_give_the_broadcast_product_of_their_tied_shape(side):
+    # tables keyed by the side's own history, plain and stacked as the grid
+    # oracles stack them (rows picked from a pool); 400 stacked kernels
+    # pass _BROADCAST_CELLS, so both ways of extending a product run
+    spec = di.AlphabetSpec(2, (2, 3, 2), (3, 2, 2))
+    rng = rng_from_seed(70 + side)
+    shape = measures._tied_shape(spec, side)
+    stacked = []
+    for i in range(spec.steps):
+        rows, k = measures._table_shape(spec, side, i, tied=True)
+        pool = rng.dirichlet(np.ones(k), size=6)
+        stacked.append(np.take(pool, rng.integers(0, len(pool), size=(400, rows)), axis=0))
+    for tables in ([t[0] for t in stacked], stacked):
+        want = _broadcast_product(tables, side, shape)
+        got = measures._path_weights(spec, tables, side, tied=True)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("stop", [0, 1, 2, 3])

@@ -276,6 +276,48 @@ def test_grid_resolution_takes_numpy_integers():
 # ---------------------------------------------------------------------------
 
 
+def test_expectations_add_up_block_by_block(monkeypatch):
+    # 64 cells walked in blocks of 16, one per prefix (x_0, y_0): the blocks
+    # add up to the one-block value; mass on an infinite cell in the last
+    # block makes the expectation +inf, and an infinite cell without mass
+    # counts 0
+    from dirinfo import measures
+    from dirinfo.sampling import (
+        random_backward_kernel,
+        random_feedback_free_kernel,
+        random_forward_kernel,
+        rng_from_seed,
+    )
+
+    spec = di.AlphabetSpec(2, (2, 2, 2), (2, 2, 2))
+    rng = rng_from_seed(80)
+    p, q = random_backward_kernel(rng, spec), random_forward_kernel(rng, spec)
+    src = random_feedback_free_kernel(rng, spec)
+    cost = rng.uniform(0.0, 2.0, size=(spec.num_x_paths, spec.num_y_histories))
+    dist = rng.uniform(0.0, 2.0, size=(spec.num_x_paths, spec.num_y_paths))
+
+    def expectations(p, src):
+        return (
+            di.expected_cost(p, q, di.PowerConstraint(cost, 1.0)),
+            di.expected_distortion(di.SourceSpec(src), q, di.DistortionConstraint(dist, 1.0)),
+        )
+
+    whole = expectations(p, src)
+    monkeypatch.setattr(measures, "JOINT_BLOCK_CELLS", 16)
+    assert measures._block_prefix_len(spec) == 2
+    assert expectations(p, src) == pytest.approx(whole, rel=0.0, abs=1e-15)
+    # x^n = (1, 1, 1) after y^{n-1} = (1, 1), or with y^n = (1, 1, 1)
+    cost[-1, -1] = dist[-1, -1] = 0.0
+    # kernels that never put x_0 = 1 leave the blocks that start with it
+    # without mass
+    p0, src0 = (type(k)(spec, (np.array([[1.0, 0.0]]),) + k.tables[1:]) for k in (p, src))
+    finite = expectations(p0, src0)
+    cost[-1, -1] = dist[-1, -1] = np.inf
+    assert expectations(p, src) == (np.inf, np.inf)
+    assert expectations(p0, src0) == finite
+    assert all(map(math.isfinite, finite))
+
+
 def test_entropy_route_matches_the_evaluator_batched_or_not():
     # both grid oracles' block evaluators against the package's evaluator,
     # a block of two kernels' parts against each joined kernel alone, for

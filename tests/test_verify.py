@@ -164,3 +164,29 @@ def test_no_feedback_suite_builds_one_joint_per_case(monkeypatch):
     report = run_suite("no-feedback", seed=0)
     assert report.cases == 100
     assert len(calls) == len(built) == 100
+
+
+def test_dual_formula_suite_never_builds_a_whole_joint(monkeypatch):
+    import dirinfo.measures
+    import dirinfo.verify
+
+    calls, built = [], []
+    real, real_weights = dirinfo.verify.build_joint, dirinfo.measures._joint_weights
+
+    def counting(p, q):
+        calls.append(1)
+        return real(p, q)
+
+    def counting_weights(*args, **kwargs):
+        built.append(1)
+        return real_weights(*args, **kwargs)
+
+    # one first pass serves both routes, and the divergence route's second
+    # pass builds each (one-block) joint again
+    monkeypatch.setattr(dirinfo.verify, "build_joint", counting)
+    monkeypatch.setattr(dirinfo.measures, "_joint_weights", counting_weights)
+    report = run_suite("dual-formula", seed=0)
+    assert report.cases == 200
+    assert report.passed
+    assert calls == []
+    assert len(built) == 2 * report.cases
