@@ -39,13 +39,13 @@ from .solver import (
     DEFAULT_CONFIG,
     FEASIBILITY_SLACK,
     SolverConfig,
+    checked_logsumexp,
     entropy_route,
     expected_table,
     freeze_budget_table,
     grid_search,
     induction,
     log_where_positive,
-    logsumexp,
     match_budget,
     relax,
     split_infinite,
@@ -124,6 +124,16 @@ class _CapacityProblem:
     and ``d = sum_{y_n} q_n log(Q(y^n || x^n) / nu(y^n))`` (see
     :meth:`posterior`).  A cost of ``+inf`` forbids an input: it starts at
     log-probability ``-inf`` and every update keeps it there.
+
+    Two flags, read off the channel, the costs and ``allowed``, tell the
+    updates which ``-inf`` guards they can skip, for the same floats:
+    ``histories_reached``, that every history has ``Q(y^{n-1} ||
+    x^{n-1}) > 0``; and ``outputs_reached``, that every input is allowed,
+    so the log law stays finite, and every output path ``y^n`` has some
+    ``x^n`` with ``Q(y^n || x^n) > 0``, so no row of the posterior's
+    log-sum-exp over ``x^n`` is all ``-inf`` unless a multiplier times a
+    finite cost overflows, which :func:`~dirinfo.solver.checked_logsumexp`
+    catches.
     """
 
     def __init__(self, q: ForwardKernel, constraint: Optional[PowerConstraint],
@@ -158,6 +168,10 @@ class _CapacityProblem:
         with np.errstate(divide="ignore"):
             self.log_q = np.log(self.qp)  # -inf off the support
         self.reached = self.q_prev > 0
+        self.histories_reached = bool(self.reached.all())
+        x_axes = _side_axes(0, len(self.head))
+        self.outputs_reached = bool(self.allowed.all() and (self.qp > 0).any(axis=x_axes).all())
+        self.step_shapes = [_step_shape(layout, 0, i, len(self.head)) for i in range(layout.steps)]
         self.mean_log_q = (self.q_last[..., 0, :] * log_where_positive(self.qp)).sum(axis=-1)
 
     def start(self):
@@ -171,8 +185,8 @@ class _CapacityProblem:
         """The input's log-probability of ``x^n`` given ``y^{n-1}``, on the
         final step's axes."""
         lp = 0.0
-        for i, t in enumerate(state):
-            lp = lp + t.reshape(_step_shape(self.layout, 0, i, len(self.head)))
+        for t, shape in zip(state, self.step_shapes):
+            lp = lp + t.reshape(shape)
         return lp
 
     def posterior(self, state):
@@ -182,8 +196,10 @@ class _CapacityProblem:
         log-probability ``lp`` of ``x^n`` given ``y^{n-1}``, and ``d =
         sum_{y_n} q_n log(Q(y^n || x^n) / nu)``."""
         lp = self._log_law(state)
-        log_nu = logsumexp(lp[..., None] + self.log_q, axis=_side_axes(0, lp.ndim), keepdims=True)
-        log_nu = np.where(np.isfinite(log_nu), log_nu, 0.0)
+        terms, axes = lp[..., None] + self.log_q, _side_axes(0, lp.ndim)
+        log_nu, guarded = checked_logsumexp(terms, axes, self.outputs_reached, keepdims=True)
+        if guarded:
+            log_nu = np.where(np.isfinite(log_nu), log_nu, 0.0)
         d = self.mean_log_q - (self.q_last @ log_nu[..., None])[..., 0, 0]
         return float(np.vdot(self.q_prev * np.exp(lp), d)), log_nu, lp, d
 
@@ -192,7 +208,9 @@ class _CapacityProblem:
         and its expected cost, for the reward ``a = lp + mu d`` where
         ``Q(y^{n-1} || x^{n-1}) > 0`` (0 elsewhere): at ``mu = 1`` the mean
         of ``log P(x^n | y^n)`` over ``y_n``."""
-        a = np.where(self.reached, lp + mu * d, 0.0)
+        a = lp + mu * d
+        if not self.histories_reached:
+            a = np.where(self.reached, a, 0.0)
         _, log_p = induction(a - lam * self.cost if lam else a, self.laws[:-1], soft=True)
         if self.constraint is None:
             return log_p, 0.0

@@ -272,10 +272,19 @@ def directed_information(p: BackwardKernel, q: ForwardKernel) -> float:
 
 
 def mutual_information(joint: JointMeasure) -> InfoValue:
-    """Mutual information between full input and output paths, in nats."""
+    """Mutual information between full input and output paths, in nats.
+
+    Where a cell of ``mu * nu`` underflows to 0 under mass, the product's
+    logarithm is taken as ``log mu + log nu``, as the divergence route
+    does, so the value stays finite: both marginals have mass wherever the
+    joint does."""
     mu = marginal_x(joint).weights.reshape(_tied_shape(joint.spec, 0))
     nu = marginal_y(joint).weights.reshape(_tied_shape(joint.spec, 1))
-    return kl_divergence(joint, mu * nu)
+    value = kl_divergence(joint, mu * nu)
+    if value.value == math.inf:  # a product cell underflowed to 0 under mass
+        with np.errstate(divide="ignore"):
+            return InfoValue(_log_ratio_sum(joint.weights, np.log(mu) + np.log(nu)))
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,14 @@ from .solver import (
     FEASIBILITY_SLACK,
     SolverConfig,
     checked_budget,
+    checked_logsumexp,
     entropy_route,
     expected_table,
+    finite_logsumexp,
     freeze_budget_table,
     grid_search,
     induction,
     log_where_positive,
-    logsumexp,
     match_budget,
     relax,
     split_infinite,
@@ -180,6 +181,16 @@ class _NrdfProblem:
     Step ``i`` works on the interleaved prefix ``(x_0, y_0, ..., x_i,
     y_i)``; source steps carry size-1 ``y`` axes and output-law steps
     size-1 ``x`` axes, so both broadcast against it.
+
+    ``outputs_reached``, read off the distortion table, says that every
+    tilt gives every output path mass, so that its new law's log-sum-exp
+    and ``log c`` skip their ``-inf`` guards, for the same floats: with
+    every distortion finite, a positive law ``nu`` tilts to a finite
+    terminal and finite policies, and each output path then gets mass from
+    every input path the source reaches.  The source's zeros never starve
+    an output path, since the source has mass somewhere.  A law with
+    zeros, or a slope times a finite distortion that overflows, can still
+    starve one, which :func:`~dirinfo.solver.checked_logsumexp` catches.
     """
 
     def __init__(self, src: SourceSpec, d: DistortionConstraint):
@@ -190,6 +201,7 @@ class _NrdfProblem:
         with np.errstate(divide="ignore"):
             self.log_mu = [np.log(t) for t in self.laws[::2]]
         self.y_shape = _tied_shape(spec, 1)
+        self.outputs_reached = bool(np.isfinite(self.d).all())
 
     @np.errstate(divide="ignore", invalid="ignore")
     def tilt(self, log_nu: np.ndarray, s: float) -> _Update:
@@ -209,14 +221,17 @@ class _NrdfProblem:
         Q_i`` over the inputs, in logs, as everything here is: probabilities
         underflow at large ``s``.  ``log_nu`` need not be normalized.
         """
-        log_nu = log_nu - logsumexp(log_nu.reshape(-1))  # normalized
+        log_nu = log_nu - finite_logsumexp(log_nu.reshape(-1))  # a law: its largest entry is finite
         neg_v, log_q = induction(log_nu.reshape(self.y_shape) - s * self.d, self.laws, soft=True)
         v = -float(neg_v)
         joint = np.zeros(())
         for log_mu, log_q_i in zip(self.log_mu, log_q):
             joint = (joint[..., None] + log_mu)[..., None] + log_q_i
-        new_log_nu = logsumexp(joint, axis=_side_axes(0, joint.ndim)).reshape(log_nu.shape)
-        log_c = np.where(np.isneginf(new_log_nu), -np.inf, new_log_nu - log_nu)
+        new_log_nu, guarded = checked_logsumexp(joint, _side_axes(0, joint.ndim), self.outputs_reached)
+        new_log_nu = new_log_nu.reshape(log_nu.shape)
+        log_c = new_log_nu - log_nu
+        if guarded:
+            log_c = np.where(np.isneginf(new_log_nu), -np.inf, log_c)
         nu = np.exp(new_log_nu)
         dist = float(weight_table(np.exp(joint), self.d).sum())
         di = v - float(np.vdot(nu, np.where(nu > 0, log_c, 0.0))) - s * dist
@@ -298,7 +313,7 @@ def solve_nrdf(
         if mu == 1.0:
             return step.log_nu, s
         log_nu = x[0] + mu * step.log_c
-        return log_nu - logsumexp(log_nu.reshape(-1)), s
+        return log_nu - finite_logsumexp(log_nu.reshape(-1)), s
 
     def done(x, point, k):
         return feasible[0] - lower <= cfg.multiplier_tol

@@ -194,12 +194,45 @@ def log_where_positive(a: np.ndarray) -> np.ndarray:
 
 def logsumexp(a: np.ndarray, axis=-1, keepdims: bool = False) -> np.ndarray:
     """``log sum exp`` over ``axis``, shifted by the largest entry so that
-    nothing underflows; ``-inf`` where every entry is ``-inf``."""
+    nothing underflows; ``-inf`` where every entry is ``-inf``.
+
+    The guard for such a row (a shift of 0 and a sum floored at 1) runs
+    only where a reduced row can be all ``-inf``; elsewhere callers take
+    :func:`finite_logsumexp` or :func:`checked_logsumexp`, which give the
+    same floats.
+    """
     top = a.max(axis=axis, keepdims=True)
     s = np.exp(a - np.where(np.isfinite(top), top, 0.0)).sum(axis=axis, keepdims=keepdims)
     # the top entry adds exp(0) = 1, so only a row that is all -inf sums
     # below 1: it sums to 0, and log 1 + top makes it -inf without log(0)
     return np.log(np.maximum(s, 1.0)) + (top if keepdims else top.reshape(s.shape))
+
+
+def finite_logsumexp(a: np.ndarray, axis=-1, keepdims: bool = False) -> np.ndarray:
+    """:func:`logsumexp` of an array whose every reduced row has a finite
+    largest entry, without the guard."""
+    return _shifted_logsumexp(a, a.max(axis=axis, keepdims=True), axis, keepdims)
+
+
+def _shifted_logsumexp(a: np.ndarray, top: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    # top: the finite largest entry of each row, so the sum, which it adds
+    # exp(0) = 1 to, is at least 1
+    s = np.exp(a - top).sum(axis=axis, keepdims=keepdims)
+    return np.log(s) + (top if keepdims else top.reshape(s.shape))
+
+
+def checked_logsumexp(a: np.ndarray, axis, finite_rows: bool, keepdims: bool = False):
+    """``(lse, guarded)``: :func:`logsumexp` of ``a``, and whether it ran
+    with the guard.  Where the caller's own tables leave every reduced row
+    a finite entry (``finite_rows``), the guard runs only if a row's
+    largest entry is not finite after all, as when a multiplier times a
+    finite table overflows to ``-inf``; the floats are the guarded ones
+    either way."""
+    if finite_rows:
+        top = a.max(axis=axis, keepdims=True)
+        if np.isfinite(top).all():
+            return _shifted_logsumexp(a, top, axis, keepdims), False
+    return logsumexp(a, axis, keepdims), True
 
 
 def induction(v: np.ndarray, laws: Sequence[Optional[np.ndarray]], soft: bool = False):
@@ -213,8 +246,10 @@ def induction(v: np.ndarray, laws: Sequence[Optional[np.ndarray]], soft: bool = 
     or the log policy (soft) on the axes up to it.
 
     A ``-inf`` cell is met only when the terminal has a non-finite cell,
-    so the two rules for it run only then: a law of 0 on it weighs 0, and
-    a soft row that is all ``-inf`` gets the uniform policy.
+    so the guards for it run only then: a law of 0 on it weighs 0, a soft
+    row that is all ``-inf`` gets the uniform policy, and its log-sum-exp
+    is :func:`logsumexp`.  A finite terminal takes
+    :func:`finite_logsumexp`, whose floats are the same.
     """
     finite = bool(np.isfinite(v).all())
     moves = []
@@ -222,7 +257,7 @@ def induction(v: np.ndarray, laws: Sequence[Optional[np.ndarray]], soft: bool = 
         if law is not None:
             v = (law * v if finite else weight_table(law, v)).sum(axis=-1)
         elif soft:
-            lse = logsumexp(v, keepdims=True)
+            lse = (finite_logsumexp if finite else logsumexp)(v, keepdims=True)
             if finite:
                 moves.append(v - lse)
             else:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dirinfo as di
+from dirinfo import solver
 from dirinfo.capacity import (
     CapacityResult,
     _CapacityProblem,
@@ -758,6 +759,90 @@ def test_relaxed_steps_certify_at_the_multiplier_over_mu(seed, monkeypatch):
         terms = oracle_strategy_terms(spec.x_sizes, spec.y_sizes, q_fn, nu, cost_fn)
         assert -1e-12 <= oracle_dual_bound(terms, c.budget) - float(result.value) <= 1e-8
     assert max(steps) > 1.0
+
+
+# ---------------------------------------------------------------------------
+# the -inf guards, paid only where a row can be all -inf
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("no_feedback", [False, True])
+@pytest.mark.parametrize("constrained", [False, True])
+def test_updates_take_the_same_floats_with_the_guards_forced(no_feedback, constrained):
+    q = _seed1_channel(1, 2)
+    c = _final_symbol_budget(q.spec) if constrained else None
+    fast, guarded = _CapacityProblem(q, c, no_feedback), _CapacityProblem(q, c, no_feedback)
+    assert fast.histories_reached and fast.outputs_reached
+    guarded.histories_reached = guarded.outputs_reached = False
+    state = fast.start()
+    for mu, lam in ((1.0, 0.0), (1.3, 0.7), (2.0, 0.0), (1.1, 2.5)):
+        point = fast.posterior(state)
+        again = guarded.posterior(state)
+        assert point[0] == again[0]
+        for got, want in zip(point[1:], again[1:]):
+            assert got.tobytes() == want.tobytes()
+        state, cost = fast.update(point[2], point[3], mu, lam)
+        retaken, again_cost = guarded.update(point[2], point[3], mu, lam)
+        assert cost == again_cost and len(state) == len(retaken)
+        for got, want in zip(state, retaken):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_guarded_logsumexp_runs_only_where_a_row_can_be_all_minus_inf(monkeypatch):
+    calls = []
+    guarded = solver.logsumexp
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return guarded(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        calls.clear()
+        return solve_capacity(*args, **kwargs), len(calls)
+
+    monkeypatch.setattr(solver, "logsumexp", spy)
+    q = _seed1_channel(2, 2)
+    for no_feedback in (False, True):
+        result, calls_made = solve(q, _final_symbol_budget(q.spec), no_feedback=no_feedback)
+        assert result.converged and calls_made == 0
+    # a third output symbol that no input reaches: the binary symmetric channel
+    eps = 0.1
+    unused = di.ForwardKernel(
+        di.AlphabetSpec(0, (2,), (3,)), (np.array([[1 - eps, eps, 0.0], [eps, 1 - eps, 0.0]]),)
+    )
+    result, calls_made = solve(unused)
+    assert result.converged and calls_made > 0
+    assert float(result.value) == pytest.approx(math.log(2) - hb(eps), abs=1e-9)
+    # a forbidden input: only x = 1 remains
+    result, calls_made = solve(bsc(eps), PowerConstraint(np.array([[np.inf], [0.0]]), budget=1.0))
+    assert result.converged and calls_made > 0
+    assert float(result.value) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_a_finite_cost_overflowed_by_its_multiplier_takes_the_guarded_floats(monkeypatch):
+    # y = 2 comes only from x = 2, whose finite cost times the multiplier
+    # overflows to -inf: the posterior meets a row that is all -inf although
+    # the tables hold none, and must take the guarded floats there
+    spec = di.AlphabetSpec(0, (3,), (3,))
+    q = di.ForwardKernel(spec, (np.array([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.0, 1.0]]),))
+    c = PowerConstraint(np.array([[0.0], [1.0], [1e307]]), budget=1e-9)
+    init = _CapacityProblem.__init__
+
+    def guarded_init(self, *args):
+        init(self, *args)
+        assert self.histories_reached and self.outputs_reached
+        self.histories_reached = self.outputs_reached = False
+
+    for no_feedback in (False, True):
+        with np.errstate(over="ignore"):
+            fast = solve_capacity(q, c, no_feedback=no_feedback)
+            with monkeypatch.context() as m:
+                m.setattr(_CapacityProblem, "__init__", guarded_init)
+                guarded = solve_capacity(q, c, no_feedback=no_feedback)
+        assert fast.converged and fast.iterations == guarded.iterations
+        assert fast.value.value == guarded.value.value
+        for got, want in zip(fast.argmax.tables, guarded.argmax.tables):
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))

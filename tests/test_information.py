@@ -18,6 +18,7 @@ from dirinfo.sampling import (
     random_spec,
     rng_from_seed,
 )
+from dirinfo.verify import _no_feedback_slack
 
 from helpers import (
     backward_kernel_from_fn,
@@ -317,6 +318,19 @@ def test_routes_stay_finite_where_the_product_underflows(n):
     assert float(di.directed_information_divergence(p, q, joint=di.build_joint(p, q))) == float(
         report.divergence_form
     )
+
+
+def test_mutual_information_stays_finite_where_the_product_underflows():
+    # the n = 0 case above: a feedback-free input, so MI equals DI, and the
+    # no-feedback suite's collapse slack |DI - MI| stays finite
+    spec = di.AlphabetSpec(0, (2,), (2,))
+    p = di.BackwardKernel(spec, (np.array([[1e-200, 1.0]]),))
+    q = di.ForwardKernel(spec, (np.eye(2),))
+    info = di.directed_information(p, q)
+    assert info == pytest.approx(4.6051701859880914e-198, rel=1e-12)
+    assert float(di.mutual_information(di.build_joint(p, q))) == pytest.approx(info, rel=1e-12)
+    slack = _no_feedback_slack({"backward_kernel": p, "forward_kernel": q, "mode": "collapse"})
+    assert math.isfinite(slack) and slack <= 1e-12 * info
 
 
 def test_the_routes_hold_a_few_blocks_not_the_joint():

@@ -613,6 +613,56 @@ def test_zero_mass_rows_are_certified(forbidden):
     assert res.distortion_slack >= -1e-9
 
 
+@pytest.mark.parametrize("case", ["markov", "zero-mass"])
+def test_tilt_takes_the_same_floats_with_the_guards_forced(case):
+    src = MARKOV_N1 if case == "markov" else zero_mass_source()
+    d = DistortionConstraint(hamming_paths(src.spec), budget=0.0)
+    fast, guarded = _NrdfProblem(src, d), _NrdfProblem(src, d)
+    assert fast.outputs_reached
+    guarded.outputs_reached = False
+
+    def same_floats(log_nu, s):
+        step, again = fast.tilt(log_nu, s), guarded.tilt(log_nu, s)
+        assert (step.di, step.dist, step.bound) == (again.di, again.dist, again.bound)
+        assert len(step.log_q) == len(again.log_q)
+        for got, want in zip([step.log_nu, step.log_c] + step.log_q, [again.log_nu, again.log_c] + again.log_q):
+            assert got.tobytes() == want.tobytes()
+        return step
+
+    log_nu = 3.0 * rng_from_seed(0).standard_normal(src.spec.y_sizes)
+    for s in SLOPES:
+        step = same_floats(log_nu, s)
+        log_nu = step.log_nu + 0.5 * step.log_c
+    log_nu[(0,) * log_nu.ndim] = -np.inf  # a law with a zero gives that output path no mass
+    assert np.isneginf(same_floats(log_nu, 2.5).log_nu).any()
+
+
+def test_a_finite_distortion_overflowed_by_its_slope_takes_the_guarded_floats(monkeypatch):
+    # reconstructing as 2 costs 1e307 whatever the source letter, so at a
+    # large slope that output gets no mass although the table is finite
+    spec = di.AlphabetSpec(0, (3,), (3,))
+    src = SourceSpec.from_step_tables(spec, [np.array([[0.4, 0.3, 0.3]])])
+    table = 1.0 - np.eye(3)
+    table[:, 2] = 1e307
+    init = _NrdfProblem.__init__
+
+    def guarded_init(self, *args):
+        init(self, *args)
+        assert self.outputs_reached
+        self.outputs_reached = False
+
+    for budget in (0.3 + 1e-8, 0.5):
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast = solve_nrdf(src, DistortionConstraint(table, budget))
+            with monkeypatch.context() as m:
+                m.setattr(_NrdfProblem, "__init__", guarded_init)
+                guarded = solve_nrdf(src, DistortionConstraint(table, budget))
+        assert fast.converged and fast.iterations == guarded.iterations
+        assert fast.value.value == guarded.value.value
+        for got, want in zip(fast.argmin.tables, guarded.argmin.tables):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_budget_binding_at_a_nonzero_floor_is_certified():
     # the floor 0.75 is met only by the deterministic reproduction, whose
     # rate is the full source entropy

@@ -9,6 +9,8 @@ import dirinfo as di
 from dirinfo import solver
 from dirinfo.solver import (
     SolverConfig,
+    checked_logsumexp,
+    finite_logsumexp,
     grid_batches,
     induction,
     logsumexp,
@@ -411,6 +413,23 @@ def test_logsumexp_is_shifted_and_keeps_empty_rows():
     assert np.allclose(np.exp(both).ravel(), np.exp(cube).sum(axis=(0, 2)), rtol=1e-14)
 
 
+def test_finite_logsumexp_takes_the_guarded_floats():
+    rng = np.random.default_rng(3)
+    for a in (rng.normal(size=7), 40.0 * rng.normal(size=(3, 4, 5)), np.array([[-1e4, -3e4], [0.0, -np.inf]])):
+        for axis in (-1, 0, tuple(range(a.ndim))):
+            for keepdims in (False, True):
+                want = logsumexp(a, axis=axis, keepdims=keepdims)
+                got = finite_logsumexp(a, axis=axis, keepdims=keepdims)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # a row that is all -inf against the caller's expectation runs guarded
+    a = np.array([[0.0, -1.0], [-np.inf, -np.inf]])
+    for finite_rows in (False, True):
+        got, guarded = checked_logsumexp(a, -1, finite_rows)
+        assert guarded and got.tobytes() == logsumexp(a).tobytes()
+    got, guarded = checked_logsumexp(a[:1], -1, True, keepdims=True)
+    assert not guarded and got.tobytes() == logsumexp(a[:1], keepdims=True).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # backward induction
 # ---------------------------------------------------------------------------
@@ -439,6 +458,22 @@ def test_induction_soft_policies_exponentiate_to_rows_of_a_kernel():
         for p in (first, last):
             assert np.allclose(np.exp(p).sum(axis=-1), 1.0, rtol=0.0, atol=1e-14)
     assert np.array_equal(last[1, 2], np.full(4, -math.log(4)))
+
+
+def test_soft_induction_of_a_finite_terminal_takes_the_guarded_floats():
+    # the guarded run: the same terminal stacked over a second one with a
+    # -inf cell and an empty row, under a leading law that picks the first
+    rng = np.random.default_rng(4)
+    v = 5.0 * rng.normal(size=(2, 3, 4))
+    laws = [None, rng.dirichlet(np.ones(3), size=2), None]
+    dead = v.copy()
+    dead[0, 1] = -np.inf
+    dead[1, 2, 0] = -np.inf
+    value, moves = induction(v, laws, soft=True)
+    both, guarded = induction(np.stack([v, dead]), [np.array([1.0, 0.0])] + laws, soft=True)
+    assert value.tobytes() == both.tobytes() and len(moves) == len(guarded) == 2
+    for got, want in zip(moves, guarded):
+        assert got.tobytes() == want[0].tobytes()
 
 
 def test_induction_soft_value_over_controller_axes_is_the_log_sum_exp():
