@@ -6,8 +6,9 @@ Lagrangian ``I + s E d``: with the output law ``nu`` fixed, one soft
 backward induction gives the exact minimizing causal kernel, for additive
 and path-level distortions alike; then ``nu`` becomes the output law of
 the new joint.  One iteration is one such tilt of ``nu`` whose slope ``s``
-is matched to the budget by the shared multiplier search, as capacity
-matches its cost multiplier; the law update is over-relaxed by
+is matched to the budget by the shared multiplier search, started from
+the last match's slope and secant slope, as capacity matches its cost
+multiplier; the law update is over-relaxed by
 :func:`~dirinfo.solver.relax`, a step ``mu`` on ``log nu``, with the new
 joint's ``-I`` as the merit.  Each tilt also certifies a lower bound on
 the least Lagrangian, since its value is convex in ``nu``; the bound holds
@@ -203,7 +204,9 @@ class _NrdfProblem:
         self.y_shape = _tied_shape(spec, 1)
         self.outputs_reached = bool(np.isfinite(self.d).all())
 
-    @np.errstate(divide="ignore", invalid="ignore")
+    # over: a slope times a finite distortion may leave the float range and
+    # is then -inf in the terminal, as the guards expect
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def tilt(self, log_nu: np.ndarray, s: float) -> _Update:
         """The exact minimizing kernel at slope ``s`` against the output law
         ``nu``, its certificate, and the output law of the new joint.
@@ -265,17 +268,25 @@ def solve_nrdf(
     :func:`~dirinfo.solver.relax` run updates the output law ``nu``, with
     the new joint's ``-I`` as its merit.  Each evaluation is one tilt
     against ``nu`` whose slope ``s`` is matched to the budget (to the least
-    distortion, if that is above it) by :func:`~dirinfo.solver.match_budget`
-    from the last matched slope; the next law is ``nu c^mu``.  Every tilt,
+    distortion, if that is above it) by :func:`~dirinfo.solver.match_budget`,
+    started from the last match's slope and the secant slope it ended on;
+    the next law is ``nu c^mu``.  Every tilt,
     probes included, certifies that the value is at least ``bound(s) - s *
     budget``; the run stops once the best tilt within budget is within
     ``cfg.multiplier_tol`` of the best such bound, which is what
     ``converged`` means, or after ``cfg.max_iters`` updates, which
     ``iterations`` counts, undone ones included.  ``cfg.tol`` is not read.
     """
-    cfg = cfg or DEFAULT_CONFIG
+    return _solve_nrdf(src, d, _resolve_budget(d, budget), cfg or DEFAULT_CONFIG, (1.0, math.nan))[0]
+
+
+def _solve_nrdf(src: SourceSpec, d: DistortionConstraint, target: float, cfg: SolverConfig,
+                start: tuple[float, float]) -> tuple[NrdfResult, tuple[float, float]]:
+    """:func:`solve_nrdf` at the checked budget ``target``, whose first
+    match starts from ``start``, a slope and a secant slope; returns the
+    result, and the slope and secant slope of the last match (``start``
+    when none ran)."""
     spec = src.spec
-    target = _resolve_budget(d, budget)
     prob = _NrdfProblem(src, d)
     floor, greedy_tables = _distortion_dp(prob)
     if floor > target + FEASIBILITY_SLACK:
@@ -285,7 +296,7 @@ def solve_nrdf(
     free_floor, best_path = _input_free_floor(src, d)
     if free_floor <= target + FEASIBILITY_SLACK:
         kernel = _constant_path_kernel(spec, best_path)
-        return NrdfResult(InfoValue(0.0), kernel, 0, target - free_floor, True)
+        return NrdfResult(InfoValue(0.0), kernel, 0, target - free_floor, True), start
 
     aim = max(target, floor)
     updates = 0
@@ -302,36 +313,36 @@ def solve_nrdf(
             feasible = (step.di, step.dist, step.log_q)
         return step, step.dist
 
-    def evaluate(x):  # x: an output law and the slope matched before it
-        step, _, s = match_budget(lambda s: tilt(x[0], s), aim, x[1], 0.01 * cfg.multiplier_tol)
-        return -step.di, step, s
+    def evaluate(x):  # x: an output law, and the slope and secant slope matched before it
+        step, _, s, slope = match_budget(lambda s: tilt(x[0], s), aim, x[1], 0.01 * cfg.multiplier_tol, x[2])
+        return -step.di, step, s, slope
 
     def advance(x, point, mu):
         nonlocal updates
-        _, step, s = point
+        _, step, s, slope = point
         updates += 1
         if mu == 1.0:
-            return step.log_nu, s
-        log_nu = x[0] + mu * step.log_c
-        return log_nu - finite_logsumexp(log_nu.reshape(-1)), s
+            return step.log_nu, s, slope
+        with np.errstate(over="ignore"):  # a law entry that such a tilt drove near -1e308 steps to -inf
+            log_nu = x[0] + mu * step.log_c
+        return log_nu - finite_logsumexp(log_nu.reshape(-1)), s, slope
 
     def done(x, point, k):
         return feasible[0] - lower <= cfg.multiplier_tol
 
     try:
-        relax(evaluate, advance, (np.zeros(spec.y_sizes), 1.0), done, cfg.max_iters)
+        _, point, _ = relax(evaluate, advance, (np.zeros(spec.y_sizes),) + start, done, cfg.max_iters)
     except InfeasibleConstraint:
         # give the guaranteed-feasible greedy kernel rather than an
         # iterate that violates the budget
         kernel = ForwardKernel(spec, tuple(greedy_tables))
         value = directed_information(src.kernel, kernel)
-        return NrdfResult(InfoValue(value), kernel, updates, target - floor, False)
+        return NrdfResult(InfoValue(value), kernel, updates, target - floor, False), start
     di, dist, log_q = feasible
     kernel = prob.kernel(log_q)
     value = directed_information(src.kernel, kernel)
-    return NrdfResult(
-        InfoValue(value), kernel, updates, target - dist, di - lower <= cfg.multiplier_tol
-    )
+    result = NrdfResult(InfoValue(value), kernel, updates, target - dist, di - lower <= cfg.multiplier_tol)
+    return result, point[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +427,17 @@ def rd_curve(
     cfg: Optional[SolverConfig] = None,
 ) -> list[tuple[float, float]]:
     """Solve across a strictly ascending budget grid; returns
-    (budget, value-in-nats) pairs.  Solver errors at any point propagate."""
+    (budget, value-in-nats) pairs.  Each budget is one :func:`solve_nrdf`
+    whose first slope match starts from the slope and secant slope that the
+    last budget's solve ended on.  Solver errors at any point propagate."""
     points = [_resolve_budget(d, b) for b in budgets]
     if not points:
         raise DomainError("budget grid must not be empty")
     for earlier, later in zip(points, points[1:]):
         if later <= earlier:
             raise DomainError("budget grid must be strictly ascending")
-    out = []
-    for b in points:
-        result = solve_nrdf(src, d, budget=b, cfg=cfg)
+    out, start = [], (1.0, math.nan)
+    for b in points:  # each budget's first match starts where the last budget's ended
+        result, start = _solve_nrdf(src, d, b, cfg or DEFAULT_CONFIG, start)
         out.append((b, result.value.value))
     return out

@@ -7,7 +7,10 @@ The solvers share the configuration, the checks of a cost or distortion
 table and its budget, the expectation of that table under a joint, block
 by block, the multiplier search, the log-sum-exp, and the one relaxed
 iteration and one backward induction that both run (capacity's update,
-certificate and least cost, NRDF's tilt and least distortion).
+certificate and least cost, NRDF's tilt and least distortion).  Each
+update matches its multiplier to the budget, and each match starts from
+the last one's multiplier and the secant slope it ended on, which the
+solvers carry in their iterates.
 The grid oracles share one grid search, over the simplex-grid rows of
 either side's kernel, and the evaluation kernel, which reads each block of
 joints as ``H(Y^n) - H(Y^n || X^n)``, i.e. ``E log Q(y^n || x^n) - sum_y nu
@@ -136,50 +139,77 @@ def checked_budget(value, name: str = "budget") -> float:
     return b
 
 
-def match_budget(update, budget: float, lam: float, slack: float):
-    """``(state, cost, lam)`` of the update ``update(lam) -> (state,
+def match_budget(update, budget: float, lam: float, slack: float, slope: float):
+    """``(state, cost, lam, slope)`` of the update ``update(lam) -> (state,
     cost)`` at ``lam = 0`` if that is feasible, else at the root of ``cost =
-    budget`` (cost falls continuously in ``lam``), found by false position
-    (Illinois) from a bracket grown out of the last ``lam``, on its feasible
-    side, to an unspent budget times ``lam`` of at most ``slack``; a step
-    that would not land strictly inside the bracket (as against an infinite
-    cost) bisects it.  Raises :class:`InfeasibleConstraint` if no ``lam`` up
-    to ``1e12`` is feasible."""
-    def at(x):
+    budget`` (cost falls continuously in ``lam``), on its feasible side, to
+    an unspent budget times ``lam`` of at most ``slack``.  The returned
+    ``slope`` is the secant slope of cost against ``lam`` through the last
+    two probes, or the given one if the first probe stops the search.
+
+    The first probe is at the given ``lam``.  A usable ``slope`` (finite and
+    negative, as the last search of a nearby update returns; NaN starts a
+    search cold) then steers up to three secant steps, the first along it
+    and each later one along the secant through the last two probes, each
+    aimed at the middle of the stop window ``budget - slack / lam <= cost <=
+    budget`` and kept strictly inside the bracket found so far, or inside
+    ``(0, 1e12)``.  Without such
+    a slope, or once a step would leave those bounds or the steps run out,
+    the search goes on as a cold one does: from the feasible side alone it
+    tries ``lam = 0``, from the infeasible side alone it doubles ``lam`` to
+    a bracket, and it closes the bracket by false position (Illinois); a
+    step that would not land strictly inside the bracket (as against an
+    infinite cost) bisects it.  Raises :class:`InfeasibleConstraint` if no
+    ``lam`` up to ``1e12`` is feasible.
+    """
+    lo = hi = prev = last = None  # the bracket's infeasible and feasible ends; the last two probes
+
+    def probe(x):
+        nonlocal lo, hi, prev, last
         state, cost = update(x)
-        return x, cost - budget, state, cost
+        prev, last = last, (x, cost - budget, state, cost)
+        if last[1] > 0:
+            lo = last
+        else:
+            hi = last
 
     def done(p):
         return p[1] <= 0 and -p[1] * p[0] <= slack
 
-    lo, hi = None, at(lam)  # (lam, cost - budget, state, cost): infeasible, feasible
-    if done(hi):
-        return hi[2:] + (lam,)
-    if hi[1] <= 0:  # feasible with budget to spare, so try lam = 0
-        lo = at(0.0)
-        if lo[1] <= 0:
-            return lo[2:] + (0.0,)
-    else:
-        lo, hi = hi, None
+    def secant():
+        return (last[1] - prev[1]) / (last[0] - prev[0])
+
+    probe(lam)
+    for _ in range(3):
+        if done(last) or not -math.inf < slope < 0:  # NaN fails both tests
+            break
+        root = last[0] - last[1] / slope  # sets the window's width, slack / root
+        x = last[0] + (-0.5 * slack / root - last[1]) / slope if root > 0 else 0.0
+        if not (lo[0] if lo else 0.0) < x < (hi[0] if hi else _BRACKET_CAP):
+            break
+        probe(x)
+        slope = secant()
+    if lo is None and not done(last):  # feasible with budget to spare, so try lam = 0
+        probe(0.0)
     while hi is None:
         x = 2.0 * lo[0] if lo[0] > 0 else 1.0
         if x > _BRACKET_CAP:
             raise InfeasibleConstraint("multiplier bracket exhausted without reaching the budget")
-        p = at(x)
-        lo, hi = (p, None) if p[1] > 0 else (lo, p)
-    f_lo, f_hi, side = lo[1], hi[1], 0
-    for _ in range(_MATCH_ROUNDS):
-        if done(hi) or hi[0] - lo[0] <= 1e-15 * hi[0]:
-            break
-        x = hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo)
-        if not lo[0] < x < hi[0]:  # rounded onto an end, or an infinite cost
-            x = 0.5 * (lo[0] + hi[0])
-        p = at(x)
-        if p[1] > 0:  # Illinois: halve the end kept twice in a row
-            lo, f_lo, f_hi, side = p, p[1], f_hi * (0.5 if side > 0 else 1.0), 1
-        else:
-            hi, f_hi, f_lo, side = p, p[1], f_lo * (0.5 if side < 0 else 1.0), -1
-    return hi[2:] + (hi[0],)
+        probe(x)
+    if not done(hi):  # else the search has stopped
+        f_lo, f_hi, side = lo[1], hi[1], 0
+        for _ in range(_MATCH_ROUNDS):
+            if done(hi) or hi[0] - lo[0] <= 1e-15 * hi[0]:
+                break
+            x = hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo)
+            if not lo[0] < x < hi[0]:  # rounded onto an end, or an infinite cost
+                x = 0.5 * (lo[0] + hi[0])
+            probe(x)
+            if last[1] > 0:  # Illinois: halve the end kept twice in a row
+                f_lo, f_hi, side = last[1], f_hi * (0.5 if side > 0 else 1.0), 1
+            else:
+                f_hi, f_lo, side = last[1], f_lo * (0.5 if side < 0 else 1.0), -1
+    return hi[2:] + (hi[0], slope if prev is None else secant())
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dirinfo.nrdf import (
     solve_nrdf,
 )
 from dirinfo.sampling import random_feedback_free_kernel, rng_from_seed
-from dirinfo.solver import SolverConfig
+from dirinfo.solver import DEFAULT_CONFIG, SolverConfig
 
 from helpers import forward_kernel_from_fn, hb, random_kernel_fn
 from oracles import oracle_expected_distortion, oracle_joint
@@ -652,11 +652,10 @@ def test_a_finite_distortion_overflowed_by_its_slope_takes_the_guarded_floats(mo
         self.outputs_reached = False
 
     for budget in (0.3 + 1e-8, 0.5):
-        with np.errstate(over="ignore", invalid="ignore"):
-            fast = solve_nrdf(src, DistortionConstraint(table, budget))
-            with monkeypatch.context() as m:
-                m.setattr(_NrdfProblem, "__init__", guarded_init)
-                guarded = solve_nrdf(src, DistortionConstraint(table, budget))
+        fast = solve_nrdf(src, DistortionConstraint(table, budget))
+        with monkeypatch.context() as m:
+            m.setattr(_NrdfProblem, "__init__", guarded_init)
+            guarded = solve_nrdf(src, DistortionConstraint(table, budget))
         assert fast.converged and fast.iterations == guarded.iterations
         assert fast.value.value == guarded.value.value
         for got, want in zip(fast.argmin.tables, guarded.argmin.tables):
@@ -717,13 +716,40 @@ def test_rd_curve_checks_every_budget_before_solving(monkeypatch):
     import dirinfo.nrdf
 
     solved = []
-    monkeypatch.setattr(dirinfo.nrdf, "solve_nrdf", lambda *a, **k: solved.append(a))
+    monkeypatch.setattr(dirinfo.nrdf, "_solve_nrdf", lambda *a, **k: solved.append(a))
     src = uniform_binary_source(SPEC1)
     d = DistortionConstraint(hamming_paths(SPEC1), budget=0.0)
     for bad in (math.inf, -0.1, math.nan):
         with pytest.raises(di.DomainError):
             rd_curve(src, d, [0.1, 0.2, bad])
     assert solved == []
+
+
+@pytest.mark.parametrize("case", ["uniform.n2", "markov.n1"])
+def test_rd_curve_starts_each_budget_from_the_last_slope(monkeypatch, case):
+    # each point is its own solve's value, to multiplier_tol, in fewer tilts
+    # than solves that each start cold
+    if case == "uniform.n2":
+        spec = di.AlphabetSpec(2, (2, 2, 2), (2, 2, 2))
+        src, budgets = uniform_binary_source(spec), [0.3, 0.45, 0.6, 0.75, 0.9]
+    else:
+        spec, src, budgets = SPEC2, MARKOV_N1, [0.1, 0.2, 0.3]
+    d = DistortionConstraint(hamming_paths(spec), budget=0.0)
+    tilts = []
+    tilt = _NrdfProblem.tilt
+
+    def spy(self, log_nu, s):
+        tilts.append(s)
+        return tilt(self, log_nu, s)
+
+    monkeypatch.setattr(_NrdfProblem, "tilt", spy)
+    curve = rd_curve(src, d, budgets)
+    curve_tilts = len(tilts)
+    for b, value in curve:
+        alone = solve_nrdf(src, d, budget=b)
+        assert alone.converged
+        assert value == pytest.approx(alone.value.value, abs=DEFAULT_CONFIG.multiplier_tol)
+    assert curve_tilts < len(tilts) - curve_tilts
 
 
 def test_rd_curve_rejects_a_repeated_budget():
