@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InfeasibleConstraint
 from .information import directed_information
 from .measures import (
     AlphabetSpec,
@@ -40,13 +39,14 @@ from .solver import (
     DEFAULT_CONFIG,
     FEASIBILITY_SLACK,
     SolverConfig,
-    checked_logsumexp,
+    check_floor,
     entropy_route,
     expected_table,
     freeze_budget_table,
     grid_search,
     induction,
     log_where_positive,
+    logsumexp,
     match_budget,
     relax,
     split_infinite,
@@ -126,15 +126,9 @@ class _CapacityProblem:
     :meth:`posterior`).  A cost of ``+inf`` forbids an input: it starts at
     log-probability ``-inf`` and every update keeps it there.
 
-    Two flags, read off the channel, the costs and ``allowed``, tell the
-    updates which ``-inf`` guards they can skip, for the same floats:
-    ``histories_reached``, that every history has ``Q(y^{n-1} ||
-    x^{n-1}) > 0``; and ``outputs_reached``, that every input is allowed,
-    so the log law stays finite, and every output path ``y^n`` has some
-    ``x^n`` with ``Q(y^n || x^n) > 0``, so no row of the posterior's
-    log-sum-exp over ``x^n`` is all ``-inf`` unless a multiplier times a
-    finite cost overflows, which :func:`~dirinfo.solver.checked_logsumexp`
-    catches.
+    ``histories_reached``, read off the channel, says that every history
+    has ``Q(y^{n-1} || x^{n-1}) > 0``, so that the updates skip their
+    guard for an unreached one, for the same floats.
     """
 
     def __init__(self, q: ForwardKernel, constraint: Optional[PowerConstraint],
@@ -175,8 +169,6 @@ class _CapacityProblem:
             self.log_q = np.log(self.qp)  # -inf off the support
         self.reached = self.q_prev > 0
         self.histories_reached = bool(self.reached.all())
-        x_axes = _side_axes(0, len(self.head))
-        self.outputs_reached = bool(self.allowed.all() and (self.qp > 0).any(axis=x_axes).all())
         self.step_shapes = [_step_shape(layout, 0, i, len(self.head)) for i in range(layout.steps)]
         self.mean_log_q = (self.q_last[..., 0, :] * log_where_positive(self.qp)).sum(axis=-1)
 
@@ -203,7 +195,7 @@ class _CapacityProblem:
         sum_{y_n} q_n log(Q(y^n || x^n) / nu)``."""
         lp = self._log_law(state)
         terms, axes = lp[..., None] + self.log_q, _side_axes(0, lp.ndim)
-        log_nu, guarded = checked_logsumexp(terms, axes, self.outputs_reached, keepdims=True)
+        log_nu, guarded = logsumexp(terms, axes, keepdims=True)
         if guarded:
             log_nu = np.where(np.isfinite(log_nu), log_nu, 0.0)
         d = self.mean_log_q - (self.q_last @ log_nu[..., None])[..., 0, 0]
@@ -261,10 +253,10 @@ def solve_capacity(
     """Maximize directed information over input kernels for the channel ``q``.
 
     With a constraint, feasibility is certified first via the minimum-cost
-    strategy.  ``converged`` means a certified upper bound, checked every
-    ``10`` updates and at the last, is within ``cfg.tol`` nats of the value.
-    The updates are over-relaxed as :func:`~dirinfo.solver.relax` says; an
-    undone update counts in ``iterations``.
+    strategy.  The updates run and stop as :func:`~dirinfo.solver.relax`
+    says, ``iterations`` counting them; the gap it stops on is that of a
+    dual bound from the current output law, taken every ``10`` updates and
+    at the last, and ``converged`` means it is within ``cfg.tol`` nats.
     ``no_feedback=True`` ties each step's table across output histories: it
     solves for the law of the input path on the one-step channel ``Q(y^n |
     x^n)``.  Its one refusal is its oracle's: :class:`InfeasibleConstraint`
@@ -277,13 +269,9 @@ def solve_capacity(
     prob = _CapacityProblem(q, c, no_feedback)
     if c is not None:
         floor = _min_cost_without_feedback(prob) if no_feedback else min_expected_cost(q, c)
-        if floor > c.budget + FEASIBILITY_SLACK:
-            raise InfeasibleConstraint(
-                f"minimum achievable cost {floor:.9g} exceeds budget {c.budget:.9g}"
-            )
+        check_floor(floor, c.budget, "cost")
         if floor > c.budget:
             prob.budget = c.budget + FEASIBILITY_SLACK
-    gap = math.inf
 
     def advance(x, point, mu):
         # x: a state with its update's cost, multiplier and secant slope of
@@ -295,14 +283,15 @@ def solve_capacity(
         )
         return state, cost, lam / mu, slope * mu
 
-    def done(x, point, k):
-        nonlocal gap
+    def certify(x, point, k):
         if k and (k % _CERT_EVERY == 0 or k == cfg.max_iters):
-            gap = prob.bound(point[1], x[2]) - point[0]
-        return gap <= cfg.tol
+            return prob.bound(point[1], x[2]) - point[0]
+        return None
 
     start = (prob.start(), 0.0, 0.0, math.nan)
-    (state, cost, _, _), _, iters = relax(lambda x: prob.posterior(x[0]), advance, start, done, cfg.max_iters)
+    (state, cost, _, _), _, iters, gap = relax(
+        lambda x: prob.posterior(x[0]), advance, start, certify, cfg.tol, cfg.max_iters
+    )
     kernel = prob.kernel(state)
     value = directed_information(kernel, q)
     slack = None if c is None else c.budget - cost

@@ -47,7 +47,7 @@ from .solver import (
     FEASIBILITY_SLACK,
     SolverConfig,
     checked_budget,
-    checked_logsumexp,
+    check_floor,
     entropy_route,
     expected_table,
     finite_logsumexp,
@@ -55,6 +55,7 @@ from .solver import (
     grid_search,
     induction,
     log_where_positive,
+    logsumexp,
     match_budget,
     relax,
     split_infinite,
@@ -146,17 +147,7 @@ def _distortion_dp(prob: _NrdfProblem):
 
 def min_expected_distortion(src: SourceSpec, d: DistortionConstraint) -> float:
     """Least expected distortion over all reconstruction kernels."""
-    value, _ = _distortion_dp(_NrdfProblem(src, d))
-    return value
-
-
-def _input_free_floor(src: SourceSpec, d: DistortionConstraint) -> tuple[float, int]:
-    """Least expected distortion over reconstructions that ignore the
-    input, attained by a fixed output path; returns (value, path code)."""
-    mu = src.marginal().weights
-    per_path = weight_table(mu[:, None], d.distortion_table).sum(axis=0)
-    k = int(per_path.argmin())
-    return float(per_path[k]), k
+    return _NrdfProblem(src, d).floor
 
 
 def _constant_path_kernel(spec: AlphabetSpec, path_code: int) -> ForwardKernel:
@@ -181,17 +172,11 @@ class _NrdfProblem:
 
     Step ``i`` works on the interleaved prefix ``(x_0, y_0, ..., x_i,
     y_i)``; source steps carry size-1 ``y`` axes and output-law steps
-    size-1 ``x`` axes, so both broadcast against it.
-
-    ``outputs_reached``, read off the distortion table, says that every
-    tilt gives every output path mass, so that its new law's log-sum-exp
-    and ``log c`` skip their ``-inf`` guards, for the same floats: with
-    every distortion finite, a positive law ``nu`` tilts to a finite
-    terminal and finite policies, and each output path then gets mass from
-    every input path the source reaches.  The source's zeros never starve
-    an output path, since the source has mass somewhere.  A law with
-    zeros, or a slope times a finite distortion that overflows, can still
-    starve one, which :func:`~dirinfo.solver.checked_logsumexp` catches.
+    size-1 ``x`` axes, so both broadcast against it.  The set-up that does
+    not depend on the budget is made once: the least distortion ``floor``
+    with the greedy tables that attain it (:func:`_distortion_dp`), and the
+    least over reconstructions that ignore the input, ``free_floor``, with
+    the fixed output path that attains it.
     """
 
     def __init__(self, src: SourceSpec, d: DistortionConstraint):
@@ -202,7 +187,10 @@ class _NrdfProblem:
         with np.errstate(divide="ignore"):
             self.log_mu = [np.log(t) for t in self.laws[::2]]
         self.y_shape = _tied_shape(spec, 1)
-        self.outputs_reached = bool(np.isfinite(self.d).all())
+        self.floor, self.greedy_tables = _distortion_dp(self)
+        per_path = weight_table(src.marginal().weights[:, None], d.distortion_table).sum(axis=0)
+        self.best_path = int(per_path.argmin())
+        self.free_floor = float(per_path[self.best_path])
 
     # over: a slope times a finite distortion may leave the float range and
     # is then -inf in the terminal, as the guards expect
@@ -230,7 +218,7 @@ class _NrdfProblem:
         joint = np.zeros(())
         for log_mu, log_q_i in zip(self.log_mu, log_q):
             joint = (joint[..., None] + log_mu)[..., None] + log_q_i
-        new_log_nu, guarded = checked_logsumexp(joint, _side_axes(0, joint.ndim), self.outputs_reached)
+        new_log_nu, guarded = logsumexp(joint, _side_axes(0, joint.ndim))
         new_log_nu = new_log_nu.reshape(log_nu.shape)
         log_c = new_log_nu - log_nu
         if guarded:
@@ -272,30 +260,25 @@ def solve_nrdf(
     started from the last match's slope and the secant slope it ended on;
     the next law is ``nu c^mu``.  Every tilt,
     probes included, certifies that the value is at least ``bound(s) - s *
-    budget``; the run stops once the best tilt within budget is within
-    ``cfg.multiplier_tol`` of the best such bound, which is what
-    ``converged`` means, or after ``cfg.max_iters`` updates, which
-    ``iterations`` counts, undone ones included.  ``cfg.tol`` is not read.
+    budget``.  The run stops as :func:`~dirinfo.solver.relax` says, on the
+    gap between the best tilt within budget and the best such bound, with
+    ``cfg.multiplier_tol`` as its ``tol``; ``iterations`` counts its
+    updates.  ``cfg.tol`` is not read.
     """
-    return _solve_nrdf(src, d, _resolve_budget(d, budget), cfg or DEFAULT_CONFIG, (1.0, math.nan))[0]
-
-
-def _solve_nrdf(src: SourceSpec, d: DistortionConstraint, target: float, cfg: SolverConfig,
-                start: tuple[float, float]) -> tuple[NrdfResult, tuple[float, float]]:
-    """:func:`solve_nrdf` at the checked budget ``target``, whose first
-    match starts from ``start``, a slope and a secant slope; returns the
-    result, and the slope and secant slope of the last match (``start``
-    when none ran)."""
-    spec = src.spec
     prob = _NrdfProblem(src, d)
-    floor, greedy_tables = _distortion_dp(prob)
-    if floor > target + FEASIBILITY_SLACK:
-        raise InfeasibleConstraint(
-            f"minimum achievable distortion {floor:.9g} exceeds budget {target:.9g}"
-        )
-    free_floor, best_path = _input_free_floor(src, d)
+    return _solve_nrdf(prob, src, _resolve_budget(d, budget), cfg or DEFAULT_CONFIG, (1.0, math.nan))[0]
+
+
+def _solve_nrdf(prob: _NrdfProblem, src: SourceSpec, target: float, cfg: SolverConfig,
+                start: tuple[float, float]) -> tuple[NrdfResult, tuple[float, float]]:
+    """:func:`solve_nrdf` of the problem ``prob`` on the source ``src`` at
+    the checked budget ``target``, whose first match starts from ``start``,
+    a slope and a secant slope; returns the result, and the slope and
+    secant slope of the last match (``start`` when none ran)."""
+    spec, floor, free_floor = src.spec, prob.floor, prob.free_floor
+    check_floor(floor, target, "distortion")
     if free_floor <= target + FEASIBILITY_SLACK:
-        kernel = _constant_path_kernel(spec, best_path)
+        kernel = _constant_path_kernel(spec, prob.best_path)
         return NrdfResult(InfoValue(0.0), kernel, 0, target - free_floor, True), start
 
     aim = max(target, floor)
@@ -327,22 +310,22 @@ def _solve_nrdf(src: SourceSpec, d: DistortionConstraint, target: float, cfg: So
             log_nu = x[0] + mu * step.log_c
         return log_nu - finite_logsumexp(log_nu.reshape(-1)), s, slope
 
-    def done(x, point, k):
-        return feasible[0] - lower <= cfg.multiplier_tol
+    def certify(x, point, k):  # the best tilt within budget over the best bound
+        return feasible[0] - lower
 
     try:
-        _, point, _ = relax(evaluate, advance, (np.zeros(spec.y_sizes),) + start, done, cfg.max_iters)
+        x = (np.zeros(spec.y_sizes),) + start
+        _, point, _, gap = relax(evaluate, advance, x, certify, cfg.multiplier_tol, cfg.max_iters)
     except InfeasibleConstraint:
         # give the guaranteed-feasible greedy kernel rather than an
         # iterate that violates the budget
-        kernel = ForwardKernel(spec, tuple(greedy_tables))
+        kernel = ForwardKernel(spec, tuple(prob.greedy_tables))
         value = directed_information(src.kernel, kernel)
         return NrdfResult(InfoValue(value), kernel, updates, target - floor, False), start
-    di, dist, log_q = feasible
+    _, dist, log_q = feasible
     kernel = prob.kernel(log_q)
     value = directed_information(src.kernel, kernel)
-    result = NrdfResult(InfoValue(value), kernel, updates, target - dist, di - lower <= cfg.multiplier_tol)
-    return result, point[2:]
+    return NrdfResult(InfoValue(value), kernel, updates, target - dist, gap <= cfg.multiplier_tol), point[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +411,17 @@ def rd_curve(
 ) -> list[tuple[float, float]]:
     """Solve across a strictly ascending budget grid; returns
     (budget, value-in-nats) pairs.  Each budget is one :func:`solve_nrdf`
-    whose first slope match starts from the slope and secant slope that the
-    last budget's solve ended on.  Solver errors at any point propagate."""
+    of one problem set up for the whole curve, whose first slope match
+    starts from the slope and secant slope that the last budget's solve
+    ended on.  Solver errors at any point propagate."""
     points = [_resolve_budget(d, b) for b in budgets]
     if not points:
         raise DomainError("budget grid must not be empty")
     for earlier, later in zip(points, points[1:]):
         if later <= earlier:
             raise DomainError("budget grid must be strictly ascending")
-    out, start = [], (1.0, math.nan)
+    prob, out, start = _NrdfProblem(src, d), [], (1.0, math.nan)
     for b in points:  # each budget's first match starts where the last budget's ended
-        result, start = _solve_nrdf(src, d, b, cfg or DEFAULT_CONFIG, start)
+        result, start = _solve_nrdf(prob, src, b, cfg or DEFAULT_CONFIG, start)
         out.append((b, result.value.value))
     return out

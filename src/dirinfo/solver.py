@@ -87,26 +87,30 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-def relax(evaluate: Callable, advance: Callable, x, done: Callable, max_iters: int):
+def relax(evaluate: Callable, advance: Callable, x, certify: Callable, tol: float, max_iters: int):
     """The over-relaxed iteration (Matz & Duhamel) of both solvers: the last
-    kept ``(x, point, k)``, after ``k`` updates, undone ones included.
+    kept ``(x, point, k, gap)``, after ``k`` updates, undone ones included.
 
     ``point = evaluate(x)`` has the merit ``point[0]``, and ``advance(x,
     point, mu)`` is the next iterate, taken with the step ``mu``, which
     starts at 1 and grows by a factor of 1.1 per update, up to 4.  An update
     with ``mu > 1`` that lowers the merit is undone and retaken from the
-    kept iterate at ``mu = 1``, where the schedule restarts.  ``done(x,
+    kept iterate at ``mu = 1``, where the schedule restarts.  ``certify(x,
     point, k)`` is asked of the start, after each update, and of the kept
-    iterate again after an undo; ``max_iters`` updates also stop it.
+    iterate again after an undo; it gives a certified gap, or ``None`` to
+    keep the last one it gave (``inf`` before any).  The run stops once
+    that gap is within ``tol``, or after ``max_iters`` updates.
     """
-    point, k, step, kept = evaluate(x), 0, 1.0, None  # step: the mu that made x
+    point, k, step, kept, gap = evaluate(x), 0, 1.0, None, math.inf  # step: the mu that made x
     while True:
         if step > 1.0 and point[0] < kept[1][0]:  # undo a relaxed update that lost merit
             (x, point), mu = kept, 1.0
         else:
             mu = min(step * _MU_GROWTH, _MU_CAP) if k else 1.0
-        if done(x, point, k) or k == max_iters:
-            return x, point, k
+        certified = certify(x, point, k)
+        gap = gap if certified is None else certified
+        if gap <= tol or k == max_iters:
+            return x, point, k, gap
         kept, step = (x, point), mu
         x = advance(x, point, mu)
         point, k = evaluate(x), k + 1
@@ -137,6 +141,14 @@ def checked_budget(value, name: str = "budget") -> float:
     if not math.isfinite(b) or b < 0:
         raise DomainError(f"{name} must be a finite nonnegative real, got {b!r}")
     return b
+
+
+def check_floor(floor: float, budget: float, what: str) -> None:
+    """Raise :class:`InfeasibleConstraint` when the least expected ``what``
+    (cost or distortion), ``floor``, exceeds ``budget`` plus
+    ``FEASIBILITY_SLACK``."""
+    if floor > budget + FEASIBILITY_SLACK:
+        raise InfeasibleConstraint(f"minimum achievable {what} {floor:.9g} exceeds budget {budget:.9g}")
 
 
 def match_budget(update, budget: float, lam: float, slack: float, slope: float):
@@ -222,25 +234,25 @@ def log_where_positive(a: np.ndarray) -> np.ndarray:
     return np.log(np.where(a > 0, a, 1.0))
 
 
-def logsumexp(a: np.ndarray, axis=-1, keepdims: bool = False) -> np.ndarray:
-    """``log sum exp`` over ``axis``, shifted by the largest entry so that
-    nothing underflows; ``-inf`` where every entry is ``-inf``.
-
-    The guard for such a row (a shift of 0 and a sum floored at 1) runs
-    only where a reduced row can be all ``-inf``; elsewhere callers take
-    :func:`finite_logsumexp` or :func:`checked_logsumexp`, which give the
-    same floats.
-    """
+def logsumexp(a: np.ndarray, axis=-1, keepdims: bool = False):
+    """``(lse, guarded)``: ``log sum exp`` over ``axis``, shifted by each
+    row's largest entry so that nothing underflows, and whether the guard
+    ran.  It runs only where some row's largest entry is not finite: a
+    shift of 0 there and a sum floored at 1 make a row that is all ``-inf``
+    ``-inf``.  Rows with a finite largest entry take the same floats
+    either way."""
     top = a.max(axis=axis, keepdims=True)
+    if np.isfinite(top).all():
+        return _shifted_logsumexp(a, top, axis, keepdims), False
     s = np.exp(a - np.where(np.isfinite(top), top, 0.0)).sum(axis=axis, keepdims=keepdims)
     # the top entry adds exp(0) = 1, so only a row that is all -inf sums
     # below 1: it sums to 0, and log 1 + top makes it -inf without log(0)
-    return np.log(np.maximum(s, 1.0)) + (top if keepdims else top.reshape(s.shape))
+    return np.log(np.maximum(s, 1.0)) + (top if keepdims else top.reshape(s.shape)), True
 
 
 def finite_logsumexp(a: np.ndarray, axis=-1, keepdims: bool = False) -> np.ndarray:
-    """:func:`logsumexp` of an array whose every reduced row has a finite
-    largest entry, without the guard."""
+    """The log-sum-exp of :func:`logsumexp` for an array whose every reduced
+    row has a finite largest entry, without the check."""
     return _shifted_logsumexp(a, a.max(axis=axis, keepdims=True), axis, keepdims)
 
 
@@ -249,20 +261,6 @@ def _shifted_logsumexp(a: np.ndarray, top: np.ndarray, axis, keepdims: bool) -> 
     # exp(0) = 1 to, is at least 1
     s = np.exp(a - top).sum(axis=axis, keepdims=keepdims)
     return np.log(s) + (top if keepdims else top.reshape(s.shape))
-
-
-def checked_logsumexp(a: np.ndarray, axis, finite_rows: bool, keepdims: bool = False):
-    """``(lse, guarded)``: :func:`logsumexp` of ``a``, and whether it ran
-    with the guard.  Where the caller's own tables leave every reduced row
-    a finite entry (``finite_rows``), the guard runs only if a row's
-    largest entry is not finite after all, as when a multiplier times a
-    finite table overflows to ``-inf``; the floats are the guarded ones
-    either way."""
-    if finite_rows:
-        top = a.max(axis=axis, keepdims=True)
-        if np.isfinite(top).all():
-            return _shifted_logsumexp(a, top, axis, keepdims), False
-    return logsumexp(a, axis, keepdims), True
 
 
 def induction(v: np.ndarray, laws: Sequence[Optional[np.ndarray]], soft: bool = False):
@@ -278,7 +276,7 @@ def induction(v: np.ndarray, laws: Sequence[Optional[np.ndarray]], soft: bool = 
     A ``-inf`` cell is met only when the terminal has a non-finite cell,
     so the guards for it run only then: a law of 0 on it weighs 0, a soft
     row that is all ``-inf`` gets the uniform policy, and its log-sum-exp
-    is :func:`logsumexp`.  A finite terminal takes
+    is :func:`logsumexp`'s.  A finite terminal takes
     :func:`finite_logsumexp`, whose floats are the same.
     """
     finite = bool(np.isfinite(v).all())
@@ -287,7 +285,7 @@ def induction(v: np.ndarray, laws: Sequence[Optional[np.ndarray]], soft: bool = 
         if law is not None:
             v = (law * v if finite else weight_table(law, v)).sum(axis=-1)
         elif soft:
-            lse = (finite_logsumexp if finite else logsumexp)(v, keepdims=True)
+            lse = finite_logsumexp(v, keepdims=True) if finite else logsumexp(v, keepdims=True)[0]
             if finite:
                 moves.append(v - lse)
             else:

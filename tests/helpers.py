@@ -1,9 +1,26 @@
-"""Shared test utilities: random kernel callables and table builders."""
+"""Shared test utilities: random kernel callables, table builders and a spy
+on the solvers' log-sum-exp guard."""
 import math
 
 import numpy as np
 
+from dirinfo import capacity, nrdf, solver
 from dirinfo.measures import AlphabetSpec, BackwardKernel, ForwardKernel
+
+
+def spy_on_guards(monkeypatch) -> list:
+    """The ``guarded`` flag of each :func:`dirinfo.solver.logsumexp` call
+    that the solvers and the induction make from now on, in order."""
+    flags, logsumexp = [], solver.logsumexp
+
+    def spy(*args, **kwargs):
+        out = logsumexp(*args, **kwargs)
+        flags.append(out[1])
+        return out
+
+    for module in (solver, capacity, nrdf):
+        monkeypatch.setattr(module, "logsumexp", spy)
+    return flags
 
 
 def decode(code, sizes):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import dirinfo as di
-from dirinfo import solver
 from dirinfo.capacity import (
     CapacityResult,
     _CapacityProblem,
@@ -25,13 +24,14 @@ from dirinfo.nrdf import (
     solve_nrdf,
 )
 from dirinfo.sampling import random_forward_kernel, rng_from_seed
-from dirinfo.solver import SolverConfig, logsumexp
+from dirinfo.solver import DEFAULT_CONFIG, FEASIBILITY_SLACK, SolverConfig, logsumexp
 
 from helpers import (
     backward_kernel_from_fn,
     forward_kernel_from_fn,
     hb,
     random_kernel_fn,
+    spy_on_guards,
     trapdoor_channel,
 )
 from oracles import (
@@ -255,6 +255,16 @@ def test_infeasible_budget_raises():
         brute_force_capacity(bsc(0.1), c, grid_resolution=10)
 
 
+@pytest.mark.parametrize("no_feedback", [False, True])
+def test_a_budget_under_the_least_cost_is_refused_only_past_the_slack(no_feedback):
+    # costs (1, 2) on x: every input strategy costs at least 1
+    table = np.array([[1.0], [2.0]])
+    res = solve_capacity(bsc(0.1), PowerConstraint(table, 1.0 - FEASIBILITY_SLACK / 2), no_feedback=no_feedback)
+    assert res.converged and -FEASIBILITY_SLACK <= res.constraint_slack < 0.0
+    with pytest.raises(di.InfeasibleConstraint, match="minimum achievable cost"):
+        solve_capacity(bsc(0.1), PowerConstraint(table, 1.0 - 2 * FEASIBILITY_SLACK), no_feedback=no_feedback)
+
+
 def test_all_infinite_row_is_infeasible():
     c = PowerConstraint(np.array([[np.inf], [np.inf]]), budget=100.0)
     with pytest.raises(di.InfeasibleConstraint):
@@ -457,7 +467,7 @@ def test_returned_kernel_rows_sum_to_one_after_large_log_rewards():
     # -3e4 (seed-1 binary n=5 does); a row normalized in logs there sums to
     # 1 only within 1.8e-12 once exponentiated, past the kernel check's 1e-12
     w = np.array([-30000.0, -30001.88])
-    log_row = w - logsumexp(w)
+    log_row = w - logsumexp(w)[0]
     assert abs(np.exp(log_row).sum() - 1.0) > 1e-12
     for no_feedback in (False, True):
         prob = _CapacityProblem(bsc(0.1), None, no_feedback)
@@ -779,19 +789,32 @@ def test_relaxed_steps_certify_at_the_multiplier_over_mu(seed, monkeypatch):
     assert max(steps) > 1.0
 
 
+def test_the_certificate_is_the_returned_answers_own():
+    # a slow channel (12,830 updates): the gap the run stops on must be the
+    # one at the returned argmax's own output law, not a bound kept from an
+    # earlier iterate
+    spec = di.AlphabetSpec(1, (2, 2), (2, 2))
+    q = random_forward_kernel(rng_from_seed(11), spec, min_mass=0.01)
+    result = solve_capacity(q)
+    assert result.converged and result.iterations > 10_000
+    terms = oracle_strategy_terms(spec.x_sizes, spec.y_sizes, _fn_of(spec, q.tables), _output_law(spec, result.argmax, q))
+    assert -1e-12 <= oracle_dual_bound(terms, 0.0) - float(result.value) <= DEFAULT_CONFIG.tol
+
+
 # ---------------------------------------------------------------------------
-# the -inf guards, paid only where a row can be all -inf
+# the -inf guards, paid only where a row is all -inf
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("no_feedback", [False, True])
 @pytest.mark.parametrize("constrained", [False, True])
-def test_updates_take_the_same_floats_with_the_guards_forced(no_feedback, constrained):
+def test_updates_take_the_same_floats_with_the_history_guard_forced(no_feedback, constrained, monkeypatch):
     q = _seed1_channel(1, 2)
     c = _final_symbol_budget(q.spec) if constrained else None
     fast, guarded = _CapacityProblem(q, c, no_feedback), _CapacityProblem(q, c, no_feedback)
-    assert fast.histories_reached and fast.outputs_reached
-    guarded.histories_reached = guarded.outputs_reached = False
+    assert fast.histories_reached
+    guarded.histories_reached = False
+    flags = spy_on_guards(monkeypatch)
     state = fast.start()
     for mu, lam in ((1.0, 0.0), (1.3, 0.7), (2.0, 0.0), (1.1, 2.5)):
         point = fast.posterior(state)
@@ -804,62 +827,58 @@ def test_updates_take_the_same_floats_with_the_guards_forced(no_feedback, constr
         assert cost == again_cost and len(state) == len(retaken)
         for got, want in zip(state, retaken):
             assert got.tobytes() == want.tobytes()
+    assert flags and not any(flags)  # every output path is reached
 
 
-def test_guarded_logsumexp_runs_only_where_a_row_can_be_all_minus_inf(monkeypatch):
-    calls = []
-    guarded = solver.logsumexp
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return guarded(*args, **kwargs)
+def test_the_guard_runs_only_where_a_row_is_all_minus_inf(monkeypatch):
+    flags = spy_on_guards(monkeypatch)
 
     def solve(*args, **kwargs):
-        calls.clear()
-        return solve_capacity(*args, **kwargs), len(calls)
+        flags.clear()
+        return solve_capacity(*args, **kwargs), any(flags)
 
-    monkeypatch.setattr(solver, "logsumexp", spy)
     q = _seed1_channel(2, 2)
     for no_feedback in (False, True):
-        result, calls_made = solve(q, _final_symbol_budget(q.spec), no_feedback=no_feedback)
-        assert result.converged and calls_made == 0
+        result, guarded = solve(q, _final_symbol_budget(q.spec), no_feedback=no_feedback)
+        assert result.converged and flags and not guarded
     # a third output symbol that no input reaches: the binary symmetric channel
     eps = 0.1
     unused = di.ForwardKernel(
         di.AlphabetSpec(0, (2,), (3,)), (np.array([[1 - eps, eps, 0.0], [eps, 1 - eps, 0.0]]),)
     )
-    result, calls_made = solve(unused)
-    assert result.converged and calls_made > 0
+    result, guarded = solve(unused)
+    assert result.converged and guarded
     assert float(result.value) == pytest.approx(math.log(2) - hb(eps), abs=1e-9)
-    # a forbidden input: only x = 1 remains
-    result, calls_made = solve(bsc(eps), PowerConstraint(np.array([[np.inf], [0.0]]), budget=1.0))
-    assert result.converged and calls_made > 0
+    # a forbidden input: only x = 1 remains, so no row is all -inf
+    result, guarded = solve(bsc(eps), PowerConstraint(np.array([[np.inf], [0.0]]), budget=1.0))
+    assert result.converged and flags and not guarded
     assert float(result.value) == pytest.approx(0.0, abs=1e-6)
+    # y_i = x_i, and both x_1 after (x_0, y_0) = (0, 1) are forbidden: that
+    # history's row is all -inf
+    spec = di.AlphabetSpec(1, (2, 2), (2, 2))
+    q = forward_kernel_from_fn(spec, lambda i, xs, ys: [1.0 - xs[-1], float(xs[-1])])
+    table = np.zeros((spec.num_x_paths, spec.num_y_histories))
+    table[:2, 1] = np.inf
+    result, guarded = solve(q, PowerConstraint(table, budget=0.5))
+    assert result.converged and guarded
+    assert float(result.value) == pytest.approx(2 * math.log(2), abs=1e-9)
 
 
-def test_a_finite_cost_overflowed_by_its_multiplier_takes_the_guarded_floats(monkeypatch):
+def test_a_finite_cost_overflowed_by_its_multiplier_runs_the_guard(monkeypatch):
     # y = 2 comes only from x = 2, whose finite cost times the multiplier
     # overflows to -inf: the posterior meets a row that is all -inf although
-    # the tables hold none, and must take the guarded floats there
+    # the tables hold none, guards it, and answers as if x = 2 were forbidden
     spec = di.AlphabetSpec(0, (3,), (3,))
     q = di.ForwardKernel(spec, (np.array([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.0, 1.0]]),))
     c = PowerConstraint(np.array([[0.0], [1.0], [1e307]]), budget=1e-9)
-    init = _CapacityProblem.__init__
-
-    def guarded_init(self, *args):
-        init(self, *args)
-        assert self.histories_reached and self.outputs_reached
-        self.histories_reached = self.outputs_reached = False
-
+    forbidden = PowerConstraint(np.array([[0.0], [1.0], [np.inf]]), budget=1e-9)
+    flags = spy_on_guards(monkeypatch)
     for no_feedback in (False, True):
-        fast = solve_capacity(q, c, no_feedback=no_feedback)
-        with monkeypatch.context() as m:
-            m.setattr(_CapacityProblem, "__init__", guarded_init)
-            guarded = solve_capacity(q, c, no_feedback=no_feedback)
-        assert fast.converged and fast.iterations == guarded.iterations
-        assert fast.value.value == guarded.value.value
-        for got, want in zip(fast.argmax.tables, guarded.argmax.tables):
-            assert got.tobytes() == want.tobytes()
+        want = solve_capacity(q, forbidden, no_feedback=no_feedback)
+        flags.clear()
+        got = solve_capacity(q, c, no_feedback=no_feedback)
+        assert any(flags) and got.converged and got.iterations == want.iterations
+        assert got.value.value == want.value.value
 
 
 @pytest.mark.parametrize("seed", range(4))

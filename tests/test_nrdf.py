@@ -19,9 +19,9 @@ from dirinfo.nrdf import (
     solve_nrdf,
 )
 from dirinfo.sampling import random_feedback_free_kernel, rng_from_seed
-from dirinfo.solver import DEFAULT_CONFIG, SolverConfig
+from dirinfo.solver import DEFAULT_CONFIG, FEASIBILITY_SLACK, SolverConfig
 
-from helpers import forward_kernel_from_fn, hb, random_kernel_fn
+from helpers import forward_kernel_from_fn, hb, random_kernel_fn, spy_on_guards
 from oracles import oracle_expected_distortion, oracle_joint
 
 
@@ -303,6 +303,16 @@ def test_budget_override_argument():
             brute_force_nrdf(src, d, budget=bad, grid_resolution=4)
 
 
+def test_a_budget_under_the_floor_is_refused_only_past_the_slack():
+    # the floor 0.75 is met only by the deterministic reproduction
+    src = uniform_binary_source(SPEC1)
+    table = np.array([[1.0, 2.0], [3.0, 0.5]])
+    res = solve_nrdf(src, DistortionConstraint(table, 0.75 - FEASIBILITY_SLACK / 2))
+    assert res.converged and -FEASIBILITY_SLACK <= res.distortion_slack < 0.0
+    with pytest.raises(di.InfeasibleConstraint, match="minimum achievable distortion"):
+        solve_nrdf(src, DistortionConstraint(table, 0.75 - 2 * FEASIBILITY_SLACK))
+
+
 def test_infeasible_when_floor_exceeds_budget():
     src = uniform_binary_source(SPEC1)
     # every reproduction costs at least 1
@@ -443,7 +453,7 @@ def traced_relax(monkeypatch):
     evaluations, updates = [], []
     relax = nrdf.relax
 
-    def spy(evaluate, advance, x, done, max_iters):
+    def spy(evaluate, advance, x, certify, tol, max_iters):
         def traced_evaluate(x):
             point = evaluate(x)
             evaluations.append((x, point))
@@ -453,7 +463,7 @@ def traced_relax(monkeypatch):
             updates.append((x, point, mu))
             return advance(x, point, mu)
 
-        return relax(traced_evaluate, traced_advance, x, done, max_iters)
+        return relax(traced_evaluate, traced_advance, x, certify, tol, max_iters)
 
     monkeypatch.setattr(nrdf, "relax", spy)
     return evaluations, updates
@@ -614,52 +624,40 @@ def test_zero_mass_rows_are_certified(forbidden):
 
 
 @pytest.mark.parametrize("case", ["markov", "zero-mass"])
-def test_tilt_takes_the_same_floats_with_the_guards_forced(case):
+def test_tilt_guards_only_a_law_that_starves_an_output_path(case, monkeypatch):
     src = MARKOV_N1 if case == "markov" else zero_mass_source()
-    d = DistortionConstraint(hamming_paths(src.spec), budget=0.0)
-    fast, guarded = _NrdfProblem(src, d), _NrdfProblem(src, d)
-    assert fast.outputs_reached
-    guarded.outputs_reached = False
-
-    def same_floats(log_nu, s):
-        step, again = fast.tilt(log_nu, s), guarded.tilt(log_nu, s)
-        assert (step.di, step.dist, step.bound) == (again.di, again.dist, again.bound)
-        assert len(step.log_q) == len(again.log_q)
-        for got, want in zip([step.log_nu, step.log_c] + step.log_q, [again.log_nu, again.log_c] + again.log_q):
-            assert got.tobytes() == want.tobytes()
-        return step
-
+    prob = _NrdfProblem(src, DistortionConstraint(hamming_paths(src.spec), budget=0.0))
+    flags = spy_on_guards(monkeypatch)
     log_nu = 3.0 * rng_from_seed(0).standard_normal(src.spec.y_sizes)
     for s in SLOPES:
-        step = same_floats(log_nu, s)
+        step = prob.tilt(log_nu, s)
         log_nu = step.log_nu + 0.5 * step.log_c
+    assert flags and not any(flags)  # a positive law gives every output path mass
     log_nu[(0,) * log_nu.ndim] = -np.inf  # a law with a zero gives that output path no mass
-    assert np.isneginf(same_floats(log_nu, 2.5).log_nu).any()
+    flags.clear()
+    step = prob.tilt(log_nu, 2.5)
+    assert flags[-1] and np.isneginf(step.log_nu).any()
+    assert np.array_equal(np.isneginf(step.log_c), np.isneginf(step.log_nu)) and not np.isnan(step.log_c).any()
+    assert math.isfinite(step.di) and math.isfinite(step.bound)
 
 
-def test_a_finite_distortion_overflowed_by_its_slope_takes_the_guarded_floats(monkeypatch):
+def test_a_finite_distortion_overflowed_by_its_slope_runs_the_guard(monkeypatch):
     # reconstructing as 2 costs 1e307 whatever the source letter, so at a
-    # large slope that output gets no mass although the table is finite
+    # large slope that output gets no mass although the table is finite; the
+    # guard runs, and the answer is that of reconstructing as 2 forbidden
     spec = di.AlphabetSpec(0, (3,), (3,))
     src = SourceSpec.from_step_tables(spec, [np.array([[0.4, 0.3, 0.3]])])
-    table = 1.0 - np.eye(3)
-    table[:, 2] = 1e307
-    init = _NrdfProblem.__init__
-
-    def guarded_init(self, *args):
-        init(self, *args)
-        assert self.outputs_reached
-        self.outputs_reached = False
-
+    table, forbidden = 1.0 - np.eye(3), 1.0 - np.eye(3)
+    table[:, 2], forbidden[:, 2] = 1e307, np.inf
+    flags = spy_on_guards(monkeypatch)
     for budget in (0.3 + 1e-8, 0.5):
-        fast = solve_nrdf(src, DistortionConstraint(table, budget))
-        with monkeypatch.context() as m:
-            m.setattr(_NrdfProblem, "__init__", guarded_init)
-            guarded = solve_nrdf(src, DistortionConstraint(table, budget))
-        assert fast.converged and fast.iterations == guarded.iterations
-        assert fast.value.value == guarded.value.value
-        for got, want in zip(fast.argmin.tables, guarded.argmin.tables):
-            assert got.tobytes() == want.tobytes()
+        want = solve_nrdf(src, DistortionConstraint(forbidden, budget))
+        flags.clear()
+        got = solve_nrdf(src, DistortionConstraint(table, budget))
+        assert any(flags) and got.converged and got.iterations == want.iterations
+        assert got.value.value == want.value.value
+        if budget < 0.4:  # at the floor 0.3, x = 2 goes to y = 0 with y's own probability 4/7
+            assert float(got.value) == pytest.approx(0.7 * hb(4 / 7), abs=1e-6)
 
 
 def test_budget_binding_at_a_nonzero_floor_is_certified():
@@ -750,6 +748,24 @@ def test_rd_curve_starts_each_budget_from_the_last_slope(monkeypatch, case):
         assert alone.converged
         assert value == pytest.approx(alone.value.value, abs=DEFAULT_CONFIG.multiplier_tol)
     assert curve_tilts < len(tilts) - curve_tilts
+
+
+def test_rd_curve_sets_its_problem_up_once(monkeypatch):
+    # the least-distortion induction runs once per curve, not per budget
+    calls = []
+    dp = nrdf._distortion_dp
+
+    def spy(prob):
+        calls.append(prob)
+        return dp(prob)
+
+    monkeypatch.setattr(nrdf, "_distortion_dp", spy)
+    spec = di.AlphabetSpec(2, (2, 2, 2), (2, 2, 2))
+    src, d = uniform_binary_source(spec), DistortionConstraint(hamming_paths(spec), budget=0.0)
+    curve = rd_curve(src, d, [0.3, 0.45, 0.6, 0.75, 0.9])
+    assert len(curve) == 5 and len(calls) == 1
+    calls.clear()
+    assert min_expected_distortion(src, d) == 0.0 and len(calls) == 1
 
 
 def test_rd_curve_rejects_a_repeated_budget():

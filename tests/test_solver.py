@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import dirinfo as di
 from dirinfo import solver
 from dirinfo.solver import (
+    FEASIBILITY_SLACK,
     SolverConfig,
-    checked_logsumexp,
+    check_floor,
     finite_logsumexp,
     grid_batches,
     induction,
@@ -185,6 +186,13 @@ def test_match_budget_ends_feasible_within_the_slack_from_any_slope(scale, rate,
         assert lam * (budget - spent) <= slack
 
 
+def test_check_floor_refuses_only_past_the_feasibility_slack():
+    check_floor(1.0, 1.0 - FEASIBILITY_SLACK / 2, "cost")
+    for what in ("cost", "distortion"):
+        with pytest.raises(di.InfeasibleConstraint, match=f"^minimum achievable {what} 1 exceeds budget 0.999999998$"):
+            check_floor(1.0, 1.0 - 2 * FEASIBILITY_SLACK, what)
+
+
 # ---------------------------------------------------------------------------
 # the relaxed iteration on a toy map with a known merit
 # ---------------------------------------------------------------------------
@@ -205,8 +213,8 @@ def _shrink(rate, steps):
 def test_relax_grows_the_step_to_its_cap_and_honours_max_iters():
     steps = []
     evaluate, advance = _shrink(0.9, steps)  # no step up to 4 overshoots
-    x, point, k = relax(evaluate, advance, 1.0, lambda x, point, k: False, 20)
-    assert k == len(steps) == 20
+    x, point, k, gap = relax(evaluate, advance, 1.0, lambda x, point, k: None, 0.0, 20)
+    assert k == len(steps) == 20 and gap == math.inf
     mus = [mu for _, mu in steps]
     assert mus == pytest.approx([min(1.1 ** i, 4.0) for i in range(20)], rel=1e-12)
     assert mus[0] == 1.0 and mus[-1] == 4.0
@@ -217,7 +225,7 @@ def test_relax_undoes_an_update_that_loses_merit_and_retakes_it_at_one():
     # with rate 0.2 a step mu > 2.5 overshoots past -x: first at mu = 1.1^10
     steps = []
     evaluate, advance = _shrink(0.2, steps)
-    relax(evaluate, advance, 1.0, lambda x, point, k: False, 20)
+    relax(evaluate, advance, 1.0, lambda x, point, k: None, 0.0, 20)
     undone = [j for j, (x, mu) in enumerate(steps) if abs(x + mu * (0.2 * x - x)) > abs(x)]
     assert undone[0] == 10 and steps[10][1] == pytest.approx(1.1 ** 10)
     for j in undone:
@@ -226,22 +234,36 @@ def test_relax_undoes_an_update_that_loses_merit_and_retakes_it_at_one():
         assert steps[j + 2][1] == pytest.approx(1.1)
     # the undone update counts toward max_iters, and the kept iterate is returned
     steps.clear()
-    x, point, k = relax(evaluate, advance, 1.0, lambda x, point, k: False, 11)
+    x, point, k, _ = relax(evaluate, advance, 1.0, lambda x, point, k: None, 0.0, 11)
     assert k == len(steps) == 11
     assert x == steps[10][0] and point == (-abs(x),)
 
 
-def test_relax_asks_done_of_the_restored_iterate_after_an_undo():
+def test_relax_asks_certify_of_the_restored_iterate_after_an_undo():
     steps, asked = [], []
     evaluate, advance = _shrink(0.2, steps)
 
-    def done(x, point, k):
+    def certify(x, point, k):
         asked.append((x, k))
-        return k == 11
+        return 0.5 if k == 11 else None
 
-    x, point, k = relax(evaluate, advance, 1.0, done, 100)
+    x, point, k, gap = relax(evaluate, advance, 1.0, certify, 0.5, 100)
     assert [j for _, j in asked] == list(range(12))
-    assert k == 11 and asked[-1] == (steps[10][0], 11) and x == steps[10][0]
+    assert k == 11 and asked[-1] == (steps[10][0], 11) and x == steps[10][0] and gap == 0.5
+
+
+def test_relax_reports_the_last_gap_certify_gave_not_the_least():
+    steps = []
+    evaluate, advance = _shrink(0.9, steps)
+    gaps = {3: 0.5, 5: 2.0, 6: None}  # None keeps the last gap given
+
+    def certify(x, point, k):
+        return gaps.get(k)
+
+    assert relax(evaluate, advance, 1.0, certify, 0.1, 7)[2:] == (7, 2.0)
+    gaps[4] = 0.1  # within tol: the run stops there
+    x, point, k, gap = relax(evaluate, advance, 1.0, certify, 0.1, 7)
+    assert (k, gap) == (4, 0.1) and point == (-abs(x),)
 
 
 # ---------------------------------------------------------------------------
@@ -475,32 +497,36 @@ def test_entropy_route_matches_the_evaluator_batched_or_not():
 def test_logsumexp_is_shifted_and_keeps_empty_rows():
     a = np.array([[0.0, -1.0, -np.inf], [-np.inf, -np.inf, -np.inf], [-1000.0, -1001.0, -1002.0]])
     with np.errstate(all="raise"):  # an empty row takes no log(0)
-        got = logsumexp(a)
+        got, guarded = logsumexp(a)
+    assert guarded
     assert got[0] == pytest.approx(math.log(1.0 + math.exp(-1.0)), abs=1e-15)
     assert got[1] == -np.inf
     assert got[2] == pytest.approx(-1000.0 + math.log(1.0 + math.exp(-1.0) + math.exp(-2.0)), abs=1e-12)
     cube = np.log(np.arange(1.0, 25.0)).reshape(2, 3, 4)
-    both = logsumexp(cube, axis=(0, 2), keepdims=True)
-    assert both.shape == (1, 3, 1)
-    assert np.array_equal(logsumexp(cube, axis=(0, 2)), both.ravel())
+    both, guarded = logsumexp(cube, axis=(0, 2), keepdims=True)
+    assert both.shape == (1, 3, 1) and not guarded
+    assert np.array_equal(logsumexp(cube, axis=(0, 2))[0], both.ravel())
     assert np.allclose(np.exp(both).ravel(), np.exp(cube).sum(axis=(0, 2)), rtol=1e-14)
 
 
-def test_finite_logsumexp_takes_the_guarded_floats():
+def test_logsumexp_guards_exactly_where_a_row_top_is_not_finite_for_the_same_floats():
     rng = np.random.default_rng(3)
     for a in (rng.normal(size=7), 40.0 * rng.normal(size=(3, 4, 5)), np.array([[-1e4, -3e4], [0.0, -np.inf]])):
+        # rows with a finite top alone, then stacked over rows that are all
+        # -inf, or with one whose top is +inf
         for axis in (-1, 0, tuple(range(a.ndim))):
             for keepdims in (False, True):
-                want = logsumexp(a, axis=axis, keepdims=keepdims)
-                got = finite_logsumexp(a, axis=axis, keepdims=keepdims)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    # a row that is all -inf against the caller's expectation runs guarded
-    a = np.array([[0.0, -1.0], [-np.inf, -np.inf]])
-    for finite_rows in (False, True):
-        got, guarded = checked_logsumexp(a, -1, finite_rows)
-        assert guarded and got.tobytes() == logsumexp(a).tobytes()
-    got, guarded = checked_logsumexp(a[:1], -1, True, keepdims=True)
-    assert not guarded and got.tobytes() == logsumexp(a[:1], keepdims=True).tobytes()
+                want = finite_logsumexp(a, axis=axis, keepdims=keepdims)
+                got, guarded = logsumexp(a, axis=axis, keepdims=keepdims)
+                assert not guarded and got.shape == want.shape and got.tobytes() == want.tobytes()
+        for bad in (-np.inf, np.inf):
+            dead = np.full_like(a, -np.inf)
+            dead[(1,) * a.ndim] = bad
+            got, guarded = logsumexp(np.stack([a, dead]), axis=-1)
+            assert guarded and got[0].tobytes() == finite_logsumexp(a, axis=-1).tobytes()
+            want = np.full(a.shape[:-1], -np.inf)
+            want[(1,) * (a.ndim - 1)] = bad
+            assert np.array_equal(got[1], want)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +579,7 @@ def test_induction_soft_value_over_controller_axes_is_the_log_sum_exp():
     v = 30.0 * np.random.default_rng(1).normal(size=(2, 3, 4))
     value, moves = induction(v, [None] * 3, soft=True)
     assert len(moves) == 3
-    assert float(value) == pytest.approx(float(logsumexp(v.reshape(-1))), abs=1e-12)
+    assert float(value) == pytest.approx(float(logsumexp(v.reshape(-1))[0]), abs=1e-12)
 
 
 def test_induction_hard_moves_are_argmaxes():
