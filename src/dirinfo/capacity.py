@@ -5,10 +5,11 @@ The solver is Blahut-Arimoto for directed information (Naiss & Permuter),
 in logs and over-relaxed by :func:`~dirinfo.solver.relax` with the value
 as its merit: each update is one soft backward induction from the
 posterior of the current joint, its information term scaled by the step
-``mu``, with the cost multiplier matched to the budget by a search that
-starts from the last match's multiplier and secant slope.  A dual bound from
-the output law, at the multiplier over ``mu``, certifies the gap it stops
-on.  A simplex-grid oracle validates solver output.
+``mu``, with the cost multiplier matched to the budget by one safeguarded
+secant search (:func:`~dirinfo.solver.match_budget`) that starts from the
+last match's multiplier and secant slope.  A dual bound from the output
+law, at the multiplier over ``mu``, certifies the gap it stops on.  A
+simplex-grid oracle validates solver output.
 """
 from __future__ import annotations
 

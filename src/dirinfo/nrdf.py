@@ -6,9 +6,9 @@ Lagrangian ``I + s E d``: with the output law ``nu`` fixed, one soft
 backward induction gives the exact minimizing causal kernel, for additive
 and path-level distortions alike; then ``nu`` becomes the output law of
 the new joint.  One iteration is one such tilt of ``nu`` whose slope ``s``
-is matched to the budget by the shared multiplier search, started from
-the last match's slope and secant slope, as capacity matches its cost
-multiplier; the law update is over-relaxed by
+is matched to the budget by the shared safeguarded secant search,
+started from the last match's slope and secant slope, as capacity matches
+its cost multiplier; the law update is over-relaxed by
 :func:`~dirinfo.solver.relax`, a step ``mu`` on ``log nu``, with the new
 joint's ``-I`` as the merit.  Each tilt also certifies a lower bound on
 the least Lagrangian, since its value is convex in ``nu``; the bound holds

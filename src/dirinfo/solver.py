@@ -8,9 +8,10 @@ table and its budget, the expectation of that table under a joint, block
 by block, the multiplier search, the log-sum-exp, and the one relaxed
 iteration and one backward induction that both run (capacity's update,
 certificate and least cost, NRDF's tilt and least distortion).  Each
-update matches its multiplier to the budget, and each match starts from
-the last one's multiplier and the secant slope it ended on, which the
-solvers carry in their iterates.
+update matches its multiplier to the budget by one safeguarded secant
+loop that falls back to bisection, and each match starts from the last
+one's multiplier and the secant slope it ended on, which the solvers
+carry in their iterates.
 The grid oracles share one grid search, over the simplex-grid rows of
 either side's kernel, and the evaluation kernel, which reads each block of
 joints as ``H(Y^n) - H(Y^n || X^n)``, i.e. ``E log Q(y^n || x^n) - sum_y nu
@@ -53,7 +54,7 @@ GRID_BLOCK_CELLS = 2 ** 17
 
 # the multiplier search gives up past this multiplier
 _BRACKET_CAP = 1e12
-# false-position steps allowed per budget match
+# steps allowed per budget match once it has a bracket
 _MATCH_ROUNDS = 100
 # the step schedule of :func:`relax`
 _MU_GROWTH = 1.1
@@ -159,69 +160,57 @@ def match_budget(update, budget: float, lam: float, slack: float, slope: float):
     ``slope`` is the secant slope of cost against ``lam`` through the last
     two probes, or the given one if the first probe stops the search.
 
-    The first probe is at the given ``lam``.  A usable ``slope`` (finite and
-    negative, as the last search of a nearby update returns; NaN starts a
-    search cold) then steers up to three secant steps, the first along it
-    and each later one along the secant through the last two probes, each
-    aimed at the middle of the stop window ``budget - slack / lam <= cost <=
-    budget`` and kept strictly inside the bracket found so far, or inside
-    ``(0, 1e12)``.  Without such
-    a slope, or once a step would leave those bounds or the steps run out,
-    the search goes on as a cold one does: from the feasible side alone it
-    tries ``lam = 0``, from the infeasible side alone it doubles ``lam`` to
-    a bracket, and it closes the bracket by false position (Illinois); a
-    step that would not land strictly inside the bracket (as against an
-    infinite cost) bisects it.  Raises :class:`InfeasibleConstraint` if no
-    ``lam`` up to ``1e12`` is feasible.
+    The first probe is at the given ``lam``.  Each step aims inside the stop
+    window ``budget - slack / lam <= cost <= budget``, taken no wider than
+    at ``lam = 1``: the first along ``slope`` (finite and negative, as the
+    last search of a nearby update returns; else the search starts cold and
+    takes no step until it has a bracket), each later one along the secant
+    through the last two probes.  A step is kept if it lands strictly
+    inside the bracket, or inside ``(0, 1e12)`` before there is one, and,
+    once there is one, is shorter than half the step before last (Brent's
+    rule).  Otherwise the search bisects the bracket, or, without one, tries
+    ``lam = 0`` from the feasible side or doubles ``lam`` from the
+    infeasible side.  Raises :class:`InfeasibleConstraint` if no ``lam`` up
+    to ``1e12`` is feasible.
     """
     lo = hi = prev = last = None  # the bracket's infeasible and feasible ends; the last two probes
 
-    def probe(x):
+    def probe(x):  # a probe: lam, cost - budget, the length of the step to it, state and cost
         nonlocal lo, hi, prev, last
         state, cost = update(x)
-        prev, last = last, (x, cost - budget, state, cost)
+        prev, last = last, (x, cost - budget, abs(x - last[0]) if last else math.inf, state, cost)
         if last[1] > 0:
             lo = last
         else:
             hi = last
 
-    def done(p):
-        return p[1] <= 0 and -p[1] * p[0] <= slack
-
     def secant():
         return (last[1] - prev[1]) / (last[0] - prev[0])
 
+    warm, rounds = -math.inf < slope < 0, 0  # NaN fails the test
     probe(lam)
-    for _ in range(3):
-        if done(last) or not -math.inf < slope < 0:  # NaN fails both tests
+    while hi is None or -hi[1] * hi[0] > slack:
+        bracket = lo is not None and hi is not None
+        if bracket and (rounds == _MATCH_ROUNDS or hi[0] - lo[0] <= 1e-15 * hi[0]):
             break
-        root = last[0] - last[1] / slope  # sets the window's width, slack / root
-        x = last[0] + (-0.5 * slack / root - last[1]) / slope if root > 0 else 0.0
-        if not (lo[0] if lo else 0.0) < x < (hi[0] if hi else _BRACKET_CAP):
-            break
-        probe(x)
-        slope = secant()
-    if lo is None and not done(last):  # feasible with budget to spare, so try lam = 0
-        probe(0.0)
-    while hi is None:
-        x = 2.0 * lo[0] if lo[0] > 0 else 1.0
-        if x > _BRACKET_CAP:
-            raise InfeasibleConstraint("multiplier bracket exhausted without reaching the budget")
-        probe(x)
-    if not done(hi):  # else the search has stopped
-        f_lo, f_hi, side = lo[1], hi[1], 0
-        for _ in range(_MATCH_ROUNDS):
-            if done(hi) or hi[0] - lo[0] <= 1e-15 * hi[0]:
-                break
-            x = hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo)
-            if not lo[0] < x < hi[0]:  # rounded onto an end, or an infinite cost
+        rounds += bracket
+        slope = slope if prev is None else secant()
+        x = math.nan  # a step never kept
+        if (warm or bracket) and -math.inf < slope < 0:
+            root = last[0] - last[1] / slope  # the window is slack / root wide, at most slack
+            x = last[0] - (last[1] + 0.5 * slack / max(root, 1.0)) / slope
+        if not ((lo[0] if lo else 0.0) < x < (hi[0] if hi else _BRACKET_CAP)
+                and (not bracket or abs(x - last[0]) < 0.5 * prev[2])):
+            if bracket:
                 x = 0.5 * (lo[0] + hi[0])
-            probe(x)
-            if last[1] > 0:  # Illinois: halve the end kept twice in a row
-                f_lo, f_hi, side = last[1], f_hi * (0.5 if side > 0 else 1.0), 1
+            elif lo is None:  # feasible with budget to spare
+                x = 0.0
             else:
-                f_hi, f_lo, side = last[1], f_lo * (0.5 if side < 0 else 1.0), -1
-    return hi[2:] + (hi[0], slope if prev is None else secant())
+                x = 2.0 * lo[0] if lo[0] > 0 else 1.0
+                if x > _BRACKET_CAP:
+                    raise InfeasibleConstraint("multiplier bracket exhausted without reaching the budget")
+        probe(x)
+    return hi[3:] + (hi[0], slope if prev is None else secant())
 
 
 # ---------------------------------------------------------------------------

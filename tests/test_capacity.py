@@ -622,6 +622,18 @@ def test_a_budgeted_update_takes_at_most_three_inductions(monkeypatch, no_feedba
     assert len(calls) <= 3.0 * result.iterations
 
 
+@pytest.mark.parametrize("seed", [5, 7])
+def test_a_small_multiplier_is_matched_closely_enough_to_certify(seed):
+    # the budget binds at a multiplier of about 4e-4, where the stop window
+    # slack / lam is 2-3e-8 wide; matches that stopped anywhere inside it
+    # kept a stale multiplier and were uncertified after 100,000 updates,
+    # and aimed no wider than the window at lam = 1 they certify in 30-70
+    spec = di.AlphabetSpec(0, (2,), (2,))
+    q = random_forward_kernel(rng_from_seed(seed), spec, min_mass=0.01)
+    result = solve_capacity(q, _final_symbol_budget(spec), SolverConfig(max_iters=1000))
+    assert result.converged and result.constraint_slack >= 0.0
+
+
 def test_boundary_optimum_is_certified():
     # the optimal first input puts no mass on one symbol; plain
     # Blahut-Arimoto is still uncertified after 100,000 updates here

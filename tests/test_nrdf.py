@@ -447,6 +447,30 @@ def test_markov_n2_is_certified_in_few_tilts(monkeypatch, seed):
     assert expected_distortion(src, res.argmin, d) <= 0.3 + 1e-9
 
 
+def test_cold_matches_take_few_tilts(monkeypatch):
+    # each i.i.d. solve certifies at its first evaluation, so it is one cold
+    # match; closing the bracket by false position took 54 and 56 tilts
+    # there, its steps landing on either side of the stop window
+    tilts = []
+    tilt = _NrdfProblem.tilt
+
+    def spy(self, log_nu, s):
+        tilts.append(s)
+        return tilt(self, log_nu, s)
+
+    monkeypatch.setattr(_NrdfProblem, "tilt", spy)
+    for delta in (0.15, 0.2):
+        tilts.clear()
+        for n in range(6):
+            spec = di.AlphabetSpec(n, (2,) * (n + 1), (2,) * (n + 1))
+            d = DistortionConstraint(hamming_paths(spec), budget=delta * (n + 1))
+            assert solve_nrdf(uniform_binary_source(spec), d).converged
+        assert len(tilts) <= 48
+    tilts.clear()
+    assert solve_nrdf(MARKOV_N1, DistortionConstraint(hamming_paths(SPEC2), budget=0.2)).converged
+    assert len(tilts) <= 35
+
+
 def traced_relax(monkeypatch):
     """Record the evaluations ``(x, point)`` and the updates ``(x, point,
     mu)`` of the solver's relaxed run, in order."""

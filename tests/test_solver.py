@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dirinfo as di
@@ -103,7 +103,9 @@ ROOT, ROOT_SLOPE = 9.0, -0.01
 # from 1e-3 off the root, the secant through the first two probes is off the
 # slope by about 1e-3 relative, so at slack 1e-11 the search needs a fourth
 # probe; the solvers start far nearer, at the last update's root
-FOURTH_PROBE = pytest.mark.xfail(strict=True, reason="the second secant step misses the 1e-11 window from 1e-3 off")
+FOURTH_PROBE = pytest.mark.xfail(
+    strict=True, reason="the loop's secant step through the first two probes misses the 1e-11 window from 1e-3 off"
+)
 
 
 @pytest.mark.parametrize("offset, slack", [
@@ -138,6 +140,44 @@ def test_match_budget_without_a_usable_slope_makes_the_cold_probes(slope, budget
         assert warm_out[:3] == cold_out[:3] and warm_out[3] == secant_of_last_two(cold)
 
 
+@pytest.mark.parametrize("budget, start, most", [(1e-3, 0.0, 15), (1e-3, 1.0, 14), (1e-9, 0.0, 22), (1e-9, 1.0, 21)])
+def test_a_cold_search_probes_zero_or_doubles_until_it_has_a_bracket(budget, start, most):
+    # on the convex tail of exp(-lam) a secant through two infeasible probes
+    # falls short, by about ln 2 a probe: a cold search that took such steps
+    # crept to the 1e-9 budget in 33-35 probes; ``most`` is what the search
+    # took when it closed its bracket by false position
+    for slope, limit in ((math.nan, most), (-1.0, 39)):
+        probes = []
+
+        def update(lam):
+            probes.append(lam)
+            return None, math.exp(-lam)
+
+        _, cost, lam, _ = match_budget(update, budget, start, 1e-11, slope)
+        assert cost <= budget and lam * (budget - cost) <= 1e-11
+        assert len(probes) <= limit
+        if math.isnan(slope):
+            head = probes[:next(k for k, p in enumerate(probes) if math.exp(-p) <= budget) + 1]
+            assert all(b == (2.0 * a if a > 0 else 1.0) for a, b in zip(head, head[1:]))
+
+
+@pytest.mark.parametrize("slope", [math.nan, -0.01])
+@pytest.mark.parametrize("start", [3.0, 10.0])
+def test_secant_steps_that_shrink_slowly_give_way_to_bisection(slope, start):
+    # the cost 1 + (1 - lam)^9 is flat at its root lam = 1, where secant
+    # steps shrink only linearly: 24-31 probes without Brent's rule, which
+    # bisects whenever a step is not shorter than half the step before last
+    probes = []
+
+    def update(lam):
+        probes.append(lam)
+        return None, max(1.0 + (1.0 - lam) ** 9, 0.0)
+
+    _, cost, lam, _ = match_budget(update, 1.0, start, 1e-11, slope)
+    assert cost <= 1.0 and lam * (1.0 - cost) <= 1e-11
+    assert len(probes) <= 20
+
+
 def test_match_budget_raises_when_the_budget_is_out_of_reach():
     # the cost meets the budget only at lam = 1e13, past the cap of 1e12
     for slope in (math.nan, -0.25, -1e-12):
@@ -170,6 +210,8 @@ def test_match_budget_bisects_away_from_an_infinite_cost():
     st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.5, 3.0), st.floats(0.01, 2.0),
     st.floats(0.0, 1e3), st.floats(-10.0, -1e-6), st.sampled_from([1e-3, 1e-8, 1e-11]),
 )
+# from a subnormal start, doubling needs about 1,030 steps to reach 1
+@example(scale=1.0, rate=1.0, power=1.0, share=0.5, start=2.225073858507203e-309, slope=-1.0, slack=1e-3)
 @settings(max_examples=200, deadline=None)
 def test_match_budget_ends_feasible_within_the_slack_from_any_slope(scale, rate, power, share, start, slope, slack):
     # a smooth falling cost scale / (1 + rate lam)^power, whose budget is met
