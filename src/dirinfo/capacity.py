@@ -151,7 +151,7 @@ class _CapacityProblem:
         else:
             layout, tables = q.spec, q.tables
         self.layout = layout
-        self.laws = _side_laws(layout, tables, 1)
+        self.laws = _side_laws(layout, tables, 1)[:-1]  # through x_n; y_n's is q_last
         # the final step's (x_0, y_0, ..., x_n) axes, then y_n
         self.head = layout.interleaved_shape[:-1]
         cost = np.zeros(self.head) if g is None else g.reshape(self.head)
@@ -178,7 +178,7 @@ class _CapacityProblem:
         uniform over what is allowed, and ``-inf`` also on each choice that
         can lead to a history which allows no final symbol."""
         with np.errstate(divide="ignore"):
-            return induction(np.log(self.allowed), self.laws[:-1], soft=True)[1]
+            return induction(np.log(self.allowed), self.laws, soft=True)[1]
 
     def _log_law(self, state) -> np.ndarray:
         """The input's log-probability of ``x^n`` given ``y^{n-1}``, on the
@@ -189,18 +189,18 @@ class _CapacityProblem:
         return lp
 
     def posterior(self, state):
-        """``(di, log nu, lp, d)``: the current input's directed information
-        ``sum Q(y^{n-1} || x^{n-1}) e^lp d``, i.e. ``H(Y^n) - H(Y^n ||
-        X^n)``, its log output law (0 where it has no mass), its
+        """``(di, lp, d)``: the current input's directed information ``sum
+        Q(y^{n-1} || x^{n-1}) e^lp d``, i.e. ``H(Y^n) - H(Y^n || X^n)``, its
         log-probability ``lp`` of ``x^n`` given ``y^{n-1}``, and ``d =
-        sum_{y_n} q_n log(Q(y^n || x^n) / nu)``."""
+        sum_{y_n} q_n log(Q(y^n || x^n) / nu)``, with ``log nu`` read as 0
+        where the output law has no mass."""
         lp = self._log_law(state)
         terms, axes = lp[..., None] + self.log_q, _side_axes(0, lp.ndim)
         log_nu, guarded = logsumexp(terms, axes, keepdims=True)
         if guarded:
             log_nu = np.where(np.isfinite(log_nu), log_nu, 0.0)
         d = self.mean_log_q - (self.q_last @ log_nu[..., None])[..., 0, 0]
-        return float(np.vdot(self.q_prev * np.exp(lp), d)), log_nu, lp, d
+        return float(np.vdot(self.q_prev * np.exp(lp), d)), lp, d
 
     def update(self, lp: np.ndarray, d: np.ndarray, mu: float, lam: float):
         """The input that maximizes ``E a - lam E c`` plus its own entropy,
@@ -215,20 +215,20 @@ class _CapacityProblem:
                 a = a - lam * self.cost
         elif lam:
             a = a - lam * self.cost
-        _, log_p = induction(a, self.laws[:-1], soft=True)
+        _, log_p = induction(a, self.laws, soft=True)
         if self.constraint is None:
             return log_p, 0.0
         return log_p, float(np.vdot(self.q_prev * np.exp(self._log_law(log_p)), self.cost))
 
-    def bound(self, log_nu: np.ndarray, lam: float) -> float:
+    def bound(self, d: np.ndarray, lam: float) -> float:
         """``max`` over deterministic strategies of ``E[log Q - log nu - lam
         (c - budget)]``, an upper bound on the capacity: a hard
-        :func:`induction` from the terminal ``log Q(y^n || x^n) - log nu -
-        lam c``, which is ``-inf`` off the channel's support and on a
-        forbidden input."""
+        :func:`induction` from the terminal ``d - lam c`` on the final
+        step's axes, ``d`` of :meth:`posterior` being the mean of ``log Q
+        - log nu`` over ``y_n``, and ``-inf`` on a forbidden input."""
         with np.errstate(over="ignore"):  # a cell priced past the float range is -inf
-            barrier = np.where(self.allowed, -lam * self.cost, -np.inf)[..., None]
-        value, _ = induction(self.log_q + barrier - log_nu, self.laws)
+            terminal = np.where(self.allowed, d - lam * self.cost, -np.inf)
+        value, _ = induction(terminal, self.laws)
         return float(value) + lam * self.budget
 
     def kernel(self, state) -> BackwardKernel:
@@ -278,7 +278,7 @@ def solve_capacity(
         # x: a state with its update's cost, multiplier and secant slope of
         # cost against the multiplier, both over mu; without a budget every
         # update costs 0 against a budget of 0
-        _, _, lp, d = point
+        _, lp, d = point
         state, cost, lam, slope = match_budget(
             lambda lam: prob.update(lp, d, mu, lam), prob.budget, x[2] * mu, 0.01 * cfg.tol, x[3] / mu
         )
@@ -286,7 +286,7 @@ def solve_capacity(
 
     def certify(x, point, k):
         if k and (k % _CERT_EVERY == 0 or k == cfg.max_iters):
-            return prob.bound(point[1], x[2]) - point[0]
+            return prob.bound(point[2], x[2]) - point[0]
         return None
 
     start = (prob.start(), 0.0, 0.0, math.nan)

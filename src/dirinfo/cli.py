@@ -211,7 +211,7 @@ def build_config(pf: ProblemFile, args: argparse.Namespace) -> SolverConfig:
         positive_int(block, "grid_resolution", "solver")
         nonneg_int(block, "seed", "solver")
     overrides = {}
-    if args.tol is not None:
+    if getattr(args, "tol", None) is not None:
         overrides["tol"] = args.tol
     if args.max_iters is not None:
         overrides["max_iters"] = args.max_iters
@@ -397,7 +397,6 @@ def _add_report(sub: argparse.ArgumentParser):
 
 def _add_solver(sub: argparse.ArgumentParser):
     _add_report(sub)
-    sub.add_argument("--tol", type=float, default=None)
     sub.add_argument("--max-iters", type=int, default=None)
 
 
@@ -415,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     capacity = subs.add_parser("capacity", help="maximize over input kernels")
     _add_solver(capacity)
+    capacity.add_argument("--tol", type=float, default=None)  # nrdf reads multiplier_tol instead
     capacity.add_argument(
         "--no-feedback",
         action="store_true",

@@ -14,8 +14,10 @@ steps that end before a block starts, and adds up the output marginal,
 whose laws give every step's output half.  The divergence route takes a
 second pass, against the product's block at each prefix.  One first pass
 serves both routes, for :func:`directed_information_sum` and the
-dual-formula suite alike.  A joint that fits in one block is walked whole,
-by the same steps.
+dual-formula suite alike, and it is also the sum route of the stacked
+mixture and continuity audits, over the blocks of joints stacked on
+leading axes.  A joint that fits in one block is walked whole, by the same
+steps.
 """
 from __future__ import annotations
 
@@ -40,7 +42,6 @@ from .measures import (
     _check_mass,
     _divergence_sum,
     _joint_blocks,
-    _joint_weights,
     _log_product,
     _log_ratio_sum,
     _marginal_weights,
@@ -80,11 +81,11 @@ def _step_laws(j: np.ndarray, count: int):
     ``y_i`` and ``b_i`` through ``x_i``, each the one before summed over
     its trailing axis.  Each pair is made only when the one before is
     used up, so the caller holds one at a time."""
-    for _ in range(count):
+    for k in range(count):
+        if k:
+            j = _sum_axis(b, -1)
         b = _sum_axis(j, -1)
         yield j, b
-        if b.ndim:  # a block that starts at y_i ends at b_i
-            j = _sum_axis(b, -1)
 
 
 def _output_terms(c: np.ndarray, steps: int, lead: int = 0) -> list:
@@ -99,42 +100,49 @@ def _output_terms(c: np.ndarray, steps: int, lead: int = 0) -> list:
     return terms
 
 
-def _first_pass(p: BackwardKernel, q: ForwardKernel, joint: Optional[JointMeasure]):
-    """One walk over the joint's blocks: the output-path law, with one axis
-    per step, and the input half ``E log P(y_i | x^i, y^{i-1})`` of every
-    step, as an array over the steps.
+def _first_pass(spec: AlphabetSpec, blocks, lead_shape: tuple = ()):
+    """One walk over the blocks of a joint, or of joints stacked on the
+    leading axes ``lead_shape``: the output-path law, with one axis per
+    step after those axes, and the input half ``E log P(y_i | x^i,
+    y^{i-1})`` of every step, as an array over the steps and then those
+    axes.
 
     A step whose ``y_i`` axis lies in the blocks gets its half block by
     block.  The blocks' masses form the law of the prefixes, which gives
     the steps that end before a block starts.  Each block is checked for
-    finite, nonnegative cells, and the joint's mass, their sum, for 1.
+    finite, nonnegative cells, and each joint's mass, the sum of its
+    blocks', for 1.
     """
-    spec = p.spec
-    steps, stop = spec.steps, _block_prefix_len(spec)
+    steps, stop, lead = spec.steps, _block_prefix_len(spec), len(lead_shape)
     deep = range(stop // 2, steps)  # the steps whose y axis is in each block
-    masses = np.empty(spec.interleaved_shape[:stop])
-    nu = np.zeros(spec.y_sizes)
-    inputs = np.zeros(steps)
-    for prefix, w in _blocks(p, q, joint):
+    masses = np.empty(lead_shape + spec.interleaved_shape[:stop])
+    nu = np.zeros(lead_shape + spec.y_sizes)
+    inputs = np.zeros((steps,) + lead_shape)
+    stack = (slice(None),) * lead  # every joint of the stack
+    for prefix, w in blocks:
         marginal = _marginal_weights(w, steps, 1, stop)
-        masses[prefix] = total = marginal.sum()
-        _check_cells(w, total, "joint")
-        nu[prefix[1::2]] += marginal
+        masses[stack + prefix] = totals = marginal.reshape(lead_shape + (-1,)).sum(axis=-1)
+        _check_cells(w, totals.sum(), "joint")
+        nu[stack + prefix[1::2]] += marginal
         for i, (j, b) in zip(reversed(deep), _step_laws(w, len(deep))):
-            inputs[i] += _mass_log_ratio(j, b[..., None])
-    _check_mass(float(masses.sum()), "joint")
+            inputs[i] += _mass_log_ratio(j, b[..., None], lead)
+    _check_laws(masses, "joint", lead=lead)
     # the prefix law through y_{k-1}, k = stop // 2, gives steps 0..k-1
     prefixes = _sum_axis(masses, -1) if stop % 2 else masses
     for i, (j, b) in zip(reversed(range(stop // 2)), _step_laws(prefixes, stop // 2)):
-        inputs[i] += _mass_log_ratio(j, b[..., None])
+        inputs[i] += _mass_log_ratio(j, b[..., None], lead)
     return nu, inputs
 
 
-def _terms(nu: np.ndarray, inputs: np.ndarray) -> tuple[InfoValue, ...]:
-    """The per-step terms, input half minus output half, each taken by
-    :class:`InfoValue`'s rule."""
-    outputs = _output_terms(nu, len(inputs))[::-1]
-    return tuple(InfoValue(h - o) for h, o in zip(inputs, outputs))
+def _terms(nu: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """The per-step terms, input half minus output half, as an array over
+    the steps and any leading axes, each taken by :class:`InfoValue`'s
+    rule: NaN, or a negative value beyond rounding, raises; a
+    rounding-sized negative becomes 0."""
+    terms = inputs - np.array(_output_terms(nu, len(inputs), inputs.ndim - 1)[::-1])
+    if not terms.min() >= 0:  # NaN fails too
+        terms = np.vectorize(lambda v: InfoValue(v).value, otypes=[float])(terms)
+    return terms
 
 
 def per_step_information(
@@ -152,27 +160,7 @@ def per_step_information(
     first: each drops one trailing axis of the one before, so all steps
     together cost a few passes over the cells.
     """
-    return _terms(*_first_pass(p, q, joint))
-
-
-def _per_step_terms(w: np.ndarray, steps: int) -> list:
-    """The terms of :func:`per_step_information`, first step first, for
-    joints stacked on the leading axes of the interleaved weights ``w``:
-    one array of terms per step over those axes.  Every term passes
-    :class:`InfoValue`'s rule: NaN, or a negative value beyond rounding,
-    raises; a rounding-sized negative becomes 0."""
-    # The stacked audits keep this path: through _first_pass they kept every
-    # byte, but its scalar mass and cell checks added 6-15 us to each small
-    # evaluation, and verify's wall_s went 2.615 -> 2.740 s (2-core x86_64).
-    lead = w.ndim - 2 * steps
-    outputs = _output_terms(_marginal_weights(w, steps, 1), steps, lead)
-    terms = []
-    for (j, b), o in zip(_step_laws(w, steps), outputs):
-        t = _mass_log_ratio(j, b[..., None], lead) - o
-        if not np.all(t >= 0):
-            t = np.vectorize(lambda v: InfoValue(v).value, otypes=[float])(t)
-        terms.append(t)
-    return terms[::-1]
+    return tuple(map(InfoValue, _terms(*_first_pass(p.spec, _blocks(p, q, joint)))))
 
 
 def _directed_information_stack(
@@ -180,11 +168,12 @@ def _directed_information_stack(
 ) -> np.ndarray:
     """Sum-route directed information of kernel pairs whose step tables
     are stacked on one leading axis (either side may be one kernel's
-    plain tables), from one stacked joint.  The terms are added in step
-    order, as :func:`directed_information` adds them."""
-    w = _joint_weights(spec, p_tables, q_tables)
-    _check_laws(w, "joint", lead=w.ndim - 2 * spec.steps)
-    return sum(_per_step_terms(w, spec.steps))
+    plain tables), from the first pass of every single evaluation, over
+    the stacked joints' blocks.  The terms are added in step order, as
+    :func:`directed_information` adds them."""
+    lead_shape = max(p_tables[0].shape[:-2], q_tables[0].shape[:-2], key=len)
+    blocks = _joint_blocks(spec, p_tables, q_tables)
+    return sum(_terms(*_first_pass(spec, blocks, lead_shape)))
 
 
 def _divergence_pass(
@@ -224,14 +213,14 @@ def directed_information_divergence(
     ``joint`` is ``build_joint(p, q)`` when the caller already holds it;
     its blocks are then views, else they are built from the kernels.
     """
-    return _divergence_pass(p, q, joint, _first_pass(p, q, joint)[0])
+    return _divergence_pass(p, q, joint, _first_pass(p.spec, _blocks(p, q, joint))[0])
 
 
 def _routes(p: BackwardKernel, q: ForwardKernel) -> tuple[tuple[InfoValue, ...], InfoValue]:
     """The per-step terms and the divergence route of ``(p, q)``, from one
     first pass over their joint and the divergence route's second pass."""
-    nu, inputs = _first_pass(p, q, None)
-    return _terms(nu, inputs), _divergence_pass(p, q, None, nu)
+    nu, inputs = _first_pass(p.spec, _blocks(p, q, None))
+    return tuple(map(InfoValue, _terms(nu, inputs))), _divergence_pass(p, q, None, nu)
 
 
 @dataclass(frozen=True)

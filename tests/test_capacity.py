@@ -696,7 +696,9 @@ def _src_bound(q, c, nu, lam):
     spec = q.spec
     law = np.array([nu[ys] for ys in all_paths(spec.y_sizes)])
     log_nu = np.log(law).reshape(tuple(v for k in spec.y_sizes for v in (1, k)))
-    return _CapacityProblem(q, c, no_feedback=False).bound(log_nu, lam)
+    prob = _CapacityProblem(q, c, no_feedback=False)
+    d = prob.mean_log_q - (prob.q_last @ log_nu[..., None])[..., 0, 0]
+    return prob.bound(d, lam)
 
 
 def _random_case(seed):
@@ -834,8 +836,8 @@ def test_updates_take_the_same_floats_with_the_history_guard_forced(no_feedback,
         assert point[0] == again[0]
         for got, want in zip(point[1:], again[1:]):
             assert got.tobytes() == want.tobytes()
-        state, cost = fast.update(point[2], point[3], mu, lam)
-        retaken, again_cost = guarded.update(point[2], point[3], mu, lam)
+        state, cost = fast.update(point[1], point[2], mu, lam)
+        retaken, again_cost = guarded.update(point[1], point[2], mu, lam)
         assert cost == again_cost and len(state) == len(retaken)
         for got, want in zip(state, retaken):
             assert got.tobytes() == want.tobytes()

@@ -371,7 +371,7 @@ def test_flags_a_subcommand_never_reads_are_rejected(tmp_path, capsys):
     unread = {
         "compute": ["--seed", "--grid", "--tol", "--max-iters"],
         "capacity": ["--seed", "--grid"],
-        "nrdf": ["--seed", "--grid"],
+        "nrdf": ["--seed", "--grid", "--tol"],
         "verify": ["--grid", "--tol", "--max-iters", "--units"],
     }
     for command, flags in unread.items():

@@ -523,6 +523,55 @@ def test_stacked_lsc_audit_equals_the_per_kernel_route(n, shrinking):
     assert di.check_lower_semicontinuity(p, q_limit, kernels) == audit
 
 
+@pytest.mark.parametrize("stop", [1, 2, 3, 4, 5])
+def test_stacked_audits_agree_across_blocks(monkeypatch, stop):
+    # the stacked audits walk the same blocks as a single evaluation: with
+    # blocks that fix the first ``stop`` interleaved axes, each value stays
+    # within rounding of the one-block audit and each endpoint is the
+    # single evaluation's own
+    from dirinfo import information
+    from dirinfo.verify import _lsc_sequence
+
+    rnd = random.Random(3000 + stop)
+    spec, p_fn, q_fn, _ = _block_case("zero-mass-rows", rnd)
+    p1, q1 = backward_kernel_from_fn(spec, p_fn), forward_kernel_from_fn(spec, q_fn)
+    p2 = backward_kernel_from_fn(spec, random_kernel_fn(rnd, spec.x_sizes))
+    q2 = forward_kernel_from_fn(spec, random_kernel_fn(rnd, spec.y_sizes))
+    stack = _lsc_sequence(q1)
+    sequence = [di.ForwardKernel(spec, tuple(t[k] for t in stack)) for k in range(len(stack[0]))]
+
+    def audits():
+        return (
+            di.check_convexity_in_q(p1, q1, q2, GRID),
+            di.check_concavity_in_p(q1, p1, p2, GRID),
+            di.check_lower_semicontinuity(p1, q1, sequence),
+        )
+
+    def values(convex, concave, lsc):
+        return [v for a in (convex, concave) for v in (a.endpoint_a, a.endpoint_b) + a.mixture_values] + [
+            *lsc.sequence_values, lsc.limit_value,
+        ]
+
+    whole = audits()
+    monkeypatch.setattr(measures, "JOINT_BLOCK_CELLS", math.prod(spec.interleaved_shape[stop:]))
+    assert measures._block_prefix_len(spec) == stop
+    seen, real = set(), information._joint_blocks
+
+    def spy(*args):  # each block's prefix length and count of stacking axes
+        for prefix, w in real(*args):
+            seen.add((len(prefix), w.ndim + len(prefix) - 2 * spec.steps))
+            yield prefix, w
+
+    monkeypatch.setattr(information, "_joint_blocks", spy)
+    convex, concave, lsc = blocked = audits()
+    assert seen == {(stop, 1)}
+    assert values(*blocked) == pytest.approx(values(*whole), abs=1e-15, rel=0)
+    assert lsc.tv_distances == whole[2].tv_distances
+    assert (convex.endpoint_a, convex.endpoint_b) == (di.directed_information(p1, q1), di.directed_information(p1, q2))
+    assert (concave.endpoint_a, concave.endpoint_b) == (di.directed_information(p1, q1), di.directed_information(p2, q1))
+    assert lsc.limit_value == di.directed_information(p1, q1)
+
+
 def test_audit_rejects_bad_lambda_grid():
     rng = rng_from_seed(33)
     spec = di.AlphabetSpec(1, (2, 2), (2, 2))
