@@ -49,6 +49,14 @@ _NEG_CLAMP = 1e-12
 # stay in cache, as the grid oracles' blocks of the same size do.
 JOINT_BLOCK_CELLS = 2 ** 17
 
+# Up to this many cells, _step_product extends its product by a table, and
+# _mass_log_ratio divides by a law along the trailing axis, in one
+# broadcast; past it, one column at a time, since a broadcast along a 2-4
+# wide trailing axis loops over only that many cells at a time.  Both ways
+# give the same floats; on a 2-core x86_64 VM they broke even at about
+# 1,024 cells.
+_BROADCAST_CELLS = 1024
+
 
 def active_cell_cap() -> int:
     """Current dense-size ceiling, honouring ``DIRINFO_CELL_CAP`` if set."""
@@ -625,14 +633,25 @@ def _mass_log_ratio(mass: np.ndarray, den: np.ndarray, lead: int = 0):
     ``mass``, with ``den`` broadcast against it and ``0 log(0 / d) = 0``;
     a float, or an array over the leading axes.
 
-    Cells without mass get the quotient 1, so no masked copy is made.  A
-    cell with mass over a zero ``den`` gives ``+inf`` (and a numpy
-    warning, which callers that expect it silence).  Each sum is one
+    On an array of at most ``_BROADCAST_CELLS`` cells, or with a cell
+    without mass, a mask gives cells without mass the quotient 1, so no
+    masked copy is made.  Past that size with mass in every cell, the
+    quotients are taken unmasked, one column at a time for a ``den`` of
+    size 1 on the trailing axis: the same quotients.  A cell with mass
+    over a zero ``den`` gives ``+inf`` (and a numpy warning, which
+    callers that expect it silence).  Each sum is one
     row-by-column product, as fast as ``vdot`` on a single array; as in
     :func:`_sum_axis`, its last bits on a large block depend on the BLAS
     thread count (ROADMAP item 12).
     """
-    ratio = np.divide(mass, den, out=np.ones_like(mass), where=mass > 0)
+    if mass.size <= _BROADCAST_CELLS or not mass.min() > 0:
+        ratio = np.divide(mass, den, out=np.ones_like(mass), where=mass > 0)
+    elif den.shape[-1:] == (1,):
+        ratio = np.empty(mass.shape)
+        for s in range(mass.shape[-1]):
+            np.divide(mass[..., s], den[..., 0], out=ratio[..., s])
+    else:
+        ratio = mass / den
     np.log(ratio, out=ratio)
     lead_shape = mass.shape[:lead]
     return (mass.reshape(lead_shape + (1, -1)) @ ratio.reshape(lead_shape + (-1, 1)))[..., 0, 0]
@@ -671,12 +690,6 @@ def _joint_weights(
     shared leading shape; the result then stacks the joints on it."""
     factors = [t for pair in zip(p_tables, q_tables) for t in pair]
     return _step_product(spec.interleaved_shape, factors, prefix)
-
-
-# Up to this many cells, _step_product extends its product by a table in one
-# broadcast; past it, one column at a time is faster (both ways give the
-# same floats; on a 2-core x86_64 VM they broke even at about 1,024 cells).
-_BROADCAST_CELLS = 1024
 
 
 def _step_product(shape: tuple[int, ...], factors: Sequence[Optional[np.ndarray]], prefix: tuple = ()):

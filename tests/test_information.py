@@ -348,6 +348,36 @@ def test_the_routes_hold_a_few_blocks_not_the_joint():
     assert peak < 8 * spec.total_cells / 2
 
 
+def _with_zeros(rng, kernel):
+    """``kernel``'s tables with about a fifth of their cells set to 0 and
+    the rows renormalized; each row keeps its largest cell."""
+    tables = []
+    for t in kernel.tables:
+        t = np.where((rng.random(t.shape) < 0.2) & (t < t.max(axis=-1, keepdims=True)), 0.0, t)
+        tables.append(t / t.sum(axis=-1, keepdims=True))
+    return type(kernel)(kernel.spec, tuple(tables))
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["dense", "zeros"])
+def test_routes_take_the_same_floats_with_every_product_and_log_ratio_broadcast(monkeypatch, zeros):
+    # 6^7 cells in blocks of 6^7 / 3: past _BROADCAST_CELLS the step product
+    # and the log-ratio kernel go one column at a time, and the kernel drops
+    # its mask on blocks where every cell has mass
+    spec = di.AlphabetSpec(6, (3, 2) * 3 + (3,), (2, 3) * 3 + (2,))
+    assert spec.total_cells >= 2**18
+    rng = rng_from_seed(60)
+    p, q = random_backward_kernel(rng, spec), random_forward_kernel(rng, spec)
+    if zeros:
+        p, q = _with_zeros(rng, p), _with_zeros(rng, q)
+
+    def floats(report):
+        return (report.sum_form.value, report.divergence_form.value) + tuple(t.value for t in report.per_step_terms)
+
+    default = floats(di.directed_information_sum(p, q))
+    monkeypatch.setattr(measures, "_BROADCAST_CELLS", spec.total_cells)
+    assert floats(di.directed_information_sum(p, q)) == default
+
+
 @pytest.mark.parametrize("n, size", [(7, 2), (3, 4), (5, 3)])
 def test_input_free_terms_stay_at_zero_on_large_joints(n, size):
     # at least 2^16 cells; InfoValue raises on a term below -1e-12

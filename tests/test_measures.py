@@ -559,6 +559,38 @@ def test_gibbs_inequality(seed, size):
     assert float(di.kl_divergence(a, b)) >= 0.0
 
 
+def _masked_log_ratio(mass, den, lead=0):
+    # the masked broadcast that _mass_log_ratio keeps for small arrays and
+    # arrays with a cell without mass
+    ratio = np.divide(mass, den, out=np.ones_like(mass), where=mass > 0)
+    np.log(ratio, out=ratio)
+    lead_shape = mass.shape[:lead]
+    return (mass.reshape(lead_shape + (1, -1)) @ ratio.reshape(lead_shape + (-1, 1)))[..., 0, 0]
+
+
+@pytest.mark.parametrize("den_kind", ["trailing", "same-shape"])
+@pytest.mark.parametrize("shape, lead", [((3,) * 8, 0), ((2,) * 12, 0), ((4,) * 6, 0), ((5, 2, 3, 4, 3, 4), 1)])
+@pytest.mark.parametrize("cells", ["dense", "zero-mass", "mass-over-zero"])
+def test_mass_log_ratio_past_the_broadcast_threshold_is_the_masked_formula(den_kind, shape, lead, cells):
+    # bit for bit: each cell's quotient, its log and the product are the same
+    rng = rng_from_seed(71)
+    mass = rng.random(shape)
+    assert mass.size > measures._BROADCAST_CELLS
+    if cells == "zero-mass":
+        mass[rng.random(shape) < 0.2] = 0.0
+    den = mass.sum(axis=-1)[..., None] if den_kind == "trailing" else rng.random(shape)
+    if cells == "mass-over-zero":
+        at = np.unravel_index(np.argmax(mass), shape)
+        den = den.copy()
+        den[at[:-1] + (0,) if den_kind == "trailing" else at] = 0.0
+    with np.errstate(divide="ignore"):
+        got = measures._mass_log_ratio(mass, den, lead)
+        want = _masked_log_ratio(mass, den, lead)
+    assert np.shape(got) == shape[:lead]
+    assert np.array_equal(got, want)
+    assert np.isposinf(got).any() == (cells == "mass-over-zero")
+
+
 # ---------------------------------------------------------------------------
 # path-level conditionals and causal mixtures
 # ---------------------------------------------------------------------------

@@ -668,18 +668,22 @@ def test_tilt_guards_only_a_law_that_starves_an_output_path(case, monkeypatch):
 def test_a_finite_distortion_overflowed_by_its_slope_runs_the_guard(monkeypatch):
     # reconstructing as 2 costs 1e307 whatever the source letter, so at a
     # large slope that output gets no mass although the table is finite; the
-    # guard runs, and the answer is that of reconstructing as 2 forbidden
+    # guard runs, and the answer is that of reconstructing as 2 forbidden.
+    # The budget 0.3 binds exactly at the floor, which still leaves x = 2 a
+    # free choice between y = 0 and y = 1, so a rate is left to minimize
     spec = di.AlphabetSpec(0, (3,), (3,))
     src = SourceSpec.from_step_tables(spec, [np.array([[0.4, 0.3, 0.3]])])
     table, forbidden = 1.0 - np.eye(3), 1.0 - np.eye(3)
     table[:, 2], forbidden[:, 2] = 1e307, np.inf
     flags = spy_on_guards(monkeypatch)
-    for budget in (0.3 + 1e-8, 0.5):
+    for budget in (0.3, 0.3 + 1e-8, 0.5):
         want = solve_nrdf(src, DistortionConstraint(forbidden, budget))
         flags.clear()
         got = solve_nrdf(src, DistortionConstraint(table, budget))
-        assert any(flags) and got.converged and got.iterations == want.iterations
+        assert any(flags) and got.converged and want.converged and got.iterations == want.iterations
         assert got.value.value == want.value.value
+        for d, res in ((table, got), (forbidden, want)):
+            assert expected_distortion(src, res.argmin, DistortionConstraint(d, budget)) <= budget + 1e-9
         if budget < 0.4:  # at the floor 0.3, x = 2 goes to y = 0 with y's own probability 4/7
             assert float(got.value) == pytest.approx(0.7 * hb(4 / 7), abs=1e-6)
 
