@@ -40,9 +40,8 @@ from .serialization import (
     forward_kernel_from_jsonable,
     kernel_to_jsonable,
     load_stochastic_table,
-    nonneg_int,
     parse_real,
-    positive_int,
+    read_int,
     real_to_str,
     spec_from_jsonable,
     value_or_none,
@@ -204,12 +203,12 @@ def build_config(pf: ProblemFile, args: argparse.Namespace) -> SolverConfig:
         cfg = replace(
             cfg,
             tol=cfg.tol if tol is None else tol,
-            max_iters=positive_int(block, "max_iters", "solver", cfg.max_iters),
+            max_iters=read_int(block, "max_iters", "solver", 1, cfg.max_iters),
             multiplier_tol=cfg.multiplier_tol if mtol is None else mtol,
         )
         # format "1" keys that no solver reads: still type-checked, ignored
-        positive_int(block, "grid_resolution", "solver")
-        nonneg_int(block, "seed", "solver")
+        read_int(block, "grid_resolution", "solver", 1)
+        read_int(block, "seed", "solver", 0)
     overrides = {}
     if getattr(args, "tol", None) is not None:
         overrides["tol"] = args.tol

@@ -12,7 +12,10 @@ few blocks and the output marginal, never the whole joint.  The first pass
 gives each step's input half from the blocks, or from their masses for the
 steps that end before a block starts, and adds up the output marginal,
 whose laws give every step's output half.  The divergence route takes a
-second pass, against the product's block at each prefix.  One first pass
+second pass that splits the product's logarithm into its two factors,
+``log a + log nu``: each block adds ``sum w log(w / a)`` against the
+input-path weights ``a`` at its prefix, less ``sum m log nu`` over its
+own output marginal ``m``, so the product is never formed.  One first pass
 serves both routes, for :func:`directed_information_sum` and the
 dual-formula suite alike, and it is also the sum route of the stacked
 mixture and continuity audits, over the blocks of joints stacked on
@@ -39,16 +42,14 @@ from .measures import (
     _block_prefix_len,
     _check_cells,
     _check_laws,
-    _check_mass,
     _divergence_sum,
+    _input_path_blocks,
     _joint_blocks,
-    _log_product,
     _log_ratio_sum,
     _marginal_weights,
     _mass_log_ratio,
     _mixture_tables,
     _path_table,
-    _product_weights,
     _require_same_spec,
     _sum_axis,
     _tied_shape,
@@ -179,28 +180,25 @@ def _directed_information_stack(
 def _divergence_pass(
     p: BackwardKernel, q: ForwardKernel, joint: Optional[JointMeasure], nu: np.ndarray
 ) -> InfoValue:
-    """The divergence route's second walk: each block of the joint against
-    the product's block at the same prefix, built from ``p`` and the
-    output law ``nu``, which is first taken as a :class:`Pmf`.  Each
-    product block is checked like a joint block, and the product's mass,
-    the sum of theirs, for 1.  A block in which a product cell underflows
-    to 0 under mass takes the product's logarithm from its factors (see
-    ``measures._log_product``), so only a cell whose input-path weight or
-    output law is 0 makes the route infinite."""
+    """The divergence route's second walk, which takes the product's
+    logarithm from its two factors, ``log a + log nu``, and never forms
+    the product: each block ``w`` of the joint adds ``sum w log(w / a) -
+    sum_y m log nu``.  Here ``a`` is the block of the input-path weights
+    of ``p`` at the same prefix, ``m`` the block's own output marginal,
+    and ``nu`` the output law, first taken as a :class:`Pmf`, with ``log
+    nu`` read as 0 where ``nu`` is 0.  On the kernels' own joint ``w <=
+    a`` cell by cell, so no quotient overflows, and ``nu >= m``, so ``log
+    nu`` is finite wherever there is mass.  A caller's ``joint`` with
+    mass over ``a = 0`` makes the route infinite; one whose quotient
+    overflows takes the difference of logarithms in
+    ``measures._divergence_sum``."""
     spec = p.spec
-    nu = Pmf(nu.reshape(-1)).weights
-    total = mass = 0.0
-    for prefix, w in _blocks(p, q, joint):
-        pi = _product_weights(spec, p.tables, nu, prefix)
-        block_mass = pi.sum()
-        _check_cells(pi, block_mass, "joint")
-        mass += block_mass
-        block = _divergence_sum(w, pi)
-        del pi  # before the next block's product is built
-        if block == math.inf:  # a product cell may have underflowed to 0 under mass
-            block = _log_ratio_sum(w, _log_product(spec, p.tables, nu, prefix))
-        total += block
-    _check_mass(float(mass), "joint")
+    nu = Pmf(nu.reshape(-1)).weights.reshape(spec.y_sizes)
+    log_nu = np.log(nu, out=np.zeros_like(nu), where=nu > 0)
+    total = 0.0
+    for (prefix, w), a in zip(_blocks(p, q, joint), _input_path_blocks(spec, p.tables)):
+        m = _marginal_weights(w, spec.steps, 1, len(prefix))
+        total += _divergence_sum(w, a) - m.reshape(-1) @ log_nu[prefix[1::2]].reshape(-1)
     return InfoValue(total)
 
 

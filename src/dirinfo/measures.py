@@ -759,6 +759,14 @@ def _joint_blocks(
             yield prefix, _joint_weights(spec, p_tables, q_tables, prefix)
 
 
+def _input_path_blocks(spec: AlphabetSpec, p_tables: Sequence[np.ndarray]):
+    """The input-path weights of the step tables ``p_tables`` (see
+    :func:`_path_weights`) at each prefix of :func:`_joint_blocks`, in the
+    same order, as arrays over the later axes with ``y_n`` at 1."""
+    for prefix in product(*map(range, spec.interleaved_shape[:_block_prefix_len(spec)])):
+        yield _path_weights(spec, p_tables, 0, prefix=prefix)
+
+
 def marginal_x(joint: JointMeasure) -> Pmf:
     """Input-path marginal, indexed by the row-major code of ``x^n``."""
     return Pmf(_marginal_weights(joint.weights, joint.spec.steps, 0).reshape(-1))
@@ -782,54 +790,19 @@ def _marginal_weights(w: np.ndarray, steps: int, side: int, start: int = 0) -> n
 
 
 def product_pi_forward(p: BackwardKernel, nu: Pmf) -> JointMeasure:
-    """Product of an input kernel with an output-path law: ``p (x|y) * nu(y)``."""
+    """Product of an input kernel with an output-path law: ``p (x|y) * nu(y)``.
+
+    The mirror of :func:`product_pi_backward`.  The divergence route never
+    forms this product: it takes its logarithm from the two factors, as
+    ``log a + log nu`` of the input-path weights ``a`` and ``nu`` (see
+    ``information._divergence_pass``)."""
     spec = p.spec
     if nu.size != spec.num_y_paths:
         raise SpecMismatch(
             f"nu has {nu.size} outcomes, expected {spec.num_y_paths} output paths"
         )
-    return JointMeasure(spec, _frozen(_product_weights(spec, p.tables, nu.weights)))
-
-
-def _product_weights(
-    spec: AlphabetSpec, p_tables: Sequence[np.ndarray], nu: np.ndarray, prefix: tuple = ()
-) -> np.ndarray:
-    """The cells of :func:`product_pi_forward` that start with ``prefix``
-    (a block of :func:`_joint_blocks`), as a new array over the later
-    axes; ``nu`` holds the output-path law's weights.
-
-    ``nu`` is copied across the input axes in whole contiguous blocks, the
-    last time, across ``x_{k+1}`` and across ``x_k`` when the block starts
-    there, into the array returned.  It is then scaled one ``y_n`` column
-    at a time by the input-path weights; a single broadcast over all axes
-    would loop over only ``|Y_n|`` cells at a time.
-    """
-    stop = len(prefix)
-    out = np.empty(spec.interleaved_shape[stop:])
-    k = stop // 2  # the block's first output axis is y_k
-    w = nu.reshape(spec.y_sizes)[prefix[1::2]]
-    for i in reversed(range(k + 2, spec.steps)):
-        # (y_k..y_{i-1}, 1, y_i, x_{i+1}, ...) -> (y_k..y_{i-1}, x_i, y_i, x_{i+1}, ...)
-        w = np.repeat(w.reshape(math.prod(spec.y_sizes[k:i]), 1, -1), spec.x_sizes[i], axis=1)
-    x_k = 1 if stop % 2 else spec.x_sizes[k]
-    x_next = spec.x_sizes[k + 1] if k + 1 < spec.steps else 1
-    out.reshape(x_k, spec.y_sizes[k], x_next, -1)[...] = w.reshape(1, spec.y_sizes[k], 1, -1)
-    cols = out.reshape(-1, spec.y_sizes[-1])
-    a = _path_weights(spec, p_tables, 0, prefix=prefix).reshape(-1)
-    for j in range(spec.y_sizes[-1]):
-        cols[:, j] *= a
-    return out
-
-
-def _log_product(spec: AlphabetSpec, p_tables: Sequence[np.ndarray], nu: np.ndarray, prefix: tuple):
-    """The logarithm of the block of :func:`_product_weights` at ``prefix``,
-    taken as ``log a + log nu`` of the input-path weights ``a`` and the
-    output-path law ``nu``: finite on a cell where the product underflows
-    to 0 but neither factor does."""
-    a = _path_weights(spec, p_tables, 0, prefix=prefix)
-    at = tuple(s if k % 2 else 0 for k, s in enumerate(prefix))  # 0 on the size-1 x axes
-    with np.errstate(divide="ignore"):
-        return np.log(a) + np.log(nu.reshape(_tied_shape(spec, 1))[at])
+    w = nu.weights.reshape(_tied_shape(spec, 1)) * _path_weights(spec, p.tables, 0)
+    return JointMeasure(spec, _frozen(w))
 
 
 def product_pi_backward(mu: Pmf, q: ForwardKernel) -> JointMeasure:
@@ -872,9 +845,11 @@ def kl_divergence(a: DenseLike, b: DenseLike) -> InfoValue:
 
 
 def _divergence_sum(wa: np.ndarray, wb: np.ndarray) -> float:
-    """``sum a log(a / b)`` over two C-ordered arrays of one shape, by the
-    conventions of :func:`kl_divergence`: the relative entropy itself, or
-    one block's share of it, which may be negative."""
+    """``sum a log(a / b)`` over a C-ordered array ``wa`` and an array
+    ``wb`` of its shape or broadcast against it (such as one of size 1 on
+    the trailing axis), by the conventions of :func:`kl_divergence`: the
+    relative entropy itself, or one block's share of it, which may be
+    negative."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         total = _mass_log_ratio(wa, wb)
     if math.isfinite(total):

@@ -139,21 +139,16 @@ def value_or_none(data: dict, key: str, where: str):
     return parse_real(data[key], f"{where}.{key}")
 
 
-def positive_int(data: dict, key: str, where: str, default=None):
+def read_int(data: dict, key: str, where: str, least: int, default=None):
+    """``data[key]`` if it is an integer (an ``int``, not a ``bool``) of
+    at least ``least``, 0 or 1; ``default`` if the key is absent or
+    ``None``; else a :class:`ProblemFileError` naming ``where.key``."""
     if key not in data or data[key] is None:
         return default
     v = data[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ProblemFileError(f"{where}.{key}: expected a positive integer")
-    return v
-
-
-def nonneg_int(data: dict, key: str, where: str, default=None):
-    if key not in data or data[key] is None:
-        return default
-    v = data[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise ProblemFileError(f"{where}.{key}: expected a nonnegative integer")
+    if not isinstance(v, int) or isinstance(v, bool) or v < least:
+        kind = "positive" if least else "nonnegative"
+        raise ProblemFileError(f"{where}.{key}: expected a {kind} integer")
     return v
 
 

@@ -456,7 +456,7 @@ def test_product_pi_forward_matches_a_broadcast_over_all_axes(seed):
     )
     got = di.product_pi_forward(p, nu).weights
     assert got.shape == want.shape
-    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -480,26 +480,25 @@ def test_tied_tables_give_the_broadcast_product_of_their_tied_shape(side):
 
 
 @pytest.mark.parametrize("stop", [0, 1, 2, 3])
-def test_blocks_hold_the_very_cells_of_the_whole_joint_and_product(monkeypatch, stop):
+def test_blocks_hold_the_very_cells_of_the_whole_joint_and_input_path_weights(monkeypatch, stop):
     # 2^14 cells: the products over the later axes pass _BROADCAST_CELLS,
     # so both ways of extending a product by a table run
     spec = di.AlphabetSpec(6, (2,) * 7, (2,) * 7)
     rng = rng_from_seed(8)
     p, q = random_backward_kernel(rng, spec), random_forward_kernel(rng, spec)
-    nu = random_pmf(rng, spec.num_y_paths)
     whole = di.build_joint(p, q).weights
     want = np.ones(())  # one broadcast over all axes per table, in step order
     for i, (pt, qt) in enumerate(zip(p.tables, q.tables)):
         want = want[..., None] * pt.reshape(spec.interleaved_shape[:2 * i + 1])
         want = want[..., None] * qt.reshape(spec.interleaved_shape[:2 * i + 2])
     assert np.array_equal(whole, want)
-    product = di.product_pi_forward(p, nu).weights
+    inputs = measures._path_weights(spec, p.tables, 0)
     monkeypatch.setattr(measures, "JOINT_BLOCK_CELLS", math.prod(spec.interleaved_shape[stop:]))
     blocks = list(measures._joint_blocks(spec, p.tables, q.tables))
     assert [prefix for prefix, _ in blocks] == list(np.ndindex(spec.interleaved_shape[:stop]))
-    for prefix, block in blocks:
+    for (prefix, block), a in zip(blocks, measures._input_path_blocks(spec, p.tables), strict=True):
         assert np.array_equal(block, whole[prefix])
-        assert np.array_equal(measures._product_weights(spec, p.tables, nu.weights, prefix), product[prefix])
+        assert np.array_equal(a, inputs[prefix])
 
 
 def test_product_pi_backward_of_input_free_channel_is_product():
@@ -589,6 +588,33 @@ def test_mass_log_ratio_past_the_broadcast_threshold_is_the_masked_formula(den_k
     assert np.shape(got) == shape[:lead]
     assert np.array_equal(got, want)
     assert np.isposinf(got).any() == (cells == "mass-over-zero")
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 2), (2,) * 12], ids=["small", "past-threshold"])
+@pytest.mark.parametrize("cells", ["dense", "zero-mass", "mass-over-zero", "subnormal"])
+def test_divergence_sum_takes_a_b_broadcast_along_a_size_one_trailing_axis(shape, cells):
+    # the divergence route's use: a joint block against the input-path
+    # weights at its prefix, which are 1 wide on the trailing y_n axis
+    rng = rng_from_seed(72)
+    wa = rng.random(shape)
+    if cells == "zero-mass":
+        wa[rng.random(shape) < 0.2] = 0.0
+    wa /= wa.sum()
+    b = rng.random(shape[:-1] + (1,))
+    row = np.unravel_index(np.argmax(wa), shape)[:-1] + (0,)  # a row with mass
+    if cells == "mass-over-zero":
+        b[row] = 0.0
+    if cells == "subnormal":
+        b[row] = 1e-320  # its quotients leave the float range
+    full = np.broadcast_to(b, shape).copy()
+    got = measures._divergence_sum(wa, b)
+    assert got == measures._divergence_sum(wa, full)
+    if cells == "mass-over-zero":
+        assert got == math.inf
+    else:
+        pos = wa > 0
+        want = float(np.sum(wa[pos] * (np.log(wa[pos]) - np.log(full[pos]))))
+        assert math.isfinite(got) and got == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ from dirinfo.serialization import (
     forward_kernel_from_jsonable,
     kernel_to_jsonable,
     load_stochastic_table,
-    nonneg_int,
     parse_real,
-    positive_int,
+    read_int,
     real_to_str,
     spec_from_jsonable,
     spec_to_jsonable,
@@ -69,18 +68,20 @@ def test_finite_real_rejects_inf_and_nan():
 
 def test_int_helpers():
     data = {"a": 3, "b": 0, "c": "7", "d": -1}
-    assert positive_int(data, "a", "blk") == 3
-    assert positive_int(data, "missing", "blk", default=9) == 9
-    assert nonneg_int(data, "b", "blk") == 0
+    assert read_int(data, "a", "blk", 1) == 3
+    assert read_int(data, "missing", "blk", 1, default=9) == 9
+    assert read_int(data, "b", "blk", 0) == 0
     for key in ("b", "d"):
-        with pytest.raises(di.ProblemFileError):
-            positive_int(data, key, "blk")
+        with pytest.raises(di.ProblemFileError, match=r"^blk\.%s: expected a positive integer$" % key):
+            read_int(data, key, "blk", 1)
+    with pytest.raises(di.ProblemFileError, match=r"^blk\.d: expected a nonnegative integer$"):
+        read_int(data, "d", "blk", 0)
     with pytest.raises(di.ProblemFileError):
-        nonneg_int(data, "d", "blk")
+        read_int(data, "c", "blk", 1)
     with pytest.raises(di.ProblemFileError):
-        positive_int(data, "c", "blk")
+        read_int({"e": True}, "e", "blk", 0)
     # absent keys are optional and fall back to the default
-    assert positive_int(data, "missing", "blk") is None
+    assert read_int(data, "missing", "blk", 1) is None
     assert value_or_none(data, "a", "blk") == 3
     assert value_or_none(data, "missing", "blk") is None
 
